@@ -264,6 +264,24 @@ def test_calibrate_infeasible_requirement_names_constraint():
 # --- end to end (small grid for speed; the full workflow runs in the
 #     acceptance suite) ---
 
+def test_fixture_plan_at_node_4_is_pinned(case_graph):
+    # regression pin of the planner on the case-study fixture: per critical
+    # trace the accumulation step count, the conductance and the final
+    # crossover frequency, plus the calibrated damper gain
+    cplan = plan(case_graph, 4, epsilon=0.005,
+                 grid=FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    got = [(e.trace_id, e.iterations, e.alpha_s, e.f_cr_final_hz)
+           for e in cplan.entries]
+    expected = [(8, 47, 0.047, 178.4931945800781),
+                (5, 34, 0.034, 1755.75830078125),
+                (6, 46, 0.046, 1886.4156494140625)]
+    assert [g[:2] for g in got] == [x[:2] for x in expected]
+    for (_, _, alpha, f_cr), (_, _, alpha_x, f_cr_x) in zip(got, expected):
+        assert alpha == pytest.approx(alpha_x, rel=1e-12)
+        assert abs(f_cr - f_cr_x) <= 1e-9
+    assert calibrate_ad(cplan, AD_BASE).k_v == 1.4072265625
+
+
 def test_verify_with_ad_stabilizes_fixture_at_top_node(case_graph):
     grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
     cplan = plan(case_graph, 4, epsilon=0.005, grid=grid)
