@@ -13,7 +13,7 @@ import numpy as np
 
 from damp_planner import FrequencyGrid, ad_curve_cluster
 from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS
-from damp_planner.component_models import ADParams, _ad_scalar
+from damp_planner.component_models import ADParams, ad_scalar
 
 
 def write_curves(path: Path, header: list[str], rows) -> None:
@@ -39,7 +39,7 @@ def main() -> int:
     rows = []
     for mode in ("proposed", "traditional"):
         p = dataclasses.replace(base, mode=mode)
-        y = _ad_scalar(p, grid.hz, grid.omega0)
+        y = ad_scalar(p, grid.hz, grid.omega0)
         with np.errstate(divide="ignore"):
             ratio = np.abs(y.imag / y.real)
         rows += [[mode, f"{f:.9g}", f"{v.real:.9g}", f"{v.imag:.9g}", f"{r:.9g}"]

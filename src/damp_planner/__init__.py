@@ -4,14 +4,10 @@ for multi-inverter AC networks."""
 __version__ = "0.1.0"
 
 from .dq_core import (
-    DqBlock,
     FrequencyGrid,
     PoleHitError,
-    SingularBlockError,
     TransferElement,
-    block_inverse,
     evaluate,
-    freq_shift,
 )
 from .component_models import (
     ADParams,
@@ -21,25 +17,21 @@ from .component_models import (
     InverterParams,
     PiCableParams,
     RlBranchParams,
-    ad_admittance,
     ad_curve_cluster,
-    inverter_admittance,
-    pi_cable_stamps,
-    rl_series_dq,
-    tabulated_admittance,
+    ad_scalar,
+    cap_block,
+    inverter_block,
+    rl_block,
 )
 from .network_assembly import (
     Branch,
     InvalidNetworkError,
     NetworkGraph,
-    NodalAdmittance,
     Shunt,
     SingularBranchError,
     assemble,
     assemble_grid,
-    assemble_parts,
     validate,
-    with_shunt,
 )
 from .stability_engine import (
     BisectionError,
@@ -54,6 +46,7 @@ from .stability_engine import (
     eig_lr,
     find_crossovers,
     nyquist_winding,
+    refine_crossover,
     sweep,
     track,
 )

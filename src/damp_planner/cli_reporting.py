@@ -32,7 +32,7 @@ from .component_models import (
     InverterParams,
     PiCableParams,
     RlBranchParams,
-    _ad_scalar,
+    ad_scalar,
     ad_curve_cluster,
 )
 from .compensation_planner import (
@@ -462,7 +462,7 @@ def cmd_ad_curve(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
                 "cluster_param": cfg.cluster_param,
                 "cluster_values": list(cfg.cluster_values or ())}
     else:
-        y = _ad_scalar(p, grid.hz, grid.omega0)
+        y = ad_scalar(p, grid.hz, grid.omega0)
         with np.errstate(divide="ignore"):
             ratio = np.abs(y.imag / y.real)
         rows = [[_fmt(f), _fmt(v.real), _fmt(v.imag), _fmt(r)]

@@ -21,16 +21,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .component_models import ADParams, _ad_scalar
-from .dq_core import DqBlock, FrequencyGrid
-from .network_assembly import NetworkGraph, assemble, with_shunt
+from .component_models import ADParams, ad_scalar
+from .dq_core import FrequencyGrid
+from .network_assembly import NetworkGraph, assemble
 from .stability_engine import (
+    BisectionError,
     CrossoverEvent,
     EigenSample,
     EigenTrace,
     StabilityReport,
+    _pick_matching_eig,
     analyze,
     eig_lr,
+    refine_crossover,
 )
 
 
@@ -113,6 +116,12 @@ def compensation_coefficient(sample: EigenSample, k: int, node_index: int,
     return CompensationCoefficient(trace_id, node_index, sample.f_hz, ent.dlam_dalpha)
 
 
+def _left_vector_near(tr: EigenTrace, f_hz: float) -> np.ndarray:
+    """The trace's left eigenvector at the first swept frequency >= f_hz
+    (the last one when f_hz lies beyond the sweep)."""
+    return tr.u[min(int(np.searchsorted(tr.f_hz, f_hz)), len(tr) - 1)]
+
+
 def compensation_table(g: NetworkGraph, traces: Sequence[EigenTrace],
                        events: Sequence[CrossoverEvent]) -> list[CompensationCoefficient]:
     """K_C of every node for every critical crossover event.
@@ -126,10 +135,8 @@ def compensation_table(g: NetworkGraph, traces: Sequence[EigenTrace],
     for ev in events:
         if ev.verdict != "critical":
             continue
-        tr = trace_by_id[ev.trace_id]
-        t0 = min(max(int(np.searchsorted(tr.f_hz, ev.f_cr_hz)), 0), len(tr) - 1)
-        smp = eig_lr(assemble(g, ev.f_cr_hz).matrix, ev.f_cr_hz)
-        k = int(np.argmax(np.abs(tr.u[t0] @ smp.w)))
+        smp = eig_lr(assemble(g, ev.f_cr_hz), ev.f_cr_hz)
+        k = _pick_matching_eig(smp, _left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz))
         for pos in range(g.n):
             out.append(compensation_coefficient(smp, k, pos, trace_id=ev.trace_id))
     return out
@@ -234,8 +241,8 @@ class _CriticalFollower:
 
     Keeps the left eigenvector of the last confirmed point as the
     identity reference; the crossover is re-found by a local sign-change
-    scan plus bisection in a window around the previous f_cr, widening
-    the window on failure.
+    scan in a window around the previous f_cr and refine_crossover on the
+    bracket nearest it, widening the window on failure.
     """
 
     def __init__(self, g: NetworkGraph, node_index: int, f_cr: float,
@@ -248,55 +255,48 @@ class _CriticalFollower:
         self.window = window_hz
         self.f_bounds = (f_lo, f_hi)
 
-    def _eig_at(self, f: float, alpha: float) -> tuple[complex, np.ndarray, np.ndarray, int]:
-        nod = assemble(self.g, f)
-        if alpha:
-            nod = with_shunt(nod, self.node_index, DqBlock.diagonal(alpha))
-        smp = eig_lr(nod.matrix, f)
-        j = int(np.argmax(np.abs(self.u_ref @ smp.w)))
-        return smp.lam[j], smp.u[j], smp.w[:, j], j
+    def _matrix_at(self, f: float, alpha: float) -> np.ndarray:
+        """Nodal matrix with conductance alpha on the node's d and q diagonal."""
+        m = assemble(self.g, f)
+        p = 2 * self.node_index
+        m[p, p] += alpha
+        m[p + 1, p + 1] += alpha
+        return m
 
-    def locate(self, alpha: float) -> EigenSample:
-        """Crossover-frequency sample of the followed eigenvalue at alpha."""
+    def locate(self, alpha: float) -> tuple[EigenSample, int]:
+        """Crossover-frequency sample of the followed eigenvalue at alpha
+        and the eigenvalue's index in it."""
         window = self.window
         for _ in range(8):
-            found = self._scan_and_bisect(alpha, window)
+            found = self._scan_and_refine(alpha, window)
             if found is not None:
+                smp, j = found
+                self.f_cr = smp.f_hz
+                self.u_ref = smp.u[j]
                 return found
             window *= 2.0
         raise PlanInfeasibleError(
             f"lost the critical crossover near {self.f_cr} Hz at alpha={alpha} S")
 
-    def _scan_and_bisect(self, alpha: float, window: float):
+    def _scan_and_refine(self, alpha: float, window: float):
         lo = max(self.f_bounds[0], self.f_cr - window)
         hi = min(self.f_bounds[1], self.f_cr + window)
-        fs = np.linspace(lo, hi, 9)
+        fs = [float(f) for f in np.linspace(lo, hi, 9)]
         ims = []
         for f in fs:
-            lam, _, _, _ = self._eig_at(float(f), alpha)
-            ims.append(lam.imag)
+            smp = eig_lr(self._matrix_at(f, alpha), f)
+            ims.append(smp.lam[_pick_matching_eig(smp, self.u_ref)].imag)
         # bracket whose midpoint is nearest the previous crossover
-        brackets = [(fs[i], fs[i + 1]) for i in range(len(fs) - 1)
+        brackets = [i for i in range(len(fs) - 1)
                     if ims[i] == 0.0 or ims[i] * ims[i + 1] < 0]
         if not brackets:
             return None
-        f_a, f_b = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - self.f_cr))
-        lam_a, _, _, _ = self._eig_at(float(f_a), alpha)
-        for _ in range(60):
-            f_mid = 0.5 * (f_a + f_b)
-            lam, u, w, j = self._eig_at(f_mid, alpha)
-            if abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real)):
-                self.f_cr = f_mid
-                self.u_ref = u
-                nod = assemble(self.g, f_mid)
-                if alpha:
-                    nod = with_shunt(nod, self.node_index, DqBlock.diagonal(alpha))
-                return eig_lr(nod.matrix, f_mid)
-            if (lam.imag > 0) == (lam_a.imag > 0):
-                f_a, lam_a = f_mid, lam
-            else:
-                f_b = f_mid
-        return None
+        i = min(brackets, key=lambda i: abs(0.5 * (fs[i] + fs[i + 1]) - self.f_cr))
+        try:
+            return refine_crossover(lambda f: self._matrix_at(f, alpha),
+                                    fs[i], fs[i + 1], ims[i], self.u_ref)
+        except BisectionError:
+            return None
 
 
 def plan(g: NetworkGraph, node_id: int, epsilon: float, dalpha: float = 1e-3,
@@ -326,15 +326,12 @@ def plan(g: NetworkGraph, node_id: int, epsilon: float, dalpha: float = 1e-3,
     entries: list[PlanEntry] = []
     trace_by_id = {t.trace_id: t for t in traces}
     for ev in criticals:
-        tr = trace_by_id[ev.trace_id]
-        t0 = int(np.searchsorted(tr.f_hz, ev.f_cr_hz))
-        t0 = min(max(t0, 0), len(tr) - 1)
-        follower = _CriticalFollower(g, node_index, ev.f_cr_hz, tr.u[t0],
+        u_ref = _left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz)
+        follower = _CriticalFollower(g, node_index, ev.f_cr_hz, u_ref,
                                      f_lo=grid.frequencies[0], f_hi=grid.frequencies[-1])
 
         def kc_at(alpha: float, follower=follower) -> complex:
-            smp = follower.locate(alpha)
-            j = int(np.argmax(np.abs(follower.u_ref @ smp.w)))
+            smp, j = follower.locate(alpha)
             return sensitivity(smp, j, node_index).dlam_dalpha
 
         alpha, iters, shift = accumulate_alpha(ev.re_lambda, epsilon, dalpha,
@@ -371,7 +368,7 @@ MAX_IM_RE_RATIO = 0.1
 
 
 def _band_metrics(p: ADParams, f_hz: np.ndarray, omega0: float) -> tuple[float, float]:
-    y = _ad_scalar(p, f_hz, omega0)
+    y = ad_scalar(p, f_hz, omega0)
     min_re = float(np.min(y.real))
     if min_re <= 0.0:
         return min_re, float("inf")

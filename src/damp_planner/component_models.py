@@ -4,26 +4,20 @@ Covers series RL branches (lines, transformers), pi-section cables,
 grid-following inverters (analytic small-signal model or measured table),
 and the shunt active damper in its proposed (current-feedforward) and
 traditional variants.  All models are pure functions of (parameters,
-frequency) and evaluate at s = j*2*pi*f in a global dq frame rotating at
-omega0.
+frequency array) returning (..., 2, 2) complex dq blocks -- the damper
+returns its scalar admittance Y, its block being diag(Y, Y) -- evaluated
+at s = j*2*pi*f in a global dq frame rotating at omega0.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Literal
 
 import numpy as np
 
-from .dq_core import (
-    DqBlock,
-    TransferElement,
-    evaluate,
-    freq_shift,
-    multiply,
-)
+from .dq_core import TransferElement, evaluate
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])  # dq rotation generator
 _I2 = np.eye(2)
@@ -188,11 +182,6 @@ def lowpass(omega_c: float) -> TransferElement:
     return TransferElement((omega_c,), (1.0, omega_c))
 
 
-def pi_controller(k_p: float, k_i: float) -> TransferElement:
-    """k_p + k_i/s as (k_p*s + k_i)/s."""
-    return TransferElement((k_p, k_i), (1.0, 0.0))
-
-
 def current_feedforward(gain_s: float, omega_c: float, l_f: float) -> TransferElement:
     """Feedforward that makes 1/(s*L_f + H(s)) a low-pass gain*wc/(s+wc).
 
@@ -206,52 +195,25 @@ def current_feedforward(gain_s: float, omega_c: float, l_f: float) -> TransferEl
 # passive stamps
 # ---------------------------------------------------------------------------
 
-def _rl_block(r: float, l: float, f_hz, omega0: float) -> np.ndarray:
+def rl_block(r: float, l: float, f_hz, omega0: float) -> np.ndarray:
     """(..., 2, 2) series R-L impedance stamp at s = j*2*pi*f."""
     w = 2.0 * np.pi * np.asarray(f_hz, dtype=float)
     z = np.asarray(r + 1j * w * l)
     return z[..., None, None] * _I2 + (omega0 * l) * _J
 
 
-def _cap_block(c: float, f_hz, omega0: float) -> np.ndarray:
+def cap_block(c: float, f_hz, omega0: float) -> np.ndarray:
     """(..., 2, 2) shunt capacitor admittance stamp."""
     w = 2.0 * np.pi * np.asarray(f_hz, dtype=float)
     y = np.asarray(1j * w * c)
     return y[..., None, None] * _I2 + (omega0 * c) * _J
 
 
-def rl_series_dq(p: RlBranchParams, f_hz: float, omega0: float) -> DqBlock:
-    """Impedance block [R+jwL, -w0*L; w0*L, R+jwL] of a series R-L branch."""
-    if f_hz <= 0:
-        raise ValueError("f must be > 0")
-    return DqBlock.from_array(_rl_block(p.r_ohm, p.l_h, f_hz, omega0))
-
-
-def capacitor_shunt_dq(c_f: float, f_hz: float, omega0: float) -> DqBlock:
-    """Admittance block [jwC, -w0*C; w0*C, jwC] of a shunt capacitor."""
-    if f_hz <= 0:
-        raise ValueError("f must be > 0")
-    return DqBlock.from_array(_cap_block(c_f, f_hz, omega0))
-
-
-def pi_cable_stamps(p: PiCableParams, f_hz: float, omega0: float) -> tuple[DqBlock, DqBlock]:
-    """(series impedance, per-end shunt admittance) of a pi-section cable.
-
-    The shunt block holds half the total capacitance and is placed at
-    both terminals.
-    """
-    if f_hz <= 0:
-        raise ValueError("f must be > 0")
-    series = DqBlock.from_array(_rl_block(p.r_ohm, p.l_h, f_hz, omega0))
-    shunt_end = DqBlock.from_array(_cap_block(p.c_f / 2.0, f_hz, omega0))
-    return series, shunt_end
-
-
 # ---------------------------------------------------------------------------
 # grid-following inverter
 # ---------------------------------------------------------------------------
 
-def _inverter_block(p: InverterParams, f_hz, omega0: float) -> np.ndarray:
+def inverter_block(p: InverterParams, f_hz, omega0: float) -> np.ndarray:
     """(..., 2, 2) inverter output admittance at s = j*2*pi*f.
 
     Current balance in the system frame, with the control action rotated
@@ -267,9 +229,16 @@ def _inverter_block(p: InverterParams, f_hz, omega0: float) -> np.ndarray:
               frame rotation; the w0*L parts cancel exactly),
     Tpll    = Gpll / (s + v_d0*Gpll), the closed PLL phase transfer.
 
-    The shunt filter capacitor adds in parallel at the terminal.
+    The shunt filter capacitor adds in parallel at the terminal.  Valid
+    only for 0 < f < f_s/2, below the Nyquist band of the sampled control.
     """
     f = np.asarray(f_hz, dtype=float)
+    if np.any(f <= 0):
+        raise ValueError("f must be > 0")
+    if np.any(f >= p.f_s_hz / 2.0):
+        raise ValueError(
+            f"f reaches {np.max(f)} Hz, not below the sampled control's "
+            f"f_s/2 = {p.f_s_hz / 2} Hz")
     s = 1j * 2.0 * np.pi * f
     gd = np.exp(-s * p.delay_s)
     gci = p.k_pi + p.k_ii / s
@@ -285,19 +254,7 @@ def _inverter_block(p: InverterParams, f_hz, omega0: float) -> np.ndarray:
     rhs[..., 1, 1] -= b_q
 
     y = np.linalg.solve(a, rhs)
-    return y + _cap_block(p.c_f, f, omega0)
-
-
-def inverter_admittance(p: InverterParams, f_hz: float, omega0: float) -> DqBlock:
-    """Output admittance block of the analytic inverter model.
-
-    Valid below the Nyquist band of the sampled control (f < f_s/2).
-    """
-    if f_hz <= 0:
-        raise ValueError("f must be > 0")
-    if f_hz >= p.f_s_hz / 2.0:
-        raise ValueError(f"f={f_hz} Hz is not below f_s/2={p.f_s_hz / 2} Hz")
-    return DqBlock.from_array(_inverter_block(p, f_hz, omega0))
+    return y + cap_block(p.c_f, f, omega0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +304,6 @@ class AdmittanceTable:
         return len(self._f)
 
     @classmethod
-    def constant(cls, block: DqBlock, f_min: float = 1.0, f_max: float = 1e5) -> "AdmittanceTable":
-        m = block.as_array()
-        return cls([f_min, f_max], [m, m])
-
-    @classmethod
     def from_rows(cls, rows) -> "AdmittanceTable":
         """rows of (f_hz, dd, dq, qd, qq) complex entries."""
         f = [r[0] for r in rows]
@@ -360,14 +312,23 @@ class AdmittanceTable:
 
     @classmethod
     def from_csv(cls, path) -> "AdmittanceTable":
+        """Read a table written by to_csv; a malformed file raises
+        ValueError naming the file and line."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if [h.strip() for h in header] != _TABLE_HEADER:
-                raise ValueError(f"bad admittance table header in {path}: {header}")
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != _TABLE_HEADER:
+                raise ValueError(f"{path}:1: bad admittance table header {header}, "
+                                 f"expected {','.join(_TABLE_HEADER)}")
             f, blocks = [], []
             for row in reader:
-                vals = [float(v) for v in row]
+                if len(row) != len(_TABLE_HEADER):
+                    raise ValueError(f"{path}:{reader.line_num}: expected "
+                                     f"{len(_TABLE_HEADER)} fields, got {len(row)}")
+                try:
+                    vals = [float(v) for v in row]
+                except ValueError as e:
+                    raise ValueError(f"{path}:{reader.line_num}: {e}") from None
                 f.append(vals[0])
                 re = vals[1::2]
                 im = vals[2::2]
@@ -400,52 +361,41 @@ class AdmittanceTable:
         return out
 
 
-def tabulated_admittance(t: AdmittanceTable, f_hz: float) -> DqBlock:
-    """Interpolated admittance block at f_hz (must lie inside the table)."""
-    return DqBlock.from_array(t.query(f_hz))
-
-
 def tabulate(p: InverterParams, f_hz, omega0: float) -> AdmittanceTable:
     """Sample the analytic inverter model onto an AdmittanceTable."""
     f = np.asarray(f_hz, dtype=float)
-    return AdmittanceTable(f, _inverter_block(p, f, omega0))
+    return AdmittanceTable(f, inverter_block(p, f, omega0))
 
 
 # ---------------------------------------------------------------------------
 # active damper
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _ad_damping_path(p: ADParams, omega0: float) -> TransferElement:
-    # notch * lag * low-pass, recomposed at s + j*omega0 (the damping loop
-    # acts on the non-fundamental voltage seen in the stationary frame)
-    chain = multiply(multiply(notch(p.xi, omega0), lag_compensator(p.tau_s, p.beta)),
-                     lowpass(p.omega_low_rad_s))
-    return freq_shift(chain, omega0)
+def ad_scalar(p: ADParams, f_hz, omega0: float) -> np.ndarray:
+    """Scalar damper admittance Y; the dq block is diag(Y, Y), d and q
+    being decoupled and identical.
 
-
-def _ad_scalar(p: ADParams, f_hz, omega0: float) -> np.ndarray:
-    """Scalar damper admittance (d and q are decoupled and identical)."""
+    The damping loop acts on the non-fundamental voltage seen in the
+    stationary frame, so its notch * lag * low-pass chain is evaluated at
+    s + j*omega0.
+    """
     f = np.asarray(f_hz, dtype=float)
+    if np.any(f <= 0):
+        raise ValueError("f must be > 0")
     s = 1j * 2.0 * np.pi * f
+    s_stat = s + 1j * omega0
     gd = np.exp(-s * p.delay_s)
     g_low = evaluate(lowpass(p.omega_low_rad_s), s)
     g_i = p.k_pi + p.k_ii / s
-    g_v = evaluate(_ad_damping_path(p, omega0), s)
+    g_v = (evaluate(notch(p.xi, omega0), s_stat)
+           * evaluate(lag_compensator(p.tau_s, p.beta), s_stat)
+           * evaluate(lowpass(p.omega_low_rad_s), s_stat))
     num = 1.0 + p.k_v * g_v * gd
     den = s * p.l_f_h + g_i * gd
     if p.mode == "proposed":
         h_i = evaluate(current_feedforward(p.gain_s, p.omega_c_rad_s, p.l_f_h), s)
         den = den + h_i * g_low * gd
     return num / den
-
-
-def ad_admittance(p: ADParams, f_hz: float, omega0: float) -> DqBlock:
-    """Damper admittance block diag(Y, Y); off-diagonals are exactly zero."""
-    if f_hz <= 0:
-        raise ValueError("f must be > 0")
-    # single-element array keeps scalar queries bitwise-identical to sweeps
-    return DqBlock.diagonal(complex(_ad_scalar(p, np.asarray([f_hz]), omega0)[0]))
 
 
 @dataclass(frozen=True)
@@ -475,5 +425,5 @@ def ad_curve_cluster(p: ADParams, param: str, values, grid) -> list[AdCurve]:
     curves = []
     for v in values:
         pv = replace(p, **{param: float(v)})
-        curves.append(AdCurve(param, float(v), f, _ad_scalar(pv, f, grid.omega0)))
+        curves.append(AdCurve(param, float(v), f, ad_scalar(pv, f, grid.omega0)))
     return curves

@@ -3,27 +3,24 @@
 Transfer elements are rational functions of s (polynomial coefficients in
 descending powers) times an optional pure delay exp(-s*T).  Evaluation is
 frequency-domain only; the delay is kept exact, never approximated by a
-rational function.  2x2 complex blocks couple the d- and q-axis of one
-port at one frequency.
+rational function.  A frequency shift is an evaluation at s + j*omega0.
+The 2x2 dq blocks themselves are plain (..., 2, 2) complex ndarrays built
+by the component models.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# |den(s)| below this is treated as a pole hit / singular block
+# |den(s)| below this is treated as a pole hit
 _SINGULAR_ABS_TOL = 1e-300
 
 
 class PoleHitError(ArithmeticError):
     """Rational-part denominator vanished at the evaluation point."""
-
-
-class SingularBlockError(ValueError):
-    """2x2 block has (numerically) zero determinant."""
 
 
 def _as_coeff_tuple(coeffs) -> tuple[complex, ...]:
@@ -41,9 +38,8 @@ def _as_coeff_tuple(coeffs) -> tuple[complex, ...]:
 class TransferElement:
     """Rational transfer element num(s)/den(s) * exp(-s*delay).
 
-    Coefficients are in descending powers of s and may be complex (the
-    fundamental-frequency shift produces complex coefficients).  delay is
-    in seconds, >= 0.
+    Coefficients are in descending powers of s and may be complex.  delay
+    is in seconds, >= 0.
     """
 
     num: tuple[complex, ...]
@@ -62,10 +58,6 @@ class TransferElement:
         return evaluate(self, s)
 
 
-def constant(value: complex) -> TransferElement:
-    return TransferElement((complex(value),), (1.0,))
-
-
 def evaluate(tf: TransferElement, s):
     """Evaluate tf at complex s (rad/s). s may be a scalar or ndarray.
 
@@ -80,84 +72,6 @@ def evaluate(tf: TransferElement, s):
     if tf.delay:
         out = out * np.exp(-s * tf.delay)
     return out if out.ndim else complex(out)
-
-
-def multiply(a: TransferElement, b: TransferElement) -> TransferElement:
-    """Product of two transfer elements; delays add."""
-    return TransferElement(
-        tuple(np.polymul(a.num, b.num)),
-        tuple(np.polymul(a.den, b.den)),
-        a.delay + b.delay,
-    )
-
-
-def _shift_poly(coeffs: tuple[complex, ...], a: complex) -> tuple[complex, ...]:
-    """Coefficients of p(s + a) given those of p(s), descending powers."""
-    n = len(coeffs) - 1
-    out = [0j] * (n + 1)
-    for k, c in enumerate(coeffs):
-        deg = n - k
-        for j in range(deg + 1):
-            out[n - j] += c * math.comb(deg, j) * a ** (deg - j)
-    return tuple(out)
-
-
-def freq_shift(tf: TransferElement, omega0: float) -> TransferElement:
-    """Recompose tf so that the result at s equals tf at s + j*omega0.
-
-    Exact polynomial recomposition (binomial expansion); requires zero
-    delay -- a shifted delay factor is a complex scalar times the same
-    delay and is handled by the caller.
-    """
-    if tf.delay != 0.0:
-        raise ValueError("freq_shift requires zero delay")
-    a = 1j * omega0
-    return TransferElement(_shift_poly(tf.num, a), _shift_poly(tf.den, a))
-
-
-@dataclass(frozen=True)
-class DqBlock:
-    """2x2 complex block coupling d- and q-axis at one frequency.
-
-    Entries are siemens in an admittance role or ohms in an impedance
-    role; the algebra does not care.
-    """
-
-    dd: complex
-    dq: complex
-    qd: complex
-    qq: complex
-
-    @classmethod
-    def from_array(cls, m) -> "DqBlock":
-        m = np.asarray(m, dtype=complex)
-        return cls(complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]))
-
-    @classmethod
-    def diagonal(cls, value: complex) -> "DqBlock":
-        return cls(complex(value), 0j, 0j, complex(value))
-
-    @classmethod
-    def zero(cls) -> "DqBlock":
-        return cls(0j, 0j, 0j, 0j)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.dd, self.dq], [self.qd, self.qq]], dtype=complex)
-
-    def __add__(self, other: "DqBlock") -> "DqBlock":
-        return DqBlock(self.dd + other.dd, self.dq + other.dq,
-                       self.qd + other.qd, self.qq + other.qq)
-
-    def __matmul__(self, other: "DqBlock") -> "DqBlock":
-        return DqBlock.from_array(self.as_array() @ other.as_array())
-
-
-def block_inverse(b: DqBlock) -> DqBlock:
-    """Closed-form 2x2 inverse (adjugate over determinant)."""
-    det = b.dd * b.qq - b.dq * b.qd
-    if abs(det) < _SINGULAR_ABS_TOL:
-        raise SingularBlockError(f"block determinant ~ 0 (|det|={abs(det):.3e})")
-    return DqBlock(b.qq / det, -b.dq / det, -b.qd / det, b.dd / det)
 
 
 @dataclass(frozen=True)

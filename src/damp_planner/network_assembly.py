@@ -1,10 +1,10 @@
-"""Network topology and per-frequency nodal admittance assembly.
+"""Network topology and nodal admittance assembly.
 
-A NetworkGraph holds nodes, series branches and shunt devices; assemble()
-stamps them into the 2n x 2n complex nodal admittance matrix at one
-frequency, node i (position p, zero-based) occupying rows/columns 2p and
-2p+1 as (d, q).  The matrix splits into a passive network part and a
-converter-device part.
+A NetworkGraph holds nodes, series branches and shunt devices.
+assemble_grid() stamps them into the stacked 2n x 2n complex nodal
+admittance matrices over a frequency array, node i (position p,
+zero-based) occupying rows/columns 2p and 2p+1 as (d, q); assemble() is
+the single-frequency case.  Both return plain ndarrays.
 """
 
 from __future__ import annotations
@@ -23,19 +23,15 @@ from .component_models import (
     InverterParams,
     PiCableParams,
     RlBranchParams,
-    _ad_scalar,
-    _cap_block,
-    _inverter_block,
-    _rl_block,
+    ad_scalar,
+    cap_block,
+    inverter_block,
+    rl_block,
 )
-from .dq_core import DqBlock
 
 BranchModel = Union[RlBranchParams, PiCableParams]
 ShuntDevice = Union[InverterParams, AdmittanceTable, ADParams,
                     GridImpedanceParams, CapacitorParams]
-
-# devices on the converter side of the Y_net + Y_inv split
-_CONVERTER_KINDS = (InverterParams, AdmittanceTable, ADParams)
 
 
 class InvalidNetworkError(ValueError):
@@ -136,80 +132,47 @@ def validate(g: NetworkGraph) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class NodalAdmittance:
-    """2n x 2n complex nodal admittance at one frequency."""
-
-    f_hz: float
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValueError(f"matrix must be square 2n x 2n, got {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    def block(self, i: int, j: int) -> DqBlock:
-        """2x2 block at node positions (i, j), zero-based."""
-        return DqBlock.from_array(self.matrix[2 * i:2 * i + 2, 2 * j:2 * j + 2])
-
-
-def with_shunt(a: NodalAdmittance, node_index: int, y: DqBlock) -> NodalAdmittance:
-    """Copy of a with the admittance block y added at one node position."""
-    if not 0 <= node_index < a.n:
-        raise IndexError(f"node position {node_index} out of range (n={a.n})")
-    m = a.matrix.copy()
-    p = 2 * node_index
-    m[p:p + 2, p:p + 2] += y.as_array()
-    return NodalAdmittance(a.f_hz, m)
-
-
 def _branch_stamps(b: Branch, f: np.ndarray, omega0: float):
     """(series impedance, per-end shunt admittance or None), vectorized over f."""
+    z = rl_block(b.model.r_ohm, b.model.l_h, f, omega0)
     if isinstance(b.model, PiCableParams):
-        z = _rl_block(b.model.r_ohm, b.model.l_h, f, omega0)
-        ysh = _cap_block(b.model.c_f / 2.0, f, omega0)
-        return z, ysh
-    z = _rl_block(b.model.r_ohm, b.model.l_h, f, omega0)
+        return z, cap_block(b.model.c_f / 2.0, f, omega0)
     return z, None
 
 
 def _device_block(dev: ShuntDevice, f: np.ndarray, omega0: float) -> np.ndarray:
-    if isinstance(dev, (InverterParams, ADParams)):
+    if isinstance(dev, InverterParams):
+        return inverter_block(dev, f, omega0)
+    if isinstance(dev, AdmittanceTable):
+        return dev.query(f)
+    if isinstance(dev, ADParams):
         fmax = float(np.max(f))
         if fmax >= dev.f_s_hz / 2.0:
             raise ValueError(
                 f"sweep reaches {fmax} Hz, not below the sampled control's "
                 f"f_s/2 = {dev.f_s_hz / 2} Hz")
-    if isinstance(dev, InverterParams):
-        return _inverter_block(dev, f, omega0)
-    if isinstance(dev, AdmittanceTable):
-        return dev.query(f)
-    if isinstance(dev, ADParams):
-        y = _ad_scalar(dev, f, omega0)
+        y = ad_scalar(dev, f, omega0)
         out = np.zeros(np.shape(y) + (2, 2), dtype=complex)
         out[..., 0, 0] = y
         out[..., 1, 1] = y
         return out
     if isinstance(dev, GridImpedanceParams):
-        z = _rl_block(dev.r_ohm, dev.l_h, f, omega0)
+        z = rl_block(dev.r_ohm, dev.l_h, f, omega0)
         return np.linalg.inv(z)
     if isinstance(dev, CapacitorParams):
-        return _cap_block(dev.c_f, f, omega0)
+        return cap_block(dev.c_f, f, omega0)
     raise TypeError(f"unknown shunt device {type(dev).__name__}")
 
 
-def _assemble_batch(g: NetworkGraph, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Y_net, Y_dev) of shape (len(f), 2n, 2n), unvalidated."""
+def _assemble_batch(g: NetworkGraph, f: np.ndarray) -> np.ndarray:
+    diags = validate(g)
+    if diags:
+        raise InvalidNetworkError("; ".join(diags))
+    if np.any(f <= 0):
+        raise ValueError("all frequencies must be > 0")
     nf = len(f)
     dim = 2 * g.n
-    y_net = np.zeros((nf, dim, dim), dtype=complex)
-    y_dev = np.zeros((nf, dim, dim), dtype=complex)
+    y = np.zeros((nf, dim, dim), dtype=complex)
     pos = {nid: g.node_index(nid) for nid in g.nodes}
 
     for b in g.branches:
@@ -223,52 +186,26 @@ def _assemble_batch(g: NetworkGraph, f: np.ndarray) -> tuple[np.ndarray, np.ndar
                 f"branch {name} has singular series impedance at f={fbad} Hz")
         yb = np.linalg.inv(z)
         i, j = 2 * pos[b.from_node], 2 * pos[b.to_node]
-        y_net[:, i:i + 2, i:i + 2] += yb
-        y_net[:, j:j + 2, j:j + 2] += yb
-        y_net[:, i:i + 2, j:j + 2] -= yb
-        y_net[:, j:j + 2, i:i + 2] -= yb
+        y[:, i:i + 2, i:i + 2] += yb
+        y[:, j:j + 2, j:j + 2] += yb
+        y[:, i:i + 2, j:j + 2] -= yb
+        y[:, j:j + 2, i:i + 2] -= yb
         if ysh is not None:
-            y_net[:, i:i + 2, i:i + 2] += ysh
-            y_net[:, j:j + 2, j:j + 2] += ysh
+            y[:, i:i + 2, i:i + 2] += ysh
+            y[:, j:j + 2, j:j + 2] += ysh
 
     for s in g.shunts:
-        blk = _device_block(s.device, f, g.omega0)
         i = 2 * pos[s.node]
-        target = y_dev if isinstance(s.device, _CONVERTER_KINDS) else y_net
-        target[:, i:i + 2, i:i + 2] += blk
-
-    return y_net, y_dev
-
-
-def _check_valid(g: NetworkGraph) -> None:
-    diags = validate(g)
-    if diags:
-        raise InvalidNetworkError("; ".join(diags))
-
-
-def assemble_parts(g: NetworkGraph, f_hz: float) -> tuple[NodalAdmittance, NodalAdmittance]:
-    """(passive network part, converter device part) at one frequency."""
-    _check_valid(g)
-    if f_hz <= 0:
-        raise ValueError("f must be > 0")
-    y_net, y_dev = _assemble_batch(g, np.asarray([float(f_hz)]))
-    return NodalAdmittance(f_hz, y_net[0]), NodalAdmittance(f_hz, y_dev[0])
-
-
-def assemble(g: NetworkGraph, f_hz: float) -> NodalAdmittance:
-    """Full nodal admittance matrix at one frequency."""
-    _check_valid(g)
-    if f_hz <= 0:
-        raise ValueError("f must be > 0")
-    y_net, y_dev = _assemble_batch(g, np.asarray([float(f_hz)]))
-    return NodalAdmittance(f_hz, y_net[0] + y_dev[0])
+        y[:, i:i + 2, i:i + 2] += _device_block(s.device, f, g.omega0)
+    return y
 
 
 def assemble_grid(g: NetworkGraph, f_hz) -> np.ndarray:
     """Stacked matrices (len(f), 2n, 2n) over a frequency array."""
-    _check_valid(g)
-    f = np.asarray(f_hz, dtype=float)
-    if np.any(f <= 0):
-        raise ValueError("all frequencies must be > 0")
-    y_net, y_dev = _assemble_batch(g, f)
-    return y_net + y_dev
+    return _assemble_batch(g, np.asarray(f_hz, dtype=float))
+
+
+def assemble(g: NetworkGraph, f_hz: float) -> np.ndarray:
+    """Full 2n x 2n nodal admittance matrix at one frequency, equal to
+    assemble_grid(g, [f_hz])[0]."""
+    return _assemble_batch(g, np.asarray([float(f_hz)]))[0]

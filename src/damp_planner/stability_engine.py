@@ -221,15 +221,22 @@ class CrossoverEvent:
 
 
 def _pick_matching_eig(sample: EigenSample, u_ref: np.ndarray) -> int:
+    """Index of the eigenvalue whose right eigenvector best overlaps u_ref."""
     return int(np.argmax(np.abs(u_ref @ sample.w)))
 
 
-def _refine_bisect(matrix_at: Callable[[float], np.ndarray],
-                   f_lo: float, f_hi: float, im_lo: float,
-                   u_ref: np.ndarray,
-                   max_steps: int = 60) -> tuple[float, complex]:
-    """Bisect on sign(Im[lambda]) with the eigenvalue re-identified by
-    eigenvector overlap at every midpoint."""
+def refine_crossover(matrix_at: Callable[[float], np.ndarray],
+                     f_lo: float, f_hi: float, im_lo: float,
+                     u_ref: np.ndarray,
+                     max_steps: int = 60) -> tuple[EigenSample, int]:
+    """Locate Im[lambda] = 0 inside [f_lo, f_hi] by bisection.
+
+    im_lo is Im[lambda] at f_lo and u_ref the eigenvalue's left
+    eigenvector there; at every midpoint the eigenvalue is re-identified
+    by eigenvector overlap.  Returns the decomposition at the crossover
+    (|Im| <= 1e-6 * max(1, |Re|)) and the eigenvalue's index in it;
+    raises BisectionError when max_steps halvings do not get there.
+    """
     lam_best = None
     for _ in range(max_steps):
         f_mid = 0.5 * (f_lo + f_hi)
@@ -237,7 +244,7 @@ def _refine_bisect(matrix_at: Callable[[float], np.ndarray],
         j = _pick_matching_eig(smp, u_ref)
         lam = smp.lam[j]
         if abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real)):
-            return f_mid, lam
+            return smp, j
         lam_best = lam
         if (lam.imag > 0) == (im_lo > 0):
             f_lo = f_mid
@@ -273,10 +280,10 @@ def find_crossovers(trace: EigenTrace,
         if im[t] * im[t + 1] < 0:
             direction = "falling" if im[t] > 0 else "rising"
             if matrix_at is not None:
-                f_cr, lam = _refine_bisect(matrix_at, float(f[t]), float(f[t + 1]),
-                                           float(im[t]), trace.u[t])
-                events.append(_make_event(trace.trace_id, f_cr, float(lam.real),
-                                          direction, margin))
+                smp, j = refine_crossover(matrix_at, float(f[t]), float(f[t + 1]),
+                                          float(im[t]), trace.u[t])
+                events.append(_make_event(trace.trace_id, smp.f_hz,
+                                          float(smp.lam[j].real), direction, margin))
             else:
                 a = im[t] / (im[t] - im[t + 1])
                 f_cr = float(f[t] + a * (f[t + 1] - f[t]))

@@ -12,7 +12,6 @@ from damp_planner.component_models import (
     GridImpedanceParams,
     RlBranchParams,
 )
-from damp_planner.dq_core import DqBlock
 from damp_planner.network_assembly import Branch, NetworkGraph, Shunt
 
 hypothesis.settings.register_profile("ci", max_examples=50, deadline=None)

@@ -80,6 +80,35 @@ def test_missing_file_is_reported(tmp_path):
         load_network(tmp_path / "nope.json")
 
 
+def _network_with_table(tmp_path, fixture_path, table_text):
+    doc = json.loads(fixture_path.read_text())
+    for sh in doc["shunts"]:
+        if sh.get("label") == "inverter-2":
+            sh.pop("params")
+            sh["table_path"] = "inv2.csv"
+    (tmp_path / "inv2.csv").write_text(table_text)
+    net = tmp_path / "case_tab.json"
+    net.write_text(json.dumps(doc))
+    return net
+
+
+_TABLE_HEADER = "f_hz,re_dd,im_dd,re_dq,im_dq,re_qd,im_qd,re_qq,im_qq\n"
+
+
+@pytest.mark.parametrize("table_text, where", [
+    (_TABLE_HEADER + "10,1,0,0,0,0,0,1,0\n100,1,0,0\n", "inv2.csv:3:"),
+    ("", "inv2.csv:1:"),
+], ids=["short-row", "empty-file"])
+def test_malformed_admittance_table_is_a_network_file_error(
+        tmp_path, fixture_path, capsys, table_text, where):
+    net = _network_with_table(tmp_path, fixture_path, table_text)
+    with pytest.raises(NetworkFileError, match=where):
+        load_network(net)
+    code = main(["criticals", "--network", str(net), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 # --- reports and determinism ---
 
 def test_sweep_outputs_are_byte_identical_across_runs(fixture_path, tmp_path):
@@ -193,9 +222,27 @@ def test_table_backed_inverter_matches_analytic(fixture_path, tmp_path):
 
     g2 = load_network(net2)
     for f in (95.0, 433.0, 1777.0):
-        lam1 = np.sort_complex(np.linalg.eigvals(assemble(g, f).matrix))
-        lam2 = np.sort_complex(np.linalg.eigvals(assemble(g2, f).matrix))
+        lam1 = np.sort_complex(np.linalg.eigvals(assemble(g, f)))
+        lam2 = np.sort_complex(np.linalg.eigvals(assemble(g2, f)))
         assert np.max(np.abs(lam1 - lam2)) <= 1e-3 * float(np.max(np.abs(lam1)))
+
+
+@pytest.mark.parametrize("command, verdict, code", [
+    ("sweep", "unstable", 2),
+    ("criticals", "unstable", 2),
+    ("rank", "unstable", 0),
+    ("plan", "unstable", 0),
+    ("ad-curve", None, 0),
+    ("verify", "stable", 0),
+])
+def test_exit_code_contract(fixture_path, tmp_path, command, verdict, code):
+    # sweep/criticals/verify exit by their verdict (0 stable, 2 unstable);
+    # rank/plan/ad-curve exit 0 when they complete.  The 150-250 Hz window
+    # keeps the fixture's 179 Hz critical crossover.
+    cfg = RunConfig(network=str(fixture_path), fmin_hz=150.0, fmax_hz=250.0,
+                    df_hz=2.0, out_dir=str(tmp_path))
+    doc, got = run_command(cfg, command)
+    assert (doc.verdict, got) == (verdict, code)
 
 
 @pytest.mark.slow

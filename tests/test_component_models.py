@@ -12,17 +12,16 @@ from damp_planner.component_models import (
     InverterParams,
     PiCableParams,
     RlBranchParams,
-    ad_admittance,
     ad_curve_cluster,
-    capacitor_shunt_dq,
+    ad_scalar,
+    cap_block,
     current_feedforward,
-    inverter_admittance,
-    pi_cable_stamps,
-    rl_series_dq,
+    inverter_block,
+    rl_block,
     tabulate,
-    tabulated_admittance,
 )
 from damp_planner.dq_core import FrequencyGrid, evaluate
+from damp_planner.network_assembly import Branch, NetworkGraph, Shunt, assemble
 
 W0 = 2 * math.pi * 50.0
 
@@ -63,41 +62,45 @@ def test_ad_mode_traditional_allowed():
 
 def test_rl_stamp_line1_at_203_hz():
     # hand evaluation: w*L = 2*pi*203*1.5e-3, w0*L = 2*pi*50*1.5e-3
-    b = rl_series_dq(RlBranchParams(0.04, 1.5e-3), 203.0, W0)
-    assert b.dd == pytest.approx(0.04 + 1.9133j, abs=2e-4)
-    assert b.qq == b.dd
-    assert b.dq == pytest.approx(-0.4712, abs=1e-4)
-    assert b.qd == pytest.approx(+0.4712, abs=1e-4)
+    b = rl_block(0.04, 1.5e-3, 203.0, W0)
+    assert b[0, 0] == pytest.approx(0.04 + 1.9133j, abs=2e-4)
+    assert b[1, 1] == b[0, 0]
+    assert b[0, 1] == pytest.approx(-0.4712, abs=1e-4)
+    assert b[1, 0] == pytest.approx(+0.4712, abs=1e-4)
 
 
 def test_rl_stamp_dc_limit_without_rotation():
-    b = rl_series_dq(RlBranchParams(0.25, 3e-3), 1e-9, 0.0)
-    assert b.dd == pytest.approx(0.25, abs=1e-9)
-    assert b.dq == 0 and b.qd == 0
+    b = rl_block(0.25, 3e-3, 1e-9, 0.0)
+    assert b[0, 0] == pytest.approx(0.25, abs=1e-9)
+    assert b[0, 1] == 0 and b[1, 0] == 0
 
 
 def test_pi_cable_series_matches_rl():
+    # the off-diagonal node blocks carry only -inv(series impedance)
+    def coupling(model):
+        g = NetworkGraph((1, 2), (Branch(1, 2, model),), (), W0)
+        return assemble(g, 777.0)[0:2, 2:4]
     cab = PiCableParams(0.2, 0.3e-3, 12e-6)
-    series, _ = pi_cable_stamps(cab, 777.0, W0)
-    assert series == rl_series_dq(RlBranchParams(0.2, 0.3e-3), 777.0, W0)
+    assert np.array_equal(coupling(cab), coupling(RlBranchParams(0.2, 0.3e-3)))
 
 
 def test_pi_cable_shunt_end_values():
+    # each end carries half the cable capacitance
     cab = PiCableParams(0.2, 0.3e-3, 12e-6)
-    _, shunt = pi_cable_stamps(cab, 1000.0, W0)
-    assert shunt.dd == pytest.approx(1j * 2 * math.pi * 1000.0 * 6e-6, rel=1e-12)
-    assert shunt.dq == pytest.approx(-W0 * 6e-6, rel=1e-12)
+    shunt = cap_block(cab.c_f / 2.0, 1000.0, W0)
+    assert shunt[0, 0] == pytest.approx(1j * 2 * math.pi * 1000.0 * 6e-6, rel=1e-12)
+    assert shunt[0, 1] == pytest.approx(-W0 * 6e-6, rel=1e-12)
     # the same cross term at any frequency
-    _, shunt2 = pi_cable_stamps(cab, 123.0, W0)
-    assert shunt2.dq == shunt.dq
+    shunt2 = cap_block(cab.c_f / 2.0, 123.0, W0)
+    assert shunt2[0, 1] == shunt[0, 1]
 
 
 @given(st.floats(0.0, 10.0), st.floats(1e-6, 0.1), st.floats(1.0, 4000.0))
 def test_passive_stamps_are_dq_antisymmetric(r, l, f):
-    b = rl_series_dq(RlBranchParams(r, l), f, W0)
-    assert b.dq == pytest.approx(-b.qd, rel=1e-15)
-    c = capacitor_shunt_dq(4.7e-6, f, W0)
-    assert c.dq == pytest.approx(-c.qd, rel=1e-15)
+    b = rl_block(r, l, f, W0)
+    assert b[0, 1] == pytest.approx(-b[1, 0], rel=1e-15)
+    c = cap_block(4.7e-6, f, W0)
+    assert c[0, 1] == pytest.approx(-c[1, 0], rel=1e-15)
 
 
 # --- inverter model ---
@@ -107,12 +110,12 @@ def test_inverter_passive_limit_is_parallel_lc():
     p = dataclasses.replace(INV, k_pi=0.0, k_ii=0.0, k_p_pll=0.0, k_i_pll=0.0)
     for f in (13.0, 230.0, 1700.0):
         w = 2 * math.pi * f
-        got = inverter_admittance(p, f, omega0=0.0)
+        got = inverter_block(p, f, omega0=0.0)
         dd = 1j * w * p.c_f + 1.0 / (1j * w * p.l_h)
-        assert got.dd == pytest.approx(dd, rel=1e-10)
-        assert got.qq == pytest.approx(dd, rel=1e-10)
-        assert abs(got.dq) <= 1e-10 * abs(dd)
-        assert abs(got.qd) <= 1e-10 * abs(dd)
+        assert got[0, 0] == pytest.approx(dd, rel=1e-10)
+        assert got[1, 1] == pytest.approx(dd, rel=1e-10)
+        assert abs(got[0, 1]) <= 1e-10 * abs(dd)
+        assert abs(got[1, 0]) <= 1e-10 * abs(dd)
 
 
 def test_inverter_high_frequency_filter_dominance():
@@ -121,17 +124,19 @@ def test_inverter_high_frequency_filter_dominance():
     f = 2000.0
     w = 2 * math.pi * f
     passive = abs(1.0 / (1j * w * INV.l_h) + 1j * w * INV.c_f)
-    got = abs(inverter_admittance(INV, f, W0).dd)
+    got = abs(inverter_block(INV, f, W0)[0, 0])
     assert got == pytest.approx(passive, rel=0.25)
 
 
 def test_inverter_pll_negative_damping_at_10_hz():
-    assert inverter_admittance(INV, 10.0, W0).qq.real < 0.0
+    assert inverter_block(INV, 10.0, W0)[1, 1].real < 0.0
 
 
 def test_inverter_rejects_frequencies_at_nyquist():
+    with pytest.raises(ValueError, match="f_s/2"):
+        inverter_block(INV, INV.f_s_hz / 2.0, W0)
     with pytest.raises(ValueError):
-        inverter_admittance(INV, INV.f_s_hz / 2.0, W0)
+        inverter_block(INV, np.array([0.0, 100.0]), W0)
 
 
 # --- tabulated admittance ---
@@ -139,24 +144,24 @@ def test_inverter_rejects_frequencies_at_nyquist():
 def test_table_exact_at_tabulated_frequency():
     rows = [(100.0, 1 + 0j, 0j, 0j, 1 + 0j), (1000.0, 3 + 0j, 0j, 0j, 3 + 0j)]
     t = AdmittanceTable.from_rows(rows)
-    assert tabulated_admittance(t, 100.0).dd == 1 + 0j
-    assert tabulated_admittance(t, 1000.0).dd == 3 + 0j
+    assert t.query(100.0)[0, 0] == 1 + 0j
+    assert t.query(1000.0)[0, 0] == 3 + 0j
 
 
 def test_table_log_midpoint():
     rows = [(100.0, 1 + 0j, 0j, 0j, 1 + 0j), (1000.0, 3 + 0j, 0j, 0j, 3 + 0j)]
     t = AdmittanceTable.from_rows(rows)
     mid = math.sqrt(100.0 * 1000.0)  # 316.23 Hz, halfway in log f
-    assert tabulated_admittance(t, mid).dd == pytest.approx(2 + 0j, rel=1e-9)
+    assert t.query(mid)[0, 0] == pytest.approx(2 + 0j, rel=1e-9)
 
 
 def test_table_out_of_range():
     t = AdmittanceTable.from_rows(
         [(100.0, 1 + 0j, 0j, 0j, 1 + 0j), (1000.0, 3 + 0j, 0j, 0j, 3 + 0j)])
     with pytest.raises(ValueError):
-        tabulated_admittance(t, 99.0)
+        t.query(99.0)
     with pytest.raises(ValueError):
-        tabulated_admittance(t, 1001.0)
+        t.query(1001.0)
 
 
 def test_table_roundtrip_of_inverter_model(rng):
@@ -165,8 +170,8 @@ def test_table_roundtrip_of_inverter_model(rng):
     grid = np.logspace(math.log10(10.0), math.log10(2500.0), 1200)
     t = tabulate(INV, grid, W0)
     for f in rng.uniform(11.0, 2400.0, 40):
-        exact = inverter_admittance(INV, float(f), W0).as_array()
-        got = tabulated_admittance(t, float(f)).as_array()
+        exact = inverter_block(INV, float(f), W0)
+        got = t.query(float(f))
         scale = float(np.max(np.abs(exact)))
         assert np.max(np.abs(got - exact)) <= 0.01 * scale
 
@@ -209,8 +214,38 @@ def test_feedforward_realizes_the_intended_lowpass(rng):
 def test_ad_off_diagonals_are_exactly_zero():
     for mode in ("proposed", "traditional"):
         p = dataclasses.replace(AD, mode=mode)
-        b = ad_admittance(p, 432.0, W0)
-        assert b.dq == 0 and b.qd == 0
+        b = assemble(NetworkGraph((1,), (), (Shunt(1, p),), W0), 432.0)
+        assert b[0, 1] == 0 and b[1, 0] == 0
+        assert b[0, 0] == b[1, 1] == ad_scalar(p, [432.0], W0)[0]
+
+
+@pytest.mark.parametrize("mode", ["proposed", "traditional"])
+def test_ad_scalar_matches_closed_form(mode):
+    # the damper admittance written out in complex arithmetic: the notch,
+    # lag and low-pass of the damping path act at s + j*w0, the current
+    # loop (PI, delay, feedforward through the low-pass) at s
+    p = dataclasses.replace(AD, mode=mode)
+    w0, xi, tau, beta = W0, p.xi, p.tau_s, p.beta
+    w_low, w_c, gain, lf = p.omega_low_rad_s, p.omega_c_rad_s, p.gain_s, p.l_f_h
+    for f in (37.0, 150.0, 432.0, 1234.5, 4321.0):
+        s = 1j * 2 * math.pi * f
+        sh = s + 1j * w0
+        notch = (sh**2 + w0**2) / (sh**2 + 2 * xi * w0 * sh + w0**2)
+        lag = (tau * sh + 1) / (beta * tau * sh + 1)
+        g_v = notch * lag * w_low / (sh + w_low)
+        delay = np.exp(-s * 1.5 / p.f_s_hz)
+        den = s * lf + (p.k_pi + p.k_ii / s) * delay
+        if mode == "proposed":
+            h_i = (1 / (gain * w_c) - lf) * s + 1 / gain
+            den += h_i * w_low / (s + w_low) * delay
+        expected = (1 + p.k_v * g_v * delay) / den
+        got = ad_scalar(p, [f], W0)[0]
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+def test_ad_scalar_rejects_nonpositive_frequency():
+    with pytest.raises(ValueError):
+        ad_scalar(AD, np.array([0.0, 100.0]), W0)
 
 
 @pytest.mark.parametrize("k_v", [1.45, 1.6, 1.8, 2.0])
@@ -218,7 +253,7 @@ def test_ad_proposed_quasi_resistive_band(k_v):
     # admissible damper-gain range for the design parameter set
     p = dataclasses.replace(AD, k_v=k_v)
     f = np.arange(100.0, 2001.0, 1.0)
-    y = np.array([ad_admittance(p, fk, W0).dd for fk in f])
+    y = ad_scalar(p, f, W0)
     ratio = np.abs(y.imag / y.real)
     assert np.min(y.real) > 0.0
     assert np.max(ratio) <= 0.1
@@ -227,16 +262,17 @@ def test_ad_proposed_quasi_resistive_band(k_v):
 def test_ad_traditional_loses_resistive_character():
     p = dataclasses.replace(AD, mode="traditional")
     f = np.arange(100.0, 2001.0, 1.0)
-    y = np.array([ad_admittance(p, fk, W0).dd for fk in f])
+    y = ad_scalar(p, f, W0)
     ratio = np.abs(y.imag / y.real)
     assert np.max(ratio) > 1.0
 
 
 def test_ad_curve_single_value_matches_ad_admittance():
+    # one-frequency queries are bitwise identical to the curve's sweep
     grid = FrequencyGrid.regular(100.0, 500.0, 50.0)
     (curve,) = ad_curve_cluster(AD, "k_v", [AD.k_v], grid)
     for f, y in zip(curve.f_hz, curve.y):
-        assert ad_admittance(AD, float(f), W0).dd == y
+        assert ad_scalar(AD, [float(f)], W0)[0] == y
 
 
 def test_ad_curve_larger_kv_raises_conductance():

@@ -6,16 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from damp_planner.dq_core import (
-    DqBlock,
     FrequencyGrid,
     PoleHitError,
-    SingularBlockError,
     TransferElement,
-    block_inverse,
-    constant,
     evaluate,
-    freq_shift,
-    multiply,
 )
 
 W0 = 314.159  # rad/s
@@ -80,89 +74,6 @@ def test_conjugate_symmetry_for_real_coefficients(re, im):
     tf = TransferElement((2.0, 0.5, 1.0), (1.0, 3.0, 7.0, 5.0))
     s = complex(re, im)
     assert evaluate(tf, np.conj(s)) == pytest.approx(np.conj(evaluate(tf, s)), rel=1e-12)
-
-
-def test_freq_shift_of_constant_is_identity():
-    shifted = freq_shift(constant(1.0), W0)
-    assert evaluate(shifted, 17.0 + 3.0j) == pytest.approx(1.0 + 0.0j, rel=1e-14)
-
-
-def test_freq_shift_composition_identity_at_zero():
-    shifted = freq_shift(notch_w0(), W0)
-    assert evaluate(shifted, 0.0) == pytest.approx(evaluate(notch_w0(), 1j * W0), abs=1e-12)
-
-
-def test_freq_shift_lowpass_two_path():
-    w_low = 12566.36
-    low = TransferElement((w_low,), (1.0, w_low))
-    shifted = freq_shift(low, W0)
-    s = 1j * 2 * math.pi * 150.0
-    assert evaluate(shifted, s) == pytest.approx(evaluate(low, s + 1j * W0), rel=1e-12)
-
-
-def test_freq_shift_exact_on_random_samples(rng):
-    # max error over 1000 random s of |shifted(s) - original(s + j*w0)|,
-    # relative to 1 + |original|
-    tf = multiply(notch_w0(), TransferElement((0.0014, 1.0), (0.0028, 1.0)))
-    shifted = freq_shift(tf, W0)
-    s = rng.uniform(-1e4, 1e4, 1000) + 1j * rng.uniform(-1e4, 1e4, 1000)
-    ref = evaluate(tf, s + 1j * W0)
-    got = evaluate(shifted, s)
-    err = np.abs(got - ref) / (1.0 + np.abs(ref))
-    assert float(np.max(err)) <= 1e-10
-
-
-def test_freq_shift_requires_zero_delay():
-    tf = TransferElement((1.0,), (1.0, 1.0), delay=1e-4)
-    with pytest.raises(ValueError):
-        freq_shift(tf, W0)
-
-
-def test_multiply_adds_delays_and_composes_rationals():
-    a = TransferElement((1.0, 0.0), (1.0, 2.0), delay=1e-4)
-    b = TransferElement((3.0,), (1.0, 5.0), delay=2e-4)
-    prod = multiply(a, b)
-    s = 0.3 + 11.0j
-    assert prod.delay == pytest.approx(3e-4)
-    assert evaluate(prod, s) == pytest.approx(evaluate(a, s) * evaluate(b, s), rel=1e-12)
-
-
-# --- 2x2 blocks ---
-
-def test_block_inverse_identity():
-    ident = DqBlock.diagonal(1.0)
-    inv = block_inverse(ident)
-    assert inv == ident
-
-
-def test_block_inverse_diag():
-    inv = block_inverse(DqBlock.diagonal(2.0))
-    assert inv.dd == pytest.approx(0.5)
-    assert inv.qq == pytest.approx(0.5)
-    assert inv.dq == inv.qd == 0
-
-
-def test_block_inverse_rl_stamp_against_adjugate():
-    w, w0, L = 2 * math.pi * 120.0, W0, 1.5e-3
-    b = DqBlock(1j * w * L, -w0 * L, w0 * L, 1j * w * L)
-    prod = (b @ block_inverse(b)).as_array()
-    assert np.allclose(prod, np.eye(2), rtol=0, atol=1e-15)
-
-
-def test_singular_block_raises():
-    with pytest.raises(SingularBlockError):
-        block_inverse(DqBlock(1.0, 1.0, 1.0, 1.0))
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_block_inverse_roundtrip_random(seed):
-    r = np.random.default_rng(seed)
-    m = r.normal(size=(2, 2)) + 1j * r.normal(size=(2, 2))
-    if abs(np.linalg.det(m)) < 1e-6:
-        return
-    b = DqBlock.from_array(m)
-    prod = (b @ block_inverse(b)).as_array()
-    assert np.max(np.abs(prod - np.eye(2))) <= 1e-12 * max(1.0, float(np.max(np.abs(m))))
 
 
 # --- frequency grid ---

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from damp_planner.compensation_planner import _CriticalFollower
 from damp_planner.component_models import (
     CapacitorParams,
     GridImpedanceParams,
@@ -10,7 +11,6 @@ from damp_planner.component_models import (
     PiCableParams,
     RlBranchParams,
 )
-from damp_planner.dq_core import DqBlock
 from damp_planner.network_assembly import (
     Branch,
     InvalidNetworkError,
@@ -19,9 +19,7 @@ from damp_planner.network_assembly import (
     SingularBranchError,
     assemble,
     assemble_grid,
-    assemble_parts,
     validate,
-    with_shunt,
 )
 
 W0 = 2 * math.pi * 50.0
@@ -93,7 +91,7 @@ def test_single_shunt_matrix_equals_block():
     w = 2 * math.pi * 60.0
     expected = np.array([[1j * w * 10e-6, -W0 * 10e-6],
                          [W0 * 10e-6, 1j * w * 10e-6]])
-    assert np.allclose(nod.matrix, expected, rtol=1e-14, atol=0)
+    assert np.allclose(nod, expected, rtol=1e-14, atol=0)
 
 
 def test_two_node_block_pattern():
@@ -103,10 +101,10 @@ def test_two_node_block_pattern():
                                  [W0 * 1e-3, 0.1 + 1j * 2 * math.pi * 60.0 * 1e-3]]))
     ys = np.array([[1j * 2 * math.pi * 60.0 * 10e-6, -W0 * 10e-6],
                    [W0 * 10e-6, 1j * 2 * math.pi * 60.0 * 10e-6]])
-    assert np.allclose(nod.matrix[0:2, 0:2], ys + yb, rtol=1e-12)
-    assert np.allclose(nod.matrix[0:2, 2:4], -yb, rtol=1e-12)
-    assert np.allclose(nod.matrix[2:4, 0:2], -yb, rtol=1e-12)
-    assert np.allclose(nod.matrix[2:4, 2:4], yb, rtol=1e-12)
+    assert np.allclose(nod[0:2, 0:2], ys + yb, rtol=1e-12)
+    assert np.allclose(nod[0:2, 2:4], -yb, rtol=1e-12)
+    assert np.allclose(nod[2:4, 0:2], -yb, rtol=1e-12)
+    assert np.allclose(nod[2:4, 2:4], yb, rtol=1e-12)
 
 
 def test_pi_cable_branch_places_half_cap_at_both_ends():
@@ -116,10 +114,10 @@ def test_pi_cable_branch_places_half_cap_at_both_ends():
     nod = assemble(g, 300.0)
     w = 2 * math.pi * 300.0
     # off-diagonal blocks carry only -inv(Z); the diagonal adds jwC/2
-    yb = -nod.matrix[0:2, 2:4]
-    ysh = nod.matrix[0:2, 0:2] - yb
+    yb = -nod[0:2, 2:4]
+    ysh = nod[0:2, 0:2] - yb
     assert ysh[0, 0] == pytest.approx(1j * w * 6e-6, rel=1e-12)
-    assert np.allclose(nod.matrix[2:4, 2:4], yb + ysh, rtol=1e-12)
+    assert np.allclose(nod[2:4, 2:4], yb + ysh, rtol=1e-12)
 
 
 def test_case_fixture_first_node_block_hand_stamped(case_graph):
@@ -139,18 +137,8 @@ def test_case_fixture_first_node_block_hand_stamped(case_graph):
     expected = inv2(z_cab) + inv2(z_tr)
 
     nod = assemble(case_graph, f)
-    assert nod.matrix.shape == (8, 8)
-    assert np.allclose(nod.matrix[0:2, 0:2], expected, rtol=1e-12)
-
-
-def test_assembly_splits_into_network_and_device_parts(case_graph):
-    net, dev = assemble_parts(case_graph, 321.0)
-    total = assemble(case_graph, 321.0)
-    assert np.allclose(net.matrix + dev.matrix, total.matrix, rtol=0, atol=0)
-    # grid shunt is passive, inverters are devices
-    assert np.any(net.matrix[0:2, 0:2] != 0)
-    assert np.all(dev.matrix[0:2, 0:2] == 0)
-    assert np.any(dev.matrix[2:4, 2:4] != 0)
+    assert nod.shape == (8, 8)
+    assert np.allclose(nod[0:2, 0:2], expected, rtol=1e-12)
 
 
 def test_passive_block_pattern_is_symmetric():
@@ -166,8 +154,8 @@ def test_passive_block_pattern_is_symmetric():
         nod = assemble(g, f)
         for i in range(3):
             for j in range(3):
-                assert np.array_equal(nod.matrix[2*i:2*i+2, 2*j:2*j+2],
-                                      nod.matrix[2*j:2*j+2, 2*i:2*i+2])
+                assert np.array_equal(nod[2*i:2*i+2, 2*j:2*j+2],
+                                      nod[2*j:2*j+2, 2*i:2*i+2])
 
 
 def test_purely_inductive_branch_dc_limit_raises():
@@ -178,27 +166,32 @@ def test_purely_inductive_branch_dc_limit_raises():
         assemble(g, 1e-160)
 
 
-# --- with_shunt ---
+# --- conductance shunt added by the planner ---
+
+def with_conductance(g, node_index, f, alpha):
+    """The planner's matrix: assemble(g, f) plus alpha on the node's d/q diagonal."""
+    return _CriticalFollower(g, node_index, f, None)._matrix_at(f, alpha)
+
 
 def test_with_shunt_zero_block_is_identity(case_graph):
     nod = assemble(case_graph, 100.0)
-    same = with_shunt(nod, 2, DqBlock.zero())
-    assert np.array_equal(nod.matrix, same.matrix)
+    same = with_conductance(case_graph, 2, 100.0, 0.0)
+    assert np.array_equal(nod, same)
 
 
 def test_with_shunt_conductance_shifts_single_node_eigenvalues():
     g = single_node_graph(CapacitorParams(10e-6))
     nod = assemble(g, 60.0)
-    lam0 = sorted(np.linalg.eigvals(nod.matrix), key=lambda z: z.imag)
-    shifted = with_shunt(nod, 0, DqBlock.diagonal(0.25))
-    lam1 = sorted(np.linalg.eigvals(shifted.matrix), key=lambda z: z.imag)
+    lam0 = sorted(np.linalg.eigvals(nod), key=lambda z: z.imag)
+    shifted = with_conductance(g, 0, 60.0, 0.25)
+    lam1 = sorted(np.linalg.eigvals(shifted), key=lambda z: z.imag)
     assert np.allclose(np.array(lam1), np.array(lam0) + 0.25, rtol=0, atol=1e-12)
 
 
 def test_with_shunt_touches_only_target_entries(case_graph):
     nod = assemble(case_graph, 500.0)
-    mod = with_shunt(nod, 3, DqBlock.diagonal(0.05))  # node 4 -> rows 6,7
-    delta = mod.matrix - nod.matrix
+    mod = with_conductance(case_graph, 3, 500.0, 0.05)  # node 4 -> rows 6,7
+    delta = mod - nod
     touched = {(6, 6), (7, 7)}
     assert {tuple(ij) for ij in np.argwhere(delta != 0)} == touched
     for ij in touched:
@@ -211,10 +204,10 @@ def test_stamping_linearity_two_shunts_equal_with_shunt():
     g2 = NetworkGraph((1,), (), (Shunt(1, cap),), W0)
     f = 60.0
     w = 2 * math.pi * f
-    extra = DqBlock(1j * w * 4e-6, -W0 * 4e-6, W0 * 4e-6, 1j * w * 4e-6)
+    extra = np.array([[1j * w * 4e-6, -W0 * 4e-6], [W0 * 4e-6, 1j * w * 4e-6]])
     a = assemble(g1, f)
-    b = with_shunt(assemble(g2, f), 0, extra)
-    assert np.allclose(a.matrix, b.matrix, rtol=0, atol=1e-18)
+    b = assemble(g2, f) + extra
+    assert np.allclose(a, b, rtol=0, atol=1e-18)
 
 
 def test_assemble_rejects_sweeps_beyond_sampled_control_band(case_graph):
@@ -227,7 +220,7 @@ def test_assemble_grid_matches_single_assemblies(case_graph):
     stack = assemble_grid(case_graph, freqs)
     assert stack.shape == (3, 8, 8)
     for k, f in enumerate(freqs):
-        assert np.array_equal(stack[k], assemble(case_graph, float(f)).matrix)
+        assert np.array_equal(stack[k], assemble(case_graph, float(f)))
 
 
 def test_node_index_and_with_device(case_graph):
