@@ -62,7 +62,7 @@ def main() -> int:
         return 0
     top, second = (g.nodes[ranks[0].node_index], g.nodes[ranks[1].node_index])
 
-    cplan = plan(g, top, epsilon=args.epsilon, grid=grid)
+    cplan = plan(g, top, traces, report, epsilon=args.epsilon)
     print(f"plan at node {top}: required Re[Y] >= {cplan.required_re_yad_s:.4f} S "
           f"over [{cplan.band_lo_hz:.0f}, {cplan.band_hi_hz:.0f}] Hz")
     for e in cplan.entries:

@@ -44,6 +44,7 @@ from .stability_engine import (
     analyze,
     assess,
     eig_lr,
+    eig_lr_batch,
     find_crossovers,
     nyquist_winding,
     refine_crossover,

@@ -406,7 +406,7 @@ def _plan_at(cfg: RunConfig, g, traces, report):
             node_id = g.nodes[0]
         else:
             node_id = g.nodes[ranks[0].node_index]
-    return node_id, plan(g, node_id, cfg.epsilon_s, cfg.dalpha_s, cfg.grid())
+    return node_id, plan(g, node_id, traces, report, cfg.epsilon_s, cfg.dalpha_s)
 
 
 def _plan_data(g, node_id, cplan) -> dict:
@@ -486,7 +486,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
 
     # the damper is always designed for the top-ranked location; --node
     # only moves where it is installed
-    cplan = plan(g, top_node, cfg.epsilon_s, cfg.dalpha_s, cfg.grid())
+    cplan = plan(g, top_node, traces, report, cfg.epsilon_s, cfg.dalpha_s)
     base = damper_defaults_from_file(cfg.network, mode="proposed")
     calibrated = calibrate_ad(cplan, base, omega0=g.omega0, df=cfg.df_hz)
     if cfg.ad_mode == "traditional":

@@ -4,12 +4,14 @@ damping-compensation planning.
 The first-order shift of eigenvalue k under a shunt admittance added at
 node i is  d_lambda = Y * (u_{k,2i-1} w_{2i-1,k} + u_{k,2i} w_{2i,k}),
 the bracket being the node's compensation coefficient K_C.  Planning
-accumulates pure-conductance increments d_alpha, re-assembling and
-re-decomposing at the updated conductance each step (the sensitivity
-drifts with alpha), until the real part at every critical crossover is
-lifted above the margin epsilon.  Calibration then picks the smallest
-damper gain k_v whose admittance covers the planned conductance over the
-planned band while staying quasi-resistive.
+starts from the caller's baseline analysis (traces and stability report)
+and accumulates pure-conductance increments d_alpha, re-locating the
+crossover at the updated conductance each step (the sensitivity drifts
+with alpha): a 9-point window scan assembled and decomposed as one
+batch, then bisection on the bracket.  It stops once the real part at
+every critical crossover is lifted above the margin epsilon.  Calibration
+then picks the smallest damper gain k_v whose admittance covers the
+planned conductance over the planned band while staying quasi-resistive.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .component_models import ADParams, ad_scalar
 from .dq_core import FrequencyGrid
-from .network_assembly import NetworkGraph, assemble
+from .network_assembly import NetworkGraph, assemble, assemble_grid
 from .stability_engine import (
     BisectionError,
     CrossoverEvent,
@@ -33,6 +35,7 @@ from .stability_engine import (
     _pick_matching_eig,
     analyze,
     eig_lr,
+    eig_lr_batch,
     refine_crossover,
 )
 
@@ -241,8 +244,9 @@ class _CriticalFollower:
 
     Keeps the left eigenvector of the last confirmed point as the
     identity reference; the crossover is re-found by a local sign-change
-    scan in a window around the previous f_cr and refine_crossover on the
-    bracket nearest it, widening the window on failure.
+    scan in a window around the previous f_cr (9 points, assembled and
+    decomposed as one batch) and refine_crossover on the bracket nearest
+    it, widening the window on failure.
     """
 
     def __init__(self, g: NetworkGraph, node_index: int, f_cr: float,
@@ -255,13 +259,17 @@ class _CriticalFollower:
         self.window = window_hz
         self.f_bounds = (f_lo, f_hi)
 
+    def _with_alpha(self, m: np.ndarray, alpha: float) -> np.ndarray:
+        """Add conductance alpha on the node's d and q diagonal of one
+        nodal matrix or of a stack of them, in place."""
+        p = 2 * self.node_index
+        m[..., p, p] += alpha
+        m[..., p + 1, p + 1] += alpha
+        return m
+
     def _matrix_at(self, f: float, alpha: float) -> np.ndarray:
         """Nodal matrix with conductance alpha on the node's d and q diagonal."""
-        m = assemble(self.g, f)
-        p = 2 * self.node_index
-        m[p, p] += alpha
-        m[p + 1, p + 1] += alpha
-        return m
+        return self._with_alpha(assemble(self.g, f), alpha)
 
     def locate(self, alpha: float) -> tuple[EigenSample, int]:
         """Crossover-frequency sample of the followed eigenvalue at alpha
@@ -282,10 +290,9 @@ class _CriticalFollower:
         lo = max(self.f_bounds[0], self.f_cr - window)
         hi = min(self.f_bounds[1], self.f_cr + window)
         fs = [float(f) for f in np.linspace(lo, hi, 9)]
-        ims = []
-        for f in fs:
-            smp = eig_lr(self._matrix_at(f, alpha), f)
-            ims.append(smp.lam[_pick_matching_eig(smp, self.u_ref)].imag)
+        mats = self._with_alpha(assemble_grid(self.g, fs), alpha)
+        ims = [smp.lam[_pick_matching_eig(smp, self.u_ref)].imag
+               for smp in eig_lr_batch(mats, fs)]
         # bracket whose midpoint is nearest the previous crossover
         brackets = [i for i in range(len(fs) - 1)
                     if ims[i] == 0.0 or ims[i] * ims[i + 1] < 0]
@@ -299,12 +306,15 @@ class _CriticalFollower:
             return None
 
 
-def plan(g: NetworkGraph, node_id: int, epsilon: float, dalpha: float = 1e-3,
-         grid: FrequencyGrid | None = None, max_iter: int = 10000,
-         workers: int | None = None) -> CompensationPlan:
+def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
+         report: StabilityReport, epsilon: float, dalpha: float = 1e-3,
+         max_iter: int = 10000) -> CompensationPlan:
     """Conductance required at one node to lift every critical eigenvalue
     above the margin epsilon.
 
+    traces and report are the baseline analysis of g (as returned by
+    analyze); its critical crossovers are the ones planned for, and the
+    crossover search stays inside the traces' frequency range.
     Per critical crossover, conductance is added in dalpha steps; after
     each step the critical eigenvalue and its (drifting) crossover
     frequency are re-identified with the step's conductance installed,
@@ -316,11 +326,8 @@ def plan(g: NetworkGraph, node_id: int, epsilon: float, dalpha: float = 1e-3,
         raise ValueError("epsilon must be > 0")
     if dalpha <= 0:
         raise ValueError("dalpha must be > 0")
-    if grid is None:
-        grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
     node_index = g.node_index(node_id)
-
-    _, traces, report = analyze(g, grid, workers)
+    f_lo, f_hi = float(traces[0].f_hz[0]), float(traces[0].f_hz[-1])
     criticals = [e for e in report.events if e.verdict == "critical"]
 
     entries: list[PlanEntry] = []
@@ -328,7 +335,7 @@ def plan(g: NetworkGraph, node_id: int, epsilon: float, dalpha: float = 1e-3,
     for ev in criticals:
         u_ref = _left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz)
         follower = _CriticalFollower(g, node_index, ev.f_cr_hz, u_ref,
-                                     f_lo=grid.frequencies[0], f_hi=grid.frequencies[-1])
+                                     f_lo=f_lo, f_hi=f_hi)
 
         def kc_at(alpha: float, follower=follower) -> complex:
             smp, j = follower.locate(alpha)

@@ -57,25 +57,41 @@ class EigenSample:
         return len(self.lam)
 
 
-def eig_lr(m: np.ndarray, f_hz: float = float("nan")) -> EigenSample:
-    """Eigenvalues with biorthogonal left/right eigenvectors.
+def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> list[EigenSample]:
+    """eig_lr over a stack of matrices (len(f_hz), m, m), one decomposition
+    call for the whole stack.
 
-    Warns DefectiveMatrixWarning when cond(W) exceeds 1e10 (near-defective
-    matrix; left vectors via inversion lose accuracy there).
+    Raises ValueError on non-finite entries and EigNonConvergenceError
+    naming the first frequency whose iteration fails; warns
+    DefectiveMatrixWarning, with the member's frequency, for every member
+    whose cond(W) exceeds 1e10 (near-defective matrix; left vectors via
+    inversion lose accuracy there).
     """
-    m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m)):
+    mats = np.asarray(mats, dtype=complex)
+    if not np.all(np.isfinite(mats)):
         raise ValueError("matrix has non-finite entries")
     try:
-        lam, w = np.linalg.eig(m)
-    except np.linalg.LinAlgError as e:
-        raise EigNonConvergenceError(f"eig failed at f={f_hz} Hz: {e}") from e
-    cond = np.linalg.cond(w)
-    if cond > 1e10:
-        warnings.warn(f"near-defective matrix at f={f_hz} Hz (cond(W)={cond:.2e})",
-                      DefectiveMatrixWarning, stacklevel=2)
+        lam, w = np.linalg.eig(mats)
+    except np.linalg.LinAlgError:
+        # the stacked call does not say which member failed
+        for m, f in zip(mats, f_hz):
+            try:
+                np.linalg.eig(m)
+            except np.linalg.LinAlgError as e:
+                raise EigNonConvergenceError(f"eig failed at f={f} Hz: {e}") from e
+        raise
+    for cond, f in zip(np.linalg.cond(w), f_hz):
+        if cond > 1e10:
+            warnings.warn(f"near-defective matrix at f={f} Hz (cond(W)={cond:.2e})",
+                          DefectiveMatrixWarning, stacklevel=2)
     u = np.linalg.inv(w)
-    return EigenSample(f_hz, lam, w, u)
+    return [EigenSample(float(f), lam[k], w[k], u[k]) for k, f in enumerate(f_hz)]
+
+
+def eig_lr(m: np.ndarray, f_hz: float = float("nan")) -> EigenSample:
+    """Eigenvalues with biorthogonal left/right eigenvectors of one matrix;
+    the single-matrix case of eig_lr_batch, with the same checks."""
+    return eig_lr_batch(np.asarray(m)[None], [f_hz])[0]
 
 
 def default_workers() -> int:
@@ -103,8 +119,8 @@ def sweep(g: NetworkGraph, grid: FrequencyGrid, workers: int | None = None) -> l
             lam, w = np.linalg.eig(mats)
             u = np.linalg.inv(w)
         except np.linalg.LinAlgError:
-            # redo one by one to attach the offending frequency
-            singles = [eig_lr(m, float(f)) for m, f in zip(mats, chunk)]
+            # redo with the checks, which name the offending frequency
+            singles = eig_lr_batch(mats, chunk)
             lam = np.stack([s.lam for s in singles])
             w = np.stack([s.w for s in singles])
             u = np.stack([s.u for s in singles])
@@ -171,6 +187,24 @@ def _greedy_match(score: np.ndarray, lam_prev: np.ndarray, lam_next: np.ndarray)
     return perm
 
 
+def _fast_match(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row argmax of each (m, m) score matrix in a stack, and whether it
+    is the greedy matching: when the argmax columns of the rows form a
+    permutation and every row has a strict maximum, the greedy match
+    assigns each row its argmax, whatever the row order and tie-break."""
+    m = score.shape[-1]
+    best = np.argmax(score, axis=-1)
+    top = np.take_along_axis(score, best[..., None], axis=-1)
+    strict = np.count_nonzero(score == top, axis=-1) == 1
+    is_perm = np.all(np.sort(best, axis=-1) == np.arange(m), axis=-1)
+    return best, is_perm & np.all(strict, axis=-1)
+
+
+# tracking steps whose spectra are stacked at once; bounds the memory of
+# the batched overlap scores
+_TRACK_BLOCK = 128
+
+
 def track(samples: Sequence[EigenSample],
           overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD) -> list[EigenTrace]:
     """Connect per-frequency spectra into continuous eigenvalue traces.
@@ -180,6 +214,11 @@ def track(samples: Sequence[EigenSample],
     pair under the biorthogonal normalization), so traces keep their
     identity through eigenvalue near-collisions where plain
     value-proximity matching would swap them.
+
+    The overlap scores of a block of steps come from one batched product.
+    Where a step's row argmax is a permutation with a strict maximum in
+    every row, that is the greedy result and is used directly; the other
+    steps go through _greedy_match.
     """
     if len(samples) < 2:
         raise ValueError("tracking needs at least 2 samples")
@@ -189,23 +228,40 @@ def track(samples: Sequence[EigenSample],
     idx = np.empty((nf, m), dtype=int)
     idx[0] = np.argsort(-np.abs(samples[0].lam), kind="stable")
     overlaps = np.ones((nf - 1, m))
+    # per trace: eigenvalue, left and right eigenvector at every sample
+    lam_tr = [np.empty(nf, dtype=complex) for _ in range(m)]
+    u_tr = [np.empty((nf, m), dtype=complex) for _ in range(m)]
+    w_tr = [np.empty((nf, m), dtype=complex) for _ in range(m)]
 
-    for t in range(nf - 1):
-        cur, nxt = samples[t], samples[t + 1]
-        score = np.abs(cur.u[idx[t]] @ nxt.w)
-        perm = _greedy_match(score, cur.lam[idx[t]], nxt.lam)
-        idx[t + 1] = perm
-        overlaps[t] = score[np.arange(m), perm]
+    for start in range(0, nf - 1, _TRACK_BLOCK):
+        block = samples[start:start + _TRACK_BLOCK + 1]
+        lam = np.stack([s.lam for s in block])
+        u = np.stack([s.u for s in block])
+        w = np.stack([s.w for s in block])
+        score = np.abs(u[:-1] @ w[1:])
+        best, fast = _fast_match(score)
+        for k in range(len(block) - 1):
+            t = start + k
+            if fast[k]:
+                idx[t + 1] = best[k, idx[t]]
+            else:
+                idx[t + 1] = _greedy_match(score[k, idx[t]], lam[k, idx[t]], lam[k + 1])
+        span = slice(start, start + len(block))
+        rows = idx[span]  # [step, trace] -> eigenvalue index in the block's samples
+        at = np.arange(len(block))[:, None]
+        overlaps[start:span.stop - 1] = score[at[:-1], rows[:-1], rows[1:]]
+        lam_b, u_b, w_b = lam[at, rows], u[at, rows], w[at, :, rows]
+        for k in range(m):
+            lam_tr[k][span] = lam_b[:, k]
+            u_tr[k][span] = u_b[:, k]
+            w_tr[k][span] = w_b[:, k]
 
     f = np.array([s.f_hz for s in samples])
     traces = []
     for k in range(m):
-        lam = np.array([samples[t].lam[idx[t, k]] for t in range(nf)])
-        u = np.array([samples[t].u[idx[t, k]] for t in range(nf)])
-        w = np.array([samples[t].w[:, idx[t, k]] for t in range(nf)])
         ov = overlaps[:, k]
         disc = tuple(int(i) for i in np.nonzero(ov < overlap_threshold)[0])
-        traces.append(EigenTrace(k + 1, f, lam, u, w, ov, disc))
+        traces.append(EigenTrace(k + 1, f, lam_tr[k], u_tr[k], w_tr[k], ov, disc))
     return traces
 
 

@@ -205,7 +205,7 @@ def test_criterion_8_end_to_end_stabilization(case_graph, fixture_analysis):
         assert top == 4
         assert second == 3
 
-        cplan = plan(case_graph, top, epsilon=0.005, grid=GRID)
+        cplan = plan(case_graph, top, traces, report, epsilon=0.005)
         calibrated = calibrate_ad(cplan, AD_BASE)
         assert calibrated.k_v > 0
 

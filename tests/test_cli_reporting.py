@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from damp_planner import stability_engine
 from damp_planner.cli_reporting import (
     NetworkFileError,
     RunConfig,
@@ -243,6 +244,25 @@ def test_exit_code_contract(fixture_path, tmp_path, command, verdict, code):
                     df_hz=2.0, out_dir=str(tmp_path))
     doc, got = run_command(cfg, command)
     assert (doc.verdict, got) == (verdict, code)
+
+
+@pytest.mark.parametrize("command, sweeps", [("plan", 1), ("verify", 2)])
+def test_one_baseline_analysis_per_command(fixture_path, tmp_path, monkeypatch,
+                                           command, sweeps):
+    # plan reuses the baseline analysis; verify adds only the re-assessment
+    # with the damper installed
+    real_sweep = stability_engine.sweep
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(stability_engine, "sweep", counted)
+    cfg = RunConfig(network=str(fixture_path), fmin_hz=150.0, fmax_hz=250.0,
+                    df_hz=2.0, out_dir=str(tmp_path))
+    run_command(cfg, command)
+    assert len(calls) == sweeps
 
 
 @pytest.mark.slow

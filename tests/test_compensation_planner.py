@@ -178,15 +178,17 @@ def test_accumulation_iteration_cap():
 
 def test_plan_on_stable_system_requires_nothing():
     g = single_node_graph()
-    cplan = plan(g, 1, epsilon=0.005, grid=FrequencyGrid.regular(10.0, 2000.0, 5.0))
+    _, traces, report = analyze(g, FrequencyGrid.regular(10.0, 2000.0, 5.0))
+    cplan = plan(g, 1, traces, report, epsilon=0.005)
     assert cplan.entries == ()
     assert cplan.required_re_yad_s == 0.0
 
 
 def test_plan_monotone_in_epsilon(case_graph):
     grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
-    p1 = plan(case_graph, 4, epsilon=0.003, grid=grid)
-    p2 = plan(case_graph, 4, epsilon=0.008, grid=grid)
+    _, traces, report = analyze(case_graph, grid)
+    p1 = plan(case_graph, 4, traces, report, epsilon=0.003)
+    p2 = plan(case_graph, 4, traces, report, epsilon=0.008)
     assert p2.required_re_yad_s >= p1.required_re_yad_s
     a1 = {e.trace_id: e.alpha_s for e in p1.entries}
     a2 = {e.trace_id: e.alpha_s for e in p2.entries}
@@ -213,7 +215,8 @@ def test_single_node_plan_first_order_is_exact():
     # shift equals the exact spectral shift for any alpha
     g = unstable_single_node_graph()
     grid = FrequencyGrid.regular(10.0, 3000.0, 2.0)
-    cplan = plan(g, 1, epsilon=0.005, grid=grid)
+    _, traces, report = analyze(g, grid)
+    cplan = plan(g, 1, traces, report, epsilon=0.005)
     assert cplan.entries
     for e in cplan.entries:
         assert e.predicted_re == pytest.approx(e.re_lambda_start + e.alpha_s, abs=1e-9)
@@ -265,8 +268,8 @@ def test_fixture_plan_at_node_4_is_pinned(case_graph):
     # regression pin of the planner on the case-study fixture: per critical
     # trace the accumulation step count, the conductance and the final
     # crossover frequency, plus the calibrated damper gain
-    cplan = plan(case_graph, 4, epsilon=0.005,
-                 grid=FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    _, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    cplan = plan(case_graph, 4, traces, report, epsilon=0.005)
     got = [(e.trace_id, e.iterations, e.alpha_s, e.f_cr_final_hz)
            for e in cplan.entries]
     expected = [(8, 47, 0.047, 178.4931945800781),
@@ -281,7 +284,8 @@ def test_fixture_plan_at_node_4_is_pinned(case_graph):
 
 def test_verify_with_ad_stabilizes_fixture_at_top_node(case_graph):
     grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
-    cplan = plan(case_graph, 4, epsilon=0.005, grid=grid)
+    _, traces, report = analyze(case_graph, grid)
+    cplan = plan(case_graph, 4, traces, report, epsilon=0.005)
     assert cplan.band_lo_hz == pytest.approx(100.0)
     assert cplan.band_hi_hz == pytest.approx(2000.0)
     assert cplan.required_re_yad_s == pytest.approx(0.05, rel=0.5)

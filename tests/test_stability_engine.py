@@ -1,18 +1,24 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_random_small_system
+from damp_planner import stability_engine
 from damp_planner.component_models import CapacitorParams, GridImpedanceParams
 from damp_planner.dq_core import FrequencyGrid
 from damp_planner.network_assembly import NetworkGraph, Shunt, assemble_grid
 from damp_planner.stability_engine import (
     DefectiveMatrixWarning,
+    EigenSample,
     EigenTrace,
+    EigNonConvergenceError,
+    _greedy_match,
     analyze,
     assess,
     eig_lr,
+    eig_lr_batch,
     find_crossovers,
     nyquist_winding,
     sweep,
@@ -61,6 +67,51 @@ def test_eig_warns_on_near_defective_matrix():
 def test_eig_rejects_nonfinite():
     with pytest.raises(ValueError):
         eig_lr(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_eig_batch_equals_single_decompositions_bitwise(case_graph):
+    fs = [10.0, 179.2, 503.7, 1755.5, 1886.4, 2500.0]
+    mats = assemble_grid(case_graph, fs)
+    batch = eig_lr_batch(mats, fs)
+    assert [s.f_hz for s in batch] == fs
+    for m, f, got in zip(mats, fs, batch):
+        want = eig_lr(m, f)
+        assert np.array_equal(got.lam, want.lam)
+        assert np.array_equal(got.w, want.w)
+        assert np.array_equal(got.u, want.u)
+
+
+def test_eig_batch_rejects_nonfinite_member():
+    mats = np.stack([np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])])
+    with pytest.raises(ValueError, match="non-finite"):
+        eig_lr_batch(mats, [10.0, 20.0])
+
+
+def test_eig_batch_warns_naming_the_near_defective_member():
+    mats = np.stack([np.diag([1.0, 2.0]), np.array([[1.0, 1.0], [0.0, 1.0]]),
+                     np.diag([3.0, 4.0])])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eig_lr_batch(mats, [10.0, 20.0, 30.0])
+    defective = [w for w in caught if issubclass(w.category, DefectiveMatrixWarning)]
+    assert len(defective) == 1
+    assert "f=20.0 Hz" in str(defective[0].message)
+
+
+def test_eig_batch_nonconvergence_names_the_failing_member(monkeypatch):
+    real_eig = np.linalg.eig
+
+    def eig_failing_on_7(a):
+        if np.any(np.asarray(a)[..., 0, 0] == 7.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", eig_failing_on_7)
+    mats = np.stack([np.eye(2), 7.0 * np.eye(2)])
+    with pytest.raises(EigNonConvergenceError, match="f=20.0 Hz"):
+        eig_lr_batch(mats, [10.0, 20.0])
+    with pytest.raises(EigNonConvergenceError, match="f=5.0 Hz"):
+        eig_lr(7.0 * np.eye(2), 5.0)
 
 
 # --- sweep ---
@@ -150,6 +201,85 @@ def test_track_fixture_no_discontinuities(case_graph):
     assert len(traces) == 8
     for tr in traces:
         assert tr.discontinuities == ()
+
+
+def reference_track(samples, overlap_threshold=0.5):
+    """Per trace (lam, u, w, overlaps, discontinuities) from the plain
+    step-by-step loop that calls _greedy_match at every step."""
+    m, nf = samples[0].size, len(samples)
+    idx = np.empty((nf, m), dtype=int)
+    idx[0] = np.argsort(-np.abs(samples[0].lam), kind="stable")
+    overlaps = np.ones((nf - 1, m))
+    for t in range(nf - 1):
+        cur, nxt = samples[t], samples[t + 1]
+        score = np.abs(cur.u[idx[t]] @ nxt.w)
+        idx[t + 1] = _greedy_match(score, cur.lam[idx[t]], nxt.lam)
+        overlaps[t] = score[np.arange(m), idx[t + 1]]
+    out = []
+    for k in range(m):
+        ov = overlaps[:, k]
+        out.append((np.array([samples[t].lam[idx[t, k]] for t in range(nf)]),
+                    np.array([samples[t].u[idx[t, k]] for t in range(nf)]),
+                    np.array([samples[t].w[:, idx[t, k]] for t in range(nf)]),
+                    ov, tuple(int(i) for i in np.nonzero(ov < overlap_threshold)[0])))
+    return out
+
+
+def assert_track_equals_reference(samples):
+    traces = track(samples)
+    assert [tr.trace_id for tr in traces] == list(range(1, samples[0].size + 1))
+    for tr, (lam, u, w, ov, disc) in zip(traces, reference_track(samples)):
+        assert np.array_equal(tr.f_hz, [s.f_hz for s in samples])
+        assert np.array_equal(tr.lam, lam)
+        assert np.array_equal(tr.u, u)
+        assert np.array_equal(tr.w, w)
+        assert np.array_equal(tr.overlaps, ov)
+        assert tr.discontinuities == disc
+    return traces
+
+
+def test_track_equals_greedy_reference_on_fixture(case_graph):
+    assert_track_equals_reference(
+        sweep(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0)))
+
+
+def test_track_equals_greedy_reference_on_random_systems():
+    grid = FrequencyGrid.regular(2.0, 5000.0, 5.0)
+    for seed in range(20):
+        assert_track_equals_reference(sweep(make_random_small_system(seed), grid))
+
+
+def _two_step_samples(score_matrix, lam_next, lam_prev=(3.0, 2.0, 1.0)):
+    """Samples whose single tracking step scores |u_0 . w_1| = score_matrix
+    (w_0 = u_0 = I, w_1 = score_matrix)."""
+    m = len(lam_prev)
+    w1 = np.asarray(score_matrix, dtype=complex)
+    return [EigenSample(1.0, np.asarray(lam_prev, complex), np.eye(m, dtype=complex),
+                        np.eye(m, dtype=complex)),
+            EigenSample(2.0, np.asarray(lam_next, complex), w1, np.linalg.inv(w1))]
+
+
+@pytest.mark.parametrize("score, lam_next, expected_next", [
+    # rows 0 and 1 both peak in column 0: greedy gives column 0 to row 0
+    ([[0.9, 0.1, 0.0], [0.8, 0.5, 0.1], [0.1, 0.2, 0.7]],
+     (3.1, 2.1, 1.1), (3.1, 2.1, 1.1)),
+    # row 0 ties columns 0 and 1: the nearer eigenvalue (column 1) wins,
+    # which leaves column 0 to row 1 against its own row maximum
+    ([[0.6, 0.6, 0.0], [0.2, 0.3, 0.0], [0.0, 0.0, 0.9]],
+     (2.1, 3.1, 1.1), (3.1, 2.1, 1.1)),
+])
+def test_track_falls_back_to_greedy_match(monkeypatch, score, lam_next, expected_next):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _greedy_match(*args)
+
+    monkeypatch.setattr(stability_engine, "_greedy_match", counted)
+    samples = _two_step_samples(score, lam_next)
+    traces = assert_track_equals_reference(samples)
+    assert len(calls) == 1
+    assert tuple(tr.lam[1].real for tr in traces) == expected_next
 
 
 # --- crossover detection ---
