@@ -7,11 +7,12 @@ the bracket being the node's compensation coefficient K_C.  Planning
 starts from the caller's baseline analysis (traces and stability report)
 and accumulates pure-conductance increments d_alpha, re-locating the
 crossover at the updated conductance each step (the sensitivity drifts
-with alpha): a 9-point window scan assembled and decomposed as one
-batch, then bisection on the bracket.  It stops once the real part at
-every critical crossover is lifted above the margin epsilon.  Calibration
-then picks the smallest damper gain k_v whose admittance covers the
-planned conductance over the planned band while staying quasi-resistive.
+with alpha): a 9-point window scan, then batched two-level bisection on
+the bracket, each batch assembled and decomposed in one call.  It stops
+once the real part at every critical crossover is lifted above the
+margin epsilon.  Calibration then picks the smallest damper gain k_v
+whose admittance covers the planned conductance over the planned band
+while staying quasi-resistive.
 """
 
 from __future__ import annotations
@@ -245,8 +246,9 @@ class _CriticalFollower:
     Keeps the left eigenvector of the last confirmed point as the
     identity reference; the crossover is re-found by a local sign-change
     scan in a window around the previous f_cr (9 points, assembled and
-    decomposed as one batch) and refine_crossover on the bracket nearest
-    it, widening the window on failure.
+    decomposed as one batch) and refine_crossover (batched two-level
+    bisection, on the same _matrices_at) on the bracket nearest it,
+    widening the window on failure.
     """
 
     def __init__(self, g: NetworkGraph, node_index: int, f_cr: float,
@@ -259,17 +261,14 @@ class _CriticalFollower:
         self.window = window_hz
         self.f_bounds = (f_lo, f_hi)
 
-    def _with_alpha(self, m: np.ndarray, alpha: float) -> np.ndarray:
-        """Add conductance alpha on the node's d and q diagonal of one
-        nodal matrix or of a stack of them, in place."""
+    def _matrices_at(self, fs: Sequence[float], alpha: float) -> np.ndarray:
+        """Nodal matrices (len(fs), 2n, 2n) with conductance alpha on the
+        node's d and q diagonal."""
+        m = assemble_grid(self.g, fs)
         p = 2 * self.node_index
-        m[..., p, p] += alpha
-        m[..., p + 1, p + 1] += alpha
+        m[:, p, p] += alpha
+        m[:, p + 1, p + 1] += alpha
         return m
-
-    def _matrix_at(self, f: float, alpha: float) -> np.ndarray:
-        """Nodal matrix with conductance alpha on the node's d and q diagonal."""
-        return self._with_alpha(assemble(self.g, f), alpha)
 
     def locate(self, alpha: float) -> tuple[EigenSample, int]:
         """Crossover-frequency sample of the followed eigenvalue at alpha
@@ -290,9 +289,8 @@ class _CriticalFollower:
         lo = max(self.f_bounds[0], self.f_cr - window)
         hi = min(self.f_bounds[1], self.f_cr + window)
         fs = [float(f) for f in np.linspace(lo, hi, 9)]
-        mats = self._with_alpha(assemble_grid(self.g, fs), alpha)
         ims = [smp.lam[_pick_matching_eig(smp, self.u_ref)].imag
-               for smp in eig_lr_batch(mats, fs)]
+               for smp in eig_lr_batch(self._matrices_at(fs, alpha), fs)]
         # bracket whose midpoint is nearest the previous crossover
         brackets = [i for i in range(len(fs) - 1)
                     if ims[i] == 0.0 or ims[i] * ims[i + 1] < 0]
@@ -300,7 +298,7 @@ class _CriticalFollower:
             return None
         i = min(brackets, key=lambda i: abs(0.5 * (fs[i] + fs[i + 1]) - self.f_cr))
         try:
-            return refine_crossover(lambda f: self._matrix_at(f, alpha),
+            return refine_crossover(lambda fs: self._matrices_at(fs, alpha),
                                     fs[i], fs[i + 1], ims[i], self.u_ref)
         except BisectionError:
             return None

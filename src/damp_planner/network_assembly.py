@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -82,6 +83,11 @@ class NetworkGraph:
         """Copy of the graph with one more shunt device installed."""
         self.node_index(node_id)
         return replace(self, shunts=self.shunts + (Shunt(node_id, device, label),))
+
+    @cached_property
+    def _diagnostics(self) -> tuple[str, ...]:
+        # the graph is frozen, so it is validated once per instance
+        return tuple(validate(self))
 
 
 def validate(g: NetworkGraph) -> list[str]:
@@ -165,9 +171,8 @@ def _device_block(dev: ShuntDevice, f: np.ndarray, omega0: float) -> np.ndarray:
 
 
 def _assemble_batch(g: NetworkGraph, f: np.ndarray) -> np.ndarray:
-    diags = validate(g)
-    if diags:
-        raise InvalidNetworkError("; ".join(diags))
+    if g._diagnostics:
+        raise InvalidNetworkError("; ".join(g._diagnostics))
     if np.any(f <= 0):
         raise ValueError("all frequencies must be > 0")
     nf = len(f)

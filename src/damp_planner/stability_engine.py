@@ -281,44 +281,64 @@ def _pick_matching_eig(sample: EigenSample, u_ref: np.ndarray) -> int:
     return int(np.argmax(np.abs(u_ref @ sample.w)))
 
 
-def refine_crossover(matrix_at: Callable[[float], np.ndarray],
+# bisection levels per batch: 3 midpoints cost about what 1 does
+_BISECT_LEVELS = 2
+
+
+def refine_crossover(matrices_at: Callable[[Sequence[float]], np.ndarray],
                      f_lo: float, f_hi: float, im_lo: float,
                      u_ref: np.ndarray,
                      max_steps: int = 60) -> tuple[EigenSample, int]:
-    """Locate Im[lambda] = 0 inside [f_lo, f_hi] by bisection.
-
-    im_lo is Im[lambda] at f_lo and u_ref the eigenvalue's left
-    eigenvector there; at every midpoint the eigenvalue is re-identified
-    by eigenvector overlap.  Returns the decomposition at the crossover
-    (|Im| <= 1e-6 * max(1, |Re|)) and the eigenvalue's index in it;
-    raises BisectionError when max_steps halvings do not get there.
+    """Locate Im[lambda] = 0 inside [f_lo, f_hi] by batched two-level
+    bisection: one matrices_at(fs) -> (len(fs), m, m) and one eig_lr_batch
+    per round cover the midpoints of the next two levels, walked as plain
+    bisection.  im_lo is Im[lambda] at f_lo and u_ref the eigenvalue's
+    left eigenvector there; at every visited midpoint the eigenvalue is
+    re-identified by eigenvector overlap.  Returns the decomposition at
+    the crossover (|Im| <= 1e-6 * max(1, |Re|)) and the eigenvalue's index
+    in it; raises BisectionError when max_steps visited midpoints do not
+    get there.
     """
     lam_best = None
-    for _ in range(max_steps):
-        f_mid = 0.5 * (f_lo + f_hi)
-        smp = eig_lr(matrix_at(f_mid), f_mid)
-        j = _pick_matching_eig(smp, u_ref)
-        lam = smp.lam[j]
-        if abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real)):
-            return smp, j
-        lam_best = lam
-        if (lam.imag > 0) == (im_lo > 0):
-            f_lo = f_mid
-            u_ref = smp.u[j]
-        else:
-            f_hi = f_mid
+    steps = 0
+    while steps < max_steps:
+        levels = min(_BISECT_LEVELS, max_steps - steps)
+        # heap order: bracket k has midpoint fs[k], halves 2k+1 and 2k+2
+        fs, brackets = [], [(f_lo, f_hi)]
+        for k in range(2 ** levels - 1):
+            lo, hi = brackets[k]
+            fs.append(0.5 * (lo + hi))
+            brackets += [(lo, fs[k]), (fs[k], hi)]
+        samples = eig_lr_batch(matrices_at(fs), fs)
+        k = 0
+        for _ in range(levels):
+            smp = samples[k]
+            j = _pick_matching_eig(smp, u_ref)
+            lam = smp.lam[j]
+            if abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real)):
+                return smp, j
+            lam_best = lam
+            steps += 1
+            if (lam.imag > 0) == (im_lo > 0):
+                f_lo = fs[k]
+                u_ref = smp.u[j]
+                k = 2 * k + 2
+            else:
+                f_hi = fs[k]
+                k = 2 * k + 1
     raise BisectionError(
         f"crossover refinement at [{f_lo}, {f_hi}] Hz did not reach |Im| tolerance "
         f"in {max_steps} steps (last lambda={lam_best})")
 
 
 def find_crossovers(trace: EigenTrace,
-                    matrix_at: Callable[[float], np.ndarray] | None = None,
+                    matrices_at: Callable[[Sequence[float]], np.ndarray] | None = None,
                     margin: float = 0.0) -> list[CrossoverEvent]:
     """Zero crossings of Im[lambda] along one trace.
 
-    With matrix_at given, each detected sign change is refined by
-    bisection on freshly assembled and decomposed matrices to
+    With matrices_at(fs) -> (len(fs), m, m) given, each detected sign
+    change is refined by batched two-level bisection (refine_crossover)
+    on freshly assembled and decomposed matrices to
     |Im| <= 1e-6 * max(1, |Re|); without it the crossing is located by
     linear interpolation between the bracketing samples (test aid for
     synthetic traces).
@@ -335,8 +355,8 @@ def find_crossovers(trace: EigenTrace,
             continue
         if im[t] * im[t + 1] < 0:
             direction = "falling" if im[t] > 0 else "rising"
-            if matrix_at is not None:
-                smp, j = refine_crossover(matrix_at, float(f[t]), float(f[t + 1]),
+            if matrices_at is not None:
+                smp, j = refine_crossover(matrices_at, float(f[t]), float(f[t + 1]),
                                           float(im[t]), trace.u[t])
                 events.append(_make_event(trace.trace_id, smp.f_hz,
                                           float(smp.lam[j].real), direction, margin))
@@ -372,12 +392,14 @@ class StabilityReport:
 
 
 def assess(traces: Sequence[EigenTrace],
-           matrix_at: Callable[[float], np.ndarray] | None = None,
+           matrices_at: Callable[[Sequence[float]], np.ndarray] | None = None,
            margin: float = 0.0) -> StabilityReport:
-    """Stability verdict: stable iff every crossover has Re[lambda] > 0."""
+    """Stability verdict: stable iff every crossover has Re[lambda] > 0;
+    with matrices_at(fs) -> (len(fs), m, m) given, crossovers are refined
+    by batched two-level bisection (see find_crossovers)."""
     events: list[CrossoverEvent] = []
     for tr in traces:
-        events.extend(find_crossovers(tr, matrix_at, margin))
+        events.extend(find_crossovers(tr, matrices_at, margin))
     events.sort(key=lambda e: (e.f_cr_hz, e.trace_id))
     stable = all(e.re_lambda > 0.0 for e in events)
     crit = tuple(sorted({e.trace_id for e in events if e.verdict == "critical"}))
@@ -418,11 +440,11 @@ def analyze(g: NetworkGraph, grid: FrequencyGrid, workers: int | None = None,
             overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD):
     """Sweep, track and assess in one call.
 
-    Returns (samples, traces, report); crossovers are bisection-refined
-    against re-assembled matrices.
+    Returns (samples, traces, report); crossovers are refined by batched
+    two-level bisection against matrices re-assembled with
+    matrices_at(fs) = assemble_grid(g, fs).
     """
     samples = sweep(g, grid, workers)
     traces = track(samples, overlap_threshold)
-    matrix_at = lambda f: assemble_grid(g, np.asarray([f]))[0]
-    report = assess(traces, matrix_at, margin)
+    report = assess(traces, lambda fs: assemble_grid(g, fs), margin)
     return samples, traces, report

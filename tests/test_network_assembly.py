@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from damp_planner import network_assembly
 from damp_planner.compensation_planner import _CriticalFollower
 from damp_planner.component_models import (
+    ADParams,
     CapacitorParams,
     GridImpedanceParams,
     InverterParams,
@@ -81,6 +83,43 @@ def test_assemble_rejects_invalid_graph():
     g = NetworkGraph((), (), (), W0)
     with pytest.raises(InvalidNetworkError):
         assemble(g, 100.0)
+
+
+def test_graph_is_validated_once_per_instance(monkeypatch):
+    validated = []
+
+    def counted(g):
+        validated.append(id(g))
+        return validate(g)
+
+    monkeypatch.setattr(network_assembly, "validate", counted)
+    g = two_node_graph()
+    for _ in range(3):
+        assemble(g, 60.0)
+        assemble_grid(g, [60.0, 70.0])
+    g2 = g.with_shunt_device(2, CapacitorParams(1e-6))
+    assemble(g2, 60.0)
+    assemble_grid(g2, [80.0])
+    assert validated == [id(g), id(g2)]
+
+
+def test_invalid_graph_raises_on_every_assembly():
+    g = NetworkGraph((1, 1), (), (), W0)
+    for _ in range(2):
+        with pytest.raises(InvalidNetworkError, match="duplicate node id 1"):
+            assemble(g, 100.0)
+        with pytest.raises(InvalidNetworkError, match="duplicate node id 1"):
+            assemble_grid(g, [100.0, 200.0])
+
+
+def test_damper_added_to_a_validated_graph_is_revalidated():
+    ad = ADParams(v_dc=750.0, l_f_h=0.8e-3, k_pi=5.0, k_ii=100.0, xi=0.707,
+                  tau_s=0.0014, beta=2.0, omega_low_rad_s=12566.36,
+                  omega_c_rad_s=21991.13, gain_s=0.06, k_v=0.0, f_s_hz=40e3)
+    g = single_node_graph(ad)
+    assemble(g, 100.0)
+    with pytest.raises(InvalidNetworkError, match="more than one active damper"):
+        assemble(g.with_shunt_device(1, ad), 100.0)
 
 
 # --- stamping ---
@@ -170,7 +209,7 @@ def test_purely_inductive_branch_dc_limit_raises():
 
 def with_conductance(g, node_index, f, alpha):
     """The planner's matrix: assemble(g, f) plus alpha on the node's d/q diagonal."""
-    return _CriticalFollower(g, node_index, f, None)._matrix_at(f, alpha)
+    return _CriticalFollower(g, node_index, f, None)._matrices_at([f], alpha)[0]
 
 
 def test_with_shunt_zero_block_is_identity(case_graph):

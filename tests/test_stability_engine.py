@@ -5,22 +5,25 @@ import numpy as np
 import pytest
 
 from conftest import make_random_small_system
-from damp_planner import stability_engine
+from damp_planner import compensation_planner, stability_engine
 from damp_planner.component_models import CapacitorParams, GridImpedanceParams
 from damp_planner.dq_core import FrequencyGrid
-from damp_planner.network_assembly import NetworkGraph, Shunt, assemble_grid
+from damp_planner.network_assembly import NetworkGraph, Shunt, assemble, assemble_grid
 from damp_planner.stability_engine import (
+    BisectionError,
     DefectiveMatrixWarning,
     EigenSample,
     EigenTrace,
     EigNonConvergenceError,
     _greedy_match,
+    _pick_matching_eig,
     analyze,
     assess,
     eig_lr,
     eig_lr_batch,
     find_crossovers,
     nyquist_winding,
+    refine_crossover,
     sweep,
     track,
 )
@@ -305,13 +308,116 @@ def test_crossover_on_synthetic_linear_trace():
 
 def test_crossover_bisection_refines_against_matrix():
     fc = 1000.3
-    matrix_at = lambda f: np.array([[-0.01 + 1j * (f - fc) / 1000.0]])
+    matrices_at = lambda fs: np.array([[[-0.01 + 1j * (f - fc) / 1000.0]] for f in fs])
     freqs = np.arange(990.0, 1011.0)
     lam = -0.01 + 1j * (freqs - fc) / 1000.0
-    events = find_crossovers(synthetic_trace(freqs, lam), matrix_at)
+    events = find_crossovers(synthetic_trace(freqs, lam), matrices_at)
     assert len(events) == 1
     assert events[0].f_cr_hz == pytest.approx(fc, abs=2e-3)
     assert events[0].re_lambda == pytest.approx(-0.01, abs=1e-6)
+
+
+def reference_refine(matrix_at, f_lo, f_hi, im_lo, u_ref, max_steps=60):
+    """The plain bisection: one matrix_at(f) and one eig_lr per midpoint."""
+    lam_best = None
+    for _ in range(max_steps):
+        f_mid = 0.5 * (f_lo + f_hi)
+        smp = eig_lr(matrix_at(f_mid), f_mid)
+        j = _pick_matching_eig(smp, u_ref)
+        lam = smp.lam[j]
+        if abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real)):
+            return smp, j
+        lam_best = lam
+        if (lam.imag > 0) == (im_lo > 0):
+            f_lo = f_mid
+            u_ref = smp.u[j]
+        else:
+            f_hi = f_mid
+    raise BisectionError(
+        f"crossover refinement at [{f_lo}, {f_hi}] Hz did not reach |Im| tolerance "
+        f"in {max_steps} steps (last lambda={lam_best})")
+
+
+def assert_refine_equals_reference(matrices_at, matrix_at, *bracket, **kw):
+    """Batched refine_crossover and reference_refine agree bit for bit,
+    including a BisectionError and its message."""
+    try:
+        want = reference_refine(matrix_at, *bracket, **kw)
+    except BisectionError as e:
+        with pytest.raises(BisectionError) as got:
+            refine_crossover(matrices_at, *bracket, **kw)
+        assert str(got.value) == str(e)
+        return
+    smp, j = refine_crossover(matrices_at, *bracket, **kw)
+    assert j == want[1]
+    assert smp.f_hz == want[0].f_hz
+    assert np.array_equal(smp.lam, want[0].lam)
+    assert np.array_equal(smp.w, want[0].w)
+    assert np.array_equal(smp.u, want[0].u)
+
+
+def assert_crossings_refine_like_reference(g, grid) -> int:
+    """Every sign change of Im[lambda] on g's traces refines identically;
+    returns the number of crossings compared."""
+    n = 0
+    for tr in track(sweep(g, grid)):
+        im = tr.lam.imag
+        for t in np.nonzero(im[:-1] * im[1:] < 0)[0]:
+            assert_refine_equals_reference(
+                lambda fs: assemble_grid(g, fs), lambda f: assemble(g, f),
+                float(tr.f_hz[t]), float(tr.f_hz[t + 1]), float(im[t]), tr.u[t])
+            n += 1
+    return n
+
+
+def test_batched_bisection_equals_sequential_on_fixture(case_graph):
+    n = assert_crossings_refine_like_reference(
+        case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    assert n == 10
+
+
+def test_batched_bisection_equals_sequential_on_random_systems():
+    grid = FrequencyGrid.regular(2.0, 5000.0, 5.0)
+    n = sum(assert_crossings_refine_like_reference(make_random_small_system(seed), grid)
+            for seed in range(20))
+    assert n > 20
+
+
+def test_batched_bisection_equals_sequential_in_planner(case_graph, monkeypatch):
+    """Every follower bracket of a coarse-step plan at node 4, most of them
+    at nonzero conductance."""
+    compared = []
+
+    def checked(matrices_at, *bracket):
+        assert_refine_equals_reference(matrices_at, lambda f: matrices_at([f])[0], *bracket)
+        compared.append(bracket)
+        return refine_crossover(matrices_at, *bracket)
+
+    monkeypatch.setattr(compensation_planner, "refine_crossover", checked)
+    _, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    cplan = compensation_planner.plan(case_graph, 4, traces, report, 0.005, dalpha=0.005)
+    # one refinement per accumulation step (more if a window widens)
+    assert len(compared) >= sum(e.iterations for e in cplan.entries) > 3 * len(cplan.entries)
+
+
+@pytest.mark.parametrize("max_steps", [7, 8])
+def test_batched_bisection_step_cap(max_steps):
+    """max_steps counts visited midpoints; two levels are batched per call."""
+    lam_at = lambda f: 1.0 + 1j * (f - 37.3)
+    sizes = []
+
+    def matrices_at(fs):
+        sizes.append(len(fs))
+        return np.array([[[lam_at(f)]] for f in fs])
+
+    bracket = (0.0, 100.0, lam_at(0.0).imag, np.ones(1, complex))
+    with pytest.raises(BisectionError) as want:
+        reference_refine(lambda f: np.array([[lam_at(f)]]), *bracket, max_steps=max_steps)
+    with pytest.raises(BisectionError) as got:
+        refine_crossover(matrices_at, *bracket, max_steps=max_steps)
+    assert str(got.value) == str(want.value)
+    assert len(sizes) == math.ceil(max_steps / 2)
+    assert sizes == [3] * (max_steps // 2) + [1] * (max_steps % 2)
 
 
 def test_no_crossover_when_imag_stays_positive():
