@@ -48,7 +48,6 @@ from .network_assembly import (
     InvalidNetworkError,
     NetworkGraph,
     Shunt,
-    validate,
 )
 from .stability_engine import analyze
 
@@ -182,18 +181,22 @@ def _build_shunt(idx: int, obj: dict, base_dir: Path) -> Shunt:
     return Shunt(node, device, label=obj.get("label", f"{stype}[{idx}]"))
 
 
+def _read_document(path: Path) -> dict:
+    """The parsed JSON document of a network file; raises NetworkFileError
+    naming the file, with the parse position for malformed JSON."""
+    try:
+        return json.loads(path.read_text())
+    except OSError as e:
+        raise NetworkFileError(f"{path}: {e}") from None
+    except json.JSONDecodeError as e:
+        raise NetworkFileError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+
+
 def load_network(path) -> NetworkGraph:
     """Parse and validate a network file; raises NetworkFileError with the
     parse position or all validation diagnostics."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise NetworkFileError(f"{path}: {e}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise NetworkFileError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    doc = _read_document(path)
 
     nodes = tuple(int(n) for n in doc.get("nodes", []))
     omega0 = 2 * math.pi * float(doc.get("fundamental_hz", 50.0))
@@ -201,9 +204,9 @@ def load_network(path) -> NetworkGraph:
     shunts = tuple(_build_shunt(i, s, path.parent) for i, s in enumerate(doc.get("shunts", [])))
     g = NetworkGraph(nodes, branches, shunts, omega0)
 
-    diags = validate(g)
-    if diags:
-        raise NetworkFileError(f"{path}: " + "; ".join(diags))
+    # the graph's cached validation, which its assembly reuses
+    if g._diagnostics:
+        raise NetworkFileError(f"{path}: " + "; ".join(g._diagnostics))
     return g
 
 
@@ -212,13 +215,7 @@ def damper_defaults_from_file(path, mode: str = "proposed",
     """AD base parameters from the network file's damper_defaults block,
     falling back to the built-in case-study set when the block is absent."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as e:
-        raise NetworkFileError(f"{path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise NetworkFileError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-    params = dict(doc.get("damper_defaults", CASE_STUDY_AD_PARAMS))
+    params = dict(_read_document(path).get("damper_defaults", CASE_STUDY_AD_PARAMS))
     params["mode"] = mode
     params.setdefault("k_v", k_v)
     try:

@@ -248,17 +248,17 @@ class _CriticalFollower:
     scan in a window around the previous f_cr (9 points, assembled and
     decomposed as one batch) and refine_crossover (batched two-level
     bisection, on the same _matrices_at) on the bracket nearest it,
-    widening the window on failure.
+    widening the window on failure, inside [f_lo, f_hi].
     """
 
+    WINDOW_HZ = 50.0  # half-width of the first scan window around f_cr
+
     def __init__(self, g: NetworkGraph, node_index: int, f_cr: float,
-                 u_ref: np.ndarray, window_hz: float = 50.0,
-                 f_lo: float = 1.0, f_hi: float = 5000.0):
+                 u_ref: np.ndarray, f_lo: float, f_hi: float):
         self.g = g
         self.node_index = node_index
         self.f_cr = f_cr
         self.u_ref = u_ref
-        self.window = window_hz
         self.f_bounds = (f_lo, f_hi)
 
     def _matrices_at(self, fs: Sequence[float], alpha: float) -> np.ndarray:
@@ -273,7 +273,7 @@ class _CriticalFollower:
     def locate(self, alpha: float) -> tuple[EigenSample, int]:
         """Crossover-frequency sample of the followed eigenvalue at alpha
         and the eigenvalue's index in it."""
-        window = self.window
+        window = self.WINDOW_HZ
         for _ in range(8):
             found = self._scan_and_refine(alpha, window)
             if found is not None:
@@ -305,8 +305,7 @@ class _CriticalFollower:
 
 
 def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
-         report: StabilityReport, epsilon: float, dalpha: float = 1e-3,
-         max_iter: int = 10000) -> CompensationPlan:
+         report: StabilityReport, epsilon: float, dalpha: float = 1e-3) -> CompensationPlan:
     """Conductance required at one node to lift every critical eigenvalue
     above the margin epsilon.
 
@@ -332,15 +331,13 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     trace_by_id = {t.trace_id: t for t in traces}
     for ev in criticals:
         u_ref = _left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz)
-        follower = _CriticalFollower(g, node_index, ev.f_cr_hz, u_ref,
-                                     f_lo=f_lo, f_hi=f_hi)
+        follower = _CriticalFollower(g, node_index, ev.f_cr_hz, u_ref, f_lo, f_hi)
 
         def kc_at(alpha: float, follower=follower) -> complex:
             smp, j = follower.locate(alpha)
             return sensitivity(smp, j, node_index).dlam_dalpha
 
-        alpha, iters, shift = accumulate_alpha(ev.re_lambda, epsilon, dalpha,
-                                               kc_at, max_iter)
+        alpha, iters, shift = accumulate_alpha(ev.re_lambda, epsilon, dalpha, kc_at)
         entries.append(PlanEntry(
             trace_id=ev.trace_id,
             node_index=node_index,
@@ -370,6 +367,9 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
 # ---------------------------------------------------------------------------
 
 MAX_IM_RE_RATIO = 0.1
+# damper gain search: coarse-scan limit and bisection resolution
+_K_V_MAX = 50.0
+_K_V_RESOLUTION = 1e-3
 
 
 def _band_metrics(p: ADParams, f_hz: np.ndarray, omega0: float) -> tuple[float, float]:
@@ -381,14 +381,13 @@ def _band_metrics(p: ADParams, f_hz: np.ndarray, omega0: float) -> tuple[float, 
 
 
 def calibrate_ad(cplan: CompensationPlan, base: ADParams,
-                 omega0: float = 2 * math.pi * 50.0, df: float = 1.0,
-                 resolution: float = 1e-3, k_v_max: float = 50.0) -> ADParams:
+                 omega0: float = 2 * math.pi * 50.0, df: float = 1.0) -> ADParams:
     """Smallest damper gain k_v whose admittance meets the plan.
 
     Feasible means: over the plan band at df spacing, Re[Y] >= the
     band requirement and |Im/Re| <= 0.1 (quasi-resistive).  The smallest
-    feasible k_v is found by coarse scan plus bisection to the given
-    resolution; the returned gain is the verified-feasible bisection
+    feasible k_v is found by coarse scan plus bisection to
+    _K_V_RESOLUTION; the returned gain is the verified-feasible bisection
     endpoint.  Raises CalibrationInfeasibleError naming the binding
     constraint when no gain qualifies.
     """
@@ -401,7 +400,7 @@ def calibrate_ad(cplan: CompensationPlan, base: ADParams,
         min_re, ratio = _band_metrics(replace(base, k_v=k_v), f, omega0)
         return min_re >= req and ratio <= MAX_IM_RE_RATIO
 
-    coarse = np.arange(0.0, k_v_max + 1e-9, 0.25)
+    coarse = np.arange(0.0, _K_V_MAX + 1e-9, 0.25)
     feas_idx = next((i for i, k in enumerate(coarse) if feasible(float(k))), None)
     if feas_idx is None:
         metrics = [_band_metrics(replace(base, k_v=float(k)), f, omega0) for k in coarse]
@@ -420,7 +419,7 @@ def calibrate_ad(cplan: CompensationPlan, base: ADParams,
         return replace(base, k_v=0.0)
     hi = float(coarse[feas_idx])
     lo = float(coarse[feas_idx - 1])
-    while hi - lo > resolution:
+    while hi - lo > _K_V_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
@@ -430,11 +429,8 @@ def calibrate_ad(cplan: CompensationPlan, base: ADParams,
 
 
 def verify_with_ad(g: NetworkGraph, node_id: int, p: ADParams,
-                   grid: FrequencyGrid | None = None,
-                   workers: int | None = None) -> StabilityReport:
-    """Install the damper at a node and re-run the full stability pipeline."""
-    if grid is None:
-        grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
+                   grid: FrequencyGrid) -> StabilityReport:
+    """Install the damper at a node and re-run the full stability pipeline over grid."""
     g2 = g.with_shunt_device(node_id, p, label="active-damper")
-    _, _, report = analyze(g2, grid, workers)
+    _, _, report = analyze(g2, grid)
     return report

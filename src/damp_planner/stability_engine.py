@@ -11,9 +11,7 @@ oracle for tests; it is not part of the shipped verdict.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -64,8 +62,11 @@ def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> list[EigenSample]:
     Raises ValueError on non-finite entries and EigNonConvergenceError
     naming the first frequency whose iteration fails; warns
     DefectiveMatrixWarning, with the member's frequency, for every member
-    whose cond(W) exceeds 1e10 (near-defective matrix; left vectors via
-    inversion lose accuracy there).
+    whose Frobenius condition number cond_F(W) = ||W||_F ||U||_F =
+    sqrt(m) ||U||_F (unit-norm eigenvector columns, U = inv(W)) exceeds
+    1e10: a near-defective matrix, whose left vectors via inversion lose
+    accuracy.  cond_2 <= cond_F <= m cond_2, so every member with
+    cond_2(W) > 1e10 warns, and one may warn up to a factor m earlier.
     """
     mats = np.asarray(mats, dtype=complex)
     if not np.all(np.isfinite(mats)):
@@ -80,11 +81,13 @@ def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> list[EigenSample]:
             except np.linalg.LinAlgError as e:
                 raise EigNonConvergenceError(f"eig failed at f={f} Hz: {e}") from e
         raise
-    for cond, f in zip(np.linalg.cond(w), f_hz):
-        if cond > 1e10:
-            warnings.warn(f"near-defective matrix at f={f} Hz (cond(W)={cond:.2e})",
-                          DefectiveMatrixWarning, stacklevel=2)
     u = np.linalg.inv(w)
+    # ||U||_F^2 from views of U's parts: no (nf, m, m) temporary
+    sq = np.einsum("kij,kij->k", u.real, u.real) + np.einsum("kij,kij->k", u.imag, u.imag)
+    cond = np.sqrt(w.shape[-1] * sq)
+    for k in np.flatnonzero(cond > 1e10):
+        warnings.warn(f"near-defective matrix at f={f_hz[k]} Hz (cond_F(W)={cond[k]:.2e})",
+                      DefectiveMatrixWarning, stacklevel=2)
     return [EigenSample(float(f), lam[k], w[k], u[k]) for k, f in enumerate(f_hz)]
 
 
@@ -94,51 +97,10 @@ def eig_lr(m: np.ndarray, f_hz: float = float("nan")) -> EigenSample:
     return eig_lr_batch(np.asarray(m)[None], [f_hz])[0]
 
 
-def default_workers() -> int:
-    """Sweep parallelism, capped by the DAMP_PLANNER_THREADS env var."""
-    cap = os.environ.get("DAMP_PLANNER_THREADS")
-    if cap is not None:
-        return max(1, int(cap))
-    return 1
-
-
-def sweep(g: NetworkGraph, grid: FrequencyGrid, workers: int | None = None) -> list[EigenSample]:
-    """One EigenSample per grid frequency, in grid order.
-
-    Chunks of the grid may be assembled and decomposed on parallel
-    workers; each frequency is computed independently, so results do not
-    depend on scheduling.
-    """
-    freqs = grid.hz
-    if workers is None:
-        workers = default_workers()
-
-    def run_chunk(chunk: np.ndarray):
-        mats = assemble_grid(g, chunk)
-        try:
-            lam, w = np.linalg.eig(mats)
-            u = np.linalg.inv(w)
-        except np.linalg.LinAlgError:
-            # redo with the checks, which name the offending frequency
-            singles = eig_lr_batch(mats, chunk)
-            lam = np.stack([s.lam for s in singles])
-            w = np.stack([s.w for s in singles])
-            u = np.stack([s.u for s in singles])
-        return lam, w, u
-
-    if workers <= 1 or len(freqs) < 64:
-        parts = [run_chunk(freqs)]
-        chunks = [freqs]
-    else:
-        chunks = np.array_split(freqs, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-
-    samples: list[EigenSample] = []
-    for chunk, (lam, w, u) in zip(chunks, parts):
-        for k, f in enumerate(chunk):
-            samples.append(EigenSample(float(f), lam[k], w[k], u[k]))
-    return samples
+def sweep(g: NetworkGraph, grid: FrequencyGrid) -> list[EigenSample]:
+    """One EigenSample per grid frequency, in grid order: the grid assembled
+    in one batch and decomposed by eig_lr_batch, with all its checks."""
+    return eig_lr_batch(assemble_grid(g, grid.hz), grid.hz)
 
 
 @dataclass
@@ -205,8 +167,7 @@ def _fast_match(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _TRACK_BLOCK = 128
 
 
-def track(samples: Sequence[EigenSample],
-          overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD) -> list[EigenTrace]:
+def track(samples: Sequence[EigenSample]) -> list[EigenTrace]:
     """Connect per-frequency spectra into continuous eigenvalue traces.
 
     Consecutive samples are matched greedily on the left/right
@@ -260,7 +221,7 @@ def track(samples: Sequence[EigenSample],
     traces = []
     for k in range(m):
         ov = overlaps[:, k]
-        disc = tuple(int(i) for i in np.nonzero(ov < overlap_threshold)[0])
+        disc = tuple(int(i) for i in np.nonzero(ov < DEFAULT_OVERLAP_THRESHOLD)[0])
         traces.append(EigenTrace(k + 1, f, lam_tr[k], u_tr[k], w_tr[k], ov, disc))
     return traces
 
@@ -435,16 +396,16 @@ def nyquist_winding(trace: EigenTrace, origin_tol: float = 1e-9) -> int | None:
     return int(round(float(np.sum(ang)) / (2.0 * np.pi)))
 
 
-def analyze(g: NetworkGraph, grid: FrequencyGrid, workers: int | None = None,
-            margin: float = 0.0,
-            overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD):
+def analyze(g: NetworkGraph, grid: FrequencyGrid):
     """Sweep, track and assess in one call.
 
-    Returns (samples, traces, report); crossovers are refined by batched
-    two-level bisection against matrices re-assembled with
-    matrices_at(fs) = assemble_grid(g, fs).
+    Returns (samples, traces, report).  The sweep and the crossover
+    refinement decompose through eig_lr_batch and its checks; crossovers
+    are refined by batched two-level bisection against matrices
+    re-assembled with matrices_at(fs) = assemble_grid(g, fs), and tracking
+    steps with overlap below DEFAULT_OVERLAP_THRESHOLD are flagged.
     """
-    samples = sweep(g, grid, workers)
-    traces = track(samples, overlap_threshold)
-    report = assess(traces, lambda fs: assemble_grid(g, fs), margin)
+    samples = sweep(g, grid)
+    traces = track(samples)
+    report = assess(traces, lambda fs: assemble_grid(g, fs))
     return samples, traces, report

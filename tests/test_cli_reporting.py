@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from damp_planner import stability_engine
+import damp_planner
+from damp_planner import cli_reporting, network_assembly, stability_engine
 from damp_planner.cli_reporting import (
     NetworkFileError,
     RunConfig,
@@ -74,6 +75,21 @@ def test_json_syntax_error_reports_position(tmp_path):
     path.write_text('{"nodes": [1,]\n}')
     with pytest.raises(NetworkFileError, match=r":\d+:\d+:"):
         load_network(path)
+
+
+def test_network_is_validated_once_per_command(fixture_path, tmp_path, monkeypatch):
+    original = network_assembly.validate
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    for mod in (damp_planner, network_assembly, cli_reporting):
+        if getattr(mod, "validate", None) is original:
+            monkeypatch.setattr(mod, "validate", counted)
+    run_command(RunConfig(network=str(fixture_path), out_dir=str(tmp_path)), "criticals")
+    assert len(calls) == 1
 
 
 def test_missing_file_is_reported(tmp_path):
@@ -280,18 +296,6 @@ def test_main_verify_exit_codes(tmp_path):
     assert before_after[0] == "phase,trace_id,f_cr_hz,re_lambda,verdict"
     assert any(ln.startswith("before") and "critical" in ln for ln in before_after)
     assert not any(ln.startswith("after") and "critical" in ln for ln in before_after)
-
-
-def test_thread_env_var_does_not_change_results(fixture_path, tmp_path, monkeypatch):
-    cfg1 = RunConfig(network=str(fixture_path), fmin_hz=100.0, fmax_hz=400.0,
-                     df_hz=1.0, out_dir=str(tmp_path / "serial"))
-    run_command(cfg1, "sweep")
-    monkeypatch.setenv("DAMP_PLANNER_THREADS", "4")
-    cfg2 = RunConfig(network=str(fixture_path), fmin_hz=100.0, fmax_hz=400.0,
-                     df_hz=1.0, out_dir=str(tmp_path / "threaded"))
-    run_command(cfg2, "sweep")
-    assert ((tmp_path / "serial" / "traces.csv").read_bytes()
-            == (tmp_path / "threaded" / "traces.csv").read_bytes())
 
 
 def test_rank_respects_candidate_node_filter(fixture_path, tmp_path):

@@ -209,7 +209,7 @@ def test_purely_inductive_branch_dc_limit_raises():
 
 def with_conductance(g, node_index, f, alpha):
     """The planner's matrix: assemble(g, f) plus alpha on the node's d/q diagonal."""
-    return _CriticalFollower(g, node_index, f, None)._matrices_at([f], alpha)[0]
+    return _CriticalFollower(g, node_index, f, None, 1.0, 5000.0)._matrices_at([f], alpha)[0]
 
 
 def test_with_shunt_zero_block_is_identity(case_graph):

@@ -101,15 +101,20 @@ def test_eig_batch_warns_naming_the_near_defective_member():
     assert "f=20.0 Hz" in str(defective[0].message)
 
 
-def test_eig_batch_nonconvergence_names_the_failing_member(monkeypatch):
+@pytest.fixture
+def eig_failing_on_7(monkeypatch):
+    """np.linalg.eig that fails on any matrix, or stack, with a 7 at [0, 0]."""
     real_eig = np.linalg.eig
 
-    def eig_failing_on_7(a):
+    def eig(a):
         if np.any(np.asarray(a)[..., 0, 0] == 7.0):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real_eig(a)
 
-    monkeypatch.setattr(np.linalg, "eig", eig_failing_on_7)
+    monkeypatch.setattr(np.linalg, "eig", eig)
+
+
+def test_eig_batch_nonconvergence_names_the_failing_member(eig_failing_on_7):
     mats = np.stack([np.eye(2), 7.0 * np.eye(2)])
     with pytest.raises(EigNonConvergenceError, match="f=20.0 Hz"):
         eig_lr_batch(mats, [10.0, 20.0])
@@ -144,14 +149,70 @@ def test_sweep_fixture_has_eight_traces(case_graph):
     assert sorted(t.trace_id for t in traces) == list(range(1, 9))
 
 
-def test_sweep_results_do_not_depend_on_worker_count(case_graph):
-    grid = FrequencyGrid.regular(50.0, 450.0, 2.0)
-    s1 = sweep(case_graph, grid, workers=1)
-    s3 = sweep(case_graph, grid, workers=3)
-    for a, b in zip(s1, s3):
-        assert a.f_hz == b.f_hz
+def reference_sweep(g, grid):
+    """The sweep as one stacked eig + inv over the assembled grid, without
+    the checks: what sweep computed before it went through eig_lr_batch."""
+    mats = assemble_grid(g, grid.hz)
+    lam, w = np.linalg.eig(mats)
+    u = np.linalg.inv(w)
+    return [EigenSample(float(f), lam[k], w[k], u[k]) for k, f in enumerate(grid.hz)]
+
+
+def assert_sweep_equals_reference(g, grid):
+    got, want = sweep(g, grid), reference_sweep(g, grid)
+    assert [s.f_hz for s in got] == [s.f_hz for s in want]
+    for a, b in zip(got, want):
         assert np.array_equal(a.lam, b.lam)
         assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a.u, b.u)
+
+
+def test_sweep_equals_stacked_reference_on_fixture(case_graph):
+    assert_sweep_equals_reference(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+
+
+def test_sweep_equals_stacked_reference_on_random_systems():
+    grid = FrequencyGrid.regular(2.0, 5000.0, 5.0)
+    for seed in range(20):
+        assert_sweep_equals_reference(make_random_small_system(seed), grid)
+
+
+def test_sweep_nonconvergence_names_the_frequency(eig_failing_on_7, monkeypatch):
+    monkeypatch.setattr(stability_engine, "assemble_grid",
+                        lambda g, fs: np.stack([np.eye(2), 7.0 * np.eye(2), np.eye(2)]))
+    with pytest.raises(EigNonConvergenceError, match="f=20.0 Hz"):
+        sweep(single_rc_graph(), FrequencyGrid.regular(10.0, 30.0, 10.0))
+
+
+def test_sweep_warns_naming_the_near_defective_member(monkeypatch):
+    near_defective = np.array([[1.0, 1.0], [1e-24, 1.0]])
+    monkeypatch.setattr(stability_engine, "assemble_grid",
+                        lambda g, fs: np.stack([np.diag([1.0, 2.0]), near_defective,
+                                                np.diag([3.0, 4.0])]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        samples = sweep(single_rc_graph(), FrequencyGrid.regular(10.0, 30.0, 10.0))
+    assert len(samples) == 3
+    defective = [w for w in caught if issubclass(w.category, DefectiveMatrixWarning)]
+    assert len(defective) == 1
+    assert "f=20.0 Hz" in str(defective[0].message)
+
+
+def test_condition_check_warns_wherever_cond2_exceeds_threshold():
+    # [[1, 1], [d, 1]] has eigenvalues 1 +- sqrt(d) and cond_2(W) ~ 1/sqrt|d|;
+    # the family straddles the 1e10 threshold on both sides of d = 0
+    deltas = np.concatenate([np.logspace(-30, -12, 73), -np.logspace(-30, -12, 73)])
+    mats = np.array([[[1.0, 1.0], [d, 1.0]] for d in deltas])
+    fs = [float(k + 1) for k in range(len(deltas))]
+    cond2 = np.linalg.cond(np.linalg.eig(mats)[1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eig_lr_batch(mats, fs)
+    warned = {str(w.message).split(" Hz")[0].split("f=")[1] for w in caught
+              if issubclass(w.category, DefectiveMatrixWarning)}
+    must_warn = {str(f) for f, c in zip(fs, cond2) if c > 1e10}
+    assert must_warn and len(must_warn) < len(fs)
+    assert must_warn <= warned
 
 
 def test_eigen_residuals_on_fixture_sweep(case_graph):
