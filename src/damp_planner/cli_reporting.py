@@ -126,82 +126,85 @@ class ReportDocument:
 # ---------------------------------------------------------------------------
 
 _BRANCH_TYPES = ("rl", "pi_cable", "transformer")
-_SHUNT_TYPES = ("inverter", "ad", "grid", "capacitor")
+_SHUNT_TYPES = {"inverter": InverterParams, "ad": ADParams,
+                "grid": GridImpedanceParams, "capacitor": CapacitorParams}
 
 
-def _build_branch(idx: int, obj: dict) -> Branch:
-    btype = obj.get("type")
+def _at(where: str, build, /, *args, **kwargs):
+    """build(*args, **kwargs), with malformed input reported as a
+    NetworkFileError naming where."""
+    try:
+        return build(*args, **kwargs)
+    except KeyError as e:
+        raise NetworkFileError(f"{where}: missing field {e}") from None
+    except (NetworkFileError, TypeError, ValueError, OSError) as e:
+        raise NetworkFileError(f"{where}: {e}") from None
+
+
+def _expect(kind: type, value):
+    """value, which must be a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        raise NetworkFileError(f"expected {'an object' if kind is dict else 'a list'}, "
+                               f"got {type(value).__name__}")
+    return value
+
+
+def _build_branch(idx: int, obj) -> Branch:
+    btype = _expect(dict, obj).get("type")
     if btype not in _BRANCH_TYPES:
         raise NetworkFileError(
-            f"branches[{idx}]: unknown branch type {btype!r} "
-            f"(expected one of {_BRANCH_TYPES})")
-    try:
-        frm, to = int(obj["from"]), int(obj["to"])
-        if btype == "pi_cable":
-            model = PiCableParams(float(obj["r_ohm"]), float(obj["l_h"]),
-                                  float(obj["c_f"]))
-        else:
-            model = RlBranchParams(float(obj["r_ohm"]), float(obj["l_h"]))
-    except KeyError as e:
-        raise NetworkFileError(f"branches[{idx}]: missing field {e}") from None
-    except (TypeError, ValueError) as e:
-        raise NetworkFileError(f"branches[{idx}]: {e}") from None
-    return Branch(frm, to, model, label=obj.get("label", f"{btype}[{idx}]"))
+            f"unknown branch type {btype!r} (expected one of {_BRANCH_TYPES})")
+    if btype == "pi_cable":
+        model = PiCableParams(float(obj["r_ohm"]), float(obj["l_h"]), float(obj["c_f"]))
+    else:
+        model = RlBranchParams(float(obj["r_ohm"]), float(obj["l_h"]))
+    return Branch(int(obj["from"]), int(obj["to"]), model,
+                  label=obj.get("label", f"{btype}[{idx}]"))
 
 
-def _build_shunt(idx: int, obj: dict, base_dir: Path) -> Shunt:
-    stype = obj.get("type")
+def _build_shunt(idx: int, obj, base_dir: Path) -> Shunt:
+    stype = _expect(dict, obj).get("type")
     if stype not in _SHUNT_TYPES:
         raise NetworkFileError(
-            f"shunts[{idx}]: unknown shunt type {stype!r} "
-            f"(expected one of {_SHUNT_TYPES})")
-    try:
-        node = int(obj["node"])
-        if "table_path" in obj:
-            if stype != "inverter":
-                raise NetworkFileError(
-                    f"shunts[{idx}]: table_path is only valid for inverter shunts")
-            device = AdmittanceTable.from_csv(base_dir / obj["table_path"])
-        else:
-            params = obj["params"]
-            if stype == "inverter":
-                device = InverterParams(**params)
-            elif stype == "ad":
-                device = ADParams(**params)
-            elif stype == "grid":
-                device = GridImpedanceParams(**params)
-            else:
-                device = CapacitorParams(**params)
-    except NetworkFileError:
-        raise
-    except KeyError as e:
-        raise NetworkFileError(f"shunts[{idx}]: missing field {e}") from None
-    except (TypeError, ValueError, OSError) as e:
-        raise NetworkFileError(f"shunts[{idx}]: {e}") from None
+            f"unknown shunt type {stype!r} (expected one of {tuple(_SHUNT_TYPES)})")
+    node = int(obj["node"])
+    if "table_path" in obj:
+        if stype != "inverter":
+            raise NetworkFileError("table_path is only valid for inverter shunts")
+        device = AdmittanceTable.from_csv(base_dir / obj["table_path"])
+    else:
+        device = _SHUNT_TYPES[stype](**obj["params"])
     return Shunt(node, device, label=obj.get("label", f"{stype}[{idx}]"))
 
 
 def _read_document(path: Path) -> dict:
-    """The parsed JSON document of a network file; raises NetworkFileError
-    naming the file, with the parse position for malformed JSON."""
+    """The parsed JSON document of a network file, which must be an
+    object; raises NetworkFileError naming the file, with the parse
+    position for malformed JSON."""
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except OSError as e:
         raise NetworkFileError(f"{path}: {e}") from None
     except json.JSONDecodeError as e:
         raise NetworkFileError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    return _at(f"{path}: top level", _expect, dict, doc)
 
 
 def load_network(path) -> NetworkGraph:
-    """Parse and validate a network file; raises NetworkFileError with the
-    parse position or all validation diagnostics."""
+    """Parse and validate a network file; raises NetworkFileError naming
+    the file and the parse position, the malformed element or all
+    validation diagnostics."""
     path = Path(path)
     doc = _read_document(path)
-
-    nodes = tuple(int(n) for n in doc.get("nodes", []))
-    omega0 = 2 * math.pi * float(doc.get("fundamental_hz", 50.0))
-    branches = tuple(_build_branch(i, b) for i, b in enumerate(doc.get("branches", [])))
-    shunts = tuple(_build_shunt(i, s, path.parent) for i, s in enumerate(doc.get("shunts", [])))
+    nodes, branches, shunts = (_at(f"{path}: {key}", _expect, list, doc.get(key, []))
+                               for key in ("nodes", "branches", "shunts"))
+    omega0 = 2 * math.pi * _at(f"{path}: fundamental_hz", float,
+                               doc.get("fundamental_hz", 50.0))
+    nodes = tuple(_at(f"{path}: nodes[{i}]", int, n) for i, n in enumerate(nodes))
+    branches = tuple(_at(f"{path}: branches[{i}]", _build_branch, i, b)
+                     for i, b in enumerate(branches))
+    shunts = tuple(_at(f"{path}: shunts[{i}]", _build_shunt, i, s, path.parent)
+                   for i, s in enumerate(shunts))
     g = NetworkGraph(nodes, branches, shunts, omega0)
 
     # the graph's cached validation, which its assembly reuses
@@ -214,14 +217,11 @@ def damper_defaults_from_file(path, mode: str = "proposed",
                               k_v: float = 0.0) -> ADParams:
     """AD base parameters from the network file's damper_defaults block,
     falling back to the built-in case-study set when the block is absent."""
-    path = Path(path)
-    params = dict(_read_document(path).get("damper_defaults", CASE_STUDY_AD_PARAMS))
-    params["mode"] = mode
-    params.setdefault("k_v", k_v)
-    try:
-        return ADParams(**params)
-    except (TypeError, ValueError) as e:
-        raise NetworkFileError(f"{path}: damper_defaults: {e}") from None
+    where = f"{Path(path)}: damper_defaults"
+    params = _at(where, _expect, dict,
+                 _read_document(Path(path)).get("damper_defaults", CASE_STUDY_AD_PARAMS))
+    # the file's k_v, when it has one, wins over the argument
+    return _at(where, ADParams, **{"k_v": k_v, **params, "mode": mode})
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ the bracket being the node's compensation coefficient K_C.  Planning
 starts from the caller's baseline analysis (traces and stability report)
 and accumulates pure-conductance increments d_alpha, re-locating the
 crossover at the updated conductance each step (the sensitivity drifts
-with alpha): a 9-point window scan, then batched two-level bisection on
-the bracket, each batch assembled and decomposed in one call.  It stops
-once the real part at every critical crossover is lifted above the
-margin epsilon.  Calibration then picks the smallest damper gain k_v
-whose admittance covers the planned conductance over the planned band
-while staying quasi-resistive.
+with alpha): a 9-point window scan, assembled and decomposed as one
+batch, then refine_crossover (Illinois regula falsi, one point per step)
+on the bracket.  It stops once the real part at every critical crossover
+is lifted above the margin epsilon.  Calibration then picks the smallest
+damper gain k_v whose admittance covers the planned conductance over the
+planned band while staying quasi-resistive.
 """
 
 from __future__ import annotations
@@ -246,9 +246,10 @@ class _CriticalFollower:
     Keeps the left eigenvector of the last confirmed point as the
     identity reference; the crossover is re-found by a local sign-change
     scan in a window around the previous f_cr (9 points, assembled and
-    decomposed as one batch) and refine_crossover (batched two-level
-    bisection, on the same _matrices_at) on the bracket nearest it,
-    widening the window on failure, inside [f_lo, f_hi].
+    decomposed as one batch) and refine_crossover (Illinois regula falsi
+    from the scan's Im values at the bracket ends, on the same
+    _matrices_at) on the bracket nearest it, widening the window on
+    failure, inside [f_lo, f_hi].
     """
 
     WINDOW_HZ = 50.0  # half-width of the first scan window around f_cr
@@ -299,7 +300,7 @@ class _CriticalFollower:
         i = min(brackets, key=lambda i: abs(0.5 * (fs[i] + fs[i + 1]) - self.f_cr))
         try:
             return refine_crossover(lambda fs: self._matrices_at(fs, alpha),
-                                    fs[i], fs[i + 1], ims[i], self.u_ref)
+                                    fs[i], fs[i + 1], ims[i], ims[i + 1], self.u_ref)
         except BisectionError:
             return None
 

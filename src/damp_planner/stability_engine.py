@@ -242,67 +242,60 @@ def _pick_matching_eig(sample: EigenSample, u_ref: np.ndarray) -> int:
     return int(np.argmax(np.abs(u_ref @ sample.w)))
 
 
-# bisection levels per batch: 3 midpoints cost about what 1 does
-_BISECT_LEVELS = 2
-
-
 def refine_crossover(matrices_at: Callable[[Sequence[float]], np.ndarray],
-                     f_lo: float, f_hi: float, im_lo: float,
+                     f_lo: float, f_hi: float, im_lo: float, im_hi: float,
                      u_ref: np.ndarray,
                      max_steps: int = 60) -> tuple[EigenSample, int]:
-    """Locate Im[lambda] = 0 inside [f_lo, f_hi] by batched two-level
-    bisection: one matrices_at(fs) -> (len(fs), m, m) and one eig_lr_batch
-    per round cover the midpoints of the next two levels, walked as plain
-    bisection.  im_lo is Im[lambda] at f_lo and u_ref the eigenvalue's
-    left eigenvector there; at every visited midpoint the eigenvalue is
-    re-identified by eigenvector overlap.  Returns the decomposition at
-    the crossover (|Im| <= 1e-6 * max(1, |Re|)) and the eigenvalue's index
-    in it; raises BisectionError when max_steps visited midpoints do not
-    get there.
+    """Locate Im[lambda] = 0 inside [f_lo, f_hi] by Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 1971).
+
+    im_lo, im_hi are Im[lambda] at the bracket ends (opposite signs) and
+    u_ref the eigenvalue's left eigenvector at f_lo.  Each step decomposes
+    one point, eig_lr_batch(matrices_at([f]), [f]), at the bracket's secant
+    root (its midpoint when the root is not strictly inside), re-identifies
+    the eigenvalue by overlap with u_ref and keeps the half whose ends
+    differ in sign, moving u_ref with f_lo.  An end kept twice in a row
+    has the other end's Im halved, which stops plain regula falsi's
+    one-sided stall.  Returns the decomposition at the crossover
+    (|Im| <= 1e-6 * max(1, |Re|)) and the eigenvalue's index in it;
+    raises BisectionError when max_steps steps do not get there.
     """
-    lam_best = None
-    steps = 0
-    while steps < max_steps:
-        levels = min(_BISECT_LEVELS, max_steps - steps)
-        # heap order: bracket k has midpoint fs[k], halves 2k+1 and 2k+2
-        fs, brackets = [], [(f_lo, f_hi)]
-        for k in range(2 ** levels - 1):
-            lo, hi = brackets[k]
-            fs.append(0.5 * (lo + hi))
-            brackets += [(lo, fs[k]), (fs[k], hi)]
-        samples = eig_lr_batch(matrices_at(fs), fs)
-        k = 0
-        for _ in range(levels):
-            smp = samples[k]
-            j = _pick_matching_eig(smp, u_ref)
-            lam = smp.lam[j]
-            if abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real)):
-                return smp, j
-            lam_best = lam
-            steps += 1
-            if (lam.imag > 0) == (im_lo > 0):
-                f_lo = fs[k]
-                u_ref = smp.u[j]
-                k = 2 * k + 2
-            else:
-                f_hi = fs[k]
-                k = 2 * k + 1
+    lam = None
+    kept = 0  # end kept by the last step: -1 low, +1 high
+    for _ in range(max_steps):
+        f = f_lo + im_lo * (f_hi - f_lo) / (im_lo - im_hi) if im_lo != im_hi else f_lo
+        if not f_lo < f < f_hi:
+            f = 0.5 * (f_lo + f_hi)
+        smp = eig_lr_batch(matrices_at([f]), [f])[0]
+        j = _pick_matching_eig(smp, u_ref)
+        lam = smp.lam[j]
+        if abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real)):
+            return smp, j
+        if (lam.imag > 0) == (im_lo > 0):
+            f_lo, im_lo, u_ref = f, float(lam.imag), smp.u[j]
+            if kept == +1:
+                im_hi *= 0.5
+            kept = +1
+        else:
+            f_hi, im_hi = f, float(lam.imag)
+            if kept == -1:
+                im_lo *= 0.5
+            kept = -1
     raise BisectionError(
         f"crossover refinement at [{f_lo}, {f_hi}] Hz did not reach |Im| tolerance "
-        f"in {max_steps} steps (last lambda={lam_best})")
+        f"in {max_steps} steps (last lambda={lam})")
 
 
 def find_crossovers(trace: EigenTrace,
-                    matrices_at: Callable[[Sequence[float]], np.ndarray] | None = None,
+                    matrices_at: Callable[[Sequence[float]], np.ndarray],
                     margin: float = 0.0) -> list[CrossoverEvent]:
     """Zero crossings of Im[lambda] along one trace.
 
-    With matrices_at(fs) -> (len(fs), m, m) given, each detected sign
-    change is refined by batched two-level bisection (refine_crossover)
-    on freshly assembled and decomposed matrices to
-    |Im| <= 1e-6 * max(1, |Re|); without it the crossing is located by
-    linear interpolation between the bracketing samples (test aid for
-    synthetic traces).
+    Each sign change between adjacent samples is refined by
+    refine_crossover (Illinois regula falsi on the bracketing samples'
+    Im values) on matrices_at(fs) -> (len(fs), m, m), freshly decomposed,
+    to |Im| <= 1e-6 * max(1, |Re|); a sample exactly at Im = 0 is taken
+    as it is.
     """
     events: list[CrossoverEvent] = []
     im = trace.lam.imag
@@ -316,17 +309,10 @@ def find_crossovers(trace: EigenTrace,
             continue
         if im[t] * im[t + 1] < 0:
             direction = "falling" if im[t] > 0 else "rising"
-            if matrices_at is not None:
-                smp, j = refine_crossover(matrices_at, float(f[t]), float(f[t + 1]),
-                                          float(im[t]), trace.u[t])
-                events.append(_make_event(trace.trace_id, smp.f_hz,
-                                          float(smp.lam[j].real), direction, margin))
-            else:
-                a = im[t] / (im[t] - im[t + 1])
-                f_cr = float(f[t] + a * (f[t + 1] - f[t]))
-                re_cr = float(re[t] + a * (re[t + 1] - re[t]))
-                events.append(_make_event(trace.trace_id, f_cr, re_cr,
-                                          direction, margin))
+            smp, j = refine_crossover(matrices_at, float(f[t]), float(f[t + 1]),
+                                      float(im[t]), float(im[t + 1]), trace.u[t])
+            events.append(_make_event(trace.trace_id, smp.f_hz,
+                                      float(smp.lam[j].real), direction, margin))
     if len(trace) and im[-1] == 0.0:
         events.append(_make_event(trace.trace_id, float(f[-1]), float(re[-1]),
                                   "rising" if im[-2] < 0 else "falling", margin))
@@ -353,11 +339,11 @@ class StabilityReport:
 
 
 def assess(traces: Sequence[EigenTrace],
-           matrices_at: Callable[[Sequence[float]], np.ndarray] | None = None,
+           matrices_at: Callable[[Sequence[float]], np.ndarray],
            margin: float = 0.0) -> StabilityReport:
     """Stability verdict: stable iff every crossover has Re[lambda] > 0;
-    with matrices_at(fs) -> (len(fs), m, m) given, crossovers are refined
-    by batched two-level bisection (see find_crossovers)."""
+    crossovers are refined on matrices_at(fs) -> (len(fs), m, m) by
+    Illinois regula falsi (see find_crossovers)."""
     events: list[CrossoverEvent] = []
     for tr in traces:
         events.extend(find_crossovers(tr, matrices_at, margin))
@@ -401,9 +387,10 @@ def analyze(g: NetworkGraph, grid: FrequencyGrid):
 
     Returns (samples, traces, report).  The sweep and the crossover
     refinement decompose through eig_lr_batch and its checks; crossovers
-    are refined by batched two-level bisection against matrices
-    re-assembled with matrices_at(fs) = assemble_grid(g, fs), and tracking
-    steps with overlap below DEFAULT_OVERLAP_THRESHOLD are flagged.
+    are refined by Illinois regula falsi against matrices re-assembled
+    with matrices_at(fs) = assemble_grid(g, fs), one point per step, and
+    tracking steps with overlap below DEFAULT_OVERLAP_THRESHOLD are
+    flagged.
     """
     samples = sweep(g, grid)
     traces = track(samples)

@@ -92,6 +92,26 @@ def test_network_is_validated_once_per_command(fixture_path, tmp_path, monkeypat
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command, text, element", [
+    ("criticals", "[1, 2]", "top level"),
+    ("criticals", '{"nodes": [1], "branches": [5]}', "branches[0]"),
+    ("criticals", '{"nodes": [1], "shunts": ["grid"]}', "shunts[0]"),
+    ("criticals", '{"nodes": [1, "one"]}', "nodes[1]"),
+    ("criticals", '{"nodes": [1], "fundamental_hz": "abc"}', "fundamental_hz"),
+    ("ad-curve", "[1, 2]", "top level"),
+    ("ad-curve", '{"damper_defaults": [3]}', "damper_defaults"),
+], ids=["top-level-list", "branch-not-object", "shunt-not-object", "node-not-numeric",
+        "fundamental-not-numeric", "ad-curve-top-level-list", "damper-defaults-not-object"])
+def test_malformed_network_file_names_file_and_element(tmp_path, capsys, command, text,
+                                                        element):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main([command, "--network", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: {element}: ")
+
+
 def test_missing_file_is_reported(tmp_path):
     with pytest.raises(NetworkFileError):
         load_network(tmp_path / "nope.json")

@@ -21,7 +21,7 @@ from damp_planner.compensation_planner import (
 from damp_planner.component_models import ADParams, CapacitorParams, GridImpedanceParams
 from damp_planner.dq_core import FrequencyGrid
 from damp_planner.network_assembly import NetworkGraph, Shunt, assemble
-from damp_planner.stability_engine import analyze, eig_lr
+from damp_planner.stability_engine import _pick_matching_eig, analyze, eig_lr
 
 W0 = 2 * math.pi * 50.0
 
@@ -272,14 +272,28 @@ def test_fixture_plan_at_node_4_is_pinned(case_graph):
     cplan = plan(case_graph, 4, traces, report, epsilon=0.005)
     got = [(e.trace_id, e.iterations, e.alpha_s, e.f_cr_final_hz)
            for e in cplan.entries]
-    expected = [(8, 47, 0.047, 178.4931945800781),
-                (5, 34, 0.034, 1755.75830078125),
-                (6, 46, 0.046, 1886.4156494140625)]
+    expected = [(8, 47, 0.047, 178.4933484235984),
+                (5, 34, 0.034, 1755.7632246707185),
+                (6, 46, 0.046, 1886.417827574692)]
     assert [g[:2] for g in got] == [x[:2] for x in expected]
     for (_, _, alpha, f_cr), (_, _, alpha_x, f_cr_x) in zip(got, expected):
         assert alpha == pytest.approx(alpha_x, rel=1e-12)
         assert abs(f_cr - f_cr_x) <= 1e-9
     assert calibrate_ad(cplan, AD_BASE).k_v == 1.4072265625
+    # the pinned points are crossovers: an independent decomposition with
+    # the conductance of the last located step, alpha_s - dalpha, installed
+    # has the followed eigenvalue on the real axis
+    p = 2 * case_graph.node_index(4)
+    trace_by_id = {t.trace_id: t for t in traces}
+    for trace_id, _, alpha, f_cr in expected:
+        m = assemble(case_graph, f_cr)
+        m[p, p] += alpha - cplan.dalpha_s
+        m[p + 1, p + 1] += alpha - cplan.dalpha_s
+        smp = eig_lr(m, f_cr)
+        tr = trace_by_id[trace_id]
+        u_ref = tr.u[int(np.searchsorted(tr.f_hz, f_cr))]
+        lam = smp.lam[_pick_matching_eig(smp, u_ref)]
+        assert abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real))
 
 
 def test_verify_with_ad_stabilizes_fixture_at_top_node(case_graph):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -355,10 +356,15 @@ def synthetic_trace(freqs, lam) -> EigenTrace:
                       ones, ones, np.ones(n - 1))
 
 
+def scalar_matrices(lam_at):
+    """matrices_at of the 1x1 system whose eigenvalue is lam_at(f)."""
+    return lambda fs: np.array([[[lam_at(f)]] for f in fs])
+
+
 def test_crossover_on_synthetic_linear_trace():
+    lam_at = lambda f: -0.01 + 1j * (f - 1000.0) / 1000.0
     freqs = np.arange(990.0, 1011.0)
-    lam = -0.01 + 1j * (freqs - 1000.0) / 1000.0
-    events = find_crossovers(synthetic_trace(freqs, lam))
+    events = find_crossovers(synthetic_trace(freqs, lam_at(freqs)), scalar_matrices(lam_at))
     assert len(events) == 1
     ev = events[0]
     assert ev.f_cr_hz == pytest.approx(1000.0, abs=1e-9)
@@ -369,147 +375,138 @@ def test_crossover_on_synthetic_linear_trace():
 
 def test_crossover_bisection_refines_against_matrix():
     fc = 1000.3
-    matrices_at = lambda fs: np.array([[[-0.01 + 1j * (f - fc) / 1000.0]] for f in fs])
+    lam_at = lambda f: -0.01 + 1j * (f - fc) / 1000.0
     freqs = np.arange(990.0, 1011.0)
-    lam = -0.01 + 1j * (freqs - fc) / 1000.0
-    events = find_crossovers(synthetic_trace(freqs, lam), matrices_at)
+    events = find_crossovers(synthetic_trace(freqs, lam_at(freqs)), scalar_matrices(lam_at))
     assert len(events) == 1
     assert events[0].f_cr_hz == pytest.approx(fc, abs=2e-3)
     assert events[0].re_lambda == pytest.approx(-0.01, abs=1e-6)
 
 
-def reference_refine(matrix_at, f_lo, f_hi, im_lo, u_ref, max_steps=60):
-    """The plain bisection: one matrix_at(f) and one eig_lr per midpoint."""
-    lam_best = None
-    for _ in range(max_steps):
-        f_mid = 0.5 * (f_lo + f_hi)
-        smp = eig_lr(matrix_at(f_mid), f_mid)
-        j = _pick_matching_eig(smp, u_ref)
-        lam = smp.lam[j]
-        if abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real)):
-            return smp, j
-        lam_best = lam
-        if (lam.imag > 0) == (im_lo > 0):
-            f_lo = f_mid
-            u_ref = smp.u[j]
-        else:
-            f_hi = f_mid
-    raise BisectionError(
-        f"crossover refinement at [{f_lo}, {f_hi}] Hz did not reach |Im| tolerance "
-        f"in {max_steps} steps (last lambda={lam_best})")
+def assert_refined_crossover(matrix_at, refined, f_lo, f_hi, im_lo, im_hi, u_ref):
+    """A refine_crossover result lies inside its bracket, is the eigenvalue
+    that overlap with u_ref picks, and meets the |Im| tolerance on an
+    independent decomposition."""
+    smp, j = refined
+    assert f_lo < smp.f_hz < f_hi
+    assert _pick_matching_eig(smp, u_ref) == j
+    ind = eig_lr(matrix_at(smp.f_hz), smp.f_hz)
+    lam = ind.lam[_pick_matching_eig(ind, u_ref)]
+    assert lam == pytest.approx(smp.lam[j], abs=1e-9 * max(1.0, abs(lam)))
+    assert abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real))
 
 
-def assert_refine_equals_reference(matrices_at, matrix_at, *bracket, **kw):
-    """Batched refine_crossover and reference_refine agree bit for bit,
-    including a BisectionError and its message."""
-    try:
-        want = reference_refine(matrix_at, *bracket, **kw)
-    except BisectionError as e:
-        with pytest.raises(BisectionError) as got:
-            refine_crossover(matrices_at, *bracket, **kw)
-        assert str(got.value) == str(e)
-        return
-    smp, j = refine_crossover(matrices_at, *bracket, **kw)
-    assert j == want[1]
-    assert smp.f_hz == want[0].f_hz
-    assert np.array_equal(smp.lam, want[0].lam)
-    assert np.array_equal(smp.w, want[0].w)
-    assert np.array_equal(smp.u, want[0].u)
-
-
-def assert_crossings_refine_like_reference(g, grid) -> int:
-    """Every sign change of Im[lambda] on g's traces refines identically;
-    returns the number of crossings compared."""
+def assert_crossings_refine(g, grid) -> int:
+    """Every sign change of Im[lambda] on g's traces refines to a crossover
+    with the assert_refined_crossover properties; returns their number."""
     n = 0
     for tr in track(sweep(g, grid)):
         im = tr.lam.imag
         for t in np.nonzero(im[:-1] * im[1:] < 0)[0]:
-            assert_refine_equals_reference(
-                lambda fs: assemble_grid(g, fs), lambda f: assemble(g, f),
-                float(tr.f_hz[t]), float(tr.f_hz[t + 1]), float(im[t]), tr.u[t])
+            bracket = (float(tr.f_hz[t]), float(tr.f_hz[t + 1]),
+                       float(im[t]), float(im[t + 1]), tr.u[t])
+            refined = refine_crossover(lambda fs: assemble_grid(g, fs), *bracket)
+            assert_refined_crossover(lambda f: assemble(g, f), refined, *bracket)
             n += 1
     return n
 
 
-def test_batched_bisection_equals_sequential_on_fixture(case_graph):
-    n = assert_crossings_refine_like_reference(
-        case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+def test_refined_crossovers_hold_on_fixture(case_graph):
+    n = assert_crossings_refine(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
     assert n == 10
 
 
-def test_batched_bisection_equals_sequential_on_random_systems():
+def test_refined_crossovers_hold_on_random_systems():
     grid = FrequencyGrid.regular(2.0, 5000.0, 5.0)
-    n = sum(assert_crossings_refine_like_reference(make_random_small_system(seed), grid)
+    n = sum(assert_crossings_refine(make_random_small_system(seed), grid)
             for seed in range(20))
     assert n > 20
 
 
-def test_batched_bisection_equals_sequential_in_planner(case_graph, monkeypatch):
-    """Every follower bracket of a coarse-step plan at node 4, most of them
-    at nonzero conductance."""
-    compared = []
+def test_refined_crossovers_hold_in_planner(case_graph, monkeypatch):
+    """Every follower refinement of a coarse-step plan at node 4, most of
+    them at nonzero conductance."""
+    checked = []
 
-    def checked(matrices_at, *bracket):
-        assert_refine_equals_reference(matrices_at, lambda f: matrices_at([f])[0], *bracket)
-        compared.append(bracket)
-        return refine_crossover(matrices_at, *bracket)
+    def refine(matrices_at, *bracket):
+        refined = refine_crossover(matrices_at, *bracket)
+        assert_refined_crossover(lambda f: matrices_at([f])[0], refined, *bracket)
+        checked.append(bracket)
+        return refined
 
-    monkeypatch.setattr(compensation_planner, "refine_crossover", checked)
+    monkeypatch.setattr(compensation_planner, "refine_crossover", refine)
     _, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
     cplan = compensation_planner.plan(case_graph, 4, traces, report, 0.005, dalpha=0.005)
     # one refinement per accumulation step (more if a window widens)
-    assert len(compared) >= sum(e.iterations for e in cplan.entries) > 3 * len(cplan.entries)
+    assert len(checked) >= sum(e.iterations for e in cplan.entries) > 3 * len(cplan.entries)
 
 
-@pytest.mark.parametrize("max_steps", [7, 8])
-def test_batched_bisection_step_cap(max_steps):
-    """max_steps counts visited midpoints; two levels are batched per call."""
-    lam_at = lambda f: 1.0 + 1j * (f - 37.3)
-    sizes = []
-
+def counted_scalar_matrices(lam_at, sizes):
+    """scalar_matrices that records the number of points of every call."""
     def matrices_at(fs):
         sizes.append(len(fs))
-        return np.array([[[lam_at(f)]] for f in fs])
+        return scalar_matrices(lam_at)(fs)
+    return matrices_at
 
-    bracket = (0.0, 100.0, lam_at(0.0).imag, np.ones(1, complex))
-    with pytest.raises(BisectionError) as want:
-        reference_refine(lambda f: np.array([[lam_at(f)]]), *bracket, max_steps=max_steps)
-    with pytest.raises(BisectionError) as got:
-        refine_crossover(matrices_at, *bracket, max_steps=max_steps)
-    assert str(got.value) == str(want.value)
-    assert len(sizes) == math.ceil(max_steps / 2)
-    assert sizes == [3] * (max_steps // 2) + [1] * (max_steps % 2)
+
+def test_illinois_step_converges_on_one_sided_curve():
+    """Im = exp(f/5) - 2 is so convex on [0, 100] that plain regula falsi
+    keeps the high end for ever and stalls; halving the kept end's Im
+    gets the root well within the step cap."""
+    lam_at = lambda f: 1.0 + 1j * (math.exp(f / 5.0) - 2.0)
+    sizes = []
+    smp, j = refine_crossover(counted_scalar_matrices(lam_at, sizes), 0.0, 100.0,
+                              lam_at(0.0).imag, lam_at(100.0).imag, np.ones(1, complex))
+    assert smp.f_hz == pytest.approx(5.0 * math.log(2.0), abs=1e-6)
+    assert abs(smp.lam[j].imag) <= 1e-6
+    assert sizes == [1] * len(sizes) and len(sizes) < 60
+
+
+@pytest.mark.parametrize("max_steps", [1, 7, 8])
+def test_refinement_step_cap_names_the_bracket(max_steps):
+    """Im jumps from -1 to +1 at 37.3 Hz without a zero: every step
+    decomposes one point, and the error after max_steps steps names the
+    bracket it has narrowed to."""
+    lam_at = lambda f: 1.0 + 1j * (1.0 if f >= 37.3 else -1.0)
+    sizes = []
+    with pytest.raises(BisectionError) as err:
+        refine_crossover(counted_scalar_matrices(lam_at, sizes), 0.0, 100.0, -1.0, 1.0,
+                         np.ones(1, complex), max_steps=max_steps)
+    assert sizes == [1] * max_steps
+    lo, hi = re.search(r"at \[(\S+), (\S+)\] Hz", str(err.value)).groups()
+    assert 0.0 <= float(lo) < 37.3 <= float(hi) < 100.0
 
 
 def test_no_crossover_when_imag_stays_positive():
+    lam_at = lambda f: 0.5 + 1j * (1.0 + 0.01 * f)
     freqs = np.arange(10.0, 100.0, 10.0)
-    lam = 0.5 + 1j * (1.0 + 0.01 * freqs)
-    assert find_crossovers(synthetic_trace(freqs, lam)) == []
+    assert find_crossovers(synthetic_trace(freqs, lam_at(freqs)), scalar_matrices(lam_at)) == []
 
 
 # --- assessment ---
 
 def test_assess_stable_without_crossovers():
+    lam_at = lambda f: 0.5 + 1j * (1.0 + 0.01 * f)
     freqs = np.arange(10.0, 100.0, 10.0)
-    lam = 0.5 + 1j * (1.0 + 0.01 * freqs)
-    report = assess([synthetic_trace(freqs, lam)])
+    report = assess([synthetic_trace(freqs, lam_at(freqs))], scalar_matrices(lam_at))
     assert report.stable
     assert report.events == ()
 
 
 def test_assess_flags_negative_crossover_trace():
+    lam_at = lambda f: -0.0049 + 1j * (f - 1000.0) / 1000.0
     freqs = np.arange(990.0, 1011.0)
-    lam = -0.0049 + 1j * (freqs - 1000.0) / 1000.0
-    report = assess([synthetic_trace(freqs, lam)])
+    report = assess([synthetic_trace(freqs, lam_at(freqs))], scalar_matrices(lam_at))
     assert not report.stable
     assert report.critical_trace_ids == (1,)
     assert report.events[0].re_lambda == pytest.approx(-0.0049, abs=1e-12)
 
 
 def test_assess_stable_with_margin_crossings():
+    lam_at = lambda f: 0.02 + 1j * (f - 1000.0) / 1000.0
     freqs = np.arange(990.0, 1011.0)
-    lam = 0.02 + 1j * (freqs - 1000.0) / 1000.0
-    report = assess([synthetic_trace(freqs, lam)], margin=0.005)
+    report = assess([synthetic_trace(freqs, lam_at(freqs))], scalar_matrices(lam_at),
+                    margin=0.005)
     assert report.stable
     assert report.events[0].verdict == "stable-crossing"
 
