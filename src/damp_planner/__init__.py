@@ -40,6 +40,7 @@ from .stability_engine import (
     EigenSample,
     EigenTrace,
     EigNonConvergenceError,
+    Spectrum,
     StabilityReport,
     analyze,
     assess,

@@ -34,6 +34,7 @@ from .stability_engine import (
     EigenTrace,
     StabilityReport,
     _pick_matching_eig,
+    _sign_change_steps,
     analyze,
     eig_lr,
     eig_lr_batch,
@@ -290,13 +291,14 @@ class _CriticalFollower:
         lo = max(self.f_bounds[0], self.f_cr - window)
         hi = min(self.f_bounds[1], self.f_cr + window)
         fs = [float(f) for f in np.linspace(lo, hi, 9)]
-        ims = [smp.lam[_pick_matching_eig(smp, self.u_ref)].imag
-               for smp in eig_lr_batch(self._matrices_at(fs, alpha), fs)]
-        # bracket whose midpoint is nearest the previous crossover
-        brackets = [i for i in range(len(fs) - 1)
-                    if ims[i] == 0.0 or ims[i] * ims[i + 1] < 0]
-        if not brackets:
+        spec = eig_lr_batch(self._matrices_at(fs, alpha), fs)
+        # Im of the followed eigenvalue (best overlap with u_ref) at each point
+        picked = np.argmax(np.abs(self.u_ref @ spec.w), axis=-1)
+        ims = spec.lam[np.arange(len(fs)), picked].imag
+        brackets = _sign_change_steps(ims)
+        if not brackets.size:
             return None
+        # bracket whose midpoint is nearest the previous crossover
         i = min(brackets, key=lambda i: abs(0.5 * (fs[i] + fs[i + 1]) - self.f_cr))
         try:
             return refine_crossover(lambda fs: self._matrices_at(fs, alpha),
@@ -316,9 +318,11 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     Per critical crossover, conductance is added in dalpha steps; after
     each step the critical eigenvalue and its (drifting) crossover
     frequency are re-identified with the step's conductance installed,
-    and the first-order shift is accumulated.  The band-level requirement
-    is the largest per-eigenvalue conductance over the band spanned by
-    the crossover frequencies, padded outward to the nearest 100 Hz.
+    and the first-order shift is accumulated; the final crossover
+    frequency is located once more with alpha_s itself installed.  The
+    band-level requirement is the largest per-eigenvalue conductance
+    over the band spanned by the crossover frequencies, padded outward
+    to the nearest 100 Hz.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
@@ -339,11 +343,13 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
             return sensitivity(smp, j, node_index).dlam_dalpha
 
         alpha, iters, shift = accumulate_alpha(ev.re_lambda, epsilon, dalpha, kc_at)
+        # kc_at ran at alpha - dalpha last: locate the crossover at alpha itself
+        final, _ = follower.locate(alpha)
         entries.append(PlanEntry(
             trace_id=ev.trace_id,
             node_index=node_index,
             f_cr_start_hz=ev.f_cr_hz,
-            f_cr_final_hz=follower.f_cr,
+            f_cr_final_hz=final.f_hz,
             re_lambda_start=ev.re_lambda,
             alpha_s=alpha,
             iterations=iters,

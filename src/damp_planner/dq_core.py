@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,13 +87,13 @@ class FrequencyGrid:
     omega0: float = 2 * math.pi * 50.0
 
     def __post_init__(self):
-        object.__setattr__(self, "frequencies", tuple(float(f) for f in self.frequencies))
-        f = self.frequencies
-        if not f:
+        f = np.array(self.frequencies, dtype=float)
+        object.__setattr__(self, "frequencies", tuple(f.tolist()))
+        if not len(f):
             raise ValueError("empty frequency grid")
         if f[0] <= 0:
             raise ValueError("frequencies must be > 0")
-        if any(b <= a for a, b in zip(f, f[1:])):
+        if np.any(f[1:] <= f[:-1]):
             raise ValueError("frequencies must be strictly increasing")
 
     @classmethod
@@ -101,11 +102,13 @@ class FrequencyGrid:
         if fmin <= 0 or fmax < fmin or df <= 0:
             raise ValueError("need 0 < fmin <= fmax and df > 0")
         n = int(round((fmax - fmin) / df)) + 1
-        return cls(tuple(fmin + k * df for k in range(n)), omega0)
+        return cls(fmin + np.arange(n) * df, omega0)
 
-    @property
+    @cached_property
     def hz(self) -> np.ndarray:
-        return np.asarray(self.frequencies)
+        hz = np.array(self.frequencies)
+        hz.flags.writeable = False  # one array per grid, shared by every caller
+        return hz
 
     def __len__(self) -> int:
         return len(self.frequencies)

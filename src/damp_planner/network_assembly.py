@@ -135,6 +135,12 @@ def validate(g: NetworkGraph) -> list[str]:
         if reached != seen:
             missing = sorted(seen - reached)
             out.append(f"graph is disconnected; unreachable nodes {missing}")
+
+    # a bare node's rows and columns are zero: every eigenvalue there is 0
+    attached = {s.node for s in g.shunts}
+    attached.update(nid for b in g.branches for nid in (b.from_node, b.to_node))
+    out.extend(f"node {nid} has no branch and no shunt"
+               for nid in g.nodes if nid not in attached)
     return out
 
 

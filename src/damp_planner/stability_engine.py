@@ -50,14 +50,27 @@ class EigenSample:
     w: np.ndarray
     u: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return len(self.lam)
+
+@dataclass(frozen=True)
+class Spectrum:
+    """EigenSamples stacked over frequency: f_hz (nf,), lam (nf, m), w and
+    u (nf, m, m); spec[k] is the EigenSample at f_hz[k], a view of row k."""
+
+    f_hz: np.ndarray
+    lam: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.f_hz)
+
+    def __getitem__(self, k: int) -> EigenSample:
+        return EigenSample(float(self.f_hz[k]), self.lam[k], self.w[k], self.u[k])
 
 
-def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> list[EigenSample]:
+def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> Spectrum:
     """eig_lr over a stack of matrices (len(f_hz), m, m), one decomposition
-    call for the whole stack.
+    call for the whole stack, returned as one Spectrum.
 
     Raises ValueError on non-finite entries and EigNonConvergenceError
     naming the first frequency whose iteration fails; warns
@@ -88,7 +101,7 @@ def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> list[EigenSample]:
     for k in np.flatnonzero(cond > 1e10):
         warnings.warn(f"near-defective matrix at f={f_hz[k]} Hz (cond_F(W)={cond[k]:.2e})",
                       DefectiveMatrixWarning, stacklevel=2)
-    return [EigenSample(float(f), lam[k], w[k], u[k]) for k, f in enumerate(f_hz)]
+    return Spectrum(np.asarray(f_hz, dtype=float), lam, w, u)
 
 
 def eig_lr(m: np.ndarray, f_hz: float = float("nan")) -> EigenSample:
@@ -97,9 +110,9 @@ def eig_lr(m: np.ndarray, f_hz: float = float("nan")) -> EigenSample:
     return eig_lr_batch(np.asarray(m)[None], [f_hz])[0]
 
 
-def sweep(g: NetworkGraph, grid: FrequencyGrid) -> list[EigenSample]:
-    """One EigenSample per grid frequency, in grid order: the grid assembled
-    in one batch and decomposed by eig_lr_batch, with all its checks."""
+def sweep(g: NetworkGraph, grid: FrequencyGrid) -> Spectrum:
+    """The Spectrum of the grid, in grid order: the grid assembled in one
+    batch and decomposed by eig_lr_batch, with all its checks."""
     return eig_lr_batch(assemble_grid(g, grid.hz), grid.hz)
 
 
@@ -136,16 +149,11 @@ def _greedy_match(score: np.ndarray, lam_prev: np.ndarray, lam_next: np.ndarray)
     dist = np.abs(lam_prev[:, None] - lam_next[None, :])
     order = sorted(
         ((-score[a, b], dist[a, b], a, b) for a in range(m) for b in range(m)))
-    taken_rows: set[int] = set()
     taken_cols: set[int] = set()
     for _, _, a, b in order:
-        if a in taken_rows or b in taken_cols:
-            continue
-        perm[a] = b
-        taken_rows.add(a)
-        taken_cols.add(b)
-        if len(taken_rows) == m:
-            break
+        if perm[a] < 0 and b not in taken_cols:
+            perm[a] = b
+            taken_cols.add(b)
     return perm
 
 
@@ -162,68 +170,50 @@ def _fast_match(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, is_perm & np.all(strict, axis=-1)
 
 
-# tracking steps whose spectra are stacked at once; bounds the memory of
-# the batched overlap scores
+# tracking steps scored by one batched product; bounds the scores' memory
 _TRACK_BLOCK = 128
 
 
-def track(samples: Sequence[EigenSample]) -> list[EigenTrace]:
-    """Connect per-frequency spectra into continuous eigenvalue traces.
+def track(spec: Spectrum) -> list[EigenTrace]:
+    """Connect the spectra of a sweep into continuous eigenvalue traces.
 
-    Consecutive samples are matched greedily on the left/right
+    Consecutive frequencies are matched greedily on the left/right
     eigenvector overlap |u_k(f) . w_j(f+df)| (1 for a perfectly continued
     pair under the biorthogonal normalization), so traces keep their
     identity through eigenvalue near-collisions where plain
     value-proximity matching would swap them.
 
-    The overlap scores of a block of steps come from one batched product.
-    Where a step's row argmax is a permutation with a strict maximum in
-    every row, that is the greedy result and is used directly; the other
-    steps go through _greedy_match.
+    The overlap scores of a block of steps are one batched product of
+    slices of spec.u and spec.w.  Where a step's row argmax is a
+    permutation with a strict maximum in every row, that is the greedy
+    result; the other steps go through _greedy_match.
     """
-    if len(samples) < 2:
+    nf, m = spec.lam.shape
+    if nf < 2:
         raise ValueError("tracking needs at least 2 samples")
-    m = samples[0].size
-    nf = len(samples)
-
-    idx = np.empty((nf, m), dtype=int)
-    idx[0] = np.argsort(-np.abs(samples[0].lam), kind="stable")
+    idx = np.empty((nf, m), dtype=int)  # [step, trace] -> eigenvalue index
+    idx[0] = np.argsort(-np.abs(spec.lam[0]), kind="stable")
     overlaps = np.ones((nf - 1, m))
-    # per trace: eigenvalue, left and right eigenvector at every sample
-    lam_tr = [np.empty(nf, dtype=complex) for _ in range(m)]
-    u_tr = [np.empty((nf, m), dtype=complex) for _ in range(m)]
-    w_tr = [np.empty((nf, m), dtype=complex) for _ in range(m)]
-
     for start in range(0, nf - 1, _TRACK_BLOCK):
-        block = samples[start:start + _TRACK_BLOCK + 1]
-        lam = np.stack([s.lam for s in block])
-        u = np.stack([s.u for s in block])
-        w = np.stack([s.w for s in block])
-        score = np.abs(u[:-1] @ w[1:])
+        stop = min(start + _TRACK_BLOCK, nf - 1)  # steps t -> t + 1 for t in [start, stop)
+        score = np.abs(spec.u[start:stop] @ spec.w[start + 1:stop + 1])
         best, fast = _fast_match(score)
-        for k in range(len(block) - 1):
-            t = start + k
+        for k, t in enumerate(range(start, stop)):
             if fast[k]:
                 idx[t + 1] = best[k, idx[t]]
             else:
-                idx[t + 1] = _greedy_match(score[k, idx[t]], lam[k, idx[t]], lam[k + 1])
-        span = slice(start, start + len(block))
-        rows = idx[span]  # [step, trace] -> eigenvalue index in the block's samples
-        at = np.arange(len(block))[:, None]
-        overlaps[start:span.stop - 1] = score[at[:-1], rows[:-1], rows[1:]]
-        lam_b, u_b, w_b = lam[at, rows], u[at, rows], w[at, :, rows]
-        for k in range(m):
-            lam_tr[k][span] = lam_b[:, k]
-            u_tr[k][span] = u_b[:, k]
-            w_tr[k][span] = w_b[:, k]
+                idx[t + 1] = _greedy_match(score[k, idx[t]], spec.lam[t, idx[t]],
+                                           spec.lam[t + 1])
+        overlaps[start:stop] = score[np.arange(stop - start)[:, None],
+                                     idx[start:stop], idx[start + 1:stop + 1]]
 
-    f = np.array([s.f_hz for s in samples])
-    traces = []
-    for k in range(m):
-        ov = overlaps[:, k]
-        disc = tuple(int(i) for i in np.nonzero(ov < DEFAULT_OVERLAP_THRESHOLD)[0])
-        traces.append(EigenTrace(k + 1, f, lam_tr[k], u_tr[k], w_tr[k], ov, disc))
-    return traces
+    # per trace k and step t: eigenvalue, left and right eigenvector
+    steps, pick = np.arange(nf), idx.T
+    lam_tr, u_tr, w_tr = spec.lam[steps, pick], spec.u[steps, pick], spec.w[steps, :, pick]
+    ov = overlaps.T
+    return [EigenTrace(k + 1, spec.f_hz, lam_tr[k], u_tr[k], w_tr[k], ov[k],
+                       tuple(np.flatnonzero(ov[k] < DEFAULT_OVERLAP_THRESHOLD).tolist()))
+            for k in range(m)]
 
 
 @dataclass(frozen=True)
@@ -286,33 +276,34 @@ def refine_crossover(matrices_at: Callable[[Sequence[float]], np.ndarray],
         f"in {max_steps} steps (last lambda={lam})")
 
 
+def _sign_change_steps(im: np.ndarray) -> np.ndarray:
+    """Ascending steps t with im[t] == 0 or a sign change from t to t + 1."""
+    return np.flatnonzero((im[:-1] == 0) | (im[:-1] * im[1:] < 0))
+
+
 def find_crossovers(trace: EigenTrace,
                     matrices_at: Callable[[Sequence[float]], np.ndarray],
                     margin: float = 0.0) -> list[CrossoverEvent]:
-    """Zero crossings of Im[lambda] along one trace.
+    """Zero crossings of Im[lambda] along one trace, in frequency order.
 
-    Each sign change between adjacent samples is refined by
-    refine_crossover (Illinois regula falsi on the bracketing samples'
-    Im values) on matrices_at(fs) -> (len(fs), m, m), freshly decomposed,
-    to |Im| <= 1e-6 * max(1, |Re|); a sample exactly at Im = 0 is taken
-    as it is.
+    Each sign change that _sign_change_steps finds between adjacent
+    samples is refined by refine_crossover (Illinois regula falsi on the
+    bracketing samples' Im values) on matrices_at(fs) -> (len(fs), m, m),
+    to |Im| <= 1e-6 * max(1, |Re|); a sample at Im = 0 is taken as is.
     """
     events: list[CrossoverEvent] = []
     im = trace.lam.imag
     re = trace.lam.real
     f = trace.f_hz
-    for t in range(len(trace) - 1):
+    for t in _sign_change_steps(im):
+        direction = "falling" if im[t + 1] < 0 else "rising"
         if im[t] == 0.0:
-            direction = "falling" if im[t + 1] < 0 else "rising"
-            events.append(_make_event(trace.trace_id, float(f[t]), float(re[t]),
-                                      direction, margin))
-            continue
-        if im[t] * im[t + 1] < 0:
-            direction = "falling" if im[t] > 0 else "rising"
+            f_cr, re_cr = float(f[t]), float(re[t])
+        else:
             smp, j = refine_crossover(matrices_at, float(f[t]), float(f[t + 1]),
                                       float(im[t]), float(im[t + 1]), trace.u[t])
-            events.append(_make_event(trace.trace_id, smp.f_hz,
-                                      float(smp.lam[j].real), direction, margin))
+            f_cr, re_cr = smp.f_hz, float(smp.lam[j].real)
+        events.append(_make_event(trace.trace_id, f_cr, re_cr, direction, margin))
     if len(trace) and im[-1] == 0.0:
         events.append(_make_event(trace.trace_id, float(f[-1]), float(re[-1]),
                                   "rising" if im[-2] < 0 else "falling", margin))
@@ -385,14 +376,15 @@ def nyquist_winding(trace: EigenTrace, origin_tol: float = 1e-9) -> int | None:
 def analyze(g: NetworkGraph, grid: FrequencyGrid):
     """Sweep, track and assess in one call.
 
-    Returns (samples, traces, report).  The sweep and the crossover
-    refinement decompose through eig_lr_batch and its checks; crossovers
-    are refined by Illinois regula falsi against matrices re-assembled
-    with matrices_at(fs) = assemble_grid(g, fs), one point per step, and
+    Returns (spectrum, traces, report), the traces tracked on the sweep's
+    one Spectrum.  The sweep and the crossover refinement decompose
+    through eig_lr_batch and its checks; crossovers are refined by
+    Illinois regula falsi against matrices re-assembled with
+    matrices_at(fs) = assemble_grid(g, fs), one point per step, and
     tracking steps with overlap below DEFAULT_OVERLAP_THRESHOLD are
     flagged.
     """
-    samples = sweep(g, grid)
-    traces = track(samples)
+    spec = sweep(g, grid)
+    traces = track(spec)
     report = assess(traces, lambda fs: assemble_grid(g, fs))
-    return samples, traces, report
+    return spec, traces, report

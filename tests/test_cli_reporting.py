@@ -70,6 +70,17 @@ def test_empty_node_list_is_a_validation_error(tmp_path):
         load_network(path)
 
 
+def test_bare_node_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "bare.json"
+    path.write_text('{"nodes": [1]}')
+    with pytest.raises(NetworkFileError, match="node 1 has no branch and no shunt"):
+        load_network(path)
+    code = main(["criticals", "--network", str(path), "--out", str(tmp_path / "out"),
+                 "--fmin", "10", "--fmax", "100"])
+    assert code == 1
+    assert "node 1 has no branch and no shunt" in capsys.readouterr().err
+
+
 def test_json_syntax_error_reports_position(tmp_path):
     path = tmp_path / "syntax.json"
     path.write_text('{"nodes": [1,]\n}')

@@ -272,23 +272,23 @@ def test_fixture_plan_at_node_4_is_pinned(case_graph):
     cplan = plan(case_graph, 4, traces, report, epsilon=0.005)
     got = [(e.trace_id, e.iterations, e.alpha_s, e.f_cr_final_hz)
            for e in cplan.entries]
-    expected = [(8, 47, 0.047, 178.4933484235984),
-                (5, 34, 0.034, 1755.7632246707185),
-                (6, 46, 0.046, 1886.417827574692)]
+    expected = [(8, 47, 0.047, 178.4869934877992),
+                (5, 34, 0.034, 1755.1259463875208),
+                (6, 46, 0.046, 1885.6011142622554)]
     assert [g[:2] for g in got] == [x[:2] for x in expected]
     for (_, _, alpha, f_cr), (_, _, alpha_x, f_cr_x) in zip(got, expected):
         assert alpha == pytest.approx(alpha_x, rel=1e-12)
         assert abs(f_cr - f_cr_x) <= 1e-9
     assert calibrate_ad(cplan, AD_BASE).k_v == 1.4072265625
     # the pinned points are crossovers: an independent decomposition with
-    # the conductance of the last located step, alpha_s - dalpha, installed
-    # has the followed eigenvalue on the real axis
+    # the planned conductance alpha_s installed has the followed eigenvalue
+    # on the real axis
     p = 2 * case_graph.node_index(4)
     trace_by_id = {t.trace_id: t for t in traces}
     for trace_id, _, alpha, f_cr in expected:
         m = assemble(case_graph, f_cr)
-        m[p, p] += alpha - cplan.dalpha_s
-        m[p + 1, p + 1] += alpha - cplan.dalpha_s
+        m[p, p] += alpha
+        m[p + 1, p + 1] += alpha
         smp = eig_lr(m, f_cr)
         tr = trace_by_id[trace_id]
         u_ref = tr.u[int(np.searchsorted(tr.f_hz, f_cr))]

@@ -88,5 +88,25 @@ def test_grid_regular():
 
 @pytest.mark.parametrize("freqs", [(), (0.0, 1.0), (10.0, 10.0), (20.0, 10.0)])
 def test_grid_rejects_bad_frequencies(freqs):
-    with pytest.raises(ValueError):
+    message = {(): "empty frequency grid", (0.0, 1.0): "must be > 0"}.get(
+        freqs, "strictly increasing")
+    with pytest.raises(ValueError, match=message):
         FrequencyGrid(freqs)
+
+
+def test_grid_regular_equals_listed_frequencies():
+    g = FrequencyGrid.regular(2.0, 5000.0, 2.0)
+    listed = FrequencyGrid(tuple(2.0 + k * 2.0 for k in range(2500)))
+    assert g.frequencies == listed.frequencies
+    assert all(type(f) is float for f in g.frequencies)
+    assert g == listed and hash(g) == hash(listed)
+
+
+def test_grid_hz_is_one_read_only_array():
+    g = FrequencyGrid((10.0, 20.0, 40.0))
+    hz = g.hz
+    assert hz is g.hz
+    assert hz.tolist() == [10.0, 20.0, 40.0]
+    with pytest.raises(ValueError):
+        hz[0] = 5.0
+    assert g == FrequencyGrid([10.0, 20.0, 40.0])

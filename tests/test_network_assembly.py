@@ -66,6 +66,14 @@ def test_disconnected_graph_is_diagnosed():
     assert any("disconnected" in d for d in diags)
 
 
+def test_bare_node_is_diagnosed():
+    # no branch and no shunt: the node's rows are zero at every frequency
+    assert validate(NetworkGraph((1,), (), (), W0)) == ["node 1 has no branch and no shunt"]
+    g = NetworkGraph((1, 2), (Branch(1, 2, RlBranchParams(0.1, 1e-3)),),
+                     (Shunt(1, CapacitorParams(10e-6)),), W0)
+    assert validate(g) == []  # node 2 is attached by its branch
+
+
 def test_empty_node_list_is_diagnosed():
     assert validate(NetworkGraph((), (), (), W0)) != []
 

@@ -16,6 +16,7 @@ from damp_planner.stability_engine import (
     EigenSample,
     EigenTrace,
     EigNonConvergenceError,
+    Spectrum,
     _greedy_match,
     _pick_matching_eig,
     analyze,
@@ -77,9 +78,12 @@ def test_eig_batch_equals_single_decompositions_bitwise(case_graph):
     fs = [10.0, 179.2, 503.7, 1755.5, 1886.4, 2500.0]
     mats = assemble_grid(case_graph, fs)
     batch = eig_lr_batch(mats, fs)
-    assert [s.f_hz for s in batch] == fs
-    for m, f, got in zip(mats, fs, batch):
-        want = eig_lr(m, f)
+    assert isinstance(batch, Spectrum) and len(batch) == len(fs)
+    assert batch.f_hz.tolist() == fs
+    assert batch.lam.shape == (6, 8) and batch.w.shape == batch.u.shape == (6, 8, 8)
+    for k, (m, f) in enumerate(zip(mats, fs)):
+        got, want = batch[k], eig_lr(m, f)
+        assert type(got.f_hz) is float and got.f_hz == f
         assert np.array_equal(got.lam, want.lam)
         assert np.array_equal(got.w, want.w)
         assert np.array_equal(got.u, want.u)
@@ -161,11 +165,10 @@ def reference_sweep(g, grid):
 
 def assert_sweep_equals_reference(g, grid):
     got, want = sweep(g, grid), reference_sweep(g, grid)
-    assert [s.f_hz for s in got] == [s.f_hz for s in want]
-    for a, b in zip(got, want):
-        assert np.array_equal(a.lam, b.lam)
-        assert np.array_equal(a.w, b.w)
-        assert np.array_equal(a.u, b.u)
+    assert got.f_hz.tolist() == [s.f_hz for s in want]
+    assert np.array_equal(got.lam, np.stack([s.lam for s in want]))
+    assert np.array_equal(got.w, np.stack([s.w for s in want]))
+    assert np.array_equal(got.u, np.stack([s.u for s in want]))
 
 
 def test_sweep_equals_stacked_reference_on_fixture(case_graph):
@@ -176,6 +179,20 @@ def test_sweep_equals_stacked_reference_on_random_systems():
     grid = FrequencyGrid.regular(2.0, 5000.0, 5.0)
     for seed in range(20):
         assert_sweep_equals_reference(make_random_small_system(seed), grid)
+
+
+def test_sweep_builds_no_per_frequency_samples(case_graph, monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(1)
+        return EigenSample(*args)
+
+    monkeypatch.setattr(stability_engine, "EigenSample", counted)
+    spec = sweep(case_graph, FrequencyGrid.regular(10.0, 2500.0, 10.0))
+    track(spec)
+    assert len(spec) == 250 and built == []
+    assert spec[3].f_hz == 40.0 and built == [1]
 
 
 def test_sweep_nonconvergence_names_the_frequency(eig_failing_on_7, monkeypatch):
@@ -231,7 +248,7 @@ def test_eigen_residuals_on_fixture_sweep(case_graph):
 
 def test_track_constant_matrix_is_perfect(rng):
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    samples = [eig_lr(m, f) for f in (10.0, 20.0, 30.0)]
+    samples = eig_lr_batch(np.stack([m, m, m]), [10.0, 20.0, 30.0])
     traces = track(samples)
     for tr in traces:
         assert tr.discontinuities == ()
@@ -246,11 +263,11 @@ def test_track_follows_eigenvectors_through_value_crossing():
     q = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     fc = 1000.5
     freqs = np.arange(995.0, 1006.0)
-    samples = []
+    mats = []
     for f in freqs:
         d = np.diag([1.0 + 1j * (f - fc) / 1000.0, 1.0 - 1j * (f - fc) / 1000.0])
-        samples.append(eig_lr(q @ d @ q.T, f))
-    traces = track(samples)
+        mats.append(q @ d @ q.T)
+    traces = track(eig_lr_batch(np.stack(mats), freqs))
     rising = [tr for tr in traces if tr.lam.imag[-1] > tr.lam.imag[0]]
     falling = [tr for tr in traces if tr.lam.imag[-1] < tr.lam.imag[0]]
     assert len(rising) == 1 and len(falling) == 1
@@ -268,10 +285,12 @@ def test_track_fixture_no_discontinuities(case_graph):
         assert tr.discontinuities == ()
 
 
-def reference_track(samples, overlap_threshold=0.5):
+def reference_track(spec, overlap_threshold=0.5):
     """Per trace (lam, u, w, overlaps, discontinuities) from the plain
-    step-by-step loop that calls _greedy_match at every step."""
-    m, nf = samples[0].size, len(samples)
+    step-by-step loop over per-frequency samples that calls _greedy_match
+    at every step."""
+    samples = [spec[t] for t in range(len(spec))]
+    m, nf = len(samples[0].lam), len(samples)
     idx = np.empty((nf, m), dtype=int)
     idx[0] = np.argsort(-np.abs(samples[0].lam), kind="stable")
     overlaps = np.ones((nf - 1, m))
@@ -290,11 +309,11 @@ def reference_track(samples, overlap_threshold=0.5):
     return out
 
 
-def assert_track_equals_reference(samples):
-    traces = track(samples)
-    assert [tr.trace_id for tr in traces] == list(range(1, samples[0].size + 1))
-    for tr, (lam, u, w, ov, disc) in zip(traces, reference_track(samples)):
-        assert np.array_equal(tr.f_hz, [s.f_hz for s in samples])
+def assert_track_equals_reference(spec):
+    traces = track(spec)
+    assert [tr.trace_id for tr in traces] == list(range(1, spec.lam.shape[1] + 1))
+    for tr, (lam, u, w, ov, disc) in zip(traces, reference_track(spec)):
+        assert np.array_equal(tr.f_hz, [spec[t].f_hz for t in range(len(spec))])
         assert np.array_equal(tr.lam, lam)
         assert np.array_equal(tr.u, u)
         assert np.array_equal(tr.w, w)
@@ -315,13 +334,14 @@ def test_track_equals_greedy_reference_on_random_systems():
 
 
 def _two_step_samples(score_matrix, lam_next, lam_prev=(3.0, 2.0, 1.0)):
-    """Samples whose single tracking step scores |u_0 . w_1| = score_matrix
-    (w_0 = u_0 = I, w_1 = score_matrix)."""
+    """Two-frequency Spectrum whose single tracking step scores
+    |u_0 . w_1| = score_matrix (w_0 = u_0 = I, w_1 = score_matrix); built
+    from its arrays, since no decomposition yields these exact scores."""
     m = len(lam_prev)
     w1 = np.asarray(score_matrix, dtype=complex)
-    return [EigenSample(1.0, np.asarray(lam_prev, complex), np.eye(m, dtype=complex),
-                        np.eye(m, dtype=complex)),
-            EigenSample(2.0, np.asarray(lam_next, complex), w1, np.linalg.inv(w1))]
+    eye = np.eye(m, dtype=complex)
+    return Spectrum(np.array([1.0, 2.0]), np.array([lam_prev, lam_next], complex),
+                    np.stack([eye, w1]), np.stack([eye, np.linalg.inv(w1)]))
 
 
 @pytest.mark.parametrize("score, lam_next, expected_next", [
@@ -481,6 +501,49 @@ def test_no_crossover_when_imag_stays_positive():
     lam_at = lambda f: 0.5 + 1j * (1.0 + 0.01 * f)
     freqs = np.arange(10.0, 100.0, 10.0)
     assert find_crossovers(synthetic_trace(freqs, lam_at(freqs)), scalar_matrices(lam_at)) == []
+
+
+def reference_find_crossovers(trace, matrices_at, margin=0.0):
+    """find_crossovers as the plain loop over every step of the trace."""
+    events = []
+    im, re_, f = trace.lam.imag, trace.lam.real, trace.f_hz
+    for t in range(len(trace) - 1):
+        if im[t] == 0.0:
+            direction = "falling" if im[t + 1] < 0 else "rising"
+            events.append(stability_engine._make_event(
+                trace.trace_id, float(f[t]), float(re_[t]), direction, margin))
+            continue
+        if im[t] * im[t + 1] < 0:
+            direction = "falling" if im[t] > 0 else "rising"
+            smp, j = refine_crossover(matrices_at, float(f[t]), float(f[t + 1]),
+                                      float(im[t]), float(im[t + 1]), trace.u[t])
+            events.append(stability_engine._make_event(
+                trace.trace_id, smp.f_hz, float(smp.lam[j].real), direction, margin))
+    if len(trace) and im[-1] == 0.0:
+        events.append(stability_engine._make_event(
+            trace.trace_id, float(f[-1]), float(re_[-1]),
+            "rising" if im[-2] < 0 else "falling", margin))
+    return events
+
+
+@pytest.mark.parametrize("freqs, im_at, n_events", [
+    # Im exactly 0 at the first sample
+    (np.arange(1000.0, 1011.0), lambda f: (f - 1000.0) / 1000.0, 1),
+    # at an interior sample, then a refined sign change at 1005.5
+    (np.arange(990.0, 1011.0), lambda f: (f - 1000.0) * (f - 1005.5) / 1000.0, 2),
+    # at two consecutive samples (Im = 0 on [1000, 1001], positive before, negative after)
+    (np.arange(990.0, 1011.0),
+     lambda f: -(min(f - 1000.0, 0.0) + max(f - 1001.0, 0.0)) / 1000.0, 2),
+    # at the last sample
+    (np.arange(990.0, 1001.0), lambda f: (f - 1000.0) / 1000.0, 1),
+], ids=["first", "interior", "two-consecutive", "last"])
+def test_find_crossovers_exact_zeros_match_the_plain_loop(freqs, im_at, n_events):
+    lam_at = lambda f: -0.01 + 1j * im_at(f)
+    trace = synthetic_trace(freqs, [lam_at(f) for f in freqs])
+    assert np.count_nonzero(trace.lam.imag == 0.0) >= 1
+    events = find_crossovers(trace, scalar_matrices(lam_at))
+    assert len(events) == n_events
+    assert events == reference_find_crossovers(trace, scalar_matrices(lam_at))
 
 
 # --- assessment ---
