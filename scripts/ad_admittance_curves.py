@@ -6,6 +6,7 @@ gain).  Emits plot-ready CSVs."""
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -14,6 +15,9 @@ import numpy as np
 from damp_planner import FrequencyGrid, ad_curve_cluster
 from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS
 from damp_planner.component_models import ADParams, ad_scalar
+
+# the case study is a 50 Hz system (the fixture's fundamental_hz)
+OMEGA0 = 2 * math.pi * 50.0
 
 
 def write_curves(path: Path, header: list[str], rows) -> None:
@@ -39,7 +43,7 @@ def main() -> int:
     rows = []
     for mode in ("proposed", "traditional"):
         p = dataclasses.replace(base, mode=mode)
-        y = ad_scalar(p, grid.hz, grid.omega0)
+        y = ad_scalar(p, grid.hz, OMEGA0)
         with np.errstate(divide="ignore"):
             ratio = np.abs(y.imag / y.real)
         rows += [[mode, f"{f:.9g}", f"{v.real:.9g}", f"{v.imag:.9g}", f"{r:.9g}"]
@@ -54,7 +58,7 @@ def main() -> int:
     }
     for param, values in sweeps.items():
         rows = []
-        for curve in ad_curve_cluster(base, param, values, grid):
+        for curve in ad_curve_cluster(base, param, values, grid.hz, OMEGA0):
             rows += [[f"{curve.value:.9g}", f"{f:.9g}", f"{v.real:.9g}", f"{v.imag:.9g}"]
                      for f, v in zip(curve.f_hz, curve.y)]
         write_curves(out / f"cluster_{param}.csv",

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .component_models import (
     ADParams,
@@ -32,7 +30,6 @@ from .component_models import (
     InverterParams,
     PiCableParams,
     RlBranchParams,
-    ad_scalar,
     ad_curve_cluster,
 )
 from .compensation_planner import (
@@ -66,7 +63,8 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one command run depends on (hashed into every report)."""
+    """Everything one command run depends on (hashed into every report);
+    its defaults are the command line's."""
 
     network: str
     fmin_hz: float = 10.0
@@ -76,14 +74,17 @@ class RunConfig:
     dalpha_s: float = 1e-3
     node: int | None = None
     ad_mode: str = "proposed"
-    k_v: float | None = None
+    k_v: float = 1.0  # the damper gain ad-curve plots
     out_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
-    candidate_nodes: tuple[int, ...] | None = None
     cluster_param: str | None = None
-    cluster_values: tuple[float, ...] | None = None
+    cluster_values: tuple[float, ...] = ()
 
     def __post_init__(self):
+        for name in ("fmin_hz", "fmax_hz", "df_hz", "epsilon_s", "dalpha_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.fmin_hz <= 0 or self.fmax_hz < self.fmin_hz or self.df_hz <= 0:
             raise ValueError("sweep range must be positive and ordered")
         if self.epsilon_s <= 0:
@@ -190,6 +191,13 @@ def _read_document(path: Path) -> dict:
     return _at(f"{path}: top level", _expect, dict, doc)
 
 
+def _fundamental(path: Path, doc: dict) -> float:
+    """The network's fundamental angular frequency [rad/s], from the
+    document's fundamental_hz (50 Hz when absent)."""
+    return 2 * math.pi * _at(f"{path}: fundamental_hz", float,
+                             doc.get("fundamental_hz", 50.0))
+
+
 def load_network(path) -> NetworkGraph:
     """Parse and validate a network file; raises NetworkFileError naming
     the file and the parse position, the malformed element or all
@@ -198,8 +206,7 @@ def load_network(path) -> NetworkGraph:
     doc = _read_document(path)
     nodes, branches, shunts = (_at(f"{path}: {key}", _expect, list, doc.get(key, []))
                                for key in ("nodes", "branches", "shunts"))
-    omega0 = 2 * math.pi * _at(f"{path}: fundamental_hz", float,
-                               doc.get("fundamental_hz", 50.0))
+    omega0 = _fundamental(path, doc)
     nodes = tuple(_at(f"{path}: nodes[{i}]", int, n) for i, n in enumerate(nodes))
     branches = tuple(_at(f"{path}: branches[{i}]", _build_branch, i, b)
                      for i, b in enumerate(branches))
@@ -213,15 +220,14 @@ def load_network(path) -> NetworkGraph:
     return g
 
 
-def damper_defaults_from_file(path, mode: str = "proposed",
-                              k_v: float = 0.0) -> ADParams:
+def damper_defaults_from_file(path, mode: str = "proposed") -> ADParams:
     """AD base parameters from the network file's damper_defaults block,
-    falling back to the built-in case-study set when the block is absent."""
+    falling back to the built-in case-study set when the block is absent;
+    k_v is 0 (uncalibrated) unless the block sets it."""
     where = f"{Path(path)}: damper_defaults"
     params = _at(where, _expect, dict,
                  _read_document(Path(path)).get("damper_defaults", CASE_STUDY_AD_PARAMS))
-    # the file's k_v, when it has one, wins over the argument
-    return _at(where, ADParams, **{"k_v": k_v, **params, "mode": mode})
+    return _at(where, ADParams, **{"k_v": 0.0, **params, "mode": mode})
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +350,7 @@ def _events_data(events) -> list[dict]:
              "verdict": e.verdict} for e in events]
 
 
-def cmd_sweep(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
-    g = load_network(cfg.network)
-    _, traces, report = analyze(g, cfg.grid())
+def cmd_sweep(cfg: RunConfig, out: Path, g, traces, report):
     _write_csv(cfg, out / "traces.csv", ["f_hz", "trace_id", "re_lambda", "im_lambda"],
                _trace_rows(traces))
     doc = ReportDocument("sweep", cfg.hash(), _verdict_str(report),
@@ -355,9 +359,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
     return doc, EXIT_STABLE if report.stable else EXIT_UNSTABLE
 
 
-def cmd_criticals(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
-    g = load_network(cfg.network)
-    _, _, report = analyze(g, cfg.grid())
+def cmd_criticals(cfg: RunConfig, out: Path, g, traces, report):
     _write_csv(cfg, out / "crossovers.csv", ["trace_id", "f_cr_hz", "re_lambda", "verdict"],
                _crossover_rows(report.events))
     doc = ReportDocument("criticals", cfg.hash(), _verdict_str(report),
@@ -366,21 +368,15 @@ def cmd_criticals(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
     return doc, EXIT_STABLE if report.stable else EXIT_UNSTABLE
 
 
-def _ranked_nodes(g, traces, report, candidates=None, epsilon=0.005):
+def _ranked_nodes(g, traces, report, epsilon):
     coeffs = compensation_table(g, traces, report.critical_events)
-    if candidates is not None:
-        wanted = {g.node_index(n) for n in candidates}
-        coeffs = [c for c in coeffs if c.node_index in wanted]
     demands = {e.trace_id: max(epsilon - e.re_lambda, 1e-12)
                for e in report.critical_events}
     return coeffs, rank_locations(coeffs, demands)
 
 
-def cmd_rank(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
-    g = load_network(cfg.network)
-    _, traces, report = analyze(g, cfg.grid())
-    coeffs, ranks = _ranked_nodes(g, traces, report, cfg.candidate_nodes,
-                                  cfg.epsilon_s)
+def cmd_rank(cfg: RunConfig, out: Path, g, traces, report):
+    coeffs, ranks = _ranked_nodes(g, traces, report, cfg.epsilon_s)
     rows = [[g.nodes[c.node_index], c.trace_id, _fmt(c.f_cr_hz),
              _fmt(c.value.real), _fmt(c.value.imag)] for c in coeffs]
     _write_csv(cfg, out / "kc_table.csv",
@@ -391,19 +387,6 @@ def cmd_rank(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
         "crossovers": _events_data(report.events),
     })
     return doc, EXIT_STABLE
-
-
-def _plan_at(cfg: RunConfig, g, traces, report):
-    if cfg.node is not None:
-        node_id = cfg.node
-    else:
-        _, ranks = _ranked_nodes(g, traces, report, cfg.candidate_nodes,
-                                 cfg.epsilon_s)
-        if not ranks:
-            node_id = g.nodes[0]
-        else:
-            node_id = g.nodes[ranks[0].node_index]
-    return node_id, plan(g, node_id, traces, report, cfg.epsilon_s, cfg.dalpha_s)
 
 
 def _plan_data(g, node_id, cplan) -> dict:
@@ -424,10 +407,12 @@ def _plan_data(g, node_id, cplan) -> dict:
     }
 
 
-def cmd_plan(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
-    g = load_network(cfg.network)
-    _, traces, report = analyze(g, cfg.grid())
-    node_id, cplan = _plan_at(cfg, g, traces, report)
+def cmd_plan(cfg: RunConfig, out: Path, g, traces, report):
+    node_id = cfg.node
+    if node_id is None:
+        _, ranks = _ranked_nodes(g, traces, report, cfg.epsilon_s)
+        node_id = g.nodes[ranks[0].node_index] if ranks else g.nodes[0]
+    cplan = plan(g, node_id, traces, report, cfg.epsilon_s, cfg.dalpha_s)
     rows = [[e.trace_id, _fmt(e.f_cr_start_hz), _fmt(e.f_cr_final_hz),
              _fmt(e.alpha_s), e.iterations, _fmt(e.predicted_re)]
             for e in cplan.entries]
@@ -440,42 +425,27 @@ def cmd_plan(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
 
 
 def cmd_ad_curve(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
-    base = damper_defaults_from_file(cfg.network, mode=cfg.ad_mode)
-    k_v = cfg.k_v if cfg.k_v is not None else 1.0
-    p = dataclasses.replace(base, k_v=k_v)
-    grid = cfg.grid()
-    if cfg.cluster_param:
-        curves = ad_curve_cluster(p, cfg.cluster_param, cfg.cluster_values or (), grid)
-        rows = []
-        for c in curves:
-            for f, y in zip(c.f_hz, c.y):
-                ratio = abs(y.imag / y.real) if y.real else float("inf")
-                rows.append([_fmt(c.value), _fmt(f), _fmt(y.real), _fmt(y.imag),
-                             _fmt(ratio)])
-        _write_csv(cfg, out / "ad_curve_cluster.csv",
-                   [cfg.cluster_param, "f_hz", "re_y_s", "im_y_s", "abs_im_re_ratio"],
-                   rows)
-        data = {"mode": cfg.ad_mode, "k_v": k_v,
-                "cluster_param": cfg.cluster_param,
-                "cluster_values": list(cfg.cluster_values or ())}
+    path = Path(cfg.network)
+    omega0 = _fundamental(path, _read_document(path))
+    p = dataclasses.replace(damper_defaults_from_file(path, mode=cfg.ad_mode), k_v=cfg.k_v)
+    param = cfg.cluster_param
+    curves = ad_curve_cluster(p, param or "k_v", cfg.cluster_values if param else (cfg.k_v,),
+                              cfg.grid().hz, omega0)
+    rows = [[_fmt(c.value), _fmt(f), _fmt(y.real), _fmt(y.imag),
+             _fmt(abs(y.imag / y.real) if y.real else math.inf)]
+            for c in curves for f, y in zip(c.f_hz, c.y)]
+    header = ["f_hz", "re_y_s", "im_y_s", "abs_im_re_ratio"]
+    data = {"mode": cfg.ad_mode, "k_v": cfg.k_v}
+    if param:
+        _write_csv(cfg, out / "ad_curve_cluster.csv", [param, *header], rows)
+        data.update(cluster_param=param, cluster_values=list(cfg.cluster_values))
     else:
-        y = ad_scalar(p, grid.hz, grid.omega0)
-        with np.errstate(divide="ignore"):
-            ratio = np.abs(y.imag / y.real)
-        rows = [[_fmt(f), _fmt(v.real), _fmt(v.imag), _fmt(r)]
-                for f, v, r in zip(grid.hz, y, ratio)]
-        _write_csv(cfg, out / "ad_curve.csv",
-                   ["f_hz", "re_y_s", "im_y_s", "abs_im_re_ratio"], rows)
-        data = {"mode": cfg.ad_mode, "k_v": k_v}
-    doc = ReportDocument("ad-curve", cfg.hash(), None, data)
-    return doc, EXIT_STABLE
+        _write_csv(cfg, out / "ad_curve.csv", header, [row[1:] for row in rows])
+    return ReportDocument("ad-curve", cfg.hash(), None, data), EXIT_STABLE
 
 
-def cmd_verify(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
-    g = load_network(cfg.network)
-    _, traces, report = analyze(g, cfg.grid())
-    coeffs, ranks = _ranked_nodes(g, traces, report, cfg.candidate_nodes,
-                                  cfg.epsilon_s)
+def cmd_verify(cfg: RunConfig, out: Path, g, traces, report):
+    _, ranks = _ranked_nodes(g, traces, report, cfg.epsilon_s)
     if ranks:
         top_node = g.nodes[ranks[0].node_index]
     else:
@@ -485,7 +455,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
     # only moves where it is installed
     cplan = plan(g, top_node, traces, report, cfg.epsilon_s, cfg.dalpha_s)
     base = damper_defaults_from_file(cfg.network, mode="proposed")
-    calibrated = calibrate_ad(cplan, base, omega0=g.omega0, df=cfg.df_hz)
+    calibrated = calibrate_ad(cplan, base, omega0=g.omega0)
     if cfg.ad_mode == "traditional":
         calibrated = dataclasses.replace(calibrated, mode="traditional")
     install_node = cfg.node if cfg.node is not None else top_node
@@ -510,24 +480,36 @@ def cmd_verify(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
     return doc, EXIT_STABLE if after.stable else EXIT_UNSTABLE
 
 
-_COMMANDS = {
+# the analysis commands' report writers, each over (cfg, out, g, traces, report)
+_ANALYSIS_COMMANDS = {
     "sweep": cmd_sweep,
     "criticals": cmd_criticals,
     "rank": cmd_rank,
     "plan": cmd_plan,
-    "ad-curve": cmd_ad_curve,
     "verify": cmd_verify,
 }
 
 
 def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
     """Run one workflow command; writes its data files and report JSON
-    into cfg.out_dir and returns (report, exit code)."""
-    if command not in _COMMANDS:
+    into cfg.out_dir and returns (report, exit code).
+
+    The analysis commands (sweep, criticals, rank, plan, verify) load the
+    network and run the baseline analyze once, here; each then only
+    writes its report from (cfg, out, g, traces, report).  ad-curve
+    analyses no network: it reads the damper defaults and the fundamental
+    from the network file.
+    """
+    if command != "ad-curve" and command not in _ANALYSIS_COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    doc, code = _COMMANDS[command](cfg, out)
+    if command == "ad-curve":
+        doc, code = cmd_ad_curve(cfg, out)
+    else:
+        g = load_network(cfg.network)
+        _, traces, report = analyze(g, cfg.grid())
+        doc, code = _ANALYSIS_COMMANDS[command](cfg, out, g, traces, report)
     if "json" in cfg.formats:
         doc.write(out / f"report_{command.replace('-', '_')}.json")
     return doc, code
@@ -537,23 +519,30 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
 # CLI
 # ---------------------------------------------------------------------------
 
+def _formats(text: str) -> tuple[str, ...]:
+    return tuple(f.strip() for f in text.split(",") if f.strip())
+
+
+def _values(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
+    # each dest is a RunConfig field; an unset flag keeps RunConfig's default
     p.add_argument("--network", required=True, help="network JSON file")
-    p.add_argument("--fmin", type=float, default=10.0, help="sweep start [Hz]")
-    p.add_argument("--fmax", type=float, default=2500.0, help="sweep end [Hz]")
-    p.add_argument("--df", type=float, default=1.0, help="sweep spacing [Hz]")
-    p.add_argument("--epsilon", type=float, default=0.005,
+    p.add_argument("--fmin", dest="fmin_hz", type=float, help="sweep start [Hz]")
+    p.add_argument("--fmax", dest="fmax_hz", type=float, help="sweep end [Hz]")
+    p.add_argument("--df", dest="df_hz", type=float, help="sweep spacing [Hz]")
+    p.add_argument("--epsilon", dest="epsilon_s", type=float,
                    help="damping margin for planning [S]")
-    p.add_argument("--dalpha", type=float, default=1e-3,
+    p.add_argument("--dalpha", dest="dalpha_s", type=float,
                    help="conductance step for planning [S]")
-    p.add_argument("--node", type=int, default=None,
-                   help="target node id (default: top-ranked)")
+    p.add_argument("--node", type=int, help="target node id (default: top-ranked)")
     p.add_argument("--ad-mode", choices=["proposed", "traditional"],
-                   default="proposed", help="damper control variant")
-    p.add_argument("--kv", type=float, default=None,
-                   help="damper gain for ad-curve (default 1.0)")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--formats", default="csv,json",
+                   help="damper control variant")
+    p.add_argument("--kv", dest="k_v", type=float, help="damper gain for ad-curve")
+    p.add_argument("--out", dest="out_dir", help="output directory")
+    p.add_argument("--formats", type=_formats,
                    help="comma-separated output formats (csv, json)")
 
 
@@ -582,48 +571,28 @@ def build_parser() -> argparse.ArgumentParser:
             ("plan", "required damping compensation at a node"),
             ("ad-curve", "damper admittance curves"),
             ("verify", "plan, calibrate, install the damper and re-assess")]:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         _add_common(p)
         if name == "ad-curve":
-            p.add_argument("--cluster", choices=["l_f_h", "gain_s", "k_v"],
-                           default=None, help="parameter to sweep into a curve cluster")
-            p.add_argument("--values", default=None,
+            p.add_argument("--cluster", dest="cluster_param",
+                           choices=["l_f_h", "gain_s", "k_v"],
+                           help="parameter to sweep into a curve cluster")
+            p.add_argument("--values", dest="cluster_values", type=_values,
                            help="comma-separated values for --cluster")
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = None
-    if getattr(args, "values", None):
-        values = tuple(float(v) for v in args.values.split(","))
-    return RunConfig(
-        network=args.network,
-        fmin_hz=args.fmin,
-        fmax_hz=args.fmax,
-        df_hz=args.df,
-        epsilon_s=args.epsilon,
-        dalpha_s=args.dalpha,
-        node=args.node,
-        ad_mode=args.ad_mode,
-        k_v=args.kv,
-        out_dir=args.out,
-        formats=tuple(f.strip() for f in args.formats.split(",") if f.strip()),
-        cluster_param=getattr(args, "cluster", None),
-        cluster_values=values,
-    )
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        if args.command == "emit-fixture":
-            path = emit_fixture(args.path)
-            print(f"wrote {path}")
+        if command == "emit-fixture":
+            print(f"wrote {emit_fixture(args['path'])}")
             return EXIT_STABLE
-        cfg = _config_from_args(args)
-        doc, code = run_command(cfg, args.command)
+        cfg = RunConfig(**args)
+        doc, code = run_command(cfg, command)
         verdict = f" verdict={doc.verdict}" if doc.verdict else ""
-        print(f"{args.command}: ok{verdict} (outputs in {cfg.out_dir}, "
+        print(f"{command}: ok{verdict} (outputs in {cfg.out_dir}, "
               f"config {doc.config_hash})")
         return code
     except (NetworkFileError, InvalidNetworkError, ValueError,

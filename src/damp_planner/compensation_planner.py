@@ -324,10 +324,9 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     over the band spanned by the crossover frequencies, padded outward
     to the nearest 100 Hz.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    if dalpha <= 0:
-        raise ValueError("dalpha must be > 0")
+    for name, value in (("epsilon", epsilon), ("dalpha", dalpha)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     node_index = g.node_index(node_id)
     f_lo, f_hi = float(traces[0].f_hz[0]), float(traces[0].f_hz[-1])
     criticals = [e for e in report.events if e.verdict == "critical"]
@@ -377,6 +376,8 @@ MAX_IM_RE_RATIO = 0.1
 # damper gain search: coarse-scan limit and bisection resolution
 _K_V_MAX = 50.0
 _K_V_RESOLUTION = 1e-3
+# spacing of the plan-band grid the damper is checked on, whatever the sweep's
+_BAND_DF_HZ = 1.0
 
 
 def _band_metrics(p: ADParams, f_hz: np.ndarray, omega0: float) -> tuple[float, float]:
@@ -388,10 +389,10 @@ def _band_metrics(p: ADParams, f_hz: np.ndarray, omega0: float) -> tuple[float, 
 
 
 def calibrate_ad(cplan: CompensationPlan, base: ADParams,
-                 omega0: float = 2 * math.pi * 50.0, df: float = 1.0) -> ADParams:
+                 omega0: float = 2 * math.pi * 50.0) -> ADParams:
     """Smallest damper gain k_v whose admittance meets the plan.
 
-    Feasible means: over the plan band at df spacing, Re[Y] >= the
+    Feasible means: over the plan band at 1 Hz spacing, Re[Y] >= the
     band requirement and |Im/Re| <= 0.1 (quasi-resistive).  The smallest
     feasible k_v is found by coarse scan plus bisection to
     _K_V_RESOLUTION; the returned gain is the verified-feasible bisection
@@ -400,7 +401,7 @@ def calibrate_ad(cplan: CompensationPlan, base: ADParams,
     """
     if not cplan.entries or cplan.required_re_yad_s <= 0.0:
         return replace(base, k_v=0.0)
-    f = np.arange(cplan.band_lo_hz, cplan.band_hi_hz + df / 2.0, df)
+    f = np.arange(cplan.band_lo_hz, cplan.band_hi_hz + _BAND_DF_HZ / 2.0, _BAND_DF_HZ)
     req = cplan.required_re_yad_s
 
     def feasible(k_v: float) -> bool:

@@ -411,19 +411,19 @@ class AdCurve:
 _SWEEPABLE = {"l_f_h", "gain_s", "k_v"}
 
 
-def ad_curve_cluster(p: ADParams, param: str, values, grid) -> list[AdCurve]:
-    """Damper admittance curves with one parameter swept, others held at p.
+def ad_curve_cluster(p: ADParams, param: str, values, f_hz,
+                     omega0: float) -> list[AdCurve]:
+    """Damper admittance curves over f_hz [Hz] with one parameter swept,
+    the others held at p.
 
-    param is one of l_f_h, gain_s, k_v; grid is a FrequencyGrid.
+    param is one of l_f_h, gain_s, k_v; omega0 is the network's
+    fundamental [rad/s], as for every other model function.
     """
     if param not in _SWEEPABLE:
         raise ValueError(f"sweepable parameters are {sorted(_SWEEPABLE)}, got {param!r}")
     values = list(values)
     if not values:
         raise ValueError("empty sweep value list")
-    f = grid.hz
-    curves = []
-    for v in values:
-        pv = replace(p, **{param: float(v)})
-        curves.append(AdCurve(param, float(v), f, ad_scalar(pv, f, grid.omega0)))
-    return curves
+    f = np.asarray(f_hz, dtype=float)
+    return [AdCurve(param, float(v), f, ad_scalar(replace(p, **{param: float(v)}), f, omega0))
+            for v in values]

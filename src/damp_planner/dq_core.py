@@ -77,32 +77,33 @@ def evaluate(tf: TransferElement, s):
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing positive sweep frequencies plus the fundamental.
+    """Strictly increasing, positive, finite sweep frequencies [Hz].
 
-    omega0 is the fundamental angular frequency in rad/s (2*pi*50 for the
-    50 Hz system the default parameters describe).
+    A grid holds frequencies only; the fundamental belongs to the network
+    (NetworkGraph.omega0, from the network file's fundamental_hz).
     """
 
     frequencies: tuple[float, ...]
-    omega0: float = 2 * math.pi * 50.0
 
     def __post_init__(self):
         f = np.array(self.frequencies, dtype=float)
         object.__setattr__(self, "frequencies", tuple(f.tolist()))
         if not len(f):
             raise ValueError("empty frequency grid")
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"frequencies must be finite, got {f[~np.isfinite(f)][0]}")
         if f[0] <= 0:
             raise ValueError("frequencies must be > 0")
         if np.any(f[1:] <= f[:-1]):
             raise ValueError("frequencies must be strictly increasing")
 
     @classmethod
-    def regular(cls, fmin: float, fmax: float, df: float,
-                omega0: float = 2 * math.pi * 50.0) -> "FrequencyGrid":
-        if fmin <= 0 or fmax < fmin or df <= 0:
-            raise ValueError("need 0 < fmin <= fmax and df > 0")
+    def regular(cls, fmin: float, fmax: float, df: float) -> "FrequencyGrid":
+        if not (0 < fmin <= fmax < math.inf and 0 < df < math.inf):
+            raise ValueError(f"need finite 0 < fmin <= fmax and df > 0, "
+                             f"got fmin={fmin}, fmax={fmax}, df={df}")
         n = int(round((fmax - fmin) / df)) + 1
-        return cls(fmin + np.arange(n) * df, omega0)
+        return cls(fmin + np.arange(n) * df)
 
     @cached_property
     def hz(self) -> np.ndarray:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import damp_planner
 from damp_planner import cli_reporting, network_assembly, stability_engine
 from damp_planner.cli_reporting import (
     NetworkFileError,
+    ReportDocument,
     RunConfig,
     damper_defaults_from_file,
     emit_fixture,
@@ -14,7 +17,16 @@ from damp_planner.cli_reporting import (
     main,
     run_command,
 )
-from damp_planner.component_models import GridImpedanceParams, InverterParams
+from damp_planner.compensation_planner import plan
+from damp_planner.component_models import (
+    CapacitorParams,
+    GridImpedanceParams,
+    InverterParams,
+    ad_scalar,
+)
+from damp_planner.dq_core import FrequencyGrid
+from damp_planner.network_assembly import NetworkGraph, Shunt
+from damp_planner.stability_engine import analyze
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +225,27 @@ def test_ad_curve_command(fixture_path, tmp_path):
     assert max(ratios) <= 0.1
 
 
+@pytest.mark.parametrize("cluster", [[], ["--cluster", "k_v", "--values", "0.5,2"]],
+                         ids=["single", "cluster"])
+def test_ad_curve_uses_the_network_fundamental(fixture_path, tmp_path, cluster):
+    # a 60 Hz network's damper is plotted at 60 Hz, as verify calibrates it
+    doc = json.loads(fixture_path.read_text())
+    doc["fundamental_hz"] = 60.0
+    net = tmp_path / "net60.json"
+    net.write_text(json.dumps(doc))
+    assert main(["ad-curve", "--network", str(net), "--fmin", "50", "--fmax", "500",
+                 "--df", "50", "--kv", "1.5", "--out", str(tmp_path), *cluster]) == 0
+    name = "ad_curve_cluster.csv" if cluster else "ad_curve.csv"
+    rows = [ln.split(",") for ln in (tmp_path / name).read_text().splitlines()[1:]]
+    assert len(rows) == (2 if cluster else 1) * 10
+    base = damper_defaults_from_file(net)
+    for row in rows:
+        k_v = float(row[0]) if cluster else 1.5
+        f, re_y, im_y = row[-4:-1]
+        y = ad_scalar(dataclasses.replace(base, k_v=k_v), [float(f)], 2 * math.pi * 60.0)[0]
+        assert (re_y, im_y) == (format(y.real, ".9g"), format(y.imag, ".9g"))
+
+
 def test_ad_curve_cluster_command(fixture_path, tmp_path):
     cfg = RunConfig(network=str(fixture_path), fmin_hz=200.0, fmax_hz=1000.0,
                     df_hz=100.0, k_v=1.0, out_dir=str(tmp_path),
@@ -245,6 +278,67 @@ def test_main_missing_network_file_is_exit_1(tmp_path, capsys):
     code = main(["sweep", "--network", str(tmp_path / "ghost.json"),
                  "--out", str(tmp_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "criticals", "rank", "plan", "ad-curve",
+                                     "verify"])
+def test_cli_flags_land_on_run_config_fields(monkeypatch, command):
+    seen = []
+
+    def fake_run_command(cfg, cmd):
+        seen.append((cfg, cmd))
+        return ReportDocument(cmd, cfg.hash(), None, {}), 0
+
+    monkeypatch.setattr(cli_reporting, "run_command", fake_run_command)
+    flags = ["--fmin", "20", "--fmax", "300", "--df", "2", "--epsilon", "0.01",
+             "--dalpha", "0.002", "--node", "3", "--ad-mode", "traditional",
+             "--kv", "1.5", "--out", "elsewhere", "--formats", "json"]
+    expected = RunConfig(network="net.json", fmin_hz=20.0, fmax_hz=300.0, df_hz=2.0,
+                         epsilon_s=0.01, dalpha_s=0.002, node=3, ad_mode="traditional",
+                         k_v=1.5, out_dir="elsewhere", formats=("json",))
+    if command == "ad-curve":
+        flags += ["--cluster", "gain_s", "--values", "0.03,0.06"]
+        expected = dataclasses.replace(expected, cluster_param="gain_s",
+                                       cluster_values=(0.03, 0.06))
+    assert main([command, "--network", "net.json"]) == 0
+    assert main([command, "--network", "net.json", *flags]) == 0
+    assert seen == [(RunConfig(network="net.json"), command), (expected, command)]
+
+
+def _plan_without_criticals(**settings):
+    g = NetworkGraph((1,), (), (Shunt(1, GridImpedanceParams(10.0, 0.0)),
+                                Shunt(1, CapacitorParams(10e-6))))
+    _, traces, report = analyze(g, FrequencyGrid.regular(10.0, 100.0, 10.0))
+    return plan(g, 1, traces, report, **{"epsilon": 0.005, **settings})
+
+
+_CONFIG_CASES = [("fmin_hz", math.nan), ("fmax_hz", math.nan), ("fmax_hz", math.inf),
+                 ("df_hz", math.nan), ("epsilon_s", math.nan), ("epsilon_s", math.inf),
+                 ("dalpha_s", math.nan), ("dalpha_s", -math.inf)]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FrequencyGrid((1.0, math.nan, 3.0)), "frequencies must be finite, got nan"),
+    (lambda: FrequencyGrid((1.0, math.inf)), "frequencies must be finite, got inf"),
+    (lambda: FrequencyGrid.regular(10.0, math.inf, 1.0), "fmax=inf"),
+    *[(lambda name=name, value=value: RunConfig(network="net.json", **{name: value}),
+       f"{name} must be finite, got {value}") for name, value in _CONFIG_CASES],
+    (lambda: _plan_without_criticals(epsilon=math.nan), "epsilon must be finite and > 0, got nan"),
+    (lambda: _plan_without_criticals(epsilon=math.inf), "epsilon must be finite and > 0, got inf"),
+    (lambda: _plan_without_criticals(dalpha=math.nan), "dalpha must be finite and > 0, got nan"),
+], ids=["grid-nan", "grid-inf", "regular-inf",
+        *[f"{name}-{value}" for name, value in _CONFIG_CASES],
+        "plan-epsilon-nan", "plan-epsilon-inf", "plan-dalpha-nan"])
+def test_non_finite_settings_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_cli_names_a_non_finite_option(fixture_path, tmp_path, capsys):
+    code = main(["criticals", "--network", str(fixture_path), "--fmax", "nan",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: fmax_hz must be finite, got nan\n"
 
 
 def test_table_backed_inverter_matches_analytic(fixture_path, tmp_path):
@@ -327,13 +421,6 @@ def test_main_verify_exit_codes(tmp_path):
     assert before_after[0] == "phase,trace_id,f_cr_hz,re_lambda,verdict"
     assert any(ln.startswith("before") and "critical" in ln for ln in before_after)
     assert not any(ln.startswith("after") and "critical" in ln for ln in before_after)
-
-
-def test_rank_respects_candidate_node_filter(fixture_path, tmp_path):
-    cfg = RunConfig(network=str(fixture_path), out_dir=str(tmp_path),
-                    candidate_nodes=(1, 2))
-    doc, _ = run_command(cfg, "rank")
-    assert {r["node"] for r in doc.data["ranking"]} == {1, 2}
 
 
 def test_cli_help_lists_all_commands(capsys):

@@ -270,21 +270,21 @@ def test_ad_traditional_loses_resistive_character():
 def test_ad_curve_single_value_matches_ad_admittance():
     # one-frequency queries are bitwise identical to the curve's sweep
     grid = FrequencyGrid.regular(100.0, 500.0, 50.0)
-    (curve,) = ad_curve_cluster(AD, "k_v", [AD.k_v], grid)
+    (curve,) = ad_curve_cluster(AD, "k_v", [AD.k_v], grid.hz, W0)
     for f, y in zip(curve.f_hz, curve.y):
         assert ad_scalar(AD, [float(f)], W0)[0] == y
 
 
 def test_ad_curve_larger_kv_raises_conductance():
     grid = FrequencyGrid(( 500.0,))
-    curves = ad_curve_cluster(AD, "k_v", [0.5, 1.0, 2.0], grid)
+    curves = ad_curve_cluster(AD, "k_v", [0.5, 1.0, 2.0], grid.hz, W0)
     re = [float(c.y[0].real) for c in curves]
     assert re[0] < re[1] < re[2]
 
 
 def test_ad_curve_smaller_gain_lowers_conductance():
     grid = FrequencyGrid((500.0,))
-    curves = ad_curve_cluster(AD, "gain_s", [0.03, 0.06], grid)
+    curves = ad_curve_cluster(AD, "gain_s", [0.03, 0.06], grid.hz, W0)
     re = [float(c.y[0].real) for c in curves]
     assert re[0] < re[1]
 
@@ -292,6 +292,6 @@ def test_ad_curve_smaller_gain_lowers_conductance():
 def test_ad_curve_rejects_unknown_parameter():
     grid = FrequencyGrid((500.0,))
     with pytest.raises(ValueError):
-        ad_curve_cluster(AD, "xi", [0.5], grid)
+        ad_curve_cluster(AD, "xi", [0.5], grid.hz, W0)
     with pytest.raises(ValueError):
-        ad_curve_cluster(AD, "k_v", [], grid)
+        ad_curve_cluster(AD, "k_v", [], grid.hz, W0)

@@ -83,7 +83,6 @@ def test_grid_regular():
     assert len(g) == 2491
     assert g.frequencies[0] == 10.0
     assert g.frequencies[-1] == 2500.0
-    assert g.omega0 == pytest.approx(2 * math.pi * 50.0)
 
 
 @pytest.mark.parametrize("freqs", [(), (0.0, 1.0), (10.0, 10.0), (20.0, 10.0)])

@@ -138,7 +138,7 @@ def single_rc_graph() -> NetworkGraph:
 
 def test_sweep_single_rc_traces_scalar_admittance():
     g = single_rc_graph()
-    grid = FrequencyGrid.regular(10.0, 1000.0, 10.0, omega0=0.0)
+    grid = FrequencyGrid.regular(10.0, 1000.0, 10.0)
     samples = sweep(g, grid)
     assert len(samples) == len(grid)
     for smp in samples:
