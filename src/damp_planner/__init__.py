@@ -48,7 +48,7 @@ from .stability_engine import (
     eig_lr_batch,
     find_crossovers,
     nyquist_winding,
-    refine_crossover,
+    refine_crossovers,
     sweep,
     track,
 )

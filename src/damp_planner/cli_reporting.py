@@ -198,12 +198,14 @@ def _fundamental(path: Path, doc: dict) -> float:
                              doc.get("fundamental_hz", 50.0))
 
 
-def load_network(path) -> NetworkGraph:
+def load_network(path, doc: dict | None = None) -> NetworkGraph:
     """Parse and validate a network file; raises NetworkFileError naming
     the file and the parse position, the malformed element or all
-    validation diagnostics."""
+    validation diagnostics.  doc is the file's document when the caller
+    has already read it with _read_document."""
     path = Path(path)
-    doc = _read_document(path)
+    if doc is None:
+        doc = _read_document(path)
     nodes, branches, shunts = (_at(f"{path}: {key}", _expect, list, doc.get(key, []))
                                for key in ("nodes", "branches", "shunts"))
     omega0 = _fundamental(path, doc)
@@ -220,14 +222,20 @@ def load_network(path) -> NetworkGraph:
     return g
 
 
+def _damper_defaults(path: Path, doc: dict, mode: str = "proposed") -> ADParams:
+    """AD base parameters from the document's damper_defaults block (see
+    damper_defaults_from_file)."""
+    where = f"{path}: damper_defaults"
+    params = _at(where, _expect, dict, doc.get("damper_defaults", CASE_STUDY_AD_PARAMS))
+    return _at(where, ADParams, **{"k_v": 0.0, **params, "mode": mode})
+
+
 def damper_defaults_from_file(path, mode: str = "proposed") -> ADParams:
     """AD base parameters from the network file's damper_defaults block,
     falling back to the built-in case-study set when the block is absent;
     k_v is 0 (uncalibrated) unless the block sets it."""
-    where = f"{Path(path)}: damper_defaults"
-    params = _at(where, _expect, dict,
-                 _read_document(Path(path)).get("damper_defaults", CASE_STUDY_AD_PARAMS))
-    return _at(where, ADParams, **{"k_v": 0.0, **params, "mode": mode})
+    path = Path(path)
+    return _damper_defaults(path, _read_document(path), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +432,9 @@ def cmd_plan(cfg: RunConfig, out: Path, g, traces, report):
     return doc, EXIT_STABLE
 
 
-def cmd_ad_curve(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
-    path = Path(cfg.network)
-    omega0 = _fundamental(path, _read_document(path))
-    p = dataclasses.replace(damper_defaults_from_file(path, mode=cfg.ad_mode), k_v=cfg.k_v)
+def cmd_ad_curve(cfg: RunConfig, out: Path, omega0: float,
+                 base: ADParams) -> tuple[ReportDocument, int]:
+    p = dataclasses.replace(base, k_v=cfg.k_v)
     param = cfg.cluster_param
     curves = ad_curve_cluster(p, param or "k_v", cfg.cluster_values if param else (cfg.k_v,),
                               cfg.grid().hz, omega0)
@@ -444,7 +451,7 @@ def cmd_ad_curve(cfg: RunConfig, out: Path) -> tuple[ReportDocument, int]:
     return ReportDocument("ad-curve", cfg.hash(), None, data), EXIT_STABLE
 
 
-def cmd_verify(cfg: RunConfig, out: Path, g, traces, report):
+def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, base: ADParams):
     _, ranks = _ranked_nodes(g, traces, report, cfg.epsilon_s)
     if ranks:
         top_node = g.nodes[ranks[0].node_index]
@@ -454,7 +461,6 @@ def cmd_verify(cfg: RunConfig, out: Path, g, traces, report):
     # the damper is always designed for the top-ranked location; --node
     # only moves where it is installed
     cplan = plan(g, top_node, traces, report, cfg.epsilon_s, cfg.dalpha_s)
-    base = damper_defaults_from_file(cfg.network, mode="proposed")
     calibrated = calibrate_ad(cplan, base, omega0=g.omega0)
     if cfg.ad_mode == "traditional":
         calibrated = dataclasses.replace(calibrated, mode="traditional")
@@ -494,22 +500,28 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
     """Run one workflow command; writes its data files and report JSON
     into cfg.out_dir and returns (report, exit code).
 
-    The analysis commands (sweep, criticals, rank, plan, verify) load the
-    network and run the baseline analyze once, here; each then only
-    writes its report from (cfg, out, g, traces, report).  ad-curve
-    analyses no network: it reads the damper defaults and the fundamental
-    from the network file.
+    The network file is read and parsed once.  The analysis commands
+    (sweep, criticals, rank, plan, verify) load the network and run the
+    baseline analyze once, here; each then only writes its report from
+    (cfg, out, g, traces, report), verify with the file's damper defaults
+    as well.  ad-curve analyses no network: it takes the damper defaults
+    and the fundamental from the file.
     """
     if command != "ad-curve" and command not in _ANALYSIS_COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    path = Path(cfg.network)
+    network_doc = _read_document(path)
     if command == "ad-curve":
-        doc, code = cmd_ad_curve(cfg, out)
+        omega0 = _fundamental(path, network_doc)
+        doc, code = cmd_ad_curve(cfg, out, omega0,
+                                 _damper_defaults(path, network_doc, cfg.ad_mode))
     else:
-        g = load_network(cfg.network)
+        g = load_network(path, network_doc)
+        extra = (_damper_defaults(path, network_doc),) if command == "verify" else ()
         _, traces, report = analyze(g, cfg.grid())
-        doc, code = _ANALYSIS_COMMANDS[command](cfg, out, g, traces, report)
+        doc, code = _ANALYSIS_COMMANDS[command](cfg, out, g, traces, report, *extra)
     if "json" in cfg.formats:
         doc.write(out / f"report_{command.replace('-', '_')}.json")
     return doc, code

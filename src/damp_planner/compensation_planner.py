@@ -7,12 +7,15 @@ the bracket being the node's compensation coefficient K_C.  Planning
 starts from the caller's baseline analysis (traces and stability report)
 and accumulates pure-conductance increments d_alpha, re-locating the
 crossover at the updated conductance each step (the sensitivity drifts
-with alpha): a 9-point window scan, assembled and decomposed as one
-batch, then refine_crossover (Illinois regula falsi, one point per step)
-on the bracket.  It stops once the real part at every critical crossover
-is lifted above the margin epsilon.  Calibration then picks the smallest
-damper gain k_v whose admittance covers the planned conductance over the
-planned band while staying quasi-resistive.
+with alpha).  The critical crossovers are planned in lockstep: at step k
+they all sit at the same conductance alpha_k = k d_alpha, so each step
+scans a 9-point window around every unfinished crossover with one
+assembly and decomposition of all the windows, then refines every
+window's bracket with one refine_crossovers run (batched Illinois regula
+falsi, one point per open bracket per round).  A crossover stops once its
+real part is lifted above the margin epsilon.  Calibration then picks the
+smallest damper gain k_v whose admittance covers the planned conductance
+over the planned band while staying quasi-resistive.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .stability_engine import (
     analyze,
     eig_lr,
     eig_lr_batch,
-    refine_crossover,
+    refine_crossovers,
 )
 
 
@@ -217,15 +220,11 @@ class CompensationPlan:
     required_re_yad_s: float
 
 
-def accumulate_alpha(re_start: float, epsilon: float, dalpha: float,
-                     kc_at, max_iter: int = 10000) -> tuple[float, int, complex]:
-    """Core conductance accumulation loop.
-
-    kc_at(alpha) returns the (complex) compensation coefficient with the
-    conductance alpha already installed; the loop adds dalpha and
-    accumulates the predicted eigenvalue shift until
-    re_start + Re[shift] >= epsilon.  Returns (alpha, iterations, shift).
-    """
+def _accumulation(re_start: float, epsilon: float, dalpha: float,
+                  max_iter: int = 10000) -> Generator[float, complex, tuple[float, int, complex]]:
+    """The conductance accumulation loop as a generator: it yields each
+    alpha it needs the compensation coefficient at, is sent that
+    coefficient, and returns (alpha, iterations, shift)."""
     alpha = 0.0
     shift = 0j
     it = 0
@@ -234,26 +233,44 @@ def accumulate_alpha(re_start: float, epsilon: float, dalpha: float,
             raise PlanInfeasibleError(
                 f"iteration cap {max_iter} reached; shortfall "
                 f"{epsilon - re_start - shift.real:.6g} S remains at alpha={alpha:.6g} S")
-        kc = kc_at(alpha)
-        shift += dalpha * kc
+        shift += dalpha * (yield alpha)
         alpha += dalpha
         it += 1
     return alpha, it, shift
 
 
+def accumulate_alpha(re_start: float, epsilon: float, dalpha: float,
+                     kc_at, max_iter: int = 10000) -> tuple[float, int, complex]:
+    """Core conductance accumulation loop.
+
+    kc_at(alpha) returns the (complex) compensation coefficient with the
+    conductance alpha already installed; the loop adds dalpha and
+    accumulates the predicted eigenvalue shift until
+    re_start + Re[shift] >= epsilon.  Returns (alpha, iterations, shift).
+    plan drives the same loop (_accumulation) for every critical
+    crossover in lockstep.
+    """
+    run = _accumulation(re_start, epsilon, dalpha, max_iter)
+    kc = None
+    try:
+        while True:
+            kc = kc_at(run.send(kc))
+    except StopIteration as done:
+        return done.value
+
+
 class _CriticalFollower:
     """Re-locates one critical eigenvalue as conductance is added at a node.
 
-    Keeps the left eigenvector of the last confirmed point as the
-    identity reference; the crossover is re-found by a local sign-change
-    scan in a window around the previous f_cr (9 points, assembled and
-    decomposed as one batch) and refine_crossover (Illinois regula falsi
-    from the scan's Im values at the bracket ends, on the same
-    _matrices_at) on the bracket nearest it, widening the window on
-    failure, inside [f_lo, f_hi].
+    Keeps the crossover frequency f_cr and the left eigenvector u_ref of
+    the last confirmed point as the identity reference.  Followers are
+    located together by _locate_all: each scans a 9-point window around
+    its f_cr inside [f_lo, f_hi], and the bracket nearest f_cr is refined
+    by regula falsi from the scan's Im values at its ends.
     """
 
     WINDOW_HZ = 50.0  # half-width of the first scan window around f_cr
+    SCAN_POINTS = 9
 
     def __init__(self, g: NetworkGraph, node_index: int, f_cr: float,
                  u_ref: np.ndarray, f_lo: float, f_hi: float):
@@ -272,39 +289,68 @@ class _CriticalFollower:
         m[:, p + 1, p + 1] += alpha
         return m
 
-    def locate(self, alpha: float) -> tuple[EigenSample, int]:
-        """Crossover-frequency sample of the followed eigenvalue at alpha
-        and the eigenvalue's index in it."""
-        window = self.WINDOW_HZ
-        for _ in range(8):
-            found = self._scan_and_refine(alpha, window)
-            if found is not None:
-                smp, j = found
-                self.f_cr = smp.f_hz
-                self.u_ref = smp.u[j]
-                return found
-            window *= 2.0
-        raise PlanInfeasibleError(
-            f"lost the critical crossover near {self.f_cr} Hz at alpha={alpha} S")
+    def window(self, half_width: float) -> list[float]:
+        """The scan points of a window of the given half-width around f_cr."""
+        lo = max(self.f_bounds[0], self.f_cr - half_width)
+        hi = min(self.f_bounds[1], self.f_cr + half_width)
+        return [float(f) for f in np.linspace(lo, hi, self.SCAN_POINTS)]
 
-    def _scan_and_refine(self, alpha: float, window: float):
-        lo = max(self.f_bounds[0], self.f_cr - window)
-        hi = min(self.f_bounds[1], self.f_cr + window)
-        fs = [float(f) for f in np.linspace(lo, hi, 9)]
-        spec = eig_lr_batch(self._matrices_at(fs, alpha), fs)
+    def bracket(self, fs: list[float], w: np.ndarray, lam: np.ndarray):
+        """(f_lo, f_hi, im_lo, im_hi, u_ref) of the sign change nearest f_cr
+        in a scan with right eigenvectors w and eigenvalues lam at fs, or
+        None when the followed eigenvalue keeps its sign."""
         # Im of the followed eigenvalue (best overlap with u_ref) at each point
-        picked = np.argmax(np.abs(self.u_ref @ spec.w), axis=-1)
-        ims = spec.lam[np.arange(len(fs)), picked].imag
-        brackets = _sign_change_steps(ims)
-        if not brackets.size:
+        picked = np.argmax(np.abs(self.u_ref @ w), axis=-1)
+        ims = lam[np.arange(len(fs)), picked].imag
+        steps = _sign_change_steps(ims)
+        if not steps.size:
             return None
         # bracket whose midpoint is nearest the previous crossover
-        i = min(brackets, key=lambda i: abs(0.5 * (fs[i] + fs[i + 1]) - self.f_cr))
-        try:
-            return refine_crossover(lambda fs: self._matrices_at(fs, alpha),
-                                    fs[i], fs[i + 1], ims[i], ims[i + 1], self.u_ref)
-        except BisectionError:
-            return None
+        i = min(steps, key=lambda i: abs(0.5 * (fs[i] + fs[i + 1]) - self.f_cr))
+        return fs[i], fs[i + 1], ims[i], ims[i + 1], self.u_ref
+
+
+def _locate_all(followers: Sequence[_CriticalFollower],
+                alpha: float) -> list[tuple[EigenSample, int]]:
+    """Crossover sample of every follower's eigenvalue at conductance alpha
+    and the eigenvalue's index in it; each follower moves to its sample.
+
+    Each try scans the window of every follower still unlocated, all
+    windows assembled and decomposed as one batch, then refines all their
+    brackets in one refine_crossovers run.  A follower whose window holds
+    no sign change, or whose bracket fails to converge, retries with its
+    window doubled; after 8 tries PlanInfeasibleError names the crossover
+    it lost.
+    """
+    def matrices_at(fs: Sequence[float]) -> np.ndarray:
+        return followers[0]._matrices_at(fs, alpha)
+
+    n = _CriticalFollower.SCAN_POINTS
+    found: list = [None] * len(followers)
+    pending = list(range(len(followers)))
+    half_width = _CriticalFollower.WINDOW_HZ
+    for _ in range(8):
+        scans = [followers[i].window(half_width) for i in pending]
+        fs = [f for scan in scans for f in scan]
+        spec = eig_lr_batch(matrices_at(fs), fs)
+        brackets = {}
+        for k, (i, scan) in enumerate(zip(pending, scans)):
+            b = followers[i].bracket(scan, spec.w[k * n:(k + 1) * n], spec.lam[k * n:(k + 1) * n])
+            if b is not None:
+                brackets[i] = b
+        if brackets:
+            refined = refine_crossovers(matrices_at, *zip(*brackets.values()))
+            for i, res in zip(brackets, refined):
+                if isinstance(res, BisectionError):
+                    continue
+                smp, j = found[i] = res
+                followers[i].f_cr, followers[i].u_ref = smp.f_hz, smp.u[j]
+        pending = [i for i in pending if found[i] is None]
+        if not pending:
+            return found
+        half_width *= 2.0
+    raise PlanInfeasibleError(
+        f"lost the critical crossover near {followers[pending[0]].f_cr} Hz at alpha={alpha} S")
 
 
 def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
@@ -318,11 +364,14 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     Per critical crossover, conductance is added in dalpha steps; after
     each step the critical eigenvalue and its (drifting) crossover
     frequency are re-identified with the step's conductance installed,
-    and the first-order shift is accumulated; the final crossover
-    frequency is located once more with alpha_s itself installed.  The
-    band-level requirement is the largest per-eigenvalue conductance
-    over the band spanned by the crossover frequencies, padded outward
-    to the nearest 100 Hz.
+    and the first-order shift is accumulated.  The crossovers run in
+    lockstep: step k locates every unfinished one at the same alpha_k
+    (k additions of dalpha) with one _locate_all, so one window scan
+    batch and one batched regula falsi serve them all.  A crossover that
+    has just met epsilon takes f_cr_final_hz from the locate at its own
+    alpha_s, in the same batch.  The band-level requirement is the
+    largest per-eigenvalue conductance over the band spanned by the
+    crossover frequencies, padded outward to the nearest 100 Hz.
     """
     for name, value in (("epsilon", epsilon), ("dalpha", dalpha)):
         if not 0 < value < math.inf:
@@ -330,30 +379,41 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     node_index = g.node_index(node_id)
     f_lo, f_hi = float(traces[0].f_hz[0]), float(traces[0].f_hz[-1])
     criticals = [e for e in report.events if e.verdict == "critical"]
-
-    entries: list[PlanEntry] = []
     trace_by_id = {t.trace_id: t for t in traces}
-    for ev in criticals:
-        u_ref = _left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz)
-        follower = _CriticalFollower(g, node_index, ev.f_cr_hz, u_ref, f_lo, f_hi)
+    followers = [_CriticalFollower(g, node_index, ev.f_cr_hz,
+                                   _left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz),
+                                   f_lo, f_hi) for ev in criticals]
+    runs = [_accumulation(ev.re_lambda, epsilon, dalpha) for ev in criticals]
+    kcs: list = [None] * len(runs)     # coefficient each run is sent next
+    done: list = [None] * len(runs)    # (alpha, iterations, shift) once finished
+    f_final: list = [None] * len(runs)
+    open_ = list(range(len(runs)))
+    while open_:
+        # after k steps every run, unfinished or just finished, is at alpha_k
+        for i in open_:
+            try:
+                alpha = runs[i].send(kcs[i])
+            except StopIteration as stop:
+                done[i] = stop.value
+                alpha = done[i][0]
+        located = _locate_all([followers[i] for i in open_], alpha)
+        for i, (smp, j) in zip(open_, located):
+            if done[i] is None:
+                kcs[i] = sensitivity(smp, j, node_index).dlam_dalpha
+            else:
+                f_final[i] = smp.f_hz
+        open_ = [i for i in open_ if done[i] is None]
 
-        def kc_at(alpha: float, follower=follower) -> complex:
-            smp, j = follower.locate(alpha)
-            return sensitivity(smp, j, node_index).dlam_dalpha
-
-        alpha, iters, shift = accumulate_alpha(ev.re_lambda, epsilon, dalpha, kc_at)
-        # kc_at ran at alpha - dalpha last: locate the crossover at alpha itself
-        final, _ = follower.locate(alpha)
-        entries.append(PlanEntry(
-            trace_id=ev.trace_id,
-            node_index=node_index,
-            f_cr_start_hz=ev.f_cr_hz,
-            f_cr_final_hz=final.f_hz,
-            re_lambda_start=ev.re_lambda,
-            alpha_s=alpha,
-            iterations=iters,
-            predicted_re=ev.re_lambda + shift.real,
-        ))
+    entries = tuple(PlanEntry(
+        trace_id=ev.trace_id,
+        node_index=node_index,
+        f_cr_start_hz=ev.f_cr_hz,
+        f_cr_final_hz=f_cr_final,
+        re_lambda_start=ev.re_lambda,
+        alpha_s=alpha,
+        iterations=iters,
+        predicted_re=ev.re_lambda + shift.real,
+    ) for ev, (alpha, iters, shift), f_cr_final in zip(criticals, done, f_final))
 
     if entries:
         f_all = [e.f_cr_start_hz for e in entries] + [e.f_cr_final_hz for e in entries]
@@ -364,7 +424,7 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
         band_lo = band_hi = 0.0
         required = 0.0
 
-    return CompensationPlan(epsilon, dalpha, node_index, tuple(entries),
+    return CompensationPlan(epsilon, dalpha, node_index, entries,
                             band_lo, band_hi, required)
 
 

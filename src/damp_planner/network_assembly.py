@@ -4,7 +4,8 @@ A NetworkGraph holds nodes, series branches and shunt devices.
 assemble_grid() stamps them into the stacked 2n x 2n complex nodal
 admittance matrices over a frequency array, node i (position p,
 zero-based) occupying rows/columns 2p and 2p+1 as (d, q); assemble() is
-the single-frequency case.  Both return plain ndarrays.
+the single-frequency case.  Both return plain ndarrays.  Each distinct
+shunt device is evaluated once per call, however many nodes use it.
 """
 
 from __future__ import annotations
@@ -205,9 +206,14 @@ def _assemble_batch(g: NetworkGraph, f: np.ndarray) -> np.ndarray:
             y[:, i:i + 2, i:i + 2] += ysh
             y[:, j:j + 2, j:j + 2] += ysh
 
+    # each distinct device is evaluated once and stamped at every node
+    # using it: frozen parameter sets are keyed by value, tables by identity
+    blocks: dict[ShuntDevice, np.ndarray] = {}
     for s in g.shunts:
+        if s.device not in blocks:
+            blocks[s.device] = _device_block(s.device, f, g.omega0)
         i = 2 * pos[s.node]
-        y[:, i:i + 2, i:i + 2] += _device_block(s.device, f, g.omega0)
+        y[:, i:i + 2, i:i + 2] += blocks[s.device]
     return y
 
 

@@ -232,48 +232,71 @@ def _pick_matching_eig(sample: EigenSample, u_ref: np.ndarray) -> int:
     return int(np.argmax(np.abs(u_ref @ sample.w)))
 
 
-def refine_crossover(matrices_at: Callable[[Sequence[float]], np.ndarray],
-                     f_lo: float, f_hi: float, im_lo: float, im_hi: float,
-                     u_ref: np.ndarray,
-                     max_steps: int = 60) -> tuple[EigenSample, int]:
-    """Locate Im[lambda] = 0 inside [f_lo, f_hi] by Illinois regula falsi
-    (Dowell & Jarratt, BIT 11, 1971).
+def refine_crossovers(matrices_at: Callable[[Sequence[float]], np.ndarray],
+                      f_lo: Sequence[float], f_hi: Sequence[float],
+                      im_lo: Sequence[float], im_hi: Sequence[float],
+                      u_ref: Sequence[np.ndarray],
+                      max_steps: int = 60) -> list[tuple[EigenSample, int] | BisectionError]:
+    """Locate Im[lambda] = 0 inside each of B brackets [f_lo[b], f_hi[b]]
+    by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971), all
+    brackets stepping together.
 
     im_lo, im_hi are Im[lambda] at the bracket ends (opposite signs) and
-    u_ref the eigenvalue's left eigenvector at f_lo.  Each step decomposes
-    one point, eig_lr_batch(matrices_at([f]), [f]), at the bracket's secant
-    root (its midpoint when the root is not strictly inside), re-identifies
-    the eigenvalue by overlap with u_ref and keeps the half whose ends
-    differ in sign, moving u_ref with f_lo.  An end kept twice in a row
-    has the other end's Im halved, which stops plain regula falsi's
-    one-sided stall.  Returns the decomposition at the crossover
-    (|Im| <= 1e-6 * max(1, |Re|)) and the eigenvalue's index in it;
-    raises BisectionError when max_steps steps do not get there.
+    u_ref[b] the eigenvalue's left eigenvector at f_lo[b] (u_ref has
+    shape (B, m)).  Each round takes the secant root of every open
+    bracket (its midpoint when the root is not strictly inside) and
+    decomposes all of them with one eig_lr_batch(matrices_at(fs), fs).
+    Per bracket it then re-identifies the eigenvalue by overlap with
+    u_ref and keeps the half whose ends differ in sign, moving u_ref with
+    f_lo; an end kept twice in a row has the other end's Im halved, which
+    stops plain regula falsi's one-sided stall.  A bracket leaves the
+    batch once |Im| <= 1e-6 * max(1, |Re|).
+
+    Returns, per bracket, the decomposition at its crossover and the
+    eigenvalue's index in it, or a BisectionError naming the narrowed
+    bracket when max_steps rounds do not get there; a failed bracket does
+    not stop the others.
     """
-    lam = None
-    kept = 0  # end kept by the last step: -1 low, +1 high
+    f_lo, f_hi, im_lo, im_hi = ([float(x) for x in a] for a in (f_lo, f_hi, im_lo, im_hi))
+    u_ref = list(u_ref)
+    kept = [0] * len(f_lo)  # end kept by each bracket's last step: -1 low, +1 high
+    lam: list = [None] * len(f_lo)
+    out: list = [None] * len(f_lo)
+    open_ = list(range(len(f_lo)))
     for _ in range(max_steps):
-        f = f_lo + im_lo * (f_hi - f_lo) / (im_lo - im_hi) if im_lo != im_hi else f_lo
-        if not f_lo < f < f_hi:
-            f = 0.5 * (f_lo + f_hi)
-        smp = eig_lr_batch(matrices_at([f]), [f])[0]
-        j = _pick_matching_eig(smp, u_ref)
-        lam = smp.lam[j]
-        if abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real)):
-            return smp, j
-        if (lam.imag > 0) == (im_lo > 0):
-            f_lo, im_lo, u_ref = f, float(lam.imag), smp.u[j]
-            if kept == +1:
-                im_hi *= 0.5
-            kept = +1
-        else:
-            f_hi, im_hi = f, float(lam.imag)
-            if kept == -1:
-                im_lo *= 0.5
-            kept = -1
-    raise BisectionError(
-        f"crossover refinement at [{f_lo}, {f_hi}] Hz did not reach |Im| tolerance "
-        f"in {max_steps} steps (last lambda={lam})")
+        if not open_:
+            break
+        fs = []
+        for b in open_:
+            lo, hi = f_lo[b], f_hi[b]
+            f = lo + im_lo[b] * (hi - lo) / (im_lo[b] - im_hi[b]) if im_lo[b] != im_hi[b] else lo
+            fs.append(f if lo < f < hi else 0.5 * (lo + hi))
+        spec = eig_lr_batch(matrices_at(fs), fs)
+        still = []
+        for k, b in enumerate(open_):
+            smp = spec[k]
+            j = _pick_matching_eig(smp, u_ref[b])
+            lam[b] = smp.lam[j]
+            if abs(lam[b].imag) <= 1e-6 * max(1.0, abs(lam[b].real)):
+                out[b] = (smp, j)
+                continue
+            still.append(b)
+            if (lam[b].imag > 0) == (im_lo[b] > 0):
+                f_lo[b], im_lo[b], u_ref[b] = fs[k], float(lam[b].imag), smp.u[j]
+                if kept[b] == +1:
+                    im_hi[b] *= 0.5
+                kept[b] = +1
+            else:
+                f_hi[b], im_hi[b] = fs[k], float(lam[b].imag)
+                if kept[b] == -1:
+                    im_lo[b] *= 0.5
+                kept[b] = -1
+        open_ = still
+    for b in open_:
+        out[b] = BisectionError(
+            f"crossover refinement at [{f_lo[b]}, {f_hi[b]}] Hz did not reach |Im| "
+            f"tolerance in {max_steps} steps (last lambda={lam[b]})")
+    return out
 
 
 def _sign_change_steps(im: np.ndarray) -> np.ndarray:
@@ -281,33 +304,51 @@ def _sign_change_steps(im: np.ndarray) -> np.ndarray:
     return np.flatnonzero((im[:-1] == 0) | (im[:-1] * im[1:] < 0))
 
 
+def _crossovers(traces: Sequence[EigenTrace],
+                matrices_at: Callable[[Sequence[float]], np.ndarray],
+                margin: float) -> list[CrossoverEvent]:
+    """find_crossovers of each trace, concatenated in trace order, with
+    the sign-change brackets of all traces refined in one
+    refine_crossovers run; raises the BisectionError of the first bracket
+    that failed."""
+    steps = [_sign_change_steps(tr.lam.imag) for tr in traces]
+    brackets = [(tr.f_hz[t], tr.f_hz[t + 1], tr.lam.imag[t], tr.lam.imag[t + 1], tr.u[t])
+                for tr, ts in zip(traces, steps) for t in ts if tr.lam.imag[t] != 0.0]
+    refined = iter(refine_crossovers(matrices_at, *zip(*brackets)) if brackets else ())
+    events: list[CrossoverEvent] = []
+    for tr, ts in zip(traces, steps):
+        im, re, f = tr.lam.imag, tr.lam.real, tr.f_hz
+        for t in ts:
+            direction = "falling" if im[t + 1] < 0 else "rising"
+            if im[t] == 0.0:
+                f_cr, re_cr = float(f[t]), float(re[t])
+            else:
+                found = next(refined)
+                if isinstance(found, BisectionError):
+                    raise found
+                smp, j = found
+                f_cr, re_cr = smp.f_hz, float(smp.lam[j].real)
+            events.append(_make_event(tr.trace_id, f_cr, re_cr, direction, margin))
+        if len(tr) and im[-1] == 0.0:
+            events.append(_make_event(tr.trace_id, float(f[-1]), float(re[-1]),
+                                      "rising" if im[-2] < 0 else "falling", margin))
+    return events
+
+
 def find_crossovers(trace: EigenTrace,
                     matrices_at: Callable[[Sequence[float]], np.ndarray],
                     margin: float = 0.0) -> list[CrossoverEvent]:
     """Zero crossings of Im[lambda] along one trace, in frequency order.
 
-    Each sign change that _sign_change_steps finds between adjacent
-    samples is refined by refine_crossover (Illinois regula falsi on the
-    bracketing samples' Im values) on matrices_at(fs) -> (len(fs), m, m),
-    to |Im| <= 1e-6 * max(1, |Re|); a sample at Im = 0 is taken as is.
+    Every sign change that _sign_change_steps finds between adjacent
+    samples is a bracket; all of them are refined together by one
+    refine_crossovers run (Illinois regula falsi on the bracketing
+    samples' Im values, one batched decomposition per round) on
+    matrices_at(fs) -> (len(fs), m, m), to |Im| <= 1e-6 * max(1, |Re|);
+    a sample at Im = 0 is taken as is.  The first bracket that fails
+    raises its BisectionError.
     """
-    events: list[CrossoverEvent] = []
-    im = trace.lam.imag
-    re = trace.lam.real
-    f = trace.f_hz
-    for t in _sign_change_steps(im):
-        direction = "falling" if im[t + 1] < 0 else "rising"
-        if im[t] == 0.0:
-            f_cr, re_cr = float(f[t]), float(re[t])
-        else:
-            smp, j = refine_crossover(matrices_at, float(f[t]), float(f[t + 1]),
-                                      float(im[t]), float(im[t + 1]), trace.u[t])
-            f_cr, re_cr = smp.f_hz, float(smp.lam[j].real)
-        events.append(_make_event(trace.trace_id, f_cr, re_cr, direction, margin))
-    if len(trace) and im[-1] == 0.0:
-        events.append(_make_event(trace.trace_id, float(f[-1]), float(re[-1]),
-                                  "rising" if im[-2] < 0 else "falling", margin))
-    return events
+    return _crossovers([trace], matrices_at, margin)
 
 
 def _make_event(trace_id: int, f_cr: float, re_cr: float, direction: str,
@@ -332,12 +373,14 @@ class StabilityReport:
 def assess(traces: Sequence[EigenTrace],
            matrices_at: Callable[[Sequence[float]], np.ndarray],
            margin: float = 0.0) -> StabilityReport:
-    """Stability verdict: stable iff every crossover has Re[lambda] > 0;
-    crossovers are refined on matrices_at(fs) -> (len(fs), m, m) by
-    Illinois regula falsi (see find_crossovers)."""
-    events: list[CrossoverEvent] = []
-    for tr in traces:
-        events.extend(find_crossovers(tr, matrices_at, margin))
+    """Stability verdict: stable iff every crossover has Re[lambda] > 0.
+
+    The events are find_crossovers' of every trace, but the sign-change
+    brackets of all traces are refined in one refine_crossovers run on
+    matrices_at(fs) -> (len(fs), m, m): each regula falsi round
+    decomposes the secant points of every open bracket in one batch.
+    """
+    events = _crossovers(traces, matrices_at, margin)
     events.sort(key=lambda e: (e.f_cr_hz, e.trace_id))
     stable = all(e.re_lambda > 0.0 for e in events)
     crit = tuple(sorted({e.trace_id for e in events if e.verdict == "critical"}))
@@ -378,10 +421,11 @@ def analyze(g: NetworkGraph, grid: FrequencyGrid):
 
     Returns (spectrum, traces, report), the traces tracked on the sweep's
     one Spectrum.  The sweep and the crossover refinement decompose
-    through eig_lr_batch and its checks; crossovers are refined by
-    Illinois regula falsi against matrices re-assembled with
-    matrices_at(fs) = assemble_grid(g, fs), one point per step, and
-    tracking steps with overlap below DEFAULT_OVERLAP_THRESHOLD are
+    through eig_lr_batch and its checks; the crossovers of all traces are
+    refined together by batched Illinois regula falsi (refine_crossovers)
+    against matrices re-assembled with matrices_at(fs) = assemble_grid(g,
+    fs), one assembly and decomposition per round for every open bracket.
+    Tracking steps with overlap below DEFAULT_OVERLAP_THRESHOLD are
     flagged.
     """
     spec = sweep(g, grid)

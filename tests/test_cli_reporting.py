@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +408,31 @@ def test_one_baseline_analysis_per_command(fixture_path, tmp_path, monkeypatch,
                     df_hz=2.0, out_dir=str(tmp_path))
     run_command(cfg, command)
     assert len(calls) == sweeps
+
+
+@pytest.mark.parametrize("command", ["verify", "ad-curve"])
+def test_network_file_is_read_once_per_command(fixture_path, tmp_path, monkeypatch, command):
+    real_read = cli_reporting._read_document
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(cli_reporting, "_read_document", counted)
+    cfg = RunConfig(network=str(fixture_path), fmin_hz=150.0, fmax_hz=250.0,
+                    df_hz=2.0, out_dir=str(tmp_path))
+    run_command(cfg, command)
+    assert len(reads) == 1
+
+
+def test_module_entry_point_runs_without_runtime_warning(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "damp_planner",
+                          "emit-fixture", str(tmp_path / "fx.json")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert (tmp_path / "fx.json").is_file()
 
 
 @pytest.mark.slow

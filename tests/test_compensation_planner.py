@@ -4,10 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_random_small_system
+from damp_planner import compensation_planner
 from damp_planner.compensation_planner import (
     CalibrationInfeasibleError,
     CompensationCoefficient,
+    CompensationPlan,
+    PlanEntry,
     PlanInfeasibleError,
+    _left_vector_near,
     accumulate_alpha,
     calibrate_ad,
     compensation_coefficient,
@@ -20,8 +25,15 @@ from damp_planner.compensation_planner import (
 )
 from damp_planner.component_models import ADParams, CapacitorParams, GridImpedanceParams
 from damp_planner.dq_core import FrequencyGrid
-from damp_planner.network_assembly import NetworkGraph, Shunt, assemble
-from damp_planner.stability_engine import _pick_matching_eig, analyze, eig_lr
+from damp_planner.network_assembly import NetworkGraph, Shunt, assemble, assemble_grid
+from damp_planner.stability_engine import (
+    BisectionError,
+    _pick_matching_eig,
+    analyze,
+    eig_lr,
+    eig_lr_batch,
+    refine_crossovers,
+)
 
 W0 = 2 * math.pi * 50.0
 
@@ -308,3 +320,143 @@ def test_verify_with_ad_stabilizes_fixture_at_top_node(case_graph):
     calibrated = calibrate_ad(cplan, AD_BASE)
     report = verify_with_ad(case_graph, 4, calibrated, grid)
     assert report.stable
+
+
+# --- lockstep planning against the per-trace loop ---
+
+def reference_plan(g, node_id, traces, report, epsilon, dalpha=1e-3):
+    """plan as the per-trace loop: each critical crossover followed alone,
+    one 9-point window scan and one one-bracket locator run per locate,
+    the window doubling on a missing or failed bracket."""
+    node_index = g.node_index(node_id)
+    p = 2 * node_index
+    f_lo, f_hi = float(traces[0].f_hz[0]), float(traces[0].f_hz[-1])
+    trace_by_id = {t.trace_id: t for t in traces}
+
+    def matrices_at(fs, alpha):
+        m = assemble_grid(g, fs)
+        m[:, p, p] += alpha
+        m[:, p + 1, p + 1] += alpha
+        return m
+
+    def locate(state, alpha):
+        window = 50.0
+        for _ in range(8):
+            fs = [float(f) for f in np.linspace(max(f_lo, state["f_cr"] - window),
+                                                min(f_hi, state["f_cr"] + window), 9)]
+            spec = eig_lr_batch(matrices_at(fs, alpha), fs)
+            picked = np.argmax(np.abs(state["u_ref"] @ spec.w), axis=-1)
+            ims = spec.lam[np.arange(9), picked].imag
+            steps = np.flatnonzero((ims[:-1] == 0) | (ims[:-1] * ims[1:] < 0))
+            if steps.size:
+                i = min(steps, key=lambda i: abs(0.5 * (fs[i] + fs[i + 1]) - state["f_cr"]))
+                [found] = refine_crossovers(lambda fs: matrices_at(fs, alpha),
+                                            [fs[i]], [fs[i + 1]], [ims[i]], [ims[i + 1]],
+                                            [state["u_ref"]])
+                if not isinstance(found, BisectionError):
+                    smp, j = found
+                    state["f_cr"], state["u_ref"] = smp.f_hz, smp.u[j]
+                    return found
+            window *= 2.0
+        raise PlanInfeasibleError(
+            f"lost the critical crossover near {state['f_cr']} Hz at alpha={alpha} S")
+
+    entries = []
+    for ev in (e for e in report.events if e.verdict == "critical"):
+        state = {"f_cr": ev.f_cr_hz,
+                 "u_ref": _left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz)}
+        alpha, iters, shift = accumulate_alpha(
+            ev.re_lambda, epsilon, dalpha,
+            lambda a, state=state: sensitivity(*locate(state, a), node_index).dlam_dalpha)
+        final, _ = locate(state, alpha)
+        entries.append(PlanEntry(ev.trace_id, node_index, ev.f_cr_hz, final.f_hz,
+                                 ev.re_lambda, alpha, iters, ev.re_lambda + shift.real))
+    if not entries:
+        return CompensationPlan(epsilon, dalpha, node_index, (), 0.0, 0.0, 0.0)
+    f_all = [e.f_cr_start_hz for e in entries] + [e.f_cr_final_hz for e in entries]
+    return CompensationPlan(epsilon, dalpha, node_index, tuple(entries),
+                            max(1.0, math.floor(min(f_all) / 100.0) * 100.0),
+                            math.ceil(max(f_all) / 100.0) * 100.0,
+                            max(e.alpha_s for e in entries))
+
+
+@pytest.fixture(scope="module")
+def fixture_baseline(case_graph):
+    _, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    return traces, report
+
+
+@pytest.mark.parametrize("node", [4, 3])
+@pytest.mark.parametrize("dalpha", [1e-3, 5e-3])
+def test_lockstep_plan_equals_per_trace_loop_on_fixture(case_graph, fixture_baseline,
+                                                        node, dalpha):
+    traces, report = fixture_baseline
+    got = plan(case_graph, node, traces, report, 0.005, dalpha)
+    assert len(got.entries) == 3
+    assert got == reference_plan(case_graph, node, traces, report, 0.005, dalpha)
+
+
+# (seed, node id) of make_random_small_system networks with at least two
+# nodes and two critical crossovers whose plan at that node is feasible
+RANDOM_PLANS = [(3, 1), (5, 2), (7, 2), (12, 1), (13, 2), (22, 1), (24, 1), (32, 3),
+                (40, 2), (45, 3)]
+
+
+@pytest.mark.parametrize("seed, node", RANDOM_PLANS)
+def test_lockstep_plan_equals_per_trace_loop_on_random_systems(seed, node):
+    g = make_random_small_system(seed)
+    _, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
+    assert g.n >= 2 and len(report.critical_events) >= 2
+    got = plan(g, node, traces, report, 0.005, 5e-3)
+    assert got.entries
+    assert got == reference_plan(g, node, traces, report, 0.005, 5e-3)
+
+
+def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline, monkeypatch):
+    """At alpha = 0, matrices near the low-frequency crossover have Im
+    jump over zero, so that follower's first bracket fails; only its
+    window doubles, and the plan matches the unbroken one."""
+    traces, report = fixture_baseline
+    low = min(report.critical_events, key=lambda e: e.f_cr_hz)
+    windows, failures = [], []
+    broken = [True]
+    follower_cls = compensation_planner._CriticalFollower
+    matrices_at, window, refine = (follower_cls._matrices_at, follower_cls.window,
+                                   compensation_planner.refine_crossovers)
+
+    def jumping_matrices_at(self, fs, alpha):
+        m = matrices_at(self, fs, alpha)
+        if broken[0] and alpha == 0.0:
+            # push the followed Im away from zero on both sides of the
+            # crossover, so regula falsi never meets the tolerance
+            sign = 1.0 if low.direction == "rising" else -1.0
+            for k, f in enumerate(fs):
+                if abs(f - low.f_cr_hz) < 5.0:
+                    side = 1.0 if f >= low.f_cr_hz else -1.0
+                    m[k] += 1e-3j * sign * side * np.eye(len(m[k]))
+        return m
+
+    def recorded_window(self, half_width):
+        windows.append((self.f_cr, half_width))
+        if half_width > follower_cls.WINDOW_HZ:
+            broken[0] = False
+        return window(self, half_width)
+
+    def recorded_refine(*args, **kwargs):
+        out = refine(*args, **kwargs)
+        failures.extend(r for r in out if isinstance(r, BisectionError))
+        return out
+
+    monkeypatch.setattr(follower_cls, "_matrices_at", jumping_matrices_at)
+    monkeypatch.setattr(follower_cls, "window", recorded_window)
+    monkeypatch.setattr(compensation_planner, "refine_crossovers", recorded_refine)
+    got = plan(case_graph, 4, traces, report, 0.005, 5e-3)
+
+    assert len(failures) == 1
+    starts = [e.f_cr_hz for e in report.critical_events]
+    # the first locate: every follower at 50 Hz, then the low one alone at 100 Hz
+    assert windows[:4] == [(f, 50.0) for f in starts] + [(low.f_cr_hz, 100.0)]
+    assert all(w == 50.0 for _, w in windows[4:])
+    expected = reference_plan(case_graph, 4, traces, report, 0.005, 5e-3)
+    assert ([(e.trace_id, e.iterations, e.alpha_s) for e in got.entries]
+            == [(e.trace_id, e.iterations, e.alpha_s) for e in expected.entries])

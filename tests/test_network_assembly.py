@@ -7,6 +7,7 @@ from damp_planner import network_assembly
 from damp_planner.compensation_planner import _CriticalFollower
 from damp_planner.component_models import (
     ADParams,
+    AdmittanceTable,
     CapacitorParams,
     GridImpedanceParams,
     InverterParams,
@@ -278,3 +279,61 @@ def test_node_index_and_with_device(case_graph):
     g2 = case_graph.with_shunt_device(4, CapacitorParams(1e-6))
     assert len(g2.shunts) == len(case_graph.shunts) + 1
     assert len(case_graph.shunts) == 4
+
+
+# --- one evaluation per distinct shunt device ---
+
+def per_shunt_reference(g, f):
+    """assemble_grid as the plain per-shunt sum: the branch stamps, then
+    every shunt's device block evaluated and added on its own, in order."""
+    y = assemble_grid(NetworkGraph(g.nodes, g.branches, (), g.omega0), f)
+    for s in g.shunts:
+        i = 2 * g.node_index(s.node)
+        y[:, i:i + 2, i:i + 2] += network_assembly._device_block(s.device, f, g.omega0)
+    return y
+
+
+def test_identical_inverters_are_evaluated_once(case_graph, monkeypatch):
+    f = np.linspace(10.0, 2500.0, 7)
+    inverters = [s for s in case_graph.shunts if isinstance(s.device, InverterParams)]
+    assert len(inverters) == 3 and len({s.device for s in inverters}) == 1
+    expected = per_shunt_reference(case_graph, f)
+    calls = []
+    real = network_assembly.inverter_block
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(network_assembly, "inverter_block", counted)
+    got = assemble_grid(case_graph, f)
+    assert len(calls) == 1
+    assert np.array_equal(got, expected)
+
+
+def test_shared_table_is_queried_once_per_call(monkeypatch):
+    # two shunts share table a; table b has a's values but is another object
+    f_tab = np.logspace(0.0, 4.0, 9)
+    blocks = np.zeros((len(f_tab), 2, 2), dtype=complex)
+    blocks[:, 0, 0] = blocks[:, 1, 1] = 0.01 + 0.002j * np.log(f_tab)
+    a, b = AdmittanceTable(f_tab, blocks), AdmittanceTable(f_tab, blocks)
+    g = NetworkGraph((1, 2, 3),
+                     (Branch(1, 2, RlBranchParams(0.1, 1e-3)),
+                      Branch(2, 3, RlBranchParams(0.2, 2e-3))),
+                     (Shunt(1, GridImpedanceParams(0.3, 0.5e-3)),
+                      Shunt(1, a), Shunt(2, a), Shunt(3, b)), W0)
+    f = np.array([50.0, 125.0, 900.0])
+    expected = per_shunt_reference(g, f)
+    queried = []
+    real = AdmittanceTable.query
+
+    def counted(self, f_hz):
+        queried.append(self)
+        return real(self, f_hz)
+
+    monkeypatch.setattr(AdmittanceTable, "query", counted)
+    for _ in range(2):
+        queried.clear()
+        got = assemble_grid(g, f)
+        assert sorted(map(id, queried)) == sorted([id(a), id(b)])
+        assert np.array_equal(got, expected)

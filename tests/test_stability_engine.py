@@ -25,7 +25,7 @@ from damp_planner.stability_engine import (
     eig_lr_batch,
     find_crossovers,
     nyquist_winding,
-    refine_crossover,
+    refine_crossovers,
     sweep,
     track,
 )
@@ -381,6 +381,16 @@ def scalar_matrices(lam_at):
     return lambda fs: np.array([[[lam_at(f)]] for f in fs])
 
 
+def refine_one(matrices_at, f_lo, f_hi, im_lo, im_hi, u_ref, max_steps=60):
+    """refine_crossovers on one bracket: its result, or its BisectionError
+    raised."""
+    [refined] = refine_crossovers(matrices_at, [f_lo], [f_hi], [im_lo], [im_hi], [u_ref],
+                                  max_steps=max_steps)
+    if isinstance(refined, BisectionError):
+        raise refined
+    return refined
+
+
 def test_crossover_on_synthetic_linear_trace():
     lam_at = lambda f: -0.01 + 1j * (f - 1000.0) / 1000.0
     freqs = np.arange(990.0, 1011.0)
@@ -404,7 +414,7 @@ def test_crossover_bisection_refines_against_matrix():
 
 
 def assert_refined_crossover(matrix_at, refined, f_lo, f_hi, im_lo, im_hi, u_ref):
-    """A refine_crossover result lies inside its bracket, is the eigenvalue
+    """A refine_crossovers result lies inside its bracket, is the eigenvalue
     that overlap with u_ref picks, and meets the |Im| tolerance on an
     independent decomposition."""
     smp, j = refined
@@ -425,7 +435,7 @@ def assert_crossings_refine(g, grid) -> int:
         for t in np.nonzero(im[:-1] * im[1:] < 0)[0]:
             bracket = (float(tr.f_hz[t]), float(tr.f_hz[t + 1]),
                        float(im[t]), float(im[t + 1]), tr.u[t])
-            refined = refine_crossover(lambda fs: assemble_grid(g, fs), *bracket)
+            refined = refine_one(lambda fs: assemble_grid(g, fs), *bracket)
             assert_refined_crossover(lambda f: assemble(g, f), refined, *bracket)
             n += 1
     return n
@@ -448,17 +458,68 @@ def test_refined_crossovers_hold_in_planner(case_graph, monkeypatch):
     them at nonzero conductance."""
     checked = []
 
-    def refine(matrices_at, *bracket):
-        refined = refine_crossover(matrices_at, *bracket)
-        assert_refined_crossover(lambda f: matrices_at([f])[0], refined, *bracket)
-        checked.append(bracket)
+    def refine(matrices_at, *brackets):
+        refined = refine_crossovers(matrices_at, *brackets)
+        for bracket, one in zip(zip(*brackets), refined):
+            assert_refined_crossover(lambda f: matrices_at([f])[0], one, *bracket)
+            checked.append(bracket)
         return refined
 
-    monkeypatch.setattr(compensation_planner, "refine_crossover", refine)
+    monkeypatch.setattr(compensation_planner, "refine_crossovers", refine)
     _, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
     cplan = compensation_planner.plan(case_graph, 4, traces, report, 0.005, dalpha=0.005)
     # one refinement per accumulation step (more if a window widens)
     assert len(checked) >= sum(e.iterations for e in cplan.entries) > 3 * len(cplan.entries)
+
+
+def test_batched_locator_equals_each_bracket_refined_alone():
+    """Every sign-change bracket of seeds 0-19, refined in one batch, gives
+    the same decomposition bit for bit as refined alone; assess, which
+    refines the brackets of all traces together, equals find_crossovers
+    trace by trace."""
+    grid = FrequencyGrid.regular(2.0, 5000.0, 5.0)
+    n = 0
+    for seed in range(20):
+        g = make_random_small_system(seed)
+        matrices_at = lambda fs: assemble_grid(g, fs)
+        traces = track(sweep(g, grid))
+        brackets = [(float(tr.f_hz[t]), float(tr.f_hz[t + 1]),
+                     float(tr.lam.imag[t]), float(tr.lam.imag[t + 1]), tr.u[t])
+                    for tr in traces
+                    for t in np.flatnonzero(tr.lam.imag[:-1] * tr.lam.imag[1:] < 0)]
+        if brackets:
+            together = refine_crossovers(matrices_at, *zip(*brackets))
+            for bracket, (smp, j) in zip(brackets, together):
+                alone, j_alone = refine_one(matrices_at, *bracket)
+                assert (smp.f_hz, j) == (alone.f_hz, j_alone)
+                for a, b in ((smp.lam, alone.lam), (smp.w, alone.w), (smp.u, alone.u)):
+                    assert np.array_equal(a, b)
+        n += len(brackets)
+        per_trace = [e for tr in traces for e in find_crossovers(tr, matrices_at)]
+        per_trace.sort(key=lambda e: (e.f_cr_hz, e.trace_id))
+        assert list(assess(traces, matrices_at).events) == per_trace
+    assert n > 20
+
+
+def test_failed_bracket_does_not_stop_the_others():
+    """Im crosses zero at 20 Hz but jumps over it at 70.3 Hz: in one batch
+    the first bracket converges as it does alone, and the second comes
+    back as its own BisectionError naming its narrowed bracket."""
+    lam_at = lambda f: 1.0 + 1j * ((f - 20.0) / 100.0 if f < 50.0 else
+                                   (1.0 if f >= 70.3 else -1.0))
+    u = np.ones(1, complex)
+    sizes = []
+    good, bad = refine_crossovers(counted_scalar_matrices(lam_at, sizes),
+                                  [0.0, 60.0], [40.0, 100.0], [-0.2, -1.0], [0.2, 1.0], [u, u],
+                                  max_steps=8)
+    smp, j = good
+    alone, j_alone = refine_one(scalar_matrices(lam_at), 0.0, 40.0, -0.2, 0.2, u, max_steps=8)
+    assert (smp.f_hz, j, smp.lam[j]) == (alone.f_hz, j_alone, alone.lam[j_alone])
+    assert isinstance(bad, BisectionError)
+    lo, hi = re.search(r"at \[(\S+), (\S+)\] Hz", str(bad)).groups()
+    assert 60.0 <= float(lo) < 70.3 <= float(hi) < 100.0
+    # both brackets share the first rounds; then the failing one runs alone
+    assert sizes[0] == 2 and sizes[-1] == 1 and len(sizes) == 8
 
 
 def counted_scalar_matrices(lam_at, sizes):
@@ -475,8 +536,8 @@ def test_illinois_step_converges_on_one_sided_curve():
     gets the root well within the step cap."""
     lam_at = lambda f: 1.0 + 1j * (math.exp(f / 5.0) - 2.0)
     sizes = []
-    smp, j = refine_crossover(counted_scalar_matrices(lam_at, sizes), 0.0, 100.0,
-                              lam_at(0.0).imag, lam_at(100.0).imag, np.ones(1, complex))
+    smp, j = refine_one(counted_scalar_matrices(lam_at, sizes), 0.0, 100.0,
+                        lam_at(0.0).imag, lam_at(100.0).imag, np.ones(1, complex))
     assert smp.f_hz == pytest.approx(5.0 * math.log(2.0), abs=1e-6)
     assert abs(smp.lam[j].imag) <= 1e-6
     assert sizes == [1] * len(sizes) and len(sizes) < 60
@@ -490,8 +551,8 @@ def test_refinement_step_cap_names_the_bracket(max_steps):
     lam_at = lambda f: 1.0 + 1j * (1.0 if f >= 37.3 else -1.0)
     sizes = []
     with pytest.raises(BisectionError) as err:
-        refine_crossover(counted_scalar_matrices(lam_at, sizes), 0.0, 100.0, -1.0, 1.0,
-                         np.ones(1, complex), max_steps=max_steps)
+        refine_one(counted_scalar_matrices(lam_at, sizes), 0.0, 100.0, -1.0, 1.0,
+                   np.ones(1, complex), max_steps=max_steps)
     assert sizes == [1] * max_steps
     lo, hi = re.search(r"at \[(\S+), (\S+)\] Hz", str(err.value)).groups()
     assert 0.0 <= float(lo) < 37.3 <= float(hi) < 100.0
@@ -515,8 +576,8 @@ def reference_find_crossovers(trace, matrices_at, margin=0.0):
             continue
         if im[t] * im[t + 1] < 0:
             direction = "falling" if im[t] > 0 else "rising"
-            smp, j = refine_crossover(matrices_at, float(f[t]), float(f[t + 1]),
-                                      float(im[t]), float(im[t + 1]), trace.u[t])
+            smp, j = refine_one(matrices_at, float(f[t]), float(f[t + 1]),
+                                float(im[t]), float(im[t + 1]), trace.u[t])
             events.append(stability_engine._make_event(
                 trace.trace_id, smp.f_hz, float(smp.lam[j].real), direction, margin))
     if len(trace) and im[-1] == 0.0:
