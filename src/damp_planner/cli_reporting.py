@@ -87,8 +87,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.fmin_hz <= 0 or self.fmax_hz < self.fmin_hz or self.df_hz <= 0:
             raise ValueError("sweep range must be positive and ordered")
-        if self.epsilon_s <= 0:
-            raise ValueError("epsilon must be > 0")
+        for name in ("epsilon_s", "dalpha_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not self.formats or any(f not in ("csv", "json") for f in self.formats):
             raise ValueError("formats must be a non-empty subset of {csv, json}")
 
@@ -501,11 +502,12 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
     into cfg.out_dir and returns (report, exit code).
 
     The network file is read and parsed once.  The analysis commands
-    (sweep, criticals, rank, plan, verify) load the network and run the
-    baseline analyze once, here; each then only writes its report from
-    (cfg, out, g, traces, report), verify with the file's damper defaults
-    as well.  ad-curve analyses no network: it takes the damper defaults
-    and the fundamental from the file.
+    (sweep, criticals, rank, plan, verify) load the network, reject a
+    cfg.node it does not have, and run the baseline analyze once, here;
+    each then only writes its report from (cfg, out, g, traces, report),
+    verify with the file's damper defaults as well.  ad-curve analyses no
+    network: it takes the damper defaults and the fundamental from the
+    file.
     """
     if command != "ad-curve" and command not in _ANALYSIS_COMMANDS:
         raise ValueError(f"unknown command {command!r}")
@@ -519,6 +521,9 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
                                  _damper_defaults(path, network_doc, cfg.ad_mode))
     else:
         g = load_network(path, network_doc)
+        if cfg.node is not None and cfg.node not in g.nodes:
+            raise ValueError(f"node {cfg.node} is not in the network {path} "
+                             f"(nodes {', '.join(map(str, g.nodes))})")
         extra = (_damper_defaults(path, network_doc),) if command == "verify" else ()
         _, traces, report = analyze(g, cfg.grid())
         doc, code = _ANALYSIS_COMMANDS[command](cfg, out, g, traces, report, *extra)

@@ -9,10 +9,12 @@ and accumulates pure-conductance increments d_alpha, re-locating the
 crossover at the updated conductance each step (the sensitivity drifts
 with alpha).  The critical crossovers are planned in lockstep: at step k
 they all sit at the same conductance alpha_k = k d_alpha, so each step
-scans a 9-point window around every unfinished crossover with one
-assembly and decomposition of all the windows, then refines every
-window's bracket with one refine_crossovers run (batched Illinois regula
-falsi, one point per open bracket per round).  A crossover stops once its
+brackets every unfinished crossover with 2 points predicted from its
+last drift (a secant predictor), decomposes all the brackets as one
+batch, and refines them with one refine_crossovers run (batched Illinois
+regula falsi, one point per open bracket per round).  A crossover the
+prediction misses is found by 9-point window scans around it, widening
+until one holds its sign change.  A crossover stops once its
 real part is lifted above the margin epsilon.  Calibration then picks the
 smallest damper gain k_v whose admittance covers the planned conductance
 over the planned band while staying quasi-resistive.
@@ -262,21 +264,30 @@ def accumulate_alpha(re_start: float, epsilon: float, dalpha: float,
 class _CriticalFollower:
     """Re-locates one critical eigenvalue as conductance is added at a node.
 
-    Keeps the crossover frequency f_cr and the left eigenvector u_ref of
-    the last confirmed point as the identity reference.  Followers are
-    located together by _locate_all: each scans a 9-point window around
-    its f_cr inside [f_lo, f_hi], and the bracket nearest f_cr is refined
-    by regula falsi from the scan's Im values at its ends.
+    Keeps the crossover frequency f_cr, its drift df from the locate
+    before (0 after a locate that took a widened window: a jump is no
+    drift), and the left eigenvector u_ref of the last confirmed point as
+    the identity reference.  Followers are located together by
+    _locate_all in up to TRIES tries: try 0 is a 2-point bracket
+    predicted by the secant, centred on f_cr + df with half-width
+    max(|df| / 4, 0.05 Hz); tries 1-8 are the recovery, 9-point windows of
+    half-width 50, 100, ... Hz around f_cr.  Every window is clipped to
+    [f_lo, f_hi], and the bracket nearest f_cr is refined by regula falsi
+    from the scan's Im values at its ends.
     """
 
+    PREDICTED_FRACTION = 0.25  # predicted half-width per Hz of drift
+    PREDICTED_FLOOR_HZ = 0.05  # smallest predicted half-width
     WINDOW_HZ = 50.0  # half-width of the first scan window around f_cr
     SCAN_POINTS = 9
+    TRIES = 9  # the predicted bracket, then 8 window doublings
 
     def __init__(self, g: NetworkGraph, node_index: int, f_cr: float,
                  u_ref: np.ndarray, f_lo: float, f_hi: float):
         self.g = g
         self.node_index = node_index
         self.f_cr = f_cr
+        self.df = 0.0
         self.u_ref = u_ref
         self.f_bounds = (f_lo, f_hi)
 
@@ -289,11 +300,19 @@ class _CriticalFollower:
         m[:, p + 1, p + 1] += alpha
         return m
 
-    def window(self, half_width: float) -> list[float]:
-        """The scan points of a window of the given half-width around f_cr."""
-        lo = max(self.f_bounds[0], self.f_cr - half_width)
-        hi = min(self.f_bounds[1], self.f_cr + half_width)
-        return [float(f) for f in np.linspace(lo, hi, self.SCAN_POINTS)]
+    def window(self, attempt: int) -> list[float]:
+        """The scan points of try `attempt`: the predicted bracket for 0,
+        else the window of half-width WINDOW_HZ * 2**(attempt - 1)."""
+        if attempt == 0:
+            centre = self.f_cr + self.df
+            half_width = max(abs(self.df) * self.PREDICTED_FRACTION, self.PREDICTED_FLOOR_HZ)
+            n = 2
+        else:
+            centre = self.f_cr
+            half_width = self.WINDOW_HZ * 2.0 ** (attempt - 1)
+            n = self.SCAN_POINTS
+        lo, hi = np.clip((centre - half_width, centre + half_width), *self.f_bounds)
+        return [float(f) for f in np.linspace(lo, hi, n)]
 
     def bracket(self, fs: list[float], w: np.ndarray, lam: np.ndarray):
         """(f_lo, f_hi, im_lo, im_hi, u_ref) of the sign change nearest f_cr
@@ -309,28 +328,35 @@ class _CriticalFollower:
         i = min(steps, key=lambda i: abs(0.5 * (fs[i] + fs[i + 1]) - self.f_cr))
         return fs[i], fs[i + 1], ims[i], ims[i + 1], self.u_ref
 
+    def move_to(self, smp: EigenSample, j: int, attempt: int) -> None:
+        """Confirm eigenvalue j of smp, found at try `attempt`, as the
+        crossover.  df becomes the move, unless it took a widened window
+        (try 2 on): a move that far is a jump, not a drift, and df resets
+        to 0."""
+        self.df = smp.f_hz - self.f_cr if attempt <= 1 else 0.0
+        self.f_cr, self.u_ref = smp.f_hz, smp.u[j]
+
 
 def _locate_all(followers: Sequence[_CriticalFollower],
                 alpha: float) -> list[tuple[EigenSample, int]]:
     """Crossover sample of every follower's eigenvalue at conductance alpha
     and the eigenvalue's index in it; each follower moves to its sample.
 
-    Each try scans the window of every follower still unlocated, all
-    windows assembled and decomposed as one batch, then refines all their
-    brackets in one refine_crossovers run.  A follower whose window holds
-    no sign change, or whose bracket fails to converge, retries with its
-    window doubled; after 8 tries PlanInfeasibleError names the crossover
-    it lost.
+    Each try scans the window of every follower still unlocated (at try
+    0 its predicted 2-point bracket), all windows assembled and
+    decomposed as one batch, then refines all their brackets in one
+    refine_crossovers run.  A follower whose window holds no sign change,
+    or whose bracket fails to converge, goes on to its next window; after
+    the last try PlanInfeasibleError names the crossover it lost.
     """
     def matrices_at(fs: Sequence[float]) -> np.ndarray:
         return followers[0]._matrices_at(fs, alpha)
 
-    n = _CriticalFollower.SCAN_POINTS
     found: list = [None] * len(followers)
     pending = list(range(len(followers)))
-    half_width = _CriticalFollower.WINDOW_HZ
-    for _ in range(8):
-        scans = [followers[i].window(half_width) for i in pending]
+    for attempt in range(_CriticalFollower.TRIES):
+        scans = [followers[i].window(attempt) for i in pending]
+        n = len(scans[0])  # every window of one try has the same points
         fs = [f for scan in scans for f in scan]
         spec = eig_lr_batch(matrices_at(fs), fs)
         brackets = {}
@@ -341,14 +367,12 @@ def _locate_all(followers: Sequence[_CriticalFollower],
         if brackets:
             refined = refine_crossovers(matrices_at, *zip(*brackets.values()))
             for i, res in zip(brackets, refined):
-                if isinstance(res, BisectionError):
-                    continue
-                smp, j = found[i] = res
-                followers[i].f_cr, followers[i].u_ref = smp.f_hz, smp.u[j]
+                if not isinstance(res, BisectionError):
+                    found[i] = res
+                    followers[i].move_to(*res, attempt)
         pending = [i for i in pending if found[i] is None]
         if not pending:
             return found
-        half_width *= 2.0
     raise PlanInfeasibleError(
         f"lost the critical crossover near {followers[pending[0]].f_cr} Hz at alpha={alpha} S")
 
@@ -366,8 +390,9 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     frequency are re-identified with the step's conductance installed,
     and the first-order shift is accumulated.  The crossovers run in
     lockstep: step k locates every unfinished one at the same alpha_k
-    (k additions of dalpha) with one _locate_all, so one window scan
-    batch and one batched regula falsi serve them all.  A crossover that
+    (k additions of dalpha) with one _locate_all, so one batch of
+    predicted 2-point brackets and one batched regula falsi serve them
+    all (window scans only for the brackets that miss).  A crossover that
     has just met epsilon takes f_cr_final_hz from the locate at its own
     alpha_s, in the same batch.  The band-level requirement is the
     largest per-eigenvalue conductance over the band spanned by the

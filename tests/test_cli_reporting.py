@@ -330,9 +330,14 @@ _CONFIG_CASES = [("fmin_hz", math.nan), ("fmax_hz", math.nan), ("fmax_hz", math.
     (lambda: _plan_without_criticals(epsilon=math.nan), "epsilon must be finite and > 0, got nan"),
     (lambda: _plan_without_criticals(epsilon=math.inf), "epsilon must be finite and > 0, got inf"),
     (lambda: _plan_without_criticals(dalpha=math.nan), "dalpha must be finite and > 0, got nan"),
+    *[(lambda value=value: RunConfig(network="net.json", dalpha_s=value),
+       f"dalpha_s must be > 0, got {value}") for value in (0.0, -1.0)],
+    *[(lambda value=value: _plan_without_criticals(dalpha=value),
+       f"dalpha must be finite and > 0, got {value}") for value in (0.0, -1.0)],
 ], ids=["grid-nan", "grid-inf", "regular-inf",
         *[f"{name}-{value}" for name, value in _CONFIG_CASES],
-        "plan-epsilon-nan", "plan-epsilon-inf", "plan-dalpha-nan"])
+        "plan-epsilon-nan", "plan-epsilon-inf", "plan-dalpha-nan",
+        "dalpha_s-0", "dalpha_s--1", "plan-dalpha-0", "plan-dalpha--1"])
 def test_non_finite_settings_are_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -343,6 +348,28 @@ def test_cli_names_a_non_finite_option(fixture_path, tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err == "error: fmax_hz must be finite, got nan\n"
+
+
+@pytest.mark.parametrize("command", ["plan", "verify"])
+def test_cli_rejects_a_node_not_in_the_network_before_the_sweep(fixture_path, tmp_path,
+                                                                capsys, monkeypatch, command):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("the baseline analysis ran")
+
+    monkeypatch.setattr(cli_reporting, "analyze", no_analysis)
+    code = main([command, "--network", str(fixture_path), "--node", "99",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: node 99 is not in the network {fixture_path} ")
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_a_non_positive_dalpha(fixture_path, tmp_path, capsys):
+    code = main(["plan", "--network", str(fixture_path), "--dalpha", "0",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: dalpha_s must be > 0, got 0.0\n"
 
 
 def test_table_backed_inverter_matches_analytic(fixture_path, tmp_path):

@@ -284,9 +284,9 @@ def test_fixture_plan_at_node_4_is_pinned(case_graph):
     cplan = plan(case_graph, 4, traces, report, epsilon=0.005)
     got = [(e.trace_id, e.iterations, e.alpha_s, e.f_cr_final_hz)
            for e in cplan.entries]
-    expected = [(8, 47, 0.047, 178.4869934877992),
-                (5, 34, 0.034, 1755.1259463875208),
-                (6, 46, 0.046, 1885.6011142622554)]
+    expected = [(8, 47, 0.047, 178.4865853631394),
+                (5, 34, 0.034, 1755.1238516446276),
+                (6, 46, 0.046, 1885.5985527731548)]
     assert [g[:2] for g in got] == [x[:2] for x in expected]
     for (_, _, alpha, f_cr), (_, _, alpha_x, f_cr_x) in zip(got, expected):
         assert alpha == pytest.approx(alpha_x, rel=1e-12)
@@ -324,10 +324,14 @@ def test_verify_with_ad_stabilizes_fixture_at_top_node(case_graph):
 
 # --- lockstep planning against the per-trace loop ---
 
-def reference_plan(g, node_id, traces, report, epsilon, dalpha=1e-3):
+def reference_plan(g, node_id, traces, report, epsilon, dalpha=1e-3, predicted=True):
     """plan as the per-trace loop: each critical crossover followed alone,
-    one 9-point window scan and one one-bracket locator run per locate,
-    the window doubling on a missing or failed bracket."""
+    one one-bracket locator run per try.  Try 0 is the 2-point bracket of
+    half-width max(|df| / 4, 0.05 Hz) around f_cr + df, df being the move
+    of the last locate (0 when it took a window wider than 50 Hz); the
+    tries after it scan 9-point windows of half-width 50, 100, ... Hz.
+    predicted=False leaves out try 0: the scan-only loop the predicted
+    bracket replaced."""
     node_index = g.node_index(node_id)
     p = 2 * node_index
     f_lo, f_hi = float(traces[0].f_hz[0]), float(traces[0].f_hz[-1])
@@ -339,14 +343,25 @@ def reference_plan(g, node_id, traces, report, epsilon, dalpha=1e-3):
         m[:, p + 1, p + 1] += alpha
         return m
 
-    def locate(state, alpha):
+    def scans(state):
+        # (attempt, scan points) of each try, the windows around the f_cr
+        # of the moment
+        if predicted:
+            centre = state["f_cr"] + state["df"]
+            half = max(abs(state["df"]) / 4.0, 0.05)
+            yield 0, np.linspace(*np.clip((centre - half, centre + half), f_lo, f_hi), 2)
         window = 50.0
-        for _ in range(8):
-            fs = [float(f) for f in np.linspace(max(f_lo, state["f_cr"] - window),
-                                                min(f_hi, state["f_cr"] + window), 9)]
+        for attempt in range(1, 9):
+            yield attempt, np.linspace(max(f_lo, state["f_cr"] - window),
+                                       min(f_hi, state["f_cr"] + window), 9)
+            window *= 2.0
+
+    def locate(state, alpha):
+        for attempt, points in scans(state):
+            fs = [float(f) for f in points]
             spec = eig_lr_batch(matrices_at(fs, alpha), fs)
             picked = np.argmax(np.abs(state["u_ref"] @ spec.w), axis=-1)
-            ims = spec.lam[np.arange(9), picked].imag
+            ims = spec.lam[np.arange(len(fs)), picked].imag
             steps = np.flatnonzero((ims[:-1] == 0) | (ims[:-1] * ims[1:] < 0))
             if steps.size:
                 i = min(steps, key=lambda i: abs(0.5 * (fs[i] + fs[i + 1]) - state["f_cr"]))
@@ -355,15 +370,15 @@ def reference_plan(g, node_id, traces, report, epsilon, dalpha=1e-3):
                                             [state["u_ref"]])
                 if not isinstance(found, BisectionError):
                     smp, j = found
+                    state["df"] = smp.f_hz - state["f_cr"] if attempt <= 1 else 0.0
                     state["f_cr"], state["u_ref"] = smp.f_hz, smp.u[j]
                     return found
-            window *= 2.0
         raise PlanInfeasibleError(
             f"lost the critical crossover near {state['f_cr']} Hz at alpha={alpha} S")
 
     entries = []
     for ev in (e for e in report.events if e.verdict == "critical"):
-        state = {"f_cr": ev.f_cr_hz,
+        state = {"f_cr": ev.f_cr_hz, "df": 0.0,
                  "u_ref": _left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz)}
         alpha, iters, shift = accumulate_alpha(
             ev.re_lambda, epsilon, dalpha,
@@ -412,14 +427,91 @@ def test_lockstep_plan_equals_per_trace_loop_on_random_systems(seed, node):
     assert got == reference_plan(g, node, traces, report, 0.005, 5e-3)
 
 
+@pytest.mark.parametrize("node", [4, 3])
+@pytest.mark.parametrize("dalpha", [1e-3, 5e-3])
+def test_predicted_brackets_keep_the_scan_only_plan_on_fixture(case_graph, fixture_baseline,
+                                                               node, dalpha):
+    """Against the scan-only loop the predicted bracket replaced: the same
+    followed crossovers, step counts and band, and crossovers that moved
+    only within the locator's tolerance."""
+    traces, report = fixture_baseline
+    got = plan(case_graph, node, traces, report, 0.005, dalpha)
+    old = reference_plan(case_graph, node, traces, report, 0.005, dalpha, predicted=False)
+    assert ([(e.trace_id, e.iterations, e.alpha_s) for e in got.entries]
+            == [(e.trace_id, e.iterations, e.alpha_s) for e in old.entries])
+    assert ((got.band_lo_hz, got.band_hi_hz, got.required_re_yad_s)
+            == (old.band_lo_hz, old.band_hi_hz, old.required_re_yad_s))
+    for e, o in zip(got.entries, old.entries):
+        assert abs(e.f_cr_final_hz - o.f_cr_final_hz) <= 5e-3
+        assert abs(e.predicted_re - o.predicted_re) <= 1e-8
+
+
+def test_plan_decomposes_two_points_per_follower_per_step(case_graph, fixture_baseline,
+                                                          monkeypatch):
+    # the scan-only loop took 128 batches of 1 332 points in all
+    traces, report = fixture_baseline
+    sizes = []
+    real = compensation_planner.assemble_grid
+
+    def counted(g, fs):
+        sizes.append(len(fs))
+        return real(g, fs)
+
+    monkeypatch.setattr(compensation_planner, "assemble_grid", counted)
+    plan(case_graph, 4, traces, report, 0.005)
+    assert len(sizes) <= 100
+    assert sum(sizes) <= 400
+
+
+def test_predicted_bracket_stays_on_a_close_crossing_pair(monkeypatch):
+    """make_random_small_system(24) at node 1: at alpha = 0.72 S trace 3's
+    crossover near 1000.23 Hz has a second crossing 2.3 Hz below it.  The
+    scan-only loop's 50 Hz window (12.5 Hz spacing) steps over the pair
+    and jumps to a crossover near 827.5 Hz, where trace 3 reaches epsilon
+    two steps earlier; the predicted bracket stays on the pair."""
+    g = make_random_small_system(24)
+    _, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
+    real_locate_all = compensation_planner._locate_all
+    followers, at_072 = [], {}
+
+    def recorded(located, alpha):
+        out = real_locate_all(located, alpha)
+        if not followers:  # the locate at alpha 0 has them all, in entry order
+            followers.extend(located)
+        if alpha == pytest.approx(0.72, abs=1e-9):
+            at_072.update({id(f): res for f, res in zip(located, out)})
+        return out
+
+    monkeypatch.setattr(compensation_planner, "_locate_all", recorded)
+    got = plan(g, 1, traces, report, 0.005, 5e-3)
+    old = reference_plan(g, 1, traces, report, 0.005, 5e-3, predicted=False)
+
+    [i] = [k for k, e in enumerate(got.entries) if e.trace_id == 3]
+    assert (got.entries[i].iterations, old.entries[i].iterations) == (194, 192)
+    assert got.entries[i].alpha_s == pytest.approx(0.97, abs=1e-9)
+    assert old.entries[i].alpha_s == pytest.approx(0.96, abs=1e-9)
+    smp, j = at_072[id(followers[i])]
+    assert smp.f_hz == pytest.approx(1000.23, abs=0.01)
+    # an independent decomposition with the conductance installed has an
+    # eigenvalue on the real axis there: the followed one
+    m = assemble(g, smp.f_hz)
+    m[0, 0] += 0.72
+    m[1, 1] += 0.72
+    lam = np.linalg.eigvals(m)
+    k = int(np.argmin(np.abs(lam - smp.lam[j])))
+    assert abs(lam[k] - smp.lam[j]) <= 1e-6
+    assert abs(lam[k].imag) <= 1e-6 * max(1.0, abs(lam[k].real))
+
+
 def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline, monkeypatch):
     """At alpha = 0, matrices near the low-frequency crossover have Im
-    jump over zero, so that follower's first bracket fails; only its
-    window doubles, and the plan matches the unbroken one."""
+    jump over zero, so that follower's predicted bracket and its 50 Hz
+    window fail; it is located at 100 Hz, the other followers try the
+    same windows as in the unbroken plan, and the plan matches it."""
     traces, report = fixture_baseline
     low = min(report.critical_events, key=lambda e: e.f_cr_hz)
-    windows, failures = [], []
-    broken = [True]
+    failures = []
+    broken = [False]
     follower_cls = compensation_planner._CriticalFollower
     matrices_at, window, refine = (follower_cls._matrices_at, follower_cls.window,
                                    compensation_planner.refine_crossovers)
@@ -436,11 +528,11 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
                     m[k] += 1e-3j * sign * side * np.eye(len(m[k]))
         return m
 
-    def recorded_window(self, half_width):
-        windows.append((self.f_cr, half_width))
-        if half_width > follower_cls.WINDOW_HZ:
+    def recorded_window(self, attempt):
+        tries.setdefault(id(self), []).append((self.f_cr, attempt))
+        if attempt > 1:
             broken[0] = False
-        return window(self, half_width)
+        return window(self, attempt)
 
     def recorded_refine(*args, **kwargs):
         out = refine(*args, **kwargs)
@@ -450,13 +542,21 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
     monkeypatch.setattr(follower_cls, "_matrices_at", jumping_matrices_at)
     monkeypatch.setattr(follower_cls, "window", recorded_window)
     monkeypatch.setattr(compensation_planner, "refine_crossovers", recorded_refine)
+    tries: dict = {}
+    expected = plan(case_graph, 4, traces, report, 0.005, 5e-3)
+    unbroken = list(tries.values())
+    assert not failures
+    tries, broken[0] = {}, True
     got = plan(case_graph, 4, traces, report, 0.005, 5e-3)
+    broken_run = list(tries.values())
 
-    assert len(failures) == 1
-    starts = [e.f_cr_hz for e in report.critical_events]
-    # the first locate: every follower at 50 Hz, then the low one alone at 100 Hz
-    assert windows[:4] == [(f, 50.0) for f in starts] + [(low.f_cr_hz, 100.0)]
-    assert all(w == 50.0 for _, w in windows[4:])
-    expected = reference_plan(case_graph, 4, traces, report, 0.005, 5e-3)
+    assert len(failures) == 2
+    [k] = [k for k, e in enumerate(report.critical_events) if e is low]
+    # the first locate: the low follower's predicted bracket, then its
+    # 50 Hz and 100 Hz windows; the others as without the break
+    assert broken_run[k][:3] == [(low.f_cr_hz, 0), (low.f_cr_hz, 1), (low.f_cr_hz, 2)]
+    assert unbroken[k][0] == (low.f_cr_hz, 0)
+    assert [t for i, t in enumerate(broken_run) if i != k] == [
+        t for i, t in enumerate(unbroken) if i != k]
     assert ([(e.trace_id, e.iterations, e.alpha_s) for e in got.entries]
             == [(e.trace_id, e.iterations, e.alpha_s) for e in expected.entries])
