@@ -51,10 +51,7 @@ def main() -> int:
         print(f"  critical: trace {e.trace_id} at {e.f_cr_hz:8.2f} Hz, "
               f"Re = {e.re_lambda:+.5f} S")
 
-    coeffs = compensation_table(g, traces, report.critical_events)
-    demands = {e.trace_id: max(args.epsilon - e.re_lambda, 1e-12)
-               for e in report.critical_events}
-    ranks = rank_locations(coeffs, demands)
+    ranks = rank_locations(compensation_table(g, report.critical_events), args.epsilon)
     print("placement ranking (best first):",
           ", ".join(f"node {g.nodes[r.node_index]}" for r in ranks))
     if len(ranks) < 2 or report.stable:

@@ -377,15 +377,13 @@ def cmd_criticals(cfg: RunConfig, out: Path, g, traces, report):
     return doc, EXIT_STABLE if report.stable else EXIT_UNSTABLE
 
 
-def _ranked_nodes(g, traces, report, epsilon):
-    coeffs = compensation_table(g, traces, report.critical_events)
-    demands = {e.trace_id: max(epsilon - e.re_lambda, 1e-12)
-               for e in report.critical_events}
-    return coeffs, rank_locations(coeffs, demands)
+def _ranked_nodes(g, report, epsilon):
+    coeffs = compensation_table(g, report.critical_events)
+    return coeffs, rank_locations(coeffs, epsilon)
 
 
 def cmd_rank(cfg: RunConfig, out: Path, g, traces, report):
-    coeffs, ranks = _ranked_nodes(g, traces, report, cfg.epsilon_s)
+    coeffs, ranks = _ranked_nodes(g, report, cfg.epsilon_s)
     rows = [[g.nodes[c.node_index], c.trace_id, _fmt(c.f_cr_hz),
              _fmt(c.value.real), _fmt(c.value.imag)] for c in coeffs]
     _write_csv(cfg, out / "kc_table.csv",
@@ -419,7 +417,7 @@ def _plan_data(g, node_id, cplan) -> dict:
 def cmd_plan(cfg: RunConfig, out: Path, g, traces, report):
     node_id = cfg.node
     if node_id is None:
-        _, ranks = _ranked_nodes(g, traces, report, cfg.epsilon_s)
+        _, ranks = _ranked_nodes(g, report, cfg.epsilon_s)
         node_id = g.nodes[ranks[0].node_index] if ranks else g.nodes[0]
     cplan = plan(g, node_id, traces, report, cfg.epsilon_s, cfg.dalpha_s)
     rows = [[e.trace_id, _fmt(e.f_cr_start_hz), _fmt(e.f_cr_final_hz),
@@ -453,7 +451,7 @@ def cmd_ad_curve(cfg: RunConfig, out: Path, omega0: float,
 
 
 def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, base: ADParams):
-    _, ranks = _ranked_nodes(g, traces, report, cfg.epsilon_s)
+    _, ranks = _ranked_nodes(g, report, cfg.epsilon_s)
     if ranks:
         top_node = g.nodes[ranks[0].node_index]
     else:

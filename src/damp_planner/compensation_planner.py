@@ -3,21 +3,24 @@ damping-compensation planning.
 
 The first-order shift of eigenvalue k under a shunt admittance added at
 node i is  d_lambda = Y * (u_{k,2i-1} w_{2i-1,k} + u_{k,2i} w_{2i,k}),
-the bracket being the node's compensation coefficient K_C.  Planning
-starts from the caller's baseline analysis (traces and stability report)
-and accumulates pure-conductance increments d_alpha, re-locating the
-crossover at the updated conductance each step (the sensitivity drifts
-with alpha).  The critical crossovers are planned in lockstep: at step k
-they all sit at the same conductance alpha_k = k d_alpha, so each step
-brackets every unfinished crossover with 2 points predicted from its
-last drift (a secant predictor), decomposes all the brackets as one
-batch, and refines them with one refine_crossovers run (batched Illinois
-regula falsi, one point per open bracket per round).  A crossover the
-prediction misses is found by 9-point window scans around it, widening
-until one holds its sign change.  A crossover stops once its
-real part is lifted above the margin epsilon.  Calibration then picks the
-smallest damper gain k_v whose admittance covers the planned conductance
-over the planned band while staying quasi-resistive.
+the bracket being the node's compensation coefficient K_C, read from the
+decomposition each critical crossover event carries.  Damper locations
+rank per crossing by Re[K_C] over its lift epsilon - Re[lambda].  Planning
+starts from the caller's baseline analysis (traces and stability report),
+seeds each crossover's follower from its event and accumulates
+pure-conductance increments d_alpha, re-locating the crossover at the
+updated conductance each step (the sensitivity drifts with alpha).  The
+critical crossovers are planned in lockstep: at step k they all sit at
+the same conductance alpha_k = k d_alpha, so each step brackets every
+unfinished crossover with 2 points predicted from its last drift (a
+secant predictor), decomposes all the brackets as one batch, and refines
+them with one refine_crossovers run (batched Illinois regula falsi, one
+point per open bracket per round).  A crossover the prediction misses is
+found by 9-point window scans around it, widening until one holds its
+sign change.  A crossover stops once its real part is lifted above the
+margin epsilon.  Calibration then picks the smallest damper gain k_v
+whose admittance covers the planned conductance over the planned band
+while staying quasi-resistive.
 """
 
 from __future__ import annotations
@@ -31,17 +34,15 @@ import numpy as np
 
 from .component_models import ADParams, ad_scalar
 from .dq_core import FrequencyGrid
-from .network_assembly import NetworkGraph, assemble, assemble_grid
+from .network_assembly import NetworkGraph, assemble_grid
 from .stability_engine import (
     BisectionError,
     CrossoverEvent,
     EigenSample,
     EigenTrace,
     StabilityReport,
-    _pick_matching_eig,
     _sign_change_steps,
     analyze,
-    eig_lr,
     eig_lr_batch,
     refine_crossovers,
 )
@@ -84,12 +85,14 @@ class SensitivityEntry:
 
 @dataclass(frozen=True)
 class CompensationCoefficient:
-    """First-order gain from a shunt admittance at a node to one eigenvalue."""
+    """First-order gain from a shunt admittance at a node to one eigenvalue,
+    with the eigenvalue's real part where it was evaluated."""
 
     trace_id: int
     node_index: int
     f_cr_hz: float
     value: complex
+    re_lambda: float
 
 
 def _warn_if_degenerate(sample: EigenSample) -> None:
@@ -120,45 +123,29 @@ def sensitivity(sample: EigenSample, k: int, node_index: int) -> SensitivityEntr
 def compensation_coefficient(sample: EigenSample, k: int, node_index: int,
                              trace_id: int = 0) -> CompensationCoefficient:
     """K_C of eigenvalue k at a node, evaluated at the sample's frequency
-    (a crossover frequency in the planning workflow).  Summed over all
-    nodes of one eigenvalue it equals u_k . w_k = 1."""
+    (a crossover frequency in the planning workflow), with Re[lambda_k]
+    there.  Summed over all nodes of one eigenvalue it equals
+    u_k . w_k = 1."""
     ent = sensitivity(sample, k, node_index)
-    return CompensationCoefficient(trace_id, node_index, sample.f_hz, ent.dlam_dalpha)
+    return CompensationCoefficient(trace_id, node_index, sample.f_hz, ent.dlam_dalpha,
+                                   float(sample.lam[k].real))
 
 
-def _left_vector_near(tr: EigenTrace, f_hz: float) -> np.ndarray:
-    """The trace's left eigenvector at the first swept frequency >= f_hz
-    (the last one when f_hz lies beyond the sweep)."""
-    return tr.u[min(int(np.searchsorted(tr.f_hz, f_hz)), len(tr) - 1)]
-
-
-def compensation_table(g: NetworkGraph, traces: Sequence[EigenTrace],
+def compensation_table(g: NetworkGraph,
                        events: Sequence[CrossoverEvent]) -> list[CompensationCoefficient]:
-    """K_C of every node for every critical crossover event.
-
-    The matrix is re-assembled and decomposed at each crossover
-    frequency; the eigenvalue is identified by overlap with the trace's
-    eigenvector at the nearest swept frequency.
-    """
-    trace_by_id = {t.trace_id: t for t in traces}
-    out: list[CompensationCoefficient] = []
-    for ev in events:
-        if ev.verdict != "critical":
-            continue
-        smp = eig_lr(assemble(g, ev.f_cr_hz), ev.f_cr_hz)
-        k = _pick_matching_eig(smp, _left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz))
-        for pos in range(g.n):
-            out.append(compensation_coefficient(smp, k, pos, trace_id=ev.trace_id))
-    return out
+    """K_C of every node for every critical crossover event, read from the
+    decomposition the event carries (ev.sample, ev.eig_index): no
+    assembly and no decomposition."""
+    return [compensation_coefficient(ev.sample, ev.eig_index, pos, trace_id=ev.trace_id)
+            for ev in events if ev.verdict == "critical" for pos in range(g.n)]
 
 
 @dataclass(frozen=True)
 class LocationRank:
     """One candidate node with its worst-case damping efficiency.
 
-    score is the minimum over critical eigenvalues of Re[K_C] divided by
-    that eigenvalue's demanded real-part lift; with uniform demands it is
-    simply the worst-case Re[K_C].
+    score is the minimum over critical crossings of Re[K_C] divided by
+    that crossing's required real-part lift epsilon - Re[lambda].
     """
 
     node_index: int
@@ -167,23 +154,23 @@ class LocationRank:
 
 
 def rank_locations(coeffs: Sequence[CompensationCoefficient],
-                   demands: dict[int, float] | None = None) -> list[LocationRank]:
+                   epsilon: float) -> list[LocationRank]:
     """Rank candidate nodes by worst-case damping efficiency, descending;
     ties break on node index.
 
-    demands optionally maps trace id to the required real-part lift of
-    that eigenvalue (epsilon - Re[lambda] at its crossover).  Eigenvalues
-    needing more compensation then weigh more heavily, which is what
-    separates otherwise near-tied locations: a node is only as good as
-    its efficiency on the hungriest critical mode.
+    Each Re[K_C] is divided by its own crossing's required lift
+    max(epsilon - Re[lambda], 1e-12), so a trace with two critical
+    crossings weighs each by its own demand.  Crossings needing more
+    compensation weigh more heavily, which is what separates otherwise
+    near-tied locations: a node is only as good as its efficiency on the
+    hungriest critical mode.
     """
     per_node: dict[int, list[CompensationCoefficient]] = {}
     for c in coeffs:
         per_node.setdefault(c.node_index, []).append(c)
     ranks = []
     for node, items in per_node.items():
-        score = min(c.value.real / (demands.get(c.trace_id, 1.0) if demands else 1.0)
-                    for c in items)
+        score = min(c.value.real / max(epsilon - c.re_lambda, 1e-12) for c in items)
         ranks.append(LocationRank(
             node, score,
             tuple(sorted((c.trace_id, c.value.real) for c in items))))
@@ -383,8 +370,10 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     above the margin epsilon.
 
     traces and report are the baseline analysis of g (as returned by
-    analyze); its critical crossovers are the ones planned for, and the
-    crossover search stays inside the traces' frequency range.
+    analyze); its critical crossovers are the ones planned for, each
+    follower seeded with the left eigenvector of the decomposition its
+    event carries, and the crossover search stays inside the traces'
+    frequency range.
     Per critical crossover, conductance is added in dalpha steps; after
     each step the critical eigenvalue and its (drifting) crossover
     frequency are re-identified with the step's conductance installed,
@@ -404,9 +393,7 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     node_index = g.node_index(node_id)
     f_lo, f_hi = float(traces[0].f_hz[0]), float(traces[0].f_hz[-1])
     criticals = [e for e in report.events if e.verdict == "critical"]
-    trace_by_id = {t.trace_id: t for t in traces}
-    followers = [_CriticalFollower(g, node_index, ev.f_cr_hz,
-                                   _left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz),
+    followers = [_CriticalFollower(g, node_index, ev.f_cr_hz, ev.sample.u[ev.eig_index],
                                    f_lo, f_hi) for ev in criticals]
     runs = [_accumulation(ev.re_lambda, epsilon, dalpha) for ev in criticals]
     kcs: list = [None] * len(runs)     # coefficient each run is sent next

@@ -12,7 +12,7 @@ oracle for tests; it is not part of the shipped verdict.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -218,13 +218,19 @@ def track(spec: Spectrum) -> list[EigenTrace]:
 
 @dataclass(frozen=True)
 class CrossoverEvent:
-    """A frequency where Im[lambda] of one trace crosses zero."""
+    """A frequency where Im[lambda] of one trace crosses zero, with the
+    decomposition there: sample is the EigenSample the crossover locator
+    found and eig_index the crossing eigenvalue's index in it, so every
+    per-crossing quantity (K_C, the planner's seed) reads from the event.
+    Neither takes part in comparison."""
 
     trace_id: int
     f_cr_hz: float
     re_lambda: float
     direction: str  # "falling" (+ to -) or "rising" (- to +)
     verdict: str    # "critical" if re_lambda < margin else "stable-crossing"
+    sample: EigenSample = field(compare=False, repr=False)
+    eig_index: int = field(compare=False, repr=False)
 
 
 def _pick_matching_eig(sample: EigenSample, u_ref: np.ndarray) -> int:
@@ -309,29 +315,38 @@ def _crossovers(traces: Sequence[EigenTrace],
                 margin: float) -> list[CrossoverEvent]:
     """find_crossovers of each trace, concatenated in trace order, with
     the sign-change brackets of all traces refined in one
-    refine_crossovers run; raises the BisectionError of the first bracket
-    that failed."""
-    steps = [_sign_change_steps(tr.lam.imag) for tr in traces]
-    brackets = [(tr.f_hz[t], tr.f_hz[t + 1], tr.lam.imag[t], tr.lam.imag[t + 1], tr.u[t])
-                for tr, ts in zip(traces, steps) for t in ts if tr.lam.imag[t] != 0.0]
-    refined = iter(refine_crossovers(matrices_at, *zip(*brackets)) if brackets else ())
-    events: list[CrossoverEvent] = []
-    for tr, ts in zip(traces, steps):
-        im, re, f = tr.lam.imag, tr.lam.real, tr.f_hz
-        for t in ts:
-            direction = "falling" if im[t + 1] < 0 else "rising"
-            if im[t] == 0.0:
-                f_cr, re_cr = float(f[t]), float(re[t])
-            else:
-                found = next(refined)
-                if isinstance(found, BisectionError):
-                    raise found
-                smp, j = found
-                f_cr, re_cr = smp.f_hz, float(smp.lam[j].real)
-            events.append(_make_event(tr.trace_id, f_cr, re_cr, direction, margin))
+    refine_crossovers run and the samples at Im = 0 decomposed in one
+    eig_lr_batch; raises the BisectionError of the first bracket that
+    failed."""
+    # (trace, step t, direction) per crossing: the sample at t when Im is
+    # 0 there, else the bracket [t, t + 1]
+    found = []
+    for tr in traces:
+        im = tr.lam.imag
+        found += [(tr, t, "falling" if im[t + 1] < 0 else "rising")
+                  for t in _sign_change_steps(im)]
         if len(tr) and im[-1] == 0.0:
-            events.append(_make_event(tr.trace_id, float(f[-1]), float(re[-1]),
-                                      "rising" if im[-2] < 0 else "falling", margin))
+            found.append((tr, len(tr) - 1, "rising" if im[-2] < 0 else "falling"))
+    zero = [tr.lam.imag[t] == 0.0 for tr, t, _ in found]
+    brackets = [(tr.f_hz[t], tr.f_hz[t + 1], tr.lam.imag[t], tr.lam.imag[t + 1], tr.u[t])
+                for (tr, t, _), z in zip(found, zero) if not z]
+    fs = [float(tr.f_hz[t]) for (tr, t, _), z in zip(found, zero) if z]
+    refined = iter(refine_crossovers(matrices_at, *zip(*brackets)) if brackets else ())
+    on_axis = iter(eig_lr_batch(matrices_at(fs), fs) if fs else ())
+    events: list[CrossoverEvent] = []
+    for (tr, t, direction), z in zip(found, zero):
+        if z:
+            smp = next(on_axis)
+            j = _pick_matching_eig(smp, tr.u[t])
+            f_cr, re_cr = float(tr.f_hz[t]), float(tr.lam.real[t])
+        else:
+            located = next(refined)
+            if isinstance(located, BisectionError):
+                raise located
+            smp, j = located
+            f_cr, re_cr = smp.f_hz, float(smp.lam[j].real)
+        verdict = "critical" if re_cr < margin else "stable-crossing"
+        events.append(CrossoverEvent(tr.trace_id, f_cr, re_cr, direction, verdict, smp, j))
     return events
 
 
@@ -345,16 +360,13 @@ def find_crossovers(trace: EigenTrace,
     refine_crossovers run (Illinois regula falsi on the bracketing
     samples' Im values, one batched decomposition per round) on
     matrices_at(fs) -> (len(fs), m, m), to |Im| <= 1e-6 * max(1, |Re|);
-    a sample at Im = 0 is taken as is.  The first bracket that fails
-    raises its BisectionError.
+    each event carries the locator's decomposition and the eigenvalue's
+    index in it.  A sample at Im = 0 keeps the trace's f and Re; its
+    decomposition comes from one eig_lr_batch over all such samples, the
+    eigenvalue picked by overlap with the trace's left vector there.  The
+    first bracket that fails raises its BisectionError.
     """
     return _crossovers([trace], matrices_at, margin)
-
-
-def _make_event(trace_id: int, f_cr: float, re_cr: float, direction: str,
-                margin: float) -> CrossoverEvent:
-    verdict = "critical" if re_cr < margin else "stable-crossing"
-    return CrossoverEvent(trace_id, f_cr, re_cr, direction, verdict)
 
 
 @dataclass(frozen=True)
@@ -379,6 +391,8 @@ def assess(traces: Sequence[EigenTrace],
     brackets of all traces are refined in one refine_crossovers run on
     matrices_at(fs) -> (len(fs), m, m): each regula falsi round
     decomposes the secant points of every open bracket in one batch.
+    Every event carries its crossing's decomposition (sample, eig_index),
+    which compensation_table and plan read instead of re-decomposing.
     """
     events = _crossovers(traces, matrices_at, margin)
     events.sort(key=lambda e: (e.f_cr_hz, e.trace_id))

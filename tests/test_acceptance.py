@@ -145,7 +145,7 @@ def test_criterion_4_exact_shift_property(case_graph):
 def test_criterion_5_kc_node_sum(case_graph, fixture_analysis):
     with _Timed("criterion 5: compensation coefficients sum to 1 per mode", 30.0):
         _, traces, report = fixture_analysis
-        coeffs = compensation_table(case_graph, traces, report.critical_events)
+        coeffs = compensation_table(case_graph, report.critical_events)
         assert coeffs
         sums: dict[int, complex] = {}
         for c in coeffs:
@@ -180,7 +180,7 @@ def test_criterion_7_case_study_qualitative(case_graph):
         assert len(low) >= 1
         assert len(high) >= 2
 
-        coeffs = compensation_table(case_graph, traces, crit)
+        coeffs = compensation_table(case_graph, crit)
 
         def dominant(trace_id):
             mine = [c for c in coeffs if c.trace_id == trace_id]
@@ -196,10 +196,8 @@ def test_criterion_7_case_study_qualitative(case_graph):
 def test_criterion_8_end_to_end_stabilization(case_graph, fixture_analysis):
     with _Timed("criterion 8: plan + calibrate + verify round trip", 120.0):
         _, traces, report = fixture_analysis
-        coeffs = compensation_table(case_graph, traces, report.critical_events)
-        demands = {e.trace_id: max(0.005 - e.re_lambda, 1e-12)
-                   for e in report.critical_events}
-        ranks = rank_locations(coeffs, demands)
+        coeffs = compensation_table(case_graph, report.critical_events)
+        ranks = rank_locations(coeffs, 0.005)
         top = case_graph.nodes[ranks[0].node_index]
         second = case_graph.nodes[ranks[1].node_index]
         assert top == 4

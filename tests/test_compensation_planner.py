@@ -10,9 +10,9 @@ from damp_planner.compensation_planner import (
     CalibrationInfeasibleError,
     CompensationCoefficient,
     CompensationPlan,
+    DegenerateEigenvalueWarning,
     PlanEntry,
     PlanInfeasibleError,
-    _left_vector_near,
     accumulate_alpha,
     calibrate_ad,
     compensation_coefficient,
@@ -28,6 +28,7 @@ from damp_planner.dq_core import FrequencyGrid
 from damp_planner.network_assembly import NetworkGraph, Shunt, assemble, assemble_grid
 from damp_planner.stability_engine import (
     BisectionError,
+    CrossoverEvent,
     _pick_matching_eig,
     analyze,
     eig_lr,
@@ -103,7 +104,7 @@ def test_single_node_kc_is_exactly_one():
 def test_kc_sums_to_one_over_nodes_on_fixture(case_graph):
     grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
     _, traces, report = analyze(case_graph, grid)
-    coeffs = compensation_table(case_graph, traces, report.critical_events)
+    coeffs = compensation_table(case_graph, report.critical_events)
     assert coeffs
     per_trace: dict[int, complex] = {}
     for c in coeffs:
@@ -115,7 +116,7 @@ def test_kc_sums_to_one_over_nodes_on_fixture(case_graph):
 def test_fixture_dominant_nodes_split_low_vs_high(case_graph):
     grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
     _, traces, report = analyze(case_graph, grid)
-    coeffs = compensation_table(case_graph, traces, report.critical_events)
+    coeffs = compensation_table(case_graph, report.critical_events)
     events = {e.trace_id: e for e in report.critical_events}
     low = [e.trace_id for e in events.values() if e.f_cr_hz < 400.0]
     high = [e.trace_id for e in events.values() if e.f_cr_hz > 1500.0]
@@ -131,39 +132,119 @@ def test_fixture_dominant_nodes_split_low_vs_high(case_graph):
         assert dominant(t) == case_graph.node_index(3)
 
 
+def left_vector_near(tr, f_hz):
+    """The trace's left eigenvector at the first swept frequency >= f_hz
+    (the last one when f_hz lies beyond the sweep): the lookup by trace id
+    that K_C and the planner's seeds used before events carried their
+    decomposition."""
+    return tr.u[min(int(np.searchsorted(tr.f_hz, f_hz)), len(tr) - 1)]
+
+
+def reference_compensation_table(g, traces, events):
+    """compensation_table as a re-decomposition: each critical crossover's
+    matrix re-assembled and decomposed, the eigenvalue picked by overlap
+    with its trace's left eigenvector near f_cr."""
+    trace_by_id = {t.trace_id: t for t in traces}
+    out = []
+    for ev in events:
+        if ev.verdict == "critical":
+            smp = eig_lr(assemble(g, ev.f_cr_hz), ev.f_cr_hz)
+            k = _pick_matching_eig(smp, left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz))
+            out += [compensation_coefficient(smp, k, pos, trace_id=ev.trace_id)
+                    for pos in range(g.n)]
+    return out
+
+
+def test_kc_from_events_equals_re_decomposition_on_fixture(case_graph):
+    _, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    got = compensation_table(case_graph, report.events)
+    assert len(got) == 3 * case_graph.n
+    assert got == reference_compensation_table(case_graph, traces, report.events)
+
+
+def test_kc_from_events_equals_re_decomposition_on_random_systems():
+    grid = FrequencyGrid.regular(2.0, 5000.0, 2.0)
+    n = 0
+    for seed in range(40):
+        g = make_random_small_system(seed)
+        _, traces, report = analyze(g, grid)
+        got = compensation_table(g, report.events)
+        assert got == reference_compensation_table(g, traces, report.events), f"seed {seed}"
+        n += len(got)
+    assert n > 40
+
+
+def test_compensation_table_decomposes_nothing(case_graph, monkeypatch):
+    _, _, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    calls = []
+    real = np.linalg.eig
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    assert compensation_table(case_graph, report.events)
+    assert calls == []
+
+
+def test_compensation_table_warns_on_a_degenerate_crossing():
+    smp = eig_lr(np.diag([1.0, 1.0, 2.0, 3.0]), 42.0)
+    ev = CrossoverEvent(1, 42.0, -0.01, "rising", "critical", smp, 0)
+    with pytest.warns(DegenerateEigenvalueWarning, match="f=42.0"):
+        compensation_table(NetworkGraph((1, 2), (), ()), [ev])
+
+
 # --- ranking ---
 
-def fake_kc(trace_id, node, value):
-    return CompensationCoefficient(trace_id, node, 100.0, value)
+def fake_kc(trace_id, node, value, re_lambda=-0.01):
+    return CompensationCoefficient(trace_id, node, 100.0, value, re_lambda)
 
 
 def test_rank_single_eigenvalue_descends_by_re_kc():
     coeffs = [fake_kc(1, 0, 0.2 + 0j), fake_kc(1, 1, 0.7 + 0j), fake_kc(1, 2, 0.1 + 0j)]
-    ranks = rank_locations(coeffs)
+    ranks = rank_locations(coeffs, 0.005)
     assert [r.node_index for r in ranks] == [1, 0, 2]
 
 
 def test_rank_uses_worst_case_over_eigenvalues():
     coeffs = [fake_kc(1, 0, 0.9 + 0j), fake_kc(2, 0, 0.05 + 0j),
               fake_kc(1, 1, 0.4 + 0j), fake_kc(2, 1, 0.4 + 0j)]
-    ranks = rank_locations(coeffs)
+    ranks = rank_locations(coeffs, 0.005)
     assert ranks[0].node_index == 1
-    assert ranks[0].score == pytest.approx(0.4)
+    assert ranks[0].score == pytest.approx(0.4 / 0.015)
 
 
 def test_rank_demand_weighting_prefers_the_hungry_mode():
     # node 0 is slightly better on worst-case Re[K_C], but node 1 serves
-    # the eigenvalue that needs far more lift; demands flip the order
-    coeffs = [fake_kc(1, 0, 0.27 + 0j), fake_kc(2, 0, 0.60 + 0j),
-              fake_kc(1, 1, 0.70 + 0j), fake_kc(2, 1, 0.26 + 0j)]
-    assert rank_locations(coeffs)[0].node_index == 0
-    ranks = rank_locations(coeffs, demands={1: 0.03, 2: 0.01})
+    # the eigenvalue that needs far more lift; the lifts flip the order
+    def coeffs(re_1, re_2):
+        return [fake_kc(1, 0, 0.27 + 0j, re_1), fake_kc(2, 0, 0.60 + 0j, re_2),
+                fake_kc(1, 1, 0.70 + 0j, re_1), fake_kc(2, 1, 0.26 + 0j, re_2)]
+
+    assert rank_locations(coeffs(-0.01, -0.01), 0.005)[0].node_index == 0
+    ranks = rank_locations(coeffs(0.005 - 0.03, 0.005 - 0.01), 0.005)
     assert ranks[0].node_index == 1
 
 
 def test_rank_ties_break_on_node_id():
     coeffs = [fake_kc(1, 2, 0.5 + 0j), fake_kc(1, 0, 0.5 + 0j), fake_kc(1, 1, 0.5 + 0j)]
-    assert [r.node_index for r in rank_locations(coeffs)] == [0, 1, 2]
+    assert [r.node_index for r in rank_locations(coeffs, 0.005)] == [0, 1, 2]
+
+
+def test_rank_weighs_each_crossing_by_its_own_lift():
+    """make_random_small_system(31) has two traces with two critical
+    crossings each; every crossing's Re[K_C] is divided by its own lift,
+    not by the lift of its trace's last crossing."""
+    g = make_random_small_system(31)
+    _, _, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 2.0))
+    crossings_per_trace = [sum(e.trace_id == t for e in report.critical_events)
+                           for t in report.critical_trace_ids]
+    assert crossings_per_trace.count(2) == 2
+    ranks = rank_locations(compensation_table(g, report.critical_events), 0.005)
+    score = {g.nodes[r.node_index]: r.score for r in ranks}
+    assert score[2] == pytest.approx(1.3264, abs=1e-4)
+    assert score[1] == pytest.approx(0.0129, abs=1e-4)
 
 
 # --- the accumulation loop ---
@@ -378,8 +459,9 @@ def reference_plan(g, node_id, traces, report, epsilon, dalpha=1e-3, predicted=T
 
     entries = []
     for ev in (e for e in report.events if e.verdict == "critical"):
+        # seeded by the trace-id lookup, not the event's decomposition
         state = {"f_cr": ev.f_cr_hz, "df": 0.0,
-                 "u_ref": _left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz)}
+                 "u_ref": left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz)}
         alpha, iters, shift = accumulate_alpha(
             ev.re_lambda, epsilon, dalpha,
             lambda a, state=state: sensitivity(*locate(state, a), node_index).dlam_dalpha)

@@ -12,6 +12,7 @@ from damp_planner.dq_core import FrequencyGrid
 from damp_planner.network_assembly import NetworkGraph, Shunt, assemble, assemble_grid
 from damp_planner.stability_engine import (
     BisectionError,
+    CrossoverEvent,
     DefectiveMatrixWarning,
     EigenSample,
     EigenTrace,
@@ -428,9 +429,12 @@ def assert_refined_crossover(matrix_at, refined, f_lo, f_hi, im_lo, im_hi, u_ref
 
 def assert_crossings_refine(g, grid) -> int:
     """Every sign change of Im[lambda] on g's traces refines to a crossover
-    with the assert_refined_crossover properties; returns their number."""
+    with the assert_refined_crossover properties, and every event assess
+    finds on them carries the decomposition at its crossing; returns the
+    number of sign changes."""
     n = 0
-    for tr in track(sweep(g, grid)):
+    traces = track(sweep(g, grid))
+    for tr in traces:
         im = tr.lam.imag
         for t in np.nonzero(im[:-1] * im[1:] < 0)[0]:
             bracket = (float(tr.f_hz[t]), float(tr.f_hz[t + 1]),
@@ -438,6 +442,9 @@ def assert_crossings_refine(g, grid) -> int:
             refined = refine_one(lambda fs: assemble_grid(g, fs), *bracket)
             assert_refined_crossover(lambda f: assemble(g, f), refined, *bracket)
             n += 1
+    for ev in assess(traces, lambda fs: assemble_grid(g, fs)).events:
+        assert ev.sample.f_hz == ev.f_cr_hz
+        assert ev.sample.lam[ev.eig_index].real == ev.re_lambda
     return n
 
 
@@ -568,22 +575,27 @@ def reference_find_crossovers(trace, matrices_at, margin=0.0):
     """find_crossovers as the plain loop over every step of the trace."""
     events = []
     im, re_, f = trace.lam.imag, trace.lam.real, trace.f_hz
+
+    def event(f_cr, re_cr, direction, smp, j):
+        verdict = "critical" if re_cr < margin else "stable-crossing"
+        return CrossoverEvent(trace.trace_id, f_cr, re_cr, direction, verdict, smp, j)
+
+    def on_axis(t, direction):
+        smp = eig_lr(matrices_at([float(f[t])])[0], float(f[t]))
+        return event(float(f[t]), float(re_[t]), direction, smp,
+                     _pick_matching_eig(smp, trace.u[t]))
+
     for t in range(len(trace) - 1):
         if im[t] == 0.0:
-            direction = "falling" if im[t + 1] < 0 else "rising"
-            events.append(stability_engine._make_event(
-                trace.trace_id, float(f[t]), float(re_[t]), direction, margin))
+            events.append(on_axis(t, "falling" if im[t + 1] < 0 else "rising"))
             continue
         if im[t] * im[t + 1] < 0:
             direction = "falling" if im[t] > 0 else "rising"
             smp, j = refine_one(matrices_at, float(f[t]), float(f[t + 1]),
                                 float(im[t]), float(im[t + 1]), trace.u[t])
-            events.append(stability_engine._make_event(
-                trace.trace_id, smp.f_hz, float(smp.lam[j].real), direction, margin))
+            events.append(event(smp.f_hz, float(smp.lam[j].real), direction, smp, j))
     if len(trace) and im[-1] == 0.0:
-        events.append(stability_engine._make_event(
-            trace.trace_id, float(f[-1]), float(re_[-1]),
-            "rising" if im[-2] < 0 else "falling", margin))
+        events.append(on_axis(len(trace) - 1, "rising" if im[-2] < 0 else "falling"))
     return events
 
 
@@ -605,6 +617,12 @@ def test_find_crossovers_exact_zeros_match_the_plain_loop(freqs, im_at, n_events
     events = find_crossovers(trace, scalar_matrices(lam_at))
     assert len(events) == n_events
     assert events == reference_find_crossovers(trace, scalar_matrices(lam_at))
+    zeros = set(trace.f_hz[trace.lam.imag == 0.0])
+    on_axis = [ev for ev in events if ev.f_cr_hz in zeros]
+    assert len(on_axis) == len(zeros)
+    for ev in on_axis:
+        assert ev.sample.f_hz == ev.f_cr_hz
+        assert ev.sample.lam[ev.eig_index].imag == 0.0
 
 
 # --- assessment ---
