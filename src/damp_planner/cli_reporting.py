@@ -92,6 +92,11 @@ class RunConfig:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not self.formats or any(f not in ("csv", "json") for f in self.formats):
             raise ValueError("formats must be a non-empty subset of {csv, json}")
+        if self.cluster_values and self.cluster_param is None:
+            raise ValueError("cluster_values (--values) need cluster_param (--cluster)")
+        if self.cluster_param is not None and not self.cluster_values:
+            raise ValueError(f"cluster_param (--cluster {self.cluster_param}) needs "
+                             "cluster_values (--values)")
 
     def grid(self) -> FrequencyGrid:
         return FrequencyGrid.regular(self.fmin_hz, self.fmax_hz, self.df_hz)

@@ -6,19 +6,20 @@ node i is  d_lambda = Y * (u_{k,2i-1} w_{2i-1,k} + u_{k,2i} w_{2i,k}),
 the bracket being the node's compensation coefficient K_C, read from the
 decomposition each critical crossover event carries.  Damper locations
 rank per crossing by Re[K_C] over its lift epsilon - Re[lambda].  Planning
-starts from the caller's baseline analysis (traces and stability report),
-seeds each crossover's follower from its event and accumulates
-pure-conductance increments d_alpha, re-locating the crossover at the
-updated conductance each step (the sensitivity drifts with alpha).  The
-critical crossovers are planned in lockstep: at step k they all sit at
-the same conductance alpha_k = k d_alpha, so each step brackets every
-unfinished crossover with 2 points predicted from its last drift (a
-secant predictor), decomposes all the brackets as one batch, and refines
-them with one refine_crossovers run (batched Illinois regula falsi, one
-point per open bracket per round).  A crossover the prediction misses is
-found by 9-point window scans around it, widening until one holds its
-sign change.  A crossover stops once its real part is lifted above the
-margin epsilon.  Calibration then picks the smallest damper gain k_v
+starts from the caller's baseline analysis (traces and stability report)
+and seeds each critical crossover's follower from its event.  One loop
+then steps all the critical crossovers in lockstep: step k installs the
+shared conductance alpha_k = k d_alpha at the node and locates every
+unfinished crossover at once (the sensitivity drifts with alpha), with 2
+points per crossover predicted from its last drift (a secant predictor),
+all the brackets decomposed as one batch and refined by one
+refine_crossovers run (batched Illinois regula falsi, one point per open
+bracket per round).  A crossover the prediction misses is found by
+9-point window scans around it, widening until one holds its sign
+change.  A crossover still short of the margin epsilon adds d_alpha K_C
+to its first-order shift; one whose real part has been lifted to epsilon
+stops there, and one still short after _MAX_STEPS steps makes the plan
+infeasible.  Calibration then picks the smallest damper gain k_v
 whose admittance covers the planned conductance over the planned band
 while staying quasi-resistive.
 """
@@ -28,7 +29,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Generator, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -209,43 +211,19 @@ class CompensationPlan:
     required_re_yad_s: float
 
 
-def _accumulation(re_start: float, epsilon: float, dalpha: float,
-                  max_iter: int = 10000) -> Generator[float, complex, tuple[float, int, complex]]:
-    """The conductance accumulation loop as a generator: it yields each
-    alpha it needs the compensation coefficient at, is sent that
-    coefficient, and returns (alpha, iterations, shift)."""
-    alpha = 0.0
-    shift = 0j
-    it = 0
-    while re_start + shift.real < epsilon:
-        if it >= max_iter:
-            raise PlanInfeasibleError(
-                f"iteration cap {max_iter} reached; shortfall "
-                f"{epsilon - re_start - shift.real:.6g} S remains at alpha={alpha:.6g} S")
-        shift += dalpha * (yield alpha)
-        alpha += dalpha
-        it += 1
-    return alpha, it, shift
+# lockstep steps after which a crossover still short of epsilon is infeasible
+_MAX_STEPS = 10000
 
 
-def accumulate_alpha(re_start: float, epsilon: float, dalpha: float,
-                     kc_at, max_iter: int = 10000) -> tuple[float, int, complex]:
-    """Core conductance accumulation loop.
-
-    kc_at(alpha) returns the (complex) compensation coefficient with the
-    conductance alpha already installed; the loop adds dalpha and
-    accumulates the predicted eigenvalue shift until
-    re_start + Re[shift] >= epsilon.  Returns (alpha, iterations, shift).
-    plan drives the same loop (_accumulation) for every critical
-    crossover in lockstep.
-    """
-    run = _accumulation(re_start, epsilon, dalpha, max_iter)
-    kc = None
-    try:
-        while True:
-            kc = kc_at(run.send(kc))
-    except StopIteration as done:
-        return done.value
+def _with_conductance(g: NetworkGraph, node_index: int, fs: Sequence[float],
+                      alpha: float) -> np.ndarray:
+    """Nodal matrices (len(fs), 2n, 2n) of g with conductance alpha on the
+    node's d and q diagonal."""
+    m = assemble_grid(g, fs)
+    p = 2 * node_index
+    m[:, p, p] += alpha
+    m[:, p + 1, p + 1] += alpha
+    return m
 
 
 class _CriticalFollower:
@@ -259,8 +237,8 @@ class _CriticalFollower:
     predicted by the secant, centred on f_cr + df with half-width
     max(|df| / 4, 0.05 Hz); tries 1-8 are the recovery, 9-point windows of
     half-width 50, 100, ... Hz around f_cr.  Every window is clipped to
-    [f_lo, f_hi], and the bracket nearest f_cr is refined by regula falsi
-    from the scan's Im values at its ends.
+    the baseline sweep's range, and the bracket nearest f_cr is refined by
+    regula falsi from the scan's Im values at its ends.
     """
 
     PREDICTED_FRACTION = 0.25  # predicted half-width per Hz of drift
@@ -269,27 +247,15 @@ class _CriticalFollower:
     SCAN_POINTS = 9
     TRIES = 9  # the predicted bracket, then 8 window doublings
 
-    def __init__(self, g: NetworkGraph, node_index: int, f_cr: float,
-                 u_ref: np.ndarray, f_lo: float, f_hi: float):
-        self.g = g
-        self.node_index = node_index
+    def __init__(self, f_cr: float, u_ref: np.ndarray):
         self.f_cr = f_cr
         self.df = 0.0
         self.u_ref = u_ref
-        self.f_bounds = (f_lo, f_hi)
 
-    def _matrices_at(self, fs: Sequence[float], alpha: float) -> np.ndarray:
-        """Nodal matrices (len(fs), 2n, 2n) with conductance alpha on the
-        node's d and q diagonal."""
-        m = assemble_grid(self.g, fs)
-        p = 2 * self.node_index
-        m[:, p, p] += alpha
-        m[:, p + 1, p + 1] += alpha
-        return m
-
-    def window(self, attempt: int) -> list[float]:
-        """The scan points of try `attempt`: the predicted bracket for 0,
-        else the window of half-width WINDOW_HZ * 2**(attempt - 1)."""
+    def window(self, attempt: int, f_bounds: tuple[float, float]) -> list[float]:
+        """The scan points of try `attempt`, clipped to f_bounds: the
+        predicted bracket for 0, else the window of half-width
+        WINDOW_HZ * 2**(attempt - 1)."""
         if attempt == 0:
             centre = self.f_cr + self.df
             half_width = max(abs(self.df) * self.PREDICTED_FRACTION, self.PREDICTED_FLOOR_HZ)
@@ -298,7 +264,7 @@ class _CriticalFollower:
             centre = self.f_cr
             half_width = self.WINDOW_HZ * 2.0 ** (attempt - 1)
             n = self.SCAN_POINTS
-        lo, hi = np.clip((centre - half_width, centre + half_width), *self.f_bounds)
+        lo, hi = np.clip((centre - half_width, centre + half_width), *f_bounds)
         return [float(f) for f in np.linspace(lo, hi, n)]
 
     def bracket(self, fs: list[float], w: np.ndarray, lam: np.ndarray):
@@ -324,35 +290,38 @@ class _CriticalFollower:
         self.f_cr, self.u_ref = smp.f_hz, smp.u[j]
 
 
-def _locate_all(followers: Sequence[_CriticalFollower],
-                alpha: float) -> list[tuple[EigenSample, int]]:
+def _locate_all(followers: Sequence[_CriticalFollower], alpha: float, matrices_at,
+                f_bounds: tuple[float, float]) -> list[tuple[EigenSample, int]]:
     """Crossover sample of every follower's eigenvalue at conductance alpha
     and the eigenvalue's index in it; each follower moves to its sample.
 
-    Each try scans the window of every follower still unlocated (at try
-    0 its predicted 2-point bracket), all windows assembled and
-    decomposed as one batch, then refines all their brackets in one
-    refine_crossovers run.  A follower whose window holds no sign change,
-    or whose bracket fails to converge, goes on to its next window; after
-    the last try PlanInfeasibleError names the crossover it lost.
+    matrices_at(fs, alpha) gives the nodal matrices at fs with alpha
+    installed (_with_conductance for the planned node), and every window
+    stays inside f_bounds.  Each try scans the window of every follower
+    still unlocated (at try 0 its predicted 2-point bracket), all windows
+    assembled and decomposed as one batch, then refines all their brackets
+    in one refine_crossovers run.  A follower whose window holds no sign
+    change, or whose bracket fails to converge, goes on to its next
+    window; after the last try PlanInfeasibleError names the crossover it
+    lost.
     """
-    def matrices_at(fs: Sequence[float]) -> np.ndarray:
-        return followers[0]._matrices_at(fs, alpha)
+    def at_alpha(fs: Sequence[float]) -> np.ndarray:
+        return matrices_at(fs, alpha)
 
     found: list = [None] * len(followers)
     pending = list(range(len(followers)))
     for attempt in range(_CriticalFollower.TRIES):
-        scans = [followers[i].window(attempt) for i in pending]
+        scans = [followers[i].window(attempt, f_bounds) for i in pending]
         n = len(scans[0])  # every window of one try has the same points
         fs = [f for scan in scans for f in scan]
-        spec = eig_lr_batch(matrices_at(fs), fs)
+        spec = eig_lr_batch(at_alpha(fs), fs)
         brackets = {}
         for k, (i, scan) in enumerate(zip(pending, scans)):
             b = followers[i].bracket(scan, spec.w[k * n:(k + 1) * n], spec.lam[k * n:(k + 1) * n])
             if b is not None:
                 brackets[i] = b
         if brackets:
-            refined = refine_crossovers(matrices_at, *zip(*brackets.values()))
+            refined = refine_crossovers(at_alpha, *zip(*brackets.values()))
             for i, res in zip(brackets, refined):
                 if not isinstance(res, BisectionError):
                     found[i] = res
@@ -374,16 +343,16 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     follower seeded with the left eigenvector of the decomposition its
     event carries, and the crossover search stays inside the traces'
     frequency range.
-    Per critical crossover, conductance is added in dalpha steps; after
-    each step the critical eigenvalue and its (drifting) crossover
-    frequency are re-identified with the step's conductance installed,
-    and the first-order shift is accumulated.  The crossovers run in
-    lockstep: step k locates every unfinished one at the same alpha_k
-    (k additions of dalpha) with one _locate_all, so one batch of
-    predicted 2-point brackets and one batched regula falsi serve them
-    all (window scans only for the brackets that miss).  A crossover that
-    has just met epsilon takes f_cr_final_hz from the locate at its own
-    alpha_s, in the same batch.  The band-level requirement is the
+    One loop steps every critical crossover in lockstep: step k installs
+    alpha_k (k additions of dalpha) at the node and locates every
+    unfinished crossover with one _locate_all, so one batch of predicted
+    2-point brackets and one batched regula falsi serve them all (window
+    scans only for the brackets that miss).  A crossover still short of
+    epsilon adds dalpha times its K_C at the located crossover to its
+    first-order shift; one whose Re[lambda] plus shift has reached epsilon
+    finishes with alpha_s = alpha_k, k iterations and f_cr_final_hz from
+    the same locate.  A crossover still short after _MAX_STEPS steps
+    raises PlanInfeasibleError.  The band-level requirement is the
     largest per-eigenvalue conductance over the band spanned by the
     crossover frequencies, padded outward to the nearest 100 Hz.
     """
@@ -391,30 +360,32 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     node_index = g.node_index(node_id)
-    f_lo, f_hi = float(traces[0].f_hz[0]), float(traces[0].f_hz[-1])
+    f_bounds = (float(traces[0].f_hz[0]), float(traces[0].f_hz[-1]))
     criticals = [e for e in report.events if e.verdict == "critical"]
-    followers = [_CriticalFollower(g, node_index, ev.f_cr_hz, ev.sample.u[ev.eig_index],
-                                   f_lo, f_hi) for ev in criticals]
-    runs = [_accumulation(ev.re_lambda, epsilon, dalpha) for ev in criticals]
-    kcs: list = [None] * len(runs)     # coefficient each run is sent next
-    done: list = [None] * len(runs)    # (alpha, iterations, shift) once finished
-    f_final: list = [None] * len(runs)
-    open_ = list(range(len(runs)))
+    followers = [_CriticalFollower(ev.f_cr_hz, ev.sample.u[ev.eig_index]) for ev in criticals]
+    shift = [0j] * len(criticals)  # accumulated first-order d_lambda
+    finished: list = [None] * len(criticals)  # (alpha_s, iterations, f_cr_final)
+    open_ = list(range(len(criticals)))
+    matrices_at = partial(_with_conductance, g, node_index)
+    alpha, k = 0.0, 0
     while open_:
-        # after k steps every run, unfinished or just finished, is at alpha_k
-        for i in open_:
-            try:
-                alpha = runs[i].send(kcs[i])
-            except StopIteration as stop:
-                done[i] = stop.value
-                alpha = done[i][0]
-        located = _locate_all([followers[i] for i in open_], alpha)
+        short = [i for i in open_ if criticals[i].re_lambda + shift[i].real < epsilon]
+        if short and k == _MAX_STEPS:
+            ev = criticals[short[0]]
+            raise PlanInfeasibleError(
+                f"iteration cap {_MAX_STEPS} reached for trace {ev.trace_id} "
+                f"(crossover starting at {ev.f_cr_hz:.6g} Hz); shortfall "
+                f"{epsilon - ev.re_lambda - shift[short[0]].real:.6g} S remains "
+                f"at alpha={alpha:.6g} S")
+        located = _locate_all([followers[i] for i in open_], alpha, matrices_at, f_bounds)
         for i, (smp, j) in zip(open_, located):
-            if done[i] is None:
-                kcs[i] = sensitivity(smp, j, node_index).dlam_dalpha
+            if i in short:
+                shift[i] += dalpha * sensitivity(smp, j, node_index).dlam_dalpha
             else:
-                f_final[i] = smp.f_hz
-        open_ = [i for i in open_ if done[i] is None]
+                finished[i] = (alpha, k, smp.f_hz)
+        open_ = short
+        alpha += dalpha
+        k += 1
 
     entries = tuple(PlanEntry(
         trace_id=ev.trace_id,
@@ -422,10 +393,10 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
         f_cr_start_hz=ev.f_cr_hz,
         f_cr_final_hz=f_cr_final,
         re_lambda_start=ev.re_lambda,
-        alpha_s=alpha,
-        iterations=iters,
-        predicted_re=ev.re_lambda + shift.real,
-    ) for ev, (alpha, iters, shift), f_cr_final in zip(criticals, done, f_final))
+        alpha_s=alpha_s,
+        iterations=iterations,
+        predicted_re=ev.re_lambda + d_lam.real,
+    ) for ev, d_lam, (alpha_s, iterations, f_cr_final) in zip(criticals, shift, finished))
 
     if entries:
         f_all = [e.f_cr_start_hz for e in entries] + [e.f_cr_final_hz for e in entries]

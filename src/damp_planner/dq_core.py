@@ -102,7 +102,10 @@ class FrequencyGrid:
         if not (0 < fmin <= fmax < math.inf and 0 < df < math.inf):
             raise ValueError(f"need finite 0 < fmin <= fmax and df > 0, "
                              f"got fmin={fmin}, fmax={fmax}, df={df}")
-        n = int(round((fmax - fmin) / df)) + 1
+        # the last point stays at or below fmax; the relative slack keeps
+        # the end of a whole span whose step count the division puts just
+        # below an integer (0.1..0.3 by 0.1 gives 1.999...)
+        n = math.floor((fmax - fmin) / df * (1.0 + 1e-9)) + 1
         return cls(fmin + np.arange(n) * df)
 
     @cached_property

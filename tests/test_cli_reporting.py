@@ -500,6 +500,30 @@ def test_config_rejects_bad_sweep_range(fixture_path):
         RunConfig(network=str(fixture_path), formats=("xml",))
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"cluster_values": (1.0, 2.0)}, r"cluster_values \(--values\) need cluster_param"),
+    ({"cluster_param": "k_v"}, r"cluster_param \(--cluster k_v\) needs cluster_values"),
+])
+def test_config_rejects_a_cluster_half(settings, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(network="net.json", **settings)
+
+
+def test_ad_curve_values_without_cluster_is_an_error(fixture_path, tmp_path, capsys):
+    code = main(["ad-curve", "--network", str(fixture_path), "--values", "1,2",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cluster_values (--values)")
+    assert not list(tmp_path.iterdir())
+
+
+def test_criticals_grid_stays_below_fmax(fixture_path, tmp_path):
+    # 2-4999.5 Hz @ 2 Hz ends at 4998 Hz, below the controls' f_s/2 = 5000 Hz
+    code = main(["criticals", "--network", str(fixture_path), "--fmin", "2",
+                 "--fmax", "4999.5", "--df", "2", "--out", str(tmp_path)])
+    assert code in (0, 2)
+
+
 def test_formats_selects_emitted_files(fixture_path, tmp_path):
     cfg = RunConfig(network=str(fixture_path), fmin_hz=150.0, fmax_hz=250.0,
                     df_hz=5.0, out_dir=str(tmp_path), formats=("json",))

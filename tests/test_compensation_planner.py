@@ -13,7 +13,6 @@ from damp_planner.compensation_planner import (
     DegenerateEigenvalueWarning,
     PlanEntry,
     PlanInfeasibleError,
-    accumulate_alpha,
     calibrate_ad,
     compensation_coefficient,
     compensation_table,
@@ -31,6 +30,7 @@ from damp_planner.stability_engine import (
     CrossoverEvent,
     _pick_matching_eig,
     analyze,
+    assess,
     eig_lr,
     eig_lr_batch,
     refine_crossovers,
@@ -247,28 +247,6 @@ def test_rank_weighs_each_crossing_by_its_own_lift():
     assert score[1] == pytest.approx(0.0129, abs=1e-4)
 
 
-# --- the accumulation loop ---
-
-def test_accumulation_closed_form_linear_regime():
-    # constant real coefficient: alpha must reach
-    # ceil((eps - re0) / (dalpha * kc)) steps of the step grid
-    alpha, iters, shift = accumulate_alpha(
-        re_start=-0.0236, epsilon=0.005, dalpha=1e-3, kc_at=lambda a: 0.7672 + 0j)
-    assert iters == 38
-    assert alpha == pytest.approx(0.038, abs=1e-12)
-    assert -0.0236 + shift.real >= 0.005
-
-
-def test_accumulation_zero_iterations_when_already_above_margin():
-    alpha, iters, shift = accumulate_alpha(0.02, 0.005, 1e-3, lambda a: 1.0 + 0j)
-    assert (alpha, iters, shift) == (0.0, 0, 0j)
-
-
-def test_accumulation_iteration_cap():
-    with pytest.raises(PlanInfeasibleError, match="shortfall"):
-        accumulate_alpha(-1.0, 0.005, 1e-3, lambda a: 1e-9 + 0j, max_iter=50)
-
-
 def test_plan_on_stable_system_requires_nothing():
     g = single_node_graph()
     _, traces, report = analyze(g, FrequencyGrid.regular(10.0, 2000.0, 5.0))
@@ -317,6 +295,43 @@ def test_single_node_plan_first_order_is_exact():
         lam = np.linalg.eigvals(assemble(g, e.f_cr_final_hz) + e.alpha_s * np.eye(2))
         k = int(np.argmin(np.abs(lam.imag)))
         assert lam[k].real == pytest.approx(e.predicted_re, abs=1e-6)
+
+
+@pytest.mark.parametrize("dalpha", [1e-3, 5e-3])
+def test_single_node_plan_steps_are_closed_form(dalpha):
+    # K_C = 1 for one node: each crossover needs the smallest k with
+    # Re[lambda] + k * dalpha >= epsilon
+    g = unstable_single_node_graph()
+    _, traces, report = analyze(g, FrequencyGrid.regular(10.0, 3000.0, 2.0))
+    cplan = plan(g, 1, traces, report, epsilon=0.005, dalpha=dalpha)
+    assert len(cplan.entries) == 2
+    for e in cplan.entries:
+        assert e.iterations == math.ceil((0.005 - e.re_lambda_start) / dalpha)
+        assert e.alpha_s == pytest.approx(e.iterations * dalpha, abs=1e-12)
+        assert e.predicted_re >= 0.005
+
+
+def test_plan_takes_no_step_for_a_crossing_already_above_epsilon():
+    # critical against margin 1 S, but Re[lambda] = 0.2 S already meets
+    # epsilon = 0.005 S
+    g = single_node_graph()
+    _, traces, _ = analyze(g, FrequencyGrid.regular(10.0, 2000.0, 5.0))
+    report = assess(traces, lambda fs: assemble_grid(g, fs), margin=1.0)
+    assert [e.verdict for e in report.events] == ["critical"]
+    assert report.events[0].re_lambda >= 0.005
+    [e] = plan(g, 1, traces, report, epsilon=0.005).entries
+    assert (e.iterations, e.alpha_s) == (0, 0.0)
+    assert e.predicted_re == report.events[0].re_lambda
+
+
+def test_plan_iteration_cap_names_the_short_crossover(monkeypatch):
+    g = make_random_small_system(5)
+    _, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
+    monkeypatch.setattr(compensation_planner, "_MAX_STEPS", 50)
+    with pytest.raises(PlanInfeasibleError,
+                       match=r"cap 50 reached for trace 6 \(crossover starting at 960\.997 Hz\)"
+                             r"; shortfall .* at alpha=0\.5 S"):
+        plan(g, 1, traces, report, 0.005, 0.01)
 
 
 # --- calibration ---
@@ -462,9 +477,11 @@ def reference_plan(g, node_id, traces, report, epsilon, dalpha=1e-3, predicted=T
         # seeded by the trace-id lookup, not the event's decomposition
         state = {"f_cr": ev.f_cr_hz, "df": 0.0,
                  "u_ref": left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz)}
-        alpha, iters, shift = accumulate_alpha(
-            ev.re_lambda, epsilon, dalpha,
-            lambda a, state=state: sensitivity(*locate(state, a), node_index).dlam_dalpha)
+        alpha, iters, shift = 0.0, 0, 0j
+        while ev.re_lambda + shift.real < epsilon:
+            shift += dalpha * sensitivity(*locate(state, alpha), node_index).dlam_dalpha
+            alpha += dalpha
+            iters += 1
         final, _ = locate(state, alpha)
         entries.append(PlanEntry(ev.trace_id, node_index, ev.f_cr_hz, final.f_hz,
                                  ev.re_lambda, alpha, iters, ev.re_lambda + shift.real))
@@ -556,8 +573,8 @@ def test_predicted_bracket_stays_on_a_close_crossing_pair(monkeypatch):
     real_locate_all = compensation_planner._locate_all
     followers, at_072 = [], {}
 
-    def recorded(located, alpha):
-        out = real_locate_all(located, alpha)
+    def recorded(located, alpha, *args):
+        out = real_locate_all(located, alpha, *args)
         if not followers:  # the locate at alpha 0 has them all, in entry order
             followers.extend(located)
         if alpha == pytest.approx(0.72, abs=1e-9):
@@ -595,11 +612,11 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
     failures = []
     broken = [False]
     follower_cls = compensation_planner._CriticalFollower
-    matrices_at, window, refine = (follower_cls._matrices_at, follower_cls.window,
+    matrices_at, window, refine = (compensation_planner._with_conductance, follower_cls.window,
                                    compensation_planner.refine_crossovers)
 
-    def jumping_matrices_at(self, fs, alpha):
-        m = matrices_at(self, fs, alpha)
+    def jumping_matrices_at(g, node_index, fs, alpha):
+        m = matrices_at(g, node_index, fs, alpha)
         if broken[0] and alpha == 0.0:
             # push the followed Im away from zero on both sides of the
             # crossover, so regula falsi never meets the tolerance
@@ -610,18 +627,18 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
                     m[k] += 1e-3j * sign * side * np.eye(len(m[k]))
         return m
 
-    def recorded_window(self, attempt):
+    def recorded_window(self, attempt, f_bounds):
         tries.setdefault(id(self), []).append((self.f_cr, attempt))
         if attempt > 1:
             broken[0] = False
-        return window(self, attempt)
+        return window(self, attempt, f_bounds)
 
     def recorded_refine(*args, **kwargs):
         out = refine(*args, **kwargs)
         failures.extend(r for r in out if isinstance(r, BisectionError))
         return out
 
-    monkeypatch.setattr(follower_cls, "_matrices_at", jumping_matrices_at)
+    monkeypatch.setattr(compensation_planner, "_with_conductance", jumping_matrices_at)
     monkeypatch.setattr(follower_cls, "window", recorded_window)
     monkeypatch.setattr(compensation_planner, "refine_crossovers", recorded_refine)
     tries: dict = {}

@@ -85,6 +85,21 @@ def test_grid_regular():
     assert g.frequencies[-1] == 2500.0
 
 
+@pytest.mark.parametrize("fmin, fmax, df, n, last", [
+    (10.0, 15.1, 2.0, 3, 14.0),
+    (2.0, 4999.5, 2.0, 2499, 4998.0),
+    (2.0, 5000.0, 5.0, 1000, 4997.0),
+    (0.1, 0.3, 0.1, 3, pytest.approx(0.3)),
+    (10.0, 2500.0, 1.0, 2491, 2500.0),
+    (2.0, 5000.0, 2.0, 2500, 5000.0),
+    (5.0, 5.0, 1.0, 1, 5.0),
+])
+def test_grid_regular_stops_at_or_below_fmax(fmin, fmax, df, n, last):
+    g = FrequencyGrid.regular(fmin, fmax, df)
+    assert len(g) == n
+    assert g.frequencies[-1] == last
+
+
 @pytest.mark.parametrize("freqs", [(), (0.0, 1.0), (10.0, 10.0), (20.0, 10.0)])
 def test_grid_rejects_bad_frequencies(freqs):
     message = {(): "empty frequency grid", (0.0, 1.0): "must be > 0"}.get(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from damp_planner import network_assembly
-from damp_planner.compensation_planner import _CriticalFollower
+from damp_planner.compensation_planner import _with_conductance
 from damp_planner.component_models import (
     ADParams,
     AdmittanceTable,
@@ -218,7 +218,7 @@ def test_purely_inductive_branch_dc_limit_raises():
 
 def with_conductance(g, node_index, f, alpha):
     """The planner's matrix: assemble(g, f) plus alpha on the node's d/q diagonal."""
-    return _CriticalFollower(g, node_index, f, None, 1.0, 5000.0)._matrices_at([f], alpha)[0]
+    return _with_conductance(g, node_index, [f], alpha)[0]
 
 
 def test_with_shunt_zero_block_is_identity(case_graph):
