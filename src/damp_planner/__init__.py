@@ -46,7 +46,6 @@ from .stability_engine import (
     assess,
     eig_lr,
     eig_lr_batch,
-    find_crossovers,
     nyquist_winding,
     refine_crossovers,
     sweep,
@@ -58,13 +57,11 @@ from .compensation_planner import (
     CompensationPlan,
     DegenerateEigenvalueWarning,
     PlanInfeasibleError,
-    SensitivityEntry,
     calibrate_ad,
     compensation_coefficient,
     compensation_table,
     plan,
     rank_locations,
-    sensitivity,
     verify_with_ad,
 )
 from .cli_reporting import (

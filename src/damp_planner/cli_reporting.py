@@ -81,10 +81,13 @@ class RunConfig:
     cluster_values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name in ("fmin_hz", "fmax_hz", "df_hz", "epsilon_s", "dalpha_s"):
+        for name in ("fmin_hz", "fmax_hz", "df_hz", "epsilon_s", "dalpha_s", "k_v"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for value in self.cluster_values:
+            if not math.isfinite(value):
+                raise ValueError(f"cluster_values must be finite, got {value}")
         if self.fmin_hz <= 0 or self.fmax_hz < self.fmin_hz or self.df_hz <= 0:
             raise ValueError("sweep range must be positive and ordered")
         for name in ("epsilon_s", "dalpha_s"):

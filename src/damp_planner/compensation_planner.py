@@ -3,8 +3,10 @@ damping-compensation planning.
 
 The first-order shift of eigenvalue k under a shunt admittance added at
 node i is  d_lambda = Y * (u_{k,2i-1} w_{2i-1,k} + u_{k,2i} w_{2i,k}),
-the bracket being the node's compensation coefficient K_C, read from the
-decomposition each critical crossover event carries.  Damper locations
+the bracket being the node's compensation coefficient K_C.
+compensation_coefficient is the one place it is computed:
+compensation_table reads it from the decomposition each critical
+crossover event carries, and the planner at every located crossover.  Damper locations
 rank per crossing by Re[K_C] over its lift epsilon - Re[lambda].  Planning
 starts from the caller's baseline analysis (traces and stability report)
 and seeds each critical crossover's follower from its event.  One loop
@@ -63,29 +65,6 @@ class CalibrationInfeasibleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SensitivityEntry:
-    """d_lambda/d_alpha for a conductance perturbation at one node."""
-
-    eigen_index: int
-    f_hz: float
-    node_index: int
-    dlam_dalpha: complex
-
-    @property
-    def s_re(self) -> float:
-        return self.dlam_dalpha.real
-
-    @property
-    def s_im(self) -> float:
-        return self.dlam_dalpha.imag
-
-    @property
-    def dlam_dsusceptance(self) -> complex:
-        # a susceptance perturbation is j times a conductance one
-        return 1j * self.dlam_dalpha
-
-
-@dataclass(frozen=True)
 class CompensationCoefficient:
     """First-order gain from a shunt admittance at a node to one eigenvalue,
     with the eigenvalue's real part where it was evaluated."""
@@ -107,29 +86,18 @@ def _warn_if_degenerate(sample: EigenSample) -> None:
             "sensitivities are unreliable", DegenerateEigenvalueWarning, stacklevel=3)
 
 
-def entry_sensitivity(sample: EigenSample, k: int, j: int) -> complex:
-    """d_lambda_k / d_alpha for a perturbation of the single entry (j, j)."""
-    _warn_if_degenerate(sample)
-    return complex(sample.u[k, j] * sample.w[j, k])
-
-
-def sensitivity(sample: EigenSample, k: int, node_index: int) -> SensitivityEntry:
-    """Sensitivity of eigenvalue k to a conductance added at both diagonal
-    entries (d and q) of one node."""
-    _warn_if_degenerate(sample)
-    p = 2 * node_index
-    val = complex(sample.u[k, p] * sample.w[p, k] + sample.u[k, p + 1] * sample.w[p + 1, k])
-    return SensitivityEntry(k, sample.f_hz, node_index, val)
-
-
 def compensation_coefficient(sample: EigenSample, k: int, node_index: int,
                              trace_id: int = 0) -> CompensationCoefficient:
-    """K_C of eigenvalue k at a node, evaluated at the sample's frequency
-    (a crossover frequency in the planning workflow), with Re[lambda_k]
+    """K_C = u_k,2i-1 w_2i-1,k + u_k,2i w_2i,k of eigenvalue k at node i:
+    d_lambda_k / d_alpha for a conductance alpha added at both diagonal
+    entries (d and q) of the node, evaluated at the sample's frequency (a
+    crossover frequency in the planning workflow), with Re[lambda_k]
     there.  Summed over all nodes of one eigenvalue it equals
     u_k . w_k = 1."""
-    ent = sensitivity(sample, k, node_index)
-    return CompensationCoefficient(trace_id, node_index, sample.f_hz, ent.dlam_dalpha,
+    _warn_if_degenerate(sample)
+    p = 2 * node_index
+    value = complex(sample.u[k, p] * sample.w[p, k] + sample.u[k, p + 1] * sample.w[p + 1, k])
+    return CompensationCoefficient(trace_id, node_index, sample.f_hz, value,
                                    float(sample.lam[k].real))
 
 
@@ -152,7 +120,6 @@ class LocationRank:
 
     node_index: int
     score: float
-    re_kc_per_trace: tuple[tuple[int, float], ...]
 
 
 def rank_locations(coeffs: Sequence[CompensationCoefficient],
@@ -173,9 +140,7 @@ def rank_locations(coeffs: Sequence[CompensationCoefficient],
     ranks = []
     for node, items in per_node.items():
         score = min(c.value.real / max(epsilon - c.re_lambda, 1e-12) for c in items)
-        ranks.append(LocationRank(
-            node, score,
-            tuple(sorted((c.trace_id, c.value.real) for c in items))))
+        ranks.append(LocationRank(node, score))
     ranks.sort(key=lambda r: (-r.score, r.node_index))
     return ranks
 
@@ -380,7 +345,7 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
         located = _locate_all([followers[i] for i in open_], alpha, matrices_at, f_bounds)
         for i, (smp, j) in zip(open_, located):
             if i in short:
-                shift[i] += dalpha * sensitivity(smp, j, node_index).dlam_dalpha
+                shift[i] += dalpha * compensation_coefficient(smp, j, node_index).value
             else:
                 finished[i] = (alpha, k, smp.f_hz)
         open_ = short

@@ -12,6 +12,7 @@ at s = j*2*pi*f in a global dq frame rotating at omega0.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -150,10 +151,10 @@ class ADParams:
         positive = (self.v_dc, self.l_f_h, self.k_pi, self.k_ii, self.xi,
                     self.tau_s, self.beta, self.omega_low_rad_s,
                     self.omega_c_rad_s, self.gain_s, self.f_s_hz)
-        if any(v <= 0 for v in positive):
-            raise ValueError("all AD parameters except k_v must be > 0")
-        if self.k_v < 0:
-            raise ValueError("k_v must be >= 0")
+        if not all(0 < v < math.inf for v in positive):
+            raise ValueError("all AD parameters except k_v must be finite and > 0")
+        if not 0 <= self.k_v < math.inf:
+            raise ValueError(f"k_v must be finite and >= 0, got {self.k_v}")
         if self.mode not in ("proposed", "traditional"):
             raise ValueError(f"unknown AD mode: {self.mode!r}")
 

@@ -1,11 +1,10 @@
 """Frequency-response primitives for dq-frame network analysis.
 
 Transfer elements are rational functions of s (polynomial coefficients in
-descending powers) times an optional pure delay exp(-s*T).  Evaluation is
-frequency-domain only; the delay is kept exact, never approximated by a
-rational function.  A frequency shift is an evaluation at s + j*omega0.
-The 2x2 dq blocks themselves are plain (..., 2, 2) complex ndarrays built
-by the component models.
+descending powers), evaluated in the frequency domain only.  A frequency
+shift is an evaluation at s + j*omega0.  The 2x2 dq blocks themselves are
+plain (..., 2, 2) complex ndarrays built by the component models, which
+write the computation delay exp(-1.5 s/f_s) inline, exactly.
 """
 
 from __future__ import annotations
@@ -37,26 +36,19 @@ def _as_coeff_tuple(coeffs) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class TransferElement:
-    """Rational transfer element num(s)/den(s) * exp(-s*delay).
+    """Rational transfer element num(s)/den(s).
 
-    Coefficients are in descending powers of s and may be complex.  delay
-    is in seconds, >= 0.
+    Coefficients are in descending powers of s and may be complex.
     """
 
     num: tuple[complex, ...]
     den: tuple[complex, ...]
-    delay: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "num", _as_coeff_tuple(self.num))
         object.__setattr__(self, "den", _as_coeff_tuple(self.den))
         if all(c == 0 for c in self.den):
             raise ValueError("denominator is identically zero")
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
-
-    def __call__(self, s):
-        return evaluate(self, s)
 
 
 def evaluate(tf: TransferElement, s):
@@ -70,8 +62,6 @@ def evaluate(tf: TransferElement, s):
     if np.min(np.abs(den)) < _SINGULAR_ABS_TOL:
         raise PoleHitError(f"denominator ~ 0 at s={s[np.argmin(np.abs(den))] if s.ndim else s}")
     out = np.polyval(tf.num, s) / den
-    if tf.delay:
-        out = out * np.exp(-s * tf.delay)
     return out if out.ndim else complex(out)
 
 

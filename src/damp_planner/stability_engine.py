@@ -4,7 +4,10 @@ criterion.
 The system is declared stable iff at every frequency where an eigenvalue
 trace of the nodal admittance matrix crosses the real axis (Im = 0), the
 real part is positive.  Crossings with negative real part are the critical
-(negatively damped) oscillatory modes.  A discrete Nyquist winding count
+(negatively damped) oscillatory modes.  assess finds them: every sign
+change and every sample on the axis, of every trace, is one bracket of a
+single refine_crossovers run, and each event carries the decomposition
+that run located it with.  A discrete Nyquist winding count
 over the conjugate-closed eigenvalue loci is provided as a cross-check
 oracle for tests; it is not part of the shipped verdict.
 """
@@ -249,9 +252,11 @@ def refine_crossovers(matrices_at: Callable[[Sequence[float]], np.ndarray],
 
     im_lo, im_hi are Im[lambda] at the bracket ends (opposite signs) and
     u_ref[b] the eigenvalue's left eigenvector at f_lo[b] (u_ref has
-    shape (B, m)).  Each round takes the secant root of every open
-    bracket (its midpoint when the root is not strictly inside) and
-    decomposes all of them with one eig_lr_batch(matrices_at(fs), fs).
+    shape (B, m)).  A zero-width bracket (f, f, 0, 0, u) is a sample
+    already on the axis: it is decomposed once, at f, and accepted in the
+    first round.  Each round takes the secant root of every open bracket
+    (its midpoint when the root is not strictly inside) and decomposes
+    all of them with one eig_lr_batch(matrices_at(fs), fs).
     Per bracket it then re-identifies the eigenvalue by overlap with
     u_ref and keeps the half whose ends differ in sign, moving u_ref with
     f_lo; an end kept twice in a row has the other end's Im halved, which
@@ -310,65 +315,6 @@ def _sign_change_steps(im: np.ndarray) -> np.ndarray:
     return np.flatnonzero((im[:-1] == 0) | (im[:-1] * im[1:] < 0))
 
 
-def _crossovers(traces: Sequence[EigenTrace],
-                matrices_at: Callable[[Sequence[float]], np.ndarray],
-                margin: float) -> list[CrossoverEvent]:
-    """find_crossovers of each trace, concatenated in trace order, with
-    the sign-change brackets of all traces refined in one
-    refine_crossovers run and the samples at Im = 0 decomposed in one
-    eig_lr_batch; raises the BisectionError of the first bracket that
-    failed."""
-    # (trace, step t, direction) per crossing: the sample at t when Im is
-    # 0 there, else the bracket [t, t + 1]
-    found = []
-    for tr in traces:
-        im = tr.lam.imag
-        found += [(tr, t, "falling" if im[t + 1] < 0 else "rising")
-                  for t in _sign_change_steps(im)]
-        if len(tr) and im[-1] == 0.0:
-            found.append((tr, len(tr) - 1, "rising" if im[-2] < 0 else "falling"))
-    zero = [tr.lam.imag[t] == 0.0 for tr, t, _ in found]
-    brackets = [(tr.f_hz[t], tr.f_hz[t + 1], tr.lam.imag[t], tr.lam.imag[t + 1], tr.u[t])
-                for (tr, t, _), z in zip(found, zero) if not z]
-    fs = [float(tr.f_hz[t]) for (tr, t, _), z in zip(found, zero) if z]
-    refined = iter(refine_crossovers(matrices_at, *zip(*brackets)) if brackets else ())
-    on_axis = iter(eig_lr_batch(matrices_at(fs), fs) if fs else ())
-    events: list[CrossoverEvent] = []
-    for (tr, t, direction), z in zip(found, zero):
-        if z:
-            smp = next(on_axis)
-            j = _pick_matching_eig(smp, tr.u[t])
-            f_cr, re_cr = float(tr.f_hz[t]), float(tr.lam.real[t])
-        else:
-            located = next(refined)
-            if isinstance(located, BisectionError):
-                raise located
-            smp, j = located
-            f_cr, re_cr = smp.f_hz, float(smp.lam[j].real)
-        verdict = "critical" if re_cr < margin else "stable-crossing"
-        events.append(CrossoverEvent(tr.trace_id, f_cr, re_cr, direction, verdict, smp, j))
-    return events
-
-
-def find_crossovers(trace: EigenTrace,
-                    matrices_at: Callable[[Sequence[float]], np.ndarray],
-                    margin: float = 0.0) -> list[CrossoverEvent]:
-    """Zero crossings of Im[lambda] along one trace, in frequency order.
-
-    Every sign change that _sign_change_steps finds between adjacent
-    samples is a bracket; all of them are refined together by one
-    refine_crossovers run (Illinois regula falsi on the bracketing
-    samples' Im values, one batched decomposition per round) on
-    matrices_at(fs) -> (len(fs), m, m), to |Im| <= 1e-6 * max(1, |Re|);
-    each event carries the locator's decomposition and the eigenvalue's
-    index in it.  A sample at Im = 0 keeps the trace's f and Re; its
-    decomposition comes from one eig_lr_batch over all such samples, the
-    eigenvalue picked by overlap with the trace's left vector there.  The
-    first bracket that fails raises its BisectionError.
-    """
-    return _crossovers([trace], matrices_at, margin)
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Crossover events per trace and the overall verdict."""
@@ -387,14 +333,37 @@ def assess(traces: Sequence[EigenTrace],
            margin: float = 0.0) -> StabilityReport:
     """Stability verdict: stable iff every crossover has Re[lambda] > 0.
 
-    The events are find_crossovers' of every trace, but the sign-change
-    brackets of all traces are refined in one refine_crossovers run on
-    matrices_at(fs) -> (len(fs), m, m): each regula falsi round
-    decomposes the secant points of every open bracket in one batch.
+    Every zero crossing of Im[lambda] along every trace is an event,
+    sorted by frequency, then trace id.  A sign change between samples t
+    and t + 1 (_sign_change_steps) is the bracket [f_t, f_t+1]; a sample
+    whose Im is exactly 0 is the zero-width bracket (f_t, f_t, 0, 0, u_t).
+    All the brackets of all traces are located by one refine_crossovers
+    run on matrices_at(fs) -> (len(fs), m, m), to |Im| <= 1e-6 *
+    max(1, |Re|): each round decomposes the points of every open bracket
+    in one batch, and a zero-width bracket is decomposed once, at f_t.
     Every event carries its crossing's decomposition (sample, eig_index),
     which compensation_table and plan read instead of re-decomposing.
+    The first bracket that fails raises its BisectionError.
     """
-    events = _crossovers(traces, matrices_at, margin)
+    crossings, brackets = [], []  # (trace id, direction) and bracket per crossing
+    for tr in traces:
+        im = tr.lam.imag
+        steps = [(t, "falling" if im[t + 1] < 0 else "rising") for t in _sign_change_steps(im)]
+        if len(tr) and im[-1] == 0.0:
+            steps.append((len(tr) - 1, "rising" if im[-2] < 0 else "falling"))
+        for t, direction in steps:
+            hi = t if im[t] == 0.0 else t + 1
+            crossings.append((tr.trace_id, direction))
+            brackets.append((tr.f_hz[t], tr.f_hz[hi], im[t], im[hi], tr.u[t]))
+    located = refine_crossovers(matrices_at, *zip(*brackets)) if brackets else []
+    events = []
+    for (trace_id, direction), res in zip(crossings, located):
+        if isinstance(res, BisectionError):
+            raise res
+        smp, j = res
+        re_cr = float(smp.lam[j].real)
+        verdict = "critical" if re_cr < margin else "stable-crossing"
+        events.append(CrossoverEvent(trace_id, smp.f_hz, re_cr, direction, verdict, smp, j))
     events.sort(key=lambda e: (e.f_cr_hz, e.trace_id))
     stable = all(e.re_lambda > 0.0 for e in events)
     crit = tuple(sorted({e.trace_id for e in events if e.verdict == "critical"}))

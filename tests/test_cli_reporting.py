@@ -350,6 +350,33 @@ def test_cli_names_a_non_finite_option(fixture_path, tmp_path, capsys):
     assert capsys.readouterr().err == "error: fmax_hz must be finite, got nan\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--kv", "nan"], "k_v must be finite, got nan"),
+    (["--kv", "inf"], "k_v must be finite, got inf"),
+    (["--cluster", "l_f_h", "--values", "nan,1e-3"], "cluster_values must be finite, got nan"),
+    (["--cluster", "k_v", "--values", "1,inf"], "cluster_values must be finite, got inf"),
+], ids=["kv-nan", "kv-inf", "values-nan", "values-inf"])
+def test_ad_curve_rejects_a_non_finite_damper_setting(fixture_path, tmp_path, capsys, flags,
+                                                      message):
+    code = main(["ad-curve", "--network", str(fixture_path), "--out", str(tmp_path), *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_damper_defaults_name_the_block(fixture_path, tmp_path, capsys):
+    doc = json.loads(fixture_path.read_text())
+    doc["damper_defaults"]["l_f_h"] = math.nan
+    path = tmp_path / "nan_damper.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkFileError, match="damper_defaults: .*finite"):
+        damper_defaults_from_file(path)
+    code = main(["ad-curve", "--network", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: damper_defaults: ")
+
+
 @pytest.mark.parametrize("command", ["plan", "verify"])
 def test_cli_rejects_a_node_not_in_the_network_before_the_sweep(fixture_path, tmp_path,
                                                                 capsys, monkeypatch, command):

@@ -16,10 +16,8 @@ from damp_planner.compensation_planner import (
     calibrate_ad,
     compensation_coefficient,
     compensation_table,
-    entry_sensitivity,
     plan,
     rank_locations,
-    sensitivity,
     verify_with_ad,
 )
 from damp_planner.component_models import ADParams, CapacitorParams, GridImpedanceParams
@@ -46,43 +44,38 @@ AD_BASE = ADParams(v_dc=750.0, l_f_h=0.8e-3, k_pi=5.0, k_ii=100.0, xi=0.707,
 # --- sensitivity ---
 
 def test_sensitivity_of_diagonal_matrix_entries():
-    s = eig_lr(np.diag([3.0 + 0j, -1.0 + 0j]))
-    ka = int(np.argmin(np.abs(s.lam - 3.0)))
-    kb = 1 - ka
-    assert entry_sensitivity(s, ka, 0) == pytest.approx(1.0 + 0j, abs=1e-14)
-    assert entry_sensitivity(s, kb, 0) == pytest.approx(0.0 + 0j, abs=1e-14)
+    # nodes 0 and 1 own rows (0, 1) and (2, 3): K_C of an eigenvalue is 1
+    # at the node of its diagonal entry and 0 at the other
+    s = eig_lr(np.diag([3.0 + 0j, -1.0 + 0j, 2.0 + 1j, 5.0 + 0j]))
+    for entry, lam in enumerate((3.0, -1.0, 2.0 + 1j, 5.0)):
+        k = int(np.argmin(np.abs(s.lam - lam)))
+        for node in range(2):
+            expected = 1.0 if node == entry // 2 else 0.0
+            assert compensation_coefficient(s, k, node).value == pytest.approx(
+                expected + 0j, abs=1e-14)
 
 
 def test_sensitivity_matches_finite_difference(rng):
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     s0 = eig_lr(m)
-    j = 3
+    node = 1
     dalpha = 1e-6
     m2 = m.copy()
-    m2[j, j] += dalpha
+    m2[2 * node, 2 * node] += dalpha
+    m2[2 * node + 1, 2 * node + 1] += dalpha
     s1 = eig_lr(m2)
     match = np.argmax(np.abs(s0.u @ s1.w), axis=1)
     for k in range(8):
-        predicted = dalpha * entry_sensitivity(s0, k, j)
+        predicted = dalpha * compensation_coefficient(s0, k, node).value
         actual = s1.lam[match[k]] - s0.lam[k]
         assert abs(predicted - actual) <= 1e-3 * abs(actual)
-
-
-def test_susceptance_sensitivity_is_j_times_conductance_sensitivity(rng):
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    s = eig_lr(m)
-    ent = sensitivity(s, 2, 1)
-    assert ent.dlam_dsusceptance == 1j * ent.dlam_dalpha
-    assert ent.dlam_dsusceptance.real == pytest.approx(-ent.s_im, abs=0)
-    assert ent.dlam_dsusceptance.imag == pytest.approx(ent.s_re, abs=0)
 
 
 def test_node_sensitivity_sums_both_axes(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     s = eig_lr(m)
-    ent = sensitivity(s, 1, 1)
-    assert ent.dlam_dalpha == pytest.approx(
-        entry_sensitivity(s, 1, 2) + entry_sensitivity(s, 1, 3), abs=1e-15)
+    d_axis, q_axis = s.u[1, 2] * s.w[2, 1], s.u[1, 3] * s.w[3, 1]
+    assert compensation_coefficient(s, 1, 1).value == pytest.approx(d_axis + q_axis, abs=1e-15)
 
 
 # --- compensation coefficients ---
@@ -479,7 +472,7 @@ def reference_plan(g, node_id, traces, report, epsilon, dalpha=1e-3, predicted=T
                  "u_ref": left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz)}
         alpha, iters, shift = 0.0, 0, 0j
         while ev.re_lambda + shift.real < epsilon:
-            shift += dalpha * sensitivity(*locate(state, alpha), node_index).dlam_dalpha
+            shift += dalpha * compensation_coefficient(*locate(state, alpha), node_index).value
             alpha += dalpha
             iters += 1
         final, _ = locate(state, alpha)

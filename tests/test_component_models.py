@@ -248,6 +248,19 @@ def test_ad_scalar_rejects_nonpositive_frequency():
         ad_scalar(AD, np.array([0.0, 100.0]), W0)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("k_v", math.nan, "k_v must be finite and >= 0, got nan"),
+    ("k_v", math.inf, "k_v must be finite and >= 0, got inf"),
+    ("k_v", -1.0, "k_v must be finite and >= 0, got -1.0"),
+    ("l_f_h", math.nan, "except k_v must be finite and > 0"),
+    ("gain_s", math.inf, "except k_v must be finite and > 0"),
+    ("xi", 0.0, "except k_v must be finite and > 0"),
+], ids=["k_v-nan", "k_v-inf", "k_v-negative", "l_f_h-nan", "gain_s-inf", "xi-zero"])
+def test_ad_params_reject_non_finite_and_out_of_range_values(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(AD, **{name: value})
+
+
 @pytest.mark.parametrize("k_v", [1.45, 1.6, 1.8, 2.0])
 def test_ad_proposed_quasi_resistive_band(k_v):
     # admissible damper-gain range for the design parameter set

@@ -56,21 +56,9 @@ def test_zero_denominator_rejected():
         TransferElement((1.0,), (0.0, 0.0))
 
 
-def test_negative_delay_rejected():
-    with pytest.raises(ValueError):
-        TransferElement((1.0,), (1.0,), delay=-1e-6)
-
-
-def test_delay_factor_has_unit_magnitude_on_jw_axis():
-    tf = TransferElement((1.0,), (1.0,), delay=3.75e-5)
-    w = np.linspace(1.0, 2 * math.pi * 5000.0, 400)
-    vals = evaluate(tf, 1j * w)
-    assert np.max(np.abs(np.abs(vals) - 1.0)) <= 1e-14
-
-
 @given(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
 def test_conjugate_symmetry_for_real_coefficients(re, im):
-    # real-coefficient, zero-delay elements commute with conjugation
+    # real-coefficient elements commute with conjugation
     tf = TransferElement((2.0, 0.5, 1.0), (1.0, 3.0, 7.0, 5.0))
     s = complex(re, im)
     assert evaluate(tf, np.conj(s)) == pytest.approx(np.conj(evaluate(tf, s)), rel=1e-12)

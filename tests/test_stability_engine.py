@@ -24,7 +24,6 @@ from damp_planner.stability_engine import (
     assess,
     eig_lr,
     eig_lr_batch,
-    find_crossovers,
     nyquist_winding,
     refine_crossovers,
     sweep,
@@ -395,7 +394,7 @@ def refine_one(matrices_at, f_lo, f_hi, im_lo, im_hi, u_ref, max_steps=60):
 def test_crossover_on_synthetic_linear_trace():
     lam_at = lambda f: -0.01 + 1j * (f - 1000.0) / 1000.0
     freqs = np.arange(990.0, 1011.0)
-    events = find_crossovers(synthetic_trace(freqs, lam_at(freqs)), scalar_matrices(lam_at))
+    events = assess([synthetic_trace(freqs, lam_at(freqs))], scalar_matrices(lam_at)).events
     assert len(events) == 1
     ev = events[0]
     assert ev.f_cr_hz == pytest.approx(1000.0, abs=1e-9)
@@ -408,7 +407,7 @@ def test_crossover_bisection_refines_against_matrix():
     fc = 1000.3
     lam_at = lambda f: -0.01 + 1j * (f - fc) / 1000.0
     freqs = np.arange(990.0, 1011.0)
-    events = find_crossovers(synthetic_trace(freqs, lam_at(freqs)), scalar_matrices(lam_at))
+    events = assess([synthetic_trace(freqs, lam_at(freqs))], scalar_matrices(lam_at)).events
     assert len(events) == 1
     assert events[0].f_cr_hz == pytest.approx(fc, abs=2e-3)
     assert events[0].re_lambda == pytest.approx(-0.01, abs=1e-6)
@@ -482,8 +481,8 @@ def test_refined_crossovers_hold_in_planner(case_graph, monkeypatch):
 def test_batched_locator_equals_each_bracket_refined_alone():
     """Every sign-change bracket of seeds 0-19, refined in one batch, gives
     the same decomposition bit for bit as refined alone; assess, which
-    refines the brackets of all traces together, equals find_crossovers
-    trace by trace."""
+    refines the brackets of all traces together, equals assess of each
+    trace alone."""
     grid = FrequencyGrid.regular(2.0, 5000.0, 5.0)
     n = 0
     for seed in range(20):
@@ -502,7 +501,7 @@ def test_batched_locator_equals_each_bracket_refined_alone():
                 for a, b in ((smp.lam, alone.lam), (smp.w, alone.w), (smp.u, alone.u)):
                     assert np.array_equal(a, b)
         n += len(brackets)
-        per_trace = [e for tr in traces for e in find_crossovers(tr, matrices_at)]
+        per_trace = [e for tr in traces for e in assess([tr], matrices_at).events]
         per_trace.sort(key=lambda e: (e.f_cr_hz, e.trace_id))
         assert list(assess(traces, matrices_at).events) == per_trace
     assert n > 20
@@ -568,11 +567,13 @@ def test_refinement_step_cap_names_the_bracket(max_steps):
 def test_no_crossover_when_imag_stays_positive():
     lam_at = lambda f: 0.5 + 1j * (1.0 + 0.01 * f)
     freqs = np.arange(10.0, 100.0, 10.0)
-    assert find_crossovers(synthetic_trace(freqs, lam_at(freqs)), scalar_matrices(lam_at)) == []
+    assert assess([synthetic_trace(freqs, lam_at(freqs))], scalar_matrices(lam_at)).events == ()
 
 
 def reference_find_crossovers(trace, matrices_at, margin=0.0):
-    """find_crossovers as the plain loop over every step of the trace."""
+    """assess([trace]).events as the plain loop over every step of the
+    trace: a sample at Im = 0 keeps its f and is decomposed alone, every
+    sign change is refined alone."""
     events = []
     im, re_, f = trace.lam.imag, trace.lam.real, trace.f_hz
 
@@ -614,15 +615,40 @@ def test_find_crossovers_exact_zeros_match_the_plain_loop(freqs, im_at, n_events
     lam_at = lambda f: -0.01 + 1j * im_at(f)
     trace = synthetic_trace(freqs, [lam_at(f) for f in freqs])
     assert np.count_nonzero(trace.lam.imag == 0.0) >= 1
-    events = find_crossovers(trace, scalar_matrices(lam_at))
+    events = assess([trace], scalar_matrices(lam_at)).events
     assert len(events) == n_events
-    assert events == reference_find_crossovers(trace, scalar_matrices(lam_at))
+    assert list(events) == reference_find_crossovers(trace, scalar_matrices(lam_at))
     zeros = set(trace.f_hz[trace.lam.imag == 0.0])
     on_axis = [ev for ev in events if ev.f_cr_hz in zeros]
     assert len(on_axis) == len(zeros)
     for ev in on_axis:
         assert ev.sample.f_hz == ev.f_cr_hz
         assert ev.sample.lam[ev.eig_index].imag == 0.0
+
+
+def test_assess_on_axis_crossing_on_assembled_network():
+    """Seed 37's trace 1 has Im exactly 0 at the 50 Hz sample: its event
+    keeps that sample's f and Re bit for bit, and its zero-width bracket
+    is decomposed in the same single locator round as the two sign-change
+    brackets."""
+    g = make_random_small_system(37)
+    traces = track(sweep(g, FrequencyGrid.regular(2.0, 5000.0, 2.0)))
+    tr = traces[0]
+    [t] = np.flatnonzero(tr.lam.imag == 0.0)
+    assert (tr.trace_id, tr.f_hz[t]) == (1, 50.0)
+    sizes = []
+
+    def matrices_at(fs):
+        sizes.append(len(fs))
+        return assemble_grid(g, fs)
+
+    report = assess(traces, matrices_at)
+    [ev] = [e for e in report.events if e.f_cr_hz == 50.0]
+    assert ev.trace_id == 1
+    assert ev.sample.f_hz == 50.0
+    assert ev.sample.lam[ev.eig_index].imag == 0.0
+    assert ev.re_lambda == tr.lam.real[t] == 2.3210776389067425
+    assert sizes == [3]
 
 
 # --- assessment ---
