@@ -23,7 +23,8 @@ to its first-order shift; one whose real part has been lifted to epsilon
 stops there, and one still short after _MAX_STEPS steps makes the plan
 infeasible.  Calibration then picks the smallest damper gain k_v
 whose admittance covers the planned conductance over the planned band
-while staying quasi-resistive.
+while staying quasi-resistive: the lower end of the one interval of gains
+that meet both bounds, found in closed form.
 """
 
 from __future__ import annotations
@@ -326,7 +327,7 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     node_index = g.node_index(node_id)
     f_bounds = (float(traces[0].f_hz[0]), float(traces[0].f_hz[-1]))
-    criticals = [e for e in report.events if e.verdict == "critical"]
+    criticals = report.critical_events
     followers = [_CriticalFollower(ev.f_cr_hz, ev.sample.u[ev.eig_index]) for ev in criticals]
     shift = [0j] * len(criticals)  # accumulated first-order d_lambda
     finished: list = [None] * len(criticals)  # (alpha_s, iterations, f_cr_final)
@@ -381,67 +382,61 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
 # ---------------------------------------------------------------------------
 
 MAX_IM_RE_RATIO = 0.1
-# damper gain search: coarse-scan limit and bisection resolution
-_K_V_MAX = 50.0
+# the damper gain is rounded up to a multiple of this
 _K_V_RESOLUTION = 1e-3
 # spacing of the plan-band grid the damper is checked on, whatever the sweep's
 _BAND_DF_HZ = 1.0
 
 
-def _band_metrics(p: ADParams, f_hz: np.ndarray, omega0: float) -> tuple[float, float]:
-    y = ad_scalar(p, f_hz, omega0)
-    min_re = float(np.min(y.real))
-    if min_re <= 0.0:
-        return min_re, float("inf")
-    return min_re, float(np.max(np.abs(y.imag / y.real)))
+def _gain_interval(c: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """[lo, hi] of the gains k >= 0 with c k <= d in every row; lo > hi
+    when there are none."""
+    lo = float(np.max(d[c < 0] / c[c < 0], initial=0.0))
+    hi = float(np.min(d[c > 0] / c[c > 0], initial=np.inf))
+    return (lo, hi) if np.all(d[c == 0] >= 0) else (lo, -np.inf)
 
 
 def calibrate_ad(cplan: CompensationPlan, base: ADParams,
                  omega0: float = 2 * math.pi * 50.0) -> ADParams:
-    """Smallest damper gain k_v whose admittance meets the plan.
+    """Smallest damper gain k_v on a _K_V_RESOLUTION (1e-3) grid whose
+    admittance meets the plan.
 
     Feasible means: over the plan band at 1 Hz spacing, Re[Y] >= the
-    band requirement and |Im/Re| <= 0.1 (quasi-resistive).  The smallest
-    feasible k_v is found by coarse scan plus bisection to
-    _K_V_RESOLUTION; the returned gain is the verified-feasible bisection
-    endpoint.  Raises CalibrationInfeasibleError naming the binding
-    constraint when no gain qualifies.
+    band requirement and |Im/Re| <= 0.1 (quasi-resistive).  k_v enters
+    ad_scalar only in the numerator, so Y = a + k_v b with a = Y(k_v=0)
+    and b = Y(k_v=1) - a, and each frequency's three bounds (Re[Y] >=
+    requirement, +-Im[Y] <= 0.1 Re[Y]) are linear in k_v.  With k_v >= 0
+    they leave one interval [k_lo, k_hi], found in closed form with no
+    cap on k_v; the returned gain is k_lo rounded up to the grid and
+    checked once through ad_scalar.  Raises CalibrationInfeasibleError:
+    "unattainable" when no gain meets the conductance bound alone,
+    "conflict" when no grid gain meets both bounds.
     """
     if not cplan.entries or cplan.required_re_yad_s <= 0.0:
         return replace(base, k_v=0.0)
     f = np.arange(cplan.band_lo_hz, cplan.band_hi_hz + _BAND_DF_HZ / 2.0, _BAND_DF_HZ)
     req = cplan.required_re_yad_s
-
-    def feasible(k_v: float) -> bool:
-        min_re, ratio = _band_metrics(replace(base, k_v=k_v), f, omega0)
-        return min_re >= req and ratio <= MAX_IM_RE_RATIO
-
-    coarse = np.arange(0.0, _K_V_MAX + 1e-9, 0.25)
-    feas_idx = next((i for i, k in enumerate(coarse) if feasible(float(k))), None)
-    if feas_idx is None:
-        metrics = [_band_metrics(replace(base, k_v=float(k)), f, omega0) for k in coarse]
-        best_re = max(m[0] for m in metrics)
-        if best_re < req:
-            raise CalibrationInfeasibleError(
-                f"conductance requirement {req:.4g} S unattainable over "
-                f"[{cplan.band_lo_hz}, {cplan.band_hi_hz}] Hz "
-                f"(best min Re[Y]={best_re:.4g} S)")
+    band = f"[{cplan.band_lo_hz}, {cplan.band_hi_hz}] Hz"
+    a = ad_scalar(replace(base, k_v=0.0), f, omega0)
+    b = ad_scalar(replace(base, k_v=1.0), f, omega0) - a
+    # the bounds as rows c k <= d: Re[Y] >= req, Im[Y] <= r Re[Y], -Im[Y] <= r Re[Y]
+    r = MAX_IM_RE_RATIO
+    c = np.concatenate([-b.real, b.imag - r * b.real, -b.imag - r * b.real])
+    d = np.concatenate([a.real - req, r * a.real - a.imag, r * a.real + a.imag])
+    lo_re, hi_re = _gain_interval(c[:len(f)], d[:len(f)])
+    if lo_re > hi_re:
+        raise CalibrationInfeasibleError(
+            f"conductance requirement {req:.4g} S unattainable over {band}: "
+            f"no gain k_v >= 0 gives Re[Y] >= {req:.4g} S at every frequency")
+    lo, hi = _gain_interval(c, d)
+    k_v = math.ceil(lo / _K_V_RESOLUTION) * _K_V_RESOLUTION
+    y = ad_scalar(replace(base, k_v=k_v), f, omega0)
+    if not (k_v <= hi and np.min(y.real) >= req
+            and np.max(np.abs(y.imag / y.real)) <= MAX_IM_RE_RATIO):
         raise CalibrationInfeasibleError(
             f"conductance requirement {req:.4g} S and quasi-resistive bound "
-            f"|Im/Re| <= {MAX_IM_RE_RATIO} conflict over "
-            f"[{cplan.band_lo_hz}, {cplan.band_hi_hz}] Hz")
-
-    if feas_idx == 0:
-        return replace(base, k_v=0.0)
-    hi = float(coarse[feas_idx])
-    lo = float(coarse[feas_idx - 1])
-    while hi - lo > _K_V_RESOLUTION:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return replace(base, k_v=hi)
+            f"|Im/Re| <= {MAX_IM_RE_RATIO} conflict over {band}")
+    return replace(base, k_v=k_v)
 
 
 def verify_with_ad(g: NetworkGraph, node_id: int, p: ADParams,

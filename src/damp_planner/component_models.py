@@ -378,11 +378,16 @@ def ad_scalar(p: ADParams, f_hz, omega0: float) -> np.ndarray:
 
     The damping loop acts on the non-fundamental voltage seen in the
     stationary frame, so its notch * lag * low-pass chain is evaluated at
-    s + j*omega0.
+    s + j*omega0.  Valid only for 0 < f < f_s/2, below the Nyquist band
+    of the sampled control.
     """
     f = np.asarray(f_hz, dtype=float)
     if np.any(f <= 0):
         raise ValueError("f must be > 0")
+    if np.any(f >= p.f_s_hz / 2.0):
+        raise ValueError(
+            f"f reaches {np.max(f)} Hz, not below the sampled control's "
+            f"f_s/2 = {p.f_s_hz / 2} Hz")
     s = 1j * 2.0 * np.pi * f
     s_stat = s + 1j * omega0
     gd = np.exp(-s * p.delay_s)

@@ -159,11 +159,6 @@ def _device_block(dev: ShuntDevice, f: np.ndarray, omega0: float) -> np.ndarray:
     if isinstance(dev, AdmittanceTable):
         return dev.query(f)
     if isinstance(dev, ADParams):
-        fmax = float(np.max(f))
-        if fmax >= dev.f_s_hz / 2.0:
-            raise ValueError(
-                f"sweep reaches {fmax} Hz, not below the sampled control's "
-                f"f_s/2 = {dev.f_s_hz / 2} Hz")
         y = ad_scalar(dev, f, omega0)
         out = np.zeros(np.shape(y) + (2, 2), dtype=complex)
         out[..., 0, 0] = y

@@ -544,6 +544,18 @@ def test_ad_curve_values_without_cluster_is_an_error(fixture_path, tmp_path, cap
     assert not list(tmp_path.iterdir())
 
 
+def test_ad_curve_beyond_the_damper_f_s_half_is_an_error(fixture_path, tmp_path, capsys):
+    # the fixture damper samples at 40 kHz: a curve up to 30 kHz passes
+    # its f_s/2 = 20 kHz
+    code = main(["ad-curve", "--network", str(fixture_path), "--fmax", "30000",
+                 "--df", "500", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: f reaches 29510.0 Hz, not below the sampled control's "
+                          "f_s/2 = 20000.0 Hz")
+    assert not (tmp_path / "ad_curve.csv").exists()
+
+
 def test_criticals_grid_stays_below_fmax(fixture_path, tmp_path):
     # 2-4999.5 Hz @ 2 Hz ends at 4998 Hz, below the controls' f_s/2 = 5000 Hz
     code = main(["criticals", "--network", str(fixture_path), "--fmin", "2",

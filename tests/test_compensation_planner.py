@@ -351,15 +351,39 @@ def test_calibrate_meets_requirement_and_ratio(case_graph):
     assert float(np.min(y.real)) >= 0.05
     assert float(np.max(np.abs(y.imag / y.real))) <= 0.1
     # smallest: stepping one resolution down must break a constraint
-    down = dataclasses.replace(out, k_v=out.k_v - 2e-3)
+    down = dataclasses.replace(out, k_v=out.k_v - compensation_planner._K_V_RESOLUTION)
     y2 = ad_scalar(down, f, W0)
     assert (float(np.min(y2.real)) < 0.05
             or float(np.max(np.abs(y2.imag / y2.real))) > 0.1)
 
 
+@pytest.mark.parametrize("required, lo, hi, k_v", [
+    (0.095, 200.0, 2000.0, 2.049),  # feasible gains [2.0485, 2.1623]
+    (0.14, 500.0, 1000.0, 3.919),  # feasible gains [3.9189, 3.9361]
+], ids=["200-2000Hz", "500-1000Hz"])
+def test_calibrate_finds_a_narrow_feasible_interval(required, lo, hi, k_v):
+    # both intervals fall between two multiples of 0.25, so a coarse scan
+    # at that step finds no feasible gain
+    from damp_planner.component_models import ad_scalar
+    out = calibrate_ad(make_plan(required, lo, hi), AD_BASE)
+    assert out.k_v == k_v
+    f = np.arange(lo, hi + 0.5, 1.0)
+    y = ad_scalar(out, f, W0)
+    assert float(np.min(y.real)) >= required
+    assert float(np.max(np.abs(y.imag / y.real))) <= 0.1
+
+
 def test_calibrate_infeasible_requirement_names_constraint():
-    with pytest.raises(CalibrationInfeasibleError, match="unattainable|conflict"):
+    # Re[Y] >= 10 S needs k_v far above the quasi-resistive bound's limit
+    with pytest.raises(CalibrationInfeasibleError, match="conflict"):
         calibrate_ad(make_plan(10.0), AD_BASE)
+
+
+def test_calibrate_unattainable_requirement_names_constraint():
+    # around 2.6-7.1 kHz raising k_v lowers Re[Y] of the proposed damper,
+    # which stays below 1 S there at k_v = 0: no gain reaches 1 S
+    with pytest.raises(CalibrationInfeasibleError, match="1 S unattainable over"):
+        calibrate_ad(make_plan(1.0, 2000.0, 3000.0), AD_BASE)
 
 
 # --- end to end (small grid for speed; the full workflow runs in the
@@ -380,7 +404,7 @@ def test_fixture_plan_at_node_4_is_pinned(case_graph):
     for (_, _, alpha, f_cr), (_, _, alpha_x, f_cr_x) in zip(got, expected):
         assert alpha == pytest.approx(alpha_x, rel=1e-12)
         assert abs(f_cr - f_cr_x) <= 1e-9
-    assert calibrate_ad(cplan, AD_BASE).k_v == 1.4072265625
+    assert calibrate_ad(cplan, AD_BASE).k_v == 1.407
     # the pinned points are crossovers: an independent decomposition with
     # the planned conductance alpha_s installed has the followed eigenvalue
     # on the real axis

@@ -243,6 +243,26 @@ def test_ad_scalar_matches_closed_form(mode):
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
+@pytest.mark.parametrize("mode", ["proposed", "traditional"])
+def test_ad_scalar_is_affine_in_k_v(mode):
+    # k_v enters only the numerator: Y(k_v) = a + k_v b, the premise of
+    # calibrate_ad's closed form
+    p = dataclasses.replace(AD, mode=mode)
+    f = np.arange(10.0, 19990.0, 7.0)
+    a = ad_scalar(dataclasses.replace(p, k_v=0.0), f, W0)
+    b = ad_scalar(dataclasses.replace(p, k_v=1.0), f, W0) - a
+    for k_v in (0.3, 1.407, 7.0, 40.0):
+        y = ad_scalar(dataclasses.replace(p, k_v=k_v), f, W0)
+        assert np.max(np.abs(y - (a + k_v * b)) / np.abs(y)) <= 1e-12
+
+
+def test_ad_scalar_rejects_frequencies_at_nyquist():
+    with pytest.raises(ValueError, match="f_s/2"):
+        ad_scalar(AD, AD.f_s_hz / 2.0, W0)
+    with pytest.raises(ValueError, match="f_s/2"):
+        ad_scalar(AD, np.array([100.0, 30000.0]), W0)
+
+
 def test_ad_scalar_rejects_nonpositive_frequency():
     with pytest.raises(ValueError):
         ad_scalar(AD, np.array([0.0, 100.0]), W0)
