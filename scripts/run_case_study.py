@@ -43,7 +43,7 @@ def main() -> int:
     grid = FrequencyGrid.regular(10.0, args.fmax, 1.0)
 
     t0 = time.perf_counter()
-    _, traces, report = analyze(g, grid)
+    traces, report = analyze(g, grid)[1:]
     print(f"sweep: {len(grid)} frequencies, {len(traces)} traces "
           f"({time.perf_counter() - t0:.2f} s)")
     print(f"baseline verdict: {'stable' if report.stable else 'unstable'}")

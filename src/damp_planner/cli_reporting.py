@@ -367,12 +367,22 @@ def _events_data(events) -> list[dict]:
              "verdict": e.verdict} for e in events]
 
 
+def _tracking_data(traces) -> list[dict]:
+    """Per trace, the lowest tracking overlap and the [f_t, f_t+1] Hz
+    steps flagged as discontinuities."""
+    return [{"trace_id": tr.trace_id,
+             "min_overlap": float(tr.overlaps.min()),
+             "discontinuities": [[float(tr.f_hz[t]), float(tr.f_hz[t + 1])]
+                                 for t in tr.discontinuities]} for tr in traces]
+
+
 def cmd_sweep(cfg: RunConfig, out: Path, g, traces, report):
     _write_csv(cfg, out / "traces.csv", ["f_hz", "trace_id", "re_lambda", "im_lambda"],
                _trace_rows(traces))
     doc = ReportDocument("sweep", cfg.hash(), _verdict_str(report),
                          {"crossovers": _events_data(report.events),
-                          "n_traces": len(traces)})
+                          "n_traces": len(traces),
+                          "tracking": _tracking_data(traces)})
     return doc, EXIT_STABLE if report.stable else EXIT_UNSTABLE
 
 
@@ -509,7 +519,8 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
 
     The network file is read and parsed once.  The analysis commands
     (sweep, criticals, rank, plan, verify) load the network, reject a
-    cfg.node it does not have, and run the baseline analyze once, here;
+    cfg.node it does not have and a grid of fewer than 2 points, and run
+    the baseline analyze once, here, keeping its traces and report only;
     each then only writes its report from (cfg, out, g, traces, report),
     verify with the file's damper defaults as well.  ad-curve analyses no
     network: it takes the damper defaults and the fundamental from the
@@ -530,8 +541,13 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
         if cfg.node is not None and cfg.node not in g.nodes:
             raise ValueError(f"node {cfg.node} is not in the network {path} "
                              f"(nodes {', '.join(map(str, g.nodes))})")
+        grid = cfg.grid()
+        if len(grid) < 2:
+            raise ValueError(f"--fmin {cfg.fmin_hz} --fmax {cfg.fmax_hz} --df {cfg.df_hz} "
+                             f"give {len(grid)} sweep point; tracking needs at least 2")
         extra = (_damper_defaults(path, network_doc),) if command == "verify" else ()
-        _, traces, report = analyze(g, cfg.grid())
+        # the traces index the spectrum; it is not kept past the analysis
+        traces, report = analyze(g, grid)[1:]
         doc, code = _ANALYSIS_COMMANDS[command](cfg, out, g, traces, report, *extra)
     if "json" in cfg.formats:
         doc.write(out / f"report_{command.replace('-', '_')}.json")

@@ -351,8 +351,9 @@ class AdmittanceTable:
     def query(self, f_hz) -> np.ndarray:
         f = np.asarray(f_hz, dtype=float)
         if np.any(f < self.f_min) or np.any(f > self.f_max):
-            raise ValueError(
-                f"query {f} Hz outside tabulated range [{self.f_min}, {self.f_max}] Hz")
+            first = f[(f < self.f_min) | (f > self.f_max)].flat[0]
+            raise ValueError(f"query at {float(first)} Hz outside tabulated range "
+                             f"[{self.f_min}, {self.f_max}] Hz")
         x = np.log10(f)
         out = np.empty(f.shape + (2, 2), dtype=complex)
         for i in range(2):

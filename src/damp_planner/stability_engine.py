@@ -124,16 +124,18 @@ class EigenTrace:
     """One eigenvalue followed across the sweep with a consistent identity.
 
     Trace ids are 1-based, assigned by descending |lambda| at the first
-    sweep frequency.  discontinuities lists step indices whose
-    eigenvector-overlap score fell below the threshold (never silently
-    bridged, only flagged).
+    sweep frequency.  eig_index[t] is the trace's eigenvalue index in the
+    swept Spectrum at sample t, so its eigenvectors there are
+    spec.u[t, eig_index[t]] and spec.w[t, :, eig_index[t]]; the trace
+    holds no copy of them.  overlaps[t] is the tracking score of step
+    t -> t + 1, and discontinuities lists the steps whose score fell below
+    the threshold (never silently bridged, only flagged).
     """
 
     trace_id: int
     f_hz: np.ndarray
     lam: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
+    eig_index: np.ndarray
     overlaps: np.ndarray
     discontinuities: tuple[int, ...] = ()
 
@@ -190,6 +192,9 @@ def track(spec: Spectrum) -> list[EigenTrace]:
     slices of spec.u and spec.w.  Where a step's row argmax is a
     permutation with a strict maximum in every row, that is the greedy
     result; the other steps go through _greedy_match.
+
+    Each trace is one column of the resulting index map (its eig_index)
+    with its eigenvalues and overlaps; the eigenvectors stay in spec.
     """
     nf, m = spec.lam.shape
     if nf < 2:
@@ -210,11 +215,10 @@ def track(spec: Spectrum) -> list[EigenTrace]:
         overlaps[start:stop] = score[np.arange(stop - start)[:, None],
                                      idx[start:stop], idx[start + 1:stop + 1]]
 
-    # per trace k and step t: eigenvalue, left and right eigenvector
-    steps, pick = np.arange(nf), idx.T
-    lam_tr, u_tr, w_tr = spec.lam[steps, pick], spec.u[steps, pick], spec.w[steps, :, pick]
-    ov = overlaps.T
-    return [EigenTrace(k + 1, spec.f_hz, lam_tr[k], u_tr[k], w_tr[k], ov[k],
+    # per trace k and step t: eigenvalue index and eigenvalue
+    pick, ov = idx.T, overlaps.T
+    lam_tr = spec.lam[np.arange(nf), pick]
+    return [EigenTrace(k + 1, spec.f_hz, lam_tr[k], pick[k], ov[k],
                        tuple(np.flatnonzero(ov[k] < DEFAULT_OVERLAP_THRESHOLD).tolist()))
             for k in range(m)]
 
@@ -328,15 +332,17 @@ class StabilityReport:
         return tuple(e for e in self.events if e.verdict == "critical")
 
 
-def assess(traces: Sequence[EigenTrace],
+def assess(spec: Spectrum, traces: Sequence[EigenTrace],
            matrices_at: Callable[[Sequence[float]], np.ndarray],
            margin: float = 0.0) -> StabilityReport:
     """Stability verdict: stable iff every crossover has Re[lambda] > 0.
 
-    Every zero crossing of Im[lambda] along every trace is an event,
-    sorted by frequency, then trace id.  A sign change between samples t
-    and t + 1 (_sign_change_steps) is the bracket [f_t, f_t+1]; a sample
-    whose Im is exactly 0 is the zero-width bracket (f_t, f_t, 0, 0, u_t).
+    traces are tracked on spec.  Every zero crossing of Im[lambda] along
+    every trace is an event, sorted by frequency, then trace id.  A sign
+    change between samples t and t + 1 (_sign_change_steps) is the bracket
+    [f_t, f_t+1]; a sample whose Im is exactly 0 is the zero-width bracket
+    (f_t, f_t, 0, 0, u_t).  u_t, the trace's left eigenvector at sample t,
+    is read from spec as spec.u[t, eig_index[t]].
     All the brackets of all traces are located by one refine_crossovers
     run on matrices_at(fs) -> (len(fs), m, m), to |Im| <= 1e-6 *
     max(1, |Re|): each round decomposes the points of every open bracket
@@ -354,7 +360,8 @@ def assess(traces: Sequence[EigenTrace],
         for t, direction in steps:
             hi = t if im[t] == 0.0 else t + 1
             crossings.append((tr.trace_id, direction))
-            brackets.append((tr.f_hz[t], tr.f_hz[hi], im[t], im[hi], tr.u[t]))
+            brackets.append((tr.f_hz[t], tr.f_hz[hi], im[t], im[hi],
+                             spec.u[t, tr.eig_index[t]]))
     located = refine_crossovers(matrices_at, *zip(*brackets)) if brackets else []
     events = []
     for (trace_id, direction), res in zip(crossings, located):
@@ -403,7 +410,9 @@ def analyze(g: NetworkGraph, grid: FrequencyGrid):
     """Sweep, track and assess in one call.
 
     Returns (spectrum, traces, report), the traces tracked on the sweep's
-    one Spectrum.  The sweep and the crossover refinement decompose
+    one Spectrum and indexing it, so the eigenvectors are held once: a
+    caller that keeps only (traces, report), e.g. analyze(g, grid)[1:],
+    lets the spectrum go.  The sweep and the crossover refinement decompose
     through eig_lr_batch and its checks; the crossovers of all traces are
     refined together by batched Illinois regula falsi (refine_crossovers)
     against matrices re-assembled with matrices_at(fs) = assemble_grid(g,
@@ -413,5 +422,5 @@ def analyze(g: NetworkGraph, grid: FrequencyGrid):
     """
     spec = sweep(g, grid)
     traces = track(spec)
-    report = assess(traces, lambda fs: assemble_grid(g, fs))
+    report = assess(spec, traces, lambda fs: assemble_grid(g, fs))
     return spec, traces, report

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,49 @@ def test_sweep_outputs_are_byte_identical_across_runs(fixture_path, tmp_path):
     assert a == b
     header = a.decode().splitlines()[0]
     assert header == "f_hz,trace_id,re_lambda,im_lambda"
+
+
+def test_sweep_report_carries_trace_health(fixture_path, tmp_path):
+    """Per trace, the lowest tracking overlap and the flagged steps: on the
+    fixture's 1 Hz sweep every step overlaps by at least 0.985, and none
+    is flagged."""
+    doc, _ = run_command(RunConfig(network=str(fixture_path), out_dir=str(tmp_path)), "sweep")
+    tracking = json.loads((tmp_path / "report_sweep.json").read_text())["data"]["tracking"]
+    assert tracking == doc.data["tracking"]
+    assert [t["trace_id"] for t in tracking] == list(range(1, 9))
+    for t in tracking:
+        assert set(t) == {"trace_id", "min_overlap", "discontinuities"}
+        assert 0.985 <= t["min_overlap"] <= 1.0
+        assert t["discontinuities"] == []
+    assert min(t["min_overlap"] for t in tracking) == pytest.approx(0.985, abs=5e-4)
+
+
+def test_sweep_report_names_flagged_steps(fixture_path, tmp_path, monkeypatch):
+    # a threshold above every overlap flags every step of every trace
+    monkeypatch.setattr(stability_engine, "DEFAULT_OVERLAP_THRESHOLD", 2.0)
+    cfg = RunConfig(network=str(fixture_path), fmin_hz=100.0, fmax_hz=103.0,
+                    out_dir=str(tmp_path))
+    doc, _ = run_command(cfg, "sweep")
+    for t in doc.data["tracking"]:
+        assert t["discontinuities"] == [[100.0, 101.0], [101.0, 102.0], [102.0, 103.0]]
+
+
+def test_verify_holds_one_spectrum_at_a_time(fixture_path, tmp_path):
+    """The traced allocation peak of one verify on the fixture's 1 Hz grid
+    stays below the eigenvector stacks w and u of two sweeps (4 nf m^2
+    complex numbers): the traces index the Spectrum instead of copying its
+    vectors, and the baseline spectrum is let go before the damper's
+    re-analysis sweeps."""
+    cfg = RunConfig(network=str(fixture_path), out_dir=str(tmp_path))
+    run_command(cfg, "verify")  # warm-up: lazy imports and caches
+    nf, m = len(cfg.grid()), 2 * len(load_network(fixture_path).nodes)
+    tracemalloc.start()
+    try:
+        run_command(cfg, "verify")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * nf * m * m * 16
 
 
 def test_report_embeds_config_hash_and_metadata(fixture_path, tmp_path):
@@ -390,6 +434,28 @@ def test_cli_rejects_a_node_not_in_the_network_before_the_sweep(fixture_path, tm
     err = capsys.readouterr().err
     assert err.startswith(f"error: node 99 is not in the network {fixture_path} ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "criticals", "rank", "plan", "verify"])
+def test_one_point_grid_names_its_flags(fixture_path, tmp_path, capsys, monkeypatch,
+                                        command):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("the baseline analysis ran")
+
+    monkeypatch.setattr(cli_reporting, "analyze", no_analysis)
+    code = main([command, "--network", str(fixture_path), "--fmin", "10", "--fmax", "10.5",
+                 "--df", "1", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: --fmin 10.0 --fmax 10.5 --df 1.0 give 1 "
+                                       "sweep point; tracking needs at least 2\n")
+
+
+def test_ad_curve_accepts_a_one_point_grid(fixture_path, tmp_path):
+    cfg = RunConfig(network=str(fixture_path), fmin_hz=10.0, fmax_hz=10.5, df_hz=1.0,
+                    out_dir=str(tmp_path))
+    _, code = run_command(cfg, "ad-curve")
+    assert code == 0
+    assert len((tmp_path / "ad_curve.csv").read_text().splitlines()) == 2
 
 
 def test_cli_rejects_a_non_positive_dalpha(fixture_path, tmp_path, capsys):

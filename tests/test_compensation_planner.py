@@ -125,15 +125,16 @@ def test_fixture_dominant_nodes_split_low_vs_high(case_graph):
         assert dominant(t) == case_graph.node_index(3)
 
 
-def left_vector_near(tr, f_hz):
-    """The trace's left eigenvector at the first swept frequency >= f_hz
-    (the last one when f_hz lies beyond the sweep): the lookup by trace id
-    that K_C and the planner's seeds used before events carried their
-    decomposition."""
-    return tr.u[min(int(np.searchsorted(tr.f_hz, f_hz)), len(tr) - 1)]
+def left_vector_near(spec, tr, f_hz):
+    """The trace's left eigenvector in the swept spec at the first swept
+    frequency >= f_hz (the last one when f_hz lies beyond the sweep): the
+    lookup by trace id that K_C and the planner's seeds used before events
+    carried their decomposition."""
+    t = min(int(np.searchsorted(tr.f_hz, f_hz)), len(tr) - 1)
+    return spec.u[t, tr.eig_index[t]]
 
 
-def reference_compensation_table(g, traces, events):
+def reference_compensation_table(g, spec, traces, events):
     """compensation_table as a re-decomposition: each critical crossover's
     matrix re-assembled and decomposed, the eigenvalue picked by overlap
     with its trace's left eigenvector near f_cr."""
@@ -142,17 +143,18 @@ def reference_compensation_table(g, traces, events):
     for ev in events:
         if ev.verdict == "critical":
             smp = eig_lr(assemble(g, ev.f_cr_hz), ev.f_cr_hz)
-            k = _pick_matching_eig(smp, left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz))
+            k = _pick_matching_eig(smp, left_vector_near(spec, trace_by_id[ev.trace_id],
+                                                         ev.f_cr_hz))
             out += [compensation_coefficient(smp, k, pos, trace_id=ev.trace_id)
                     for pos in range(g.n)]
     return out
 
 
 def test_kc_from_events_equals_re_decomposition_on_fixture(case_graph):
-    _, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    spec, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
     got = compensation_table(case_graph, report.events)
     assert len(got) == 3 * case_graph.n
-    assert got == reference_compensation_table(case_graph, traces, report.events)
+    assert got == reference_compensation_table(case_graph, spec, traces, report.events)
 
 
 def test_kc_from_events_equals_re_decomposition_on_random_systems():
@@ -160,9 +162,9 @@ def test_kc_from_events_equals_re_decomposition_on_random_systems():
     n = 0
     for seed in range(40):
         g = make_random_small_system(seed)
-        _, traces, report = analyze(g, grid)
+        spec, traces, report = analyze(g, grid)
         got = compensation_table(g, report.events)
-        assert got == reference_compensation_table(g, traces, report.events), f"seed {seed}"
+        assert got == reference_compensation_table(g, spec, traces, report.events), f"seed {seed}"
         n += len(got)
     assert n > 40
 
@@ -308,8 +310,8 @@ def test_plan_takes_no_step_for_a_crossing_already_above_epsilon():
     # critical against margin 1 S, but Re[lambda] = 0.2 S already meets
     # epsilon = 0.005 S
     g = single_node_graph()
-    _, traces, _ = analyze(g, FrequencyGrid.regular(10.0, 2000.0, 5.0))
-    report = assess(traces, lambda fs: assemble_grid(g, fs), margin=1.0)
+    spec, traces, _ = analyze(g, FrequencyGrid.regular(10.0, 2000.0, 5.0))
+    report = assess(spec, traces, lambda fs: assemble_grid(g, fs), margin=1.0)
     assert [e.verdict for e in report.events] == ["critical"]
     assert report.events[0].re_lambda >= 0.005
     [e] = plan(g, 1, traces, report, epsilon=0.005).entries
@@ -393,7 +395,7 @@ def test_fixture_plan_at_node_4_is_pinned(case_graph):
     # regression pin of the planner on the case-study fixture: per critical
     # trace the accumulation step count, the conductance and the final
     # crossover frequency, plus the calibrated damper gain
-    _, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    spec, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
     cplan = plan(case_graph, 4, traces, report, epsilon=0.005)
     got = [(e.trace_id, e.iterations, e.alpha_s, e.f_cr_final_hz)
            for e in cplan.entries]
@@ -416,7 +418,8 @@ def test_fixture_plan_at_node_4_is_pinned(case_graph):
         m[p + 1, p + 1] += alpha
         smp = eig_lr(m, f_cr)
         tr = trace_by_id[trace_id]
-        u_ref = tr.u[int(np.searchsorted(tr.f_hz, f_cr))]
+        t = int(np.searchsorted(tr.f_hz, f_cr))
+        u_ref = spec.u[t, tr.eig_index[t]]
         lam = smp.lam[_pick_matching_eig(smp, u_ref)]
         assert abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real))
 
@@ -437,7 +440,7 @@ def test_verify_with_ad_stabilizes_fixture_at_top_node(case_graph):
 
 # --- lockstep planning against the per-trace loop ---
 
-def reference_plan(g, node_id, traces, report, epsilon, dalpha=1e-3, predicted=True):
+def reference_plan(g, node_id, spec, traces, report, epsilon, dalpha=1e-3, predicted=True):
     """plan as the per-trace loop: each critical crossover followed alone,
     one one-bracket locator run per try.  Try 0 is the 2-point bracket of
     half-width max(|df| / 4, 0.05 Hz) around f_cr + df, df being the move
@@ -493,7 +496,7 @@ def reference_plan(g, node_id, traces, report, epsilon, dalpha=1e-3, predicted=T
     for ev in (e for e in report.events if e.verdict == "critical"):
         # seeded by the trace-id lookup, not the event's decomposition
         state = {"f_cr": ev.f_cr_hz, "df": 0.0,
-                 "u_ref": left_vector_near(trace_by_id[ev.trace_id], ev.f_cr_hz)}
+                 "u_ref": left_vector_near(spec, trace_by_id[ev.trace_id], ev.f_cr_hz)}
         alpha, iters, shift = 0.0, 0, 0j
         while ev.re_lambda + shift.real < epsilon:
             shift += dalpha * compensation_coefficient(*locate(state, alpha), node_index).value
@@ -513,18 +516,17 @@ def reference_plan(g, node_id, traces, report, epsilon, dalpha=1e-3, predicted=T
 
 @pytest.fixture(scope="module")
 def fixture_baseline(case_graph):
-    _, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
-    return traces, report
+    return analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
 
 
 @pytest.mark.parametrize("node", [4, 3])
 @pytest.mark.parametrize("dalpha", [1e-3, 5e-3])
 def test_lockstep_plan_equals_per_trace_loop_on_fixture(case_graph, fixture_baseline,
                                                         node, dalpha):
-    traces, report = fixture_baseline
+    spec, traces, report = fixture_baseline
     got = plan(case_graph, node, traces, report, 0.005, dalpha)
     assert len(got.entries) == 3
-    assert got == reference_plan(case_graph, node, traces, report, 0.005, dalpha)
+    assert got == reference_plan(case_graph, node, spec, traces, report, 0.005, dalpha)
 
 
 # (seed, node id) of make_random_small_system networks with at least two
@@ -536,11 +538,11 @@ RANDOM_PLANS = [(3, 1), (5, 2), (7, 2), (12, 1), (13, 2), (22, 1), (24, 1), (32,
 @pytest.mark.parametrize("seed, node", RANDOM_PLANS)
 def test_lockstep_plan_equals_per_trace_loop_on_random_systems(seed, node):
     g = make_random_small_system(seed)
-    _, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
+    spec, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
     assert g.n >= 2 and len(report.critical_events) >= 2
     got = plan(g, node, traces, report, 0.005, 5e-3)
     assert got.entries
-    assert got == reference_plan(g, node, traces, report, 0.005, 5e-3)
+    assert got == reference_plan(g, node, spec, traces, report, 0.005, 5e-3)
 
 
 @pytest.mark.parametrize("node", [4, 3])
@@ -550,9 +552,9 @@ def test_predicted_brackets_keep_the_scan_only_plan_on_fixture(case_graph, fixtu
     """Against the scan-only loop the predicted bracket replaced: the same
     followed crossovers, step counts and band, and crossovers that moved
     only within the locator's tolerance."""
-    traces, report = fixture_baseline
+    spec, traces, report = fixture_baseline
     got = plan(case_graph, node, traces, report, 0.005, dalpha)
-    old = reference_plan(case_graph, node, traces, report, 0.005, dalpha, predicted=False)
+    old = reference_plan(case_graph, node, spec, traces, report, 0.005, dalpha, predicted=False)
     assert ([(e.trace_id, e.iterations, e.alpha_s) for e in got.entries]
             == [(e.trace_id, e.iterations, e.alpha_s) for e in old.entries])
     assert ((got.band_lo_hz, got.band_hi_hz, got.required_re_yad_s)
@@ -565,7 +567,7 @@ def test_predicted_brackets_keep_the_scan_only_plan_on_fixture(case_graph, fixtu
 def test_plan_decomposes_two_points_per_follower_per_step(case_graph, fixture_baseline,
                                                           monkeypatch):
     # the scan-only loop took 128 batches of 1 332 points in all
-    traces, report = fixture_baseline
+    _, traces, report = fixture_baseline
     sizes = []
     real = compensation_planner.assemble_grid
 
@@ -586,7 +588,7 @@ def test_predicted_bracket_stays_on_a_close_crossing_pair(monkeypatch):
     and jumps to a crossover near 827.5 Hz, where trace 3 reaches epsilon
     two steps earlier; the predicted bracket stays on the pair."""
     g = make_random_small_system(24)
-    _, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
+    spec, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
     real_locate_all = compensation_planner._locate_all
     followers, at_072 = [], {}
 
@@ -600,7 +602,7 @@ def test_predicted_bracket_stays_on_a_close_crossing_pair(monkeypatch):
 
     monkeypatch.setattr(compensation_planner, "_locate_all", recorded)
     got = plan(g, 1, traces, report, 0.005, 5e-3)
-    old = reference_plan(g, 1, traces, report, 0.005, 5e-3, predicted=False)
+    old = reference_plan(g, 1, spec, traces, report, 0.005, 5e-3, predicted=False)
 
     [i] = [k for k, e in enumerate(got.entries) if e.trace_id == 3]
     assert (got.entries[i].iterations, old.entries[i].iterations) == (194, 192)
@@ -624,7 +626,7 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
     jump over zero, so that follower's predicted bracket and its 50 Hz
     window fail; it is located at 100 Hz, the other followers try the
     same windows as in the unbroken plan, and the plan matches it."""
-    traces, report = fixture_baseline
+    _, traces, report = fixture_baseline
     low = min(report.critical_events, key=lambda e: e.f_cr_hz)
     failures = []
     broken = [False]

@@ -164,6 +164,21 @@ def test_table_out_of_range():
         t.query(1001.0)
 
 
+@pytest.mark.parametrize("f_hz, first", [
+    # a fleet-sized table queried by a 50-120 kHz sweep at 10 Hz
+    (np.arange(50000.0, 120000.0 + 1.0, 10.0), 100010.0),
+    (np.array([0.5, 0.25, 2.0]), 0.5),
+    (2e5, 2e5),
+])
+def test_table_out_of_range_names_the_first_frequency(f_hz, first):
+    t = AdmittanceTable.from_rows(
+        [(1.0, 1 + 0j, 0j, 0j, 1 + 0j), (1e5, 3 + 0j, 0j, 0j, 3 + 0j)])
+    with pytest.raises(ValueError) as err:
+        t.query(f_hz)
+    assert str(err.value) == (f"query at {first} Hz outside tabulated range "
+                              "[1.0, 100000.0] Hz")
+
+
 def test_table_roundtrip_of_inverter_model(rng):
     # tabulate on a dense log grid, re-query off-grid: per-entry error
     # within 1% of the block scale

@@ -312,14 +312,26 @@ def reference_track(spec, overlap_threshold=0.5):
 def assert_track_equals_reference(spec):
     traces = track(spec)
     assert [tr.trace_id for tr in traces] == list(range(1, spec.lam.shape[1] + 1))
+    steps = np.arange(len(spec))
     for tr, (lam, u, w, ov, disc) in zip(traces, reference_track(spec)):
         assert np.array_equal(tr.f_hz, [spec[t].f_hz for t in range(len(spec))])
         assert np.array_equal(tr.lam, lam)
-        assert np.array_equal(tr.u, u)
-        assert np.array_equal(tr.w, w)
+        assert np.array_equal(spec.u[steps, tr.eig_index], u)
+        assert np.array_equal(spec.w[steps, :, tr.eig_index], w)
         assert np.array_equal(tr.overlaps, ov)
         assert tr.discontinuities == disc
     return traces
+
+
+def test_track_holds_no_eigenvector_stack(case_graph):
+    """A trace is a column of the tracker's index map: every array it holds
+    is one-dimensional, and its eigenvalues are the Spectrum's at its
+    indices."""
+    spec = sweep(case_graph, FrequencyGrid.regular(10.0, 2500.0, 10.0))
+    for tr in track(spec):
+        arrays = [v for v in vars(tr).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 4 and all(a.ndim == 1 for a in arrays)
+        assert np.array_equal(tr.lam, spec.lam[np.arange(len(spec)), tr.eig_index])
 
 
 def test_track_equals_greedy_reference_on_fixture(case_graph):
@@ -369,11 +381,20 @@ def test_track_falls_back_to_greedy_match(monkeypatch, score, lam_next, expected
 
 # --- crossover detection ---
 
-def synthetic_trace(freqs, lam) -> EigenTrace:
+def synthetic_trace(freqs, lam) -> tuple[Spectrum, EigenTrace]:
+    """The 1x1 Spectrum whose eigenvalue is lam (unit eigenvectors) and its
+    one trace."""
     n = len(freqs)
-    ones = np.ones((n, 1), dtype=complex)
-    return EigenTrace(1, np.asarray(freqs, float), np.asarray(lam, complex),
-                      ones, ones, np.ones(n - 1))
+    f, lam = np.asarray(freqs, float), np.asarray(lam, complex)
+    ones = np.ones((n, 1, 1), dtype=complex)
+    return (Spectrum(f, lam[:, None], ones, ones),
+            EigenTrace(1, f, lam, np.zeros(n, dtype=int), np.ones(n - 1)))
+
+
+def assess_synthetic(freqs, lam_at, margin=0.0):
+    """assess of the one synthetic trace of lam_at over freqs."""
+    spec, trace = synthetic_trace(freqs, lam_at(freqs))
+    return assess(spec, [trace], scalar_matrices(lam_at), margin=margin)
 
 
 def scalar_matrices(lam_at):
@@ -394,7 +415,7 @@ def refine_one(matrices_at, f_lo, f_hi, im_lo, im_hi, u_ref, max_steps=60):
 def test_crossover_on_synthetic_linear_trace():
     lam_at = lambda f: -0.01 + 1j * (f - 1000.0) / 1000.0
     freqs = np.arange(990.0, 1011.0)
-    events = assess([synthetic_trace(freqs, lam_at(freqs))], scalar_matrices(lam_at)).events
+    events = assess_synthetic(freqs, lam_at).events
     assert len(events) == 1
     ev = events[0]
     assert ev.f_cr_hz == pytest.approx(1000.0, abs=1e-9)
@@ -407,7 +428,7 @@ def test_crossover_bisection_refines_against_matrix():
     fc = 1000.3
     lam_at = lambda f: -0.01 + 1j * (f - fc) / 1000.0
     freqs = np.arange(990.0, 1011.0)
-    events = assess([synthetic_trace(freqs, lam_at(freqs))], scalar_matrices(lam_at)).events
+    events = assess_synthetic(freqs, lam_at).events
     assert len(events) == 1
     assert events[0].f_cr_hz == pytest.approx(fc, abs=2e-3)
     assert events[0].re_lambda == pytest.approx(-0.01, abs=1e-6)
@@ -432,16 +453,17 @@ def assert_crossings_refine(g, grid) -> int:
     finds on them carries the decomposition at its crossing; returns the
     number of sign changes."""
     n = 0
-    traces = track(sweep(g, grid))
+    spec = sweep(g, grid)
+    traces = track(spec)
     for tr in traces:
         im = tr.lam.imag
         for t in np.nonzero(im[:-1] * im[1:] < 0)[0]:
             bracket = (float(tr.f_hz[t]), float(tr.f_hz[t + 1]),
-                       float(im[t]), float(im[t + 1]), tr.u[t])
+                       float(im[t]), float(im[t + 1]), spec.u[t, tr.eig_index[t]])
             refined = refine_one(lambda fs: assemble_grid(g, fs), *bracket)
             assert_refined_crossover(lambda f: assemble(g, f), refined, *bracket)
             n += 1
-    for ev in assess(traces, lambda fs: assemble_grid(g, fs)).events:
+    for ev in assess(spec, traces, lambda fs: assemble_grid(g, fs)).events:
         assert ev.sample.f_hz == ev.f_cr_hz
         assert ev.sample.lam[ev.eig_index].real == ev.re_lambda
     return n
@@ -488,9 +510,11 @@ def test_batched_locator_equals_each_bracket_refined_alone():
     for seed in range(20):
         g = make_random_small_system(seed)
         matrices_at = lambda fs: assemble_grid(g, fs)
-        traces = track(sweep(g, grid))
+        spec = sweep(g, grid)
+        traces = track(spec)
         brackets = [(float(tr.f_hz[t]), float(tr.f_hz[t + 1]),
-                     float(tr.lam.imag[t]), float(tr.lam.imag[t + 1]), tr.u[t])
+                     float(tr.lam.imag[t]), float(tr.lam.imag[t + 1]),
+                     spec.u[t, tr.eig_index[t]])
                     for tr in traces
                     for t in np.flatnonzero(tr.lam.imag[:-1] * tr.lam.imag[1:] < 0)]
         if brackets:
@@ -501,9 +525,9 @@ def test_batched_locator_equals_each_bracket_refined_alone():
                 for a, b in ((smp.lam, alone.lam), (smp.w, alone.w), (smp.u, alone.u)):
                     assert np.array_equal(a, b)
         n += len(brackets)
-        per_trace = [e for tr in traces for e in assess([tr], matrices_at).events]
+        per_trace = [e for tr in traces for e in assess(spec, [tr], matrices_at).events]
         per_trace.sort(key=lambda e: (e.f_cr_hz, e.trace_id))
-        assert list(assess(traces, matrices_at).events) == per_trace
+        assert list(assess(spec, traces, matrices_at).events) == per_trace
     assert n > 20
 
 
@@ -567,15 +591,16 @@ def test_refinement_step_cap_names_the_bracket(max_steps):
 def test_no_crossover_when_imag_stays_positive():
     lam_at = lambda f: 0.5 + 1j * (1.0 + 0.01 * f)
     freqs = np.arange(10.0, 100.0, 10.0)
-    assert assess([synthetic_trace(freqs, lam_at(freqs))], scalar_matrices(lam_at)).events == ()
+    assert assess_synthetic(freqs, lam_at).events == ()
 
 
-def reference_find_crossovers(trace, matrices_at, margin=0.0):
-    """assess([trace]).events as the plain loop over every step of the
-    trace: a sample at Im = 0 keeps its f and is decomposed alone, every
-    sign change is refined alone."""
+def reference_find_crossovers(spec, trace, matrices_at, margin=0.0):
+    """assess(spec, [trace]).events as the plain loop over every step of
+    the trace: a sample at Im = 0 keeps its f and is decomposed alone,
+    every sign change is refined alone."""
     events = []
     im, re_, f = trace.lam.imag, trace.lam.real, trace.f_hz
+    u = spec.u[np.arange(len(trace)), trace.eig_index]
 
     def event(f_cr, re_cr, direction, smp, j):
         verdict = "critical" if re_cr < margin else "stable-crossing"
@@ -584,7 +609,7 @@ def reference_find_crossovers(trace, matrices_at, margin=0.0):
     def on_axis(t, direction):
         smp = eig_lr(matrices_at([float(f[t])])[0], float(f[t]))
         return event(float(f[t]), float(re_[t]), direction, smp,
-                     _pick_matching_eig(smp, trace.u[t]))
+                     _pick_matching_eig(smp, u[t]))
 
     for t in range(len(trace) - 1):
         if im[t] == 0.0:
@@ -593,7 +618,7 @@ def reference_find_crossovers(trace, matrices_at, margin=0.0):
         if im[t] * im[t + 1] < 0:
             direction = "falling" if im[t] > 0 else "rising"
             smp, j = refine_one(matrices_at, float(f[t]), float(f[t + 1]),
-                                float(im[t]), float(im[t + 1]), trace.u[t])
+                                float(im[t]), float(im[t + 1]), u[t])
             events.append(event(smp.f_hz, float(smp.lam[j].real), direction, smp, j))
     if len(trace) and im[-1] == 0.0:
         events.append(on_axis(len(trace) - 1, "rising" if im[-2] < 0 else "falling"))
@@ -613,11 +638,11 @@ def reference_find_crossovers(trace, matrices_at, margin=0.0):
 ], ids=["first", "interior", "two-consecutive", "last"])
 def test_find_crossovers_exact_zeros_match_the_plain_loop(freqs, im_at, n_events):
     lam_at = lambda f: -0.01 + 1j * im_at(f)
-    trace = synthetic_trace(freqs, [lam_at(f) for f in freqs])
+    spec, trace = synthetic_trace(freqs, [lam_at(f) for f in freqs])
     assert np.count_nonzero(trace.lam.imag == 0.0) >= 1
-    events = assess([trace], scalar_matrices(lam_at)).events
+    events = assess(spec, [trace], scalar_matrices(lam_at)).events
     assert len(events) == n_events
-    assert list(events) == reference_find_crossovers(trace, scalar_matrices(lam_at))
+    assert list(events) == reference_find_crossovers(spec, trace, scalar_matrices(lam_at))
     zeros = set(trace.f_hz[trace.lam.imag == 0.0])
     on_axis = [ev for ev in events if ev.f_cr_hz in zeros]
     assert len(on_axis) == len(zeros)
@@ -632,7 +657,8 @@ def test_assess_on_axis_crossing_on_assembled_network():
     is decomposed in the same single locator round as the two sign-change
     brackets."""
     g = make_random_small_system(37)
-    traces = track(sweep(g, FrequencyGrid.regular(2.0, 5000.0, 2.0)))
+    spec = sweep(g, FrequencyGrid.regular(2.0, 5000.0, 2.0))
+    traces = track(spec)
     tr = traces[0]
     [t] = np.flatnonzero(tr.lam.imag == 0.0)
     assert (tr.trace_id, tr.f_hz[t]) == (1, 50.0)
@@ -642,7 +668,7 @@ def test_assess_on_axis_crossing_on_assembled_network():
         sizes.append(len(fs))
         return assemble_grid(g, fs)
 
-    report = assess(traces, matrices_at)
+    report = assess(spec, traces, matrices_at)
     [ev] = [e for e in report.events if e.f_cr_hz == 50.0]
     assert ev.trace_id == 1
     assert ev.sample.f_hz == 50.0
@@ -656,7 +682,7 @@ def test_assess_on_axis_crossing_on_assembled_network():
 def test_assess_stable_without_crossovers():
     lam_at = lambda f: 0.5 + 1j * (1.0 + 0.01 * f)
     freqs = np.arange(10.0, 100.0, 10.0)
-    report = assess([synthetic_trace(freqs, lam_at(freqs))], scalar_matrices(lam_at))
+    report = assess_synthetic(freqs, lam_at)
     assert report.stable
     assert report.events == ()
 
@@ -664,7 +690,7 @@ def test_assess_stable_without_crossovers():
 def test_assess_flags_negative_crossover_trace():
     lam_at = lambda f: -0.0049 + 1j * (f - 1000.0) / 1000.0
     freqs = np.arange(990.0, 1011.0)
-    report = assess([synthetic_trace(freqs, lam_at(freqs))], scalar_matrices(lam_at))
+    report = assess_synthetic(freqs, lam_at)
     assert not report.stable
     assert report.critical_trace_ids == (1,)
     assert report.events[0].re_lambda == pytest.approx(-0.0049, abs=1e-12)
@@ -673,8 +699,7 @@ def test_assess_flags_negative_crossover_trace():
 def test_assess_stable_with_margin_crossings():
     lam_at = lambda f: 0.02 + 1j * (f - 1000.0) / 1000.0
     freqs = np.arange(990.0, 1011.0)
-    report = assess([synthetic_trace(freqs, lam_at(freqs))], scalar_matrices(lam_at),
-                    margin=0.005)
+    report = assess_synthetic(freqs, lam_at, margin=0.005)
     assert report.stable
     assert report.events[0].verdict == "stable-crossing"
 
@@ -700,7 +725,7 @@ def circle_trace(center: complex, radius: float) -> EigenTrace:
     freqs = np.linspace(10.0, 1010.0, 201)
     theta = -math.pi + (freqs - 10.0) / 1000.0 * math.pi
     lam = center + radius * np.exp(1j * theta)
-    return synthetic_trace(freqs, lam)
+    return synthetic_trace(freqs, lam)[1]
 
 
 def test_winding_circle_around_origin():
@@ -714,7 +739,7 @@ def test_winding_circle_not_enclosing_origin():
 def test_winding_indeterminate_when_passing_origin():
     freqs = np.arange(10.0, 30.0)
     lam = (freqs - 20.0) / 1000.0 + 0j  # runs through the origin
-    assert nyquist_winding(synthetic_trace(freqs, lam)) is None
+    assert nyquist_winding(synthetic_trace(freqs, lam)[1]) is None
 
 
 def test_gpndsc_agrees_with_winding_on_random_systems():
