@@ -414,7 +414,7 @@ def cmd_rank(cfg: RunConfig, out: Path, g, traces, report):
     return doc, EXIT_STABLE
 
 
-def _plan_data(g, node_id, cplan) -> dict:
+def _plan_data(node_id, cplan) -> dict:
     return {
         "node": node_id,
         "epsilon_s": cplan.epsilon_s,
@@ -445,7 +445,7 @@ def cmd_plan(cfg: RunConfig, out: Path, g, traces, report):
                ["trace_id", "f_cr_start_hz", "f_cr_final_hz", "alpha_s",
                 "iterations", "predicted_re"], rows)
     doc = ReportDocument("plan", cfg.hash(), _verdict_str(report),
-                         {"plan": _plan_data(g, node_id, cplan)})
+                         {"plan": _plan_data(node_id, cplan)})
     return doc, EXIT_STABLE
 
 
@@ -494,7 +494,7 @@ def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, base: ADParams):
         "design_node": top_node,
         "ad_mode": cfg.ad_mode,
         "calibrated_k_v": calibrated.k_v,
-        "plan": _plan_data(g, top_node, cplan),
+        "plan": _plan_data(top_node, cplan),
         "before": {"verdict": _verdict_str(report),
                    "crossovers": _events_data(report.events)},
         "after": {"verdict": _verdict_str(after),

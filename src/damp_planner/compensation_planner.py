@@ -17,8 +17,10 @@ points per crossover predicted from its last drift (a secant predictor),
 all the brackets decomposed as one batch and refined by one
 refine_crossovers run (batched Illinois regula falsi, one point per open
 bracket per round).  A crossover the prediction misses is found by
-9-point window scans around it, widening until one holds its sign
-change.  A crossover still short of the margin epsilon adds d_alpha K_C
+9-point window scans around it, widening until one holds a crossing
+bracket by the engine's rule (_crossing_brackets); one still missing once
+a window covers the whole sweep range is lost, and the plan infeasible.
+A crossover still short of the margin epsilon adds d_alpha K_C
 to its first-order shift; one whose real part has been lifted to epsilon
 stops there, and one still short after _MAX_STEPS steps makes the plan
 infeasible.  Calibration then picks the smallest damper gain k_v
@@ -29,6 +31,7 @@ that meet both bounds, found in closed form.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -46,7 +49,8 @@ from .stability_engine import (
     EigenSample,
     EigenTrace,
     StabilityReport,
-    _sign_change_steps,
+    _crossing_brackets,
+    _pick_matching_eig,
     analyze,
     eig_lr_batch,
     refine_crossovers,
@@ -58,7 +62,8 @@ class DegenerateEigenvalueWarning(UserWarning):
 
 
 class PlanInfeasibleError(RuntimeError):
-    """Iteration cap hit before the damping requirement was met."""
+    """Iteration cap hit, or a critical crossover lost, before the damping
+    requirement was met."""
 
 
 class CalibrationInfeasibleError(RuntimeError):
@@ -199,19 +204,20 @@ class _CriticalFollower:
     before (0 after a locate that took a widened window: a jump is no
     drift), and the left eigenvector u_ref of the last confirmed point as
     the identity reference.  Followers are located together by
-    _locate_all in up to TRIES tries: try 0 is a 2-point bracket
-    predicted by the secant, centred on f_cr + df with half-width
-    max(|df| / 4, 0.05 Hz); tries 1-8 are the recovery, 9-point windows of
-    half-width 50, 100, ... Hz around f_cr.  Every window is clipped to
-    the baseline sweep's range, and the bracket nearest f_cr is refined by
-    regula falsi from the scan's Im values at its ends.
+    _locate_all, try by try: try 0 is a 2-point bracket predicted by the
+    secant, centred on f_cr + df with half-width max(|df| / 4, 0.05 Hz);
+    tries 1, 2, ... are the recovery, 9-point windows of half-width 50,
+    100, ... Hz around f_cr.  Every window is clipped to the baseline
+    sweep's range, and the first window that covers the whole range is
+    the last.  A scan's brackets follow the engine's rule
+    (_crossing_brackets), and the one nearest f_cr is refined by regula
+    falsi from the scan's Im values at its ends.
     """
 
     PREDICTED_FRACTION = 0.25  # predicted half-width per Hz of drift
     PREDICTED_FLOOR_HZ = 0.05  # smallest predicted half-width
     WINDOW_HZ = 50.0  # half-width of the first scan window around f_cr
     SCAN_POINTS = 9
-    TRIES = 9  # the predicted bracket, then 8 window doublings
 
     def __init__(self, f_cr: float, u_ref: np.ndarray):
         self.f_cr = f_cr
@@ -234,18 +240,17 @@ class _CriticalFollower:
         return [float(f) for f in np.linspace(lo, hi, n)]
 
     def bracket(self, fs: list[float], w: np.ndarray, lam: np.ndarray):
-        """(f_lo, f_hi, im_lo, im_hi, u_ref) of the sign change nearest f_cr
-        in a scan with right eigenvectors w and eigenvalues lam at fs, or
-        None when the followed eigenvalue keeps its sign."""
+        """(f_lo, f_hi, im_lo, im_hi, u_ref) of the crossing bracket nearest
+        f_cr in a scan with right eigenvectors w and eigenvalues lam at fs,
+        or None when the followed eigenvalue has no crossing there."""
         # Im of the followed eigenvalue (best overlap with u_ref) at each point
-        picked = np.argmax(np.abs(self.u_ref @ w), axis=-1)
-        ims = lam[np.arange(len(fs)), picked].imag
-        steps = _sign_change_steps(ims)
-        if not steps.size:
+        ims = lam[np.arange(len(fs)), _pick_matching_eig(self.u_ref, w)].imag
+        pairs = _crossing_brackets(ims)
+        if not len(pairs):
             return None
-        # bracket whose midpoint is nearest the previous crossover
-        i = min(steps, key=lambda i: abs(0.5 * (fs[i] + fs[i + 1]) - self.f_cr))
-        return fs[i], fs[i + 1], ims[i], ims[i + 1], self.u_ref
+        # the bracket whose midpoint is nearest the previous crossover
+        lo, hi = pairs[np.argmin(np.abs(np.asarray(fs)[pairs].mean(axis=1) - self.f_cr))]
+        return fs[lo], fs[hi], ims[lo], ims[hi], self.u_ref
 
     def move_to(self, smp: EigenSample, j: int, attempt: int) -> None:
         """Confirm eigenvalue j of smp, found at try `attempt`, as the
@@ -266,17 +271,17 @@ def _locate_all(followers: Sequence[_CriticalFollower], alpha: float, matrices_a
     stays inside f_bounds.  Each try scans the window of every follower
     still unlocated (at try 0 its predicted 2-point bracket), all windows
     assembled and decomposed as one batch, then refines all their brackets
-    in one refine_crossovers run.  A follower whose window holds no sign
-    change, or whose bracket fails to converge, goes on to its next
-    window; after the last try PlanInfeasibleError names the crossover it
-    lost.
+    in one refine_crossovers run.  A follower whose window holds no
+    crossing, or whose bracket fails to converge, goes on to its next
+    window; once such a window covered all of f_bounds,
+    PlanInfeasibleError names the crossover it lost.
     """
     def at_alpha(fs: Sequence[float]) -> np.ndarray:
         return matrices_at(fs, alpha)
 
     found: list = [None] * len(followers)
     pending = list(range(len(followers)))
-    for attempt in range(_CriticalFollower.TRIES):
+    for attempt in itertools.count():
         scans = [followers[i].window(attempt, f_bounds) for i in pending]
         n = len(scans[0])  # every window of one try has the same points
         fs = [f for scan in scans for f in scan]
@@ -286,17 +291,17 @@ def _locate_all(followers: Sequence[_CriticalFollower], alpha: float, matrices_a
             b = followers[i].bracket(scan, spec.w[k * n:(k + 1) * n], spec.lam[k * n:(k + 1) * n])
             if b is not None:
                 brackets[i] = b
-        if brackets:
-            refined = refine_crossovers(at_alpha, *zip(*brackets.values()))
-            for i, res in zip(brackets, refined):
-                if not isinstance(res, BisectionError):
-                    found[i] = res
-                    followers[i].move_to(*res, attempt)
+        for i, res in zip(brackets, refine_crossovers(at_alpha, list(brackets.values()))):
+            if not isinstance(res, BisectionError):
+                found[i] = res
+                followers[i].move_to(*res, attempt)
+        for i, scan in zip(pending, scans):  # a lost follower whose window covered the range
+            if found[i] is None and attempt and (scan[0], scan[-1]) == tuple(f_bounds):
+                raise PlanInfeasibleError(
+                    f"lost the critical crossover near {followers[i].f_cr} Hz at alpha={alpha} S")
         pending = [i for i in pending if found[i] is None]
         if not pending:
             return found
-    raise PlanInfeasibleError(
-        f"lost the critical crossover near {followers[pending[0]].f_cr} Hz at alpha={alpha} S")
 
 
 def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],

@@ -363,12 +363,6 @@ class AdmittanceTable:
         return out
 
 
-def tabulate(p: InverterParams, f_hz, omega0: float) -> AdmittanceTable:
-    """Sample the analytic inverter model onto an AdmittanceTable."""
-    f = np.asarray(f_hz, dtype=float)
-    return AdmittanceTable(f, inverter_block(p, f, omega0))
-
-
 # ---------------------------------------------------------------------------
 # active damper
 # ---------------------------------------------------------------------------

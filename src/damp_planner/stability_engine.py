@@ -3,9 +3,10 @@ criterion.
 
 The system is declared stable iff at every frequency where an eigenvalue
 trace of the nodal admittance matrix crosses the real axis (Im = 0), the
-real part is positive.  Crossings with negative real part are the critical
-(negatively damped) oscillatory modes.  assess finds them: every sign
-change and every sample on the axis, of every trace, is one bracket of a
+real part is positive.  Crossings with Re <= 0 are the critical
+(undamped or negatively damped) oscillatory modes.  assess finds them: every sign
+change and every sample on the axis, of every trace, is one bracket
+(_crossing_brackets, the rule the planner's follower scans share) of a
 single refine_crossovers run, and each event carries the decomposition
 that run located it with.  A discrete Nyquist winding count
 over the conjugate-closed eigenvalue loci is provided as a cross-check
@@ -97,6 +98,7 @@ def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> Spectrum:
             except np.linalg.LinAlgError as e:
                 raise EigNonConvergenceError(f"eig failed at f={f} Hz: {e}") from e
         raise
+    del mats  # not needed past eig: a sweep's assembled stack is freed before inv
     u = np.linalg.inv(w)
     # ||U||_F^2 from views of U's parts: no (nf, m, m) temporary
     sq = np.einsum("kij,kij->k", u.real, u.real) + np.einsum("kij,kij->k", u.imag, u.imag)
@@ -235,88 +237,88 @@ class CrossoverEvent:
     f_cr_hz: float
     re_lambda: float
     direction: str  # "falling" (+ to -) or "rising" (- to +)
-    verdict: str    # "critical" if re_lambda < margin else "stable-crossing"
+    verdict: str    # "critical" if re_lambda <= 0 or < margin, else "stable-crossing"
     sample: EigenSample = field(compare=False, repr=False)
     eig_index: int = field(compare=False, repr=False)
 
 
-def _pick_matching_eig(sample: EigenSample, u_ref: np.ndarray) -> int:
-    """Index of the eigenvalue whose right eigenvector best overlaps u_ref."""
-    return int(np.argmax(np.abs(u_ref @ sample.w)))
+def _pick_matching_eig(u_ref: np.ndarray, w: np.ndarray):
+    """Index of the eigenvalue whose right eigenvector best overlaps u_ref,
+    argmax_j |u_ref . w_j|: over the columns of one matrix w (m, m), or
+    per matrix of a stack w (n, m, m), giving (n,) indices."""
+    return np.argmax(np.abs(u_ref @ w), axis=-1)
 
 
 def refine_crossovers(matrices_at: Callable[[Sequence[float]], np.ndarray],
-                      f_lo: Sequence[float], f_hi: Sequence[float],
-                      im_lo: Sequence[float], im_hi: Sequence[float],
-                      u_ref: Sequence[np.ndarray],
+                      brackets: Sequence[tuple[float, float, float, float, np.ndarray]],
                       max_steps: int = 60) -> list[tuple[EigenSample, int] | BisectionError]:
-    """Locate Im[lambda] = 0 inside each of B brackets [f_lo[b], f_hi[b]]
-    by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971), all
+    """Locate Im[lambda] = 0 inside each bracket (f_lo, f_hi, im_lo, im_hi,
+    u_ref) by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971), all
     brackets stepping together.
 
     im_lo, im_hi are Im[lambda] at the bracket ends (opposite signs) and
-    u_ref[b] the eigenvalue's left eigenvector at f_lo[b] (u_ref has
-    shape (B, m)).  A zero-width bracket (f, f, 0, 0, u) is a sample
-    already on the axis: it is decomposed once, at f, and accepted in the
-    first round.  Each round takes the secant root of every open bracket
-    (its midpoint when the root is not strictly inside) and decomposes
-    all of them with one eig_lr_batch(matrices_at(fs), fs).
-    Per bracket it then re-identifies the eigenvalue by overlap with
-    u_ref and keeps the half whose ends differ in sign, moving u_ref with
-    f_lo; an end kept twice in a row has the other end's Im halved, which
-    stops plain regula falsi's one-sided stall.  A bracket leaves the
-    batch once |Im| <= 1e-6 * max(1, |Re|).
+    u_ref the eigenvalue's left eigenvector at f_lo.  A zero-width bracket
+    (f, f, 0, 0, u_ref), a sample already on the axis, is decomposed once,
+    at f, and accepted in the first round.  Each round takes the secant
+    root of every open bracket (its midpoint when the root is not strictly
+    inside) and decomposes all of them with one
+    eig_lr_batch(matrices_at(fs), fs).  Per bracket it then re-identifies
+    the eigenvalue by overlap with u_ref (_pick_matching_eig) and keeps the
+    half whose ends differ in sign, moving u_ref with f_lo; an end kept
+    twice in a row has the other end's Im halved, which stops plain regula
+    falsi's one-sided stall.  A bracket leaves the batch once
+    |Im| <= 1e-6 * max(1, |Re|).
 
     Returns, per bracket, the decomposition at its crossover and the
     eigenvalue's index in it, or a BisectionError naming the narrowed
     bracket when max_steps rounds do not get there; a failed bracket does
     not stop the others.
     """
-    f_lo, f_hi, im_lo, im_hi = ([float(x) for x in a] for a in (f_lo, f_hi, im_lo, im_hi))
-    u_ref = list(u_ref)
-    kept = [0] * len(f_lo)  # end kept by each bracket's last step: -1 low, +1 high
-    lam: list = [None] * len(f_lo)
-    out: list = [None] * len(f_lo)
-    open_ = list(range(len(f_lo)))
+    # per bracket: f_lo, f_hi, im_lo, im_hi, u_ref, end its last step kept (-1 low, +1 high)
+    state = [(float(f_lo), float(f_hi), float(im_lo), float(im_hi), u_ref, 0)
+             for f_lo, f_hi, im_lo, im_hi, u_ref in brackets]
+    lam: list = [None] * len(state)
+    out: list = [None] * len(state)
+    open_ = list(range(len(state)))
     for _ in range(max_steps):
         if not open_:
             break
         fs = []
         for b in open_:
-            lo, hi = f_lo[b], f_hi[b]
-            f = lo + im_lo[b] * (hi - lo) / (im_lo[b] - im_hi[b]) if im_lo[b] != im_hi[b] else lo
+            lo, hi, im_lo, im_hi = state[b][:4]
+            f = lo + im_lo * (hi - lo) / (im_lo - im_hi) if im_lo != im_hi else lo
             fs.append(f if lo < f < hi else 0.5 * (lo + hi))
         spec = eig_lr_batch(matrices_at(fs), fs)
         still = []
         for k, b in enumerate(open_):
-            smp = spec[k]
-            j = _pick_matching_eig(smp, u_ref[b])
-            lam[b] = smp.lam[j]
-            if abs(lam[b].imag) <= 1e-6 * max(1.0, abs(lam[b].real)):
-                out[b] = (smp, j)
+            lo, hi, im_lo, im_hi, u_ref, kept = state[b]
+            j = int(_pick_matching_eig(u_ref, spec.w[k]))
+            lam[b] = spec.lam[k, j]
+            im = float(lam[b].imag)
+            if abs(im) <= 1e-6 * max(1.0, abs(lam[b].real)):
+                out[b] = (spec[k], j)
                 continue
             still.append(b)
-            if (lam[b].imag > 0) == (im_lo[b] > 0):
-                f_lo[b], im_lo[b], u_ref[b] = fs[k], float(lam[b].imag), smp.u[j]
-                if kept[b] == +1:
-                    im_hi[b] *= 0.5
-                kept[b] = +1
+            if (im > 0) == (im_lo > 0):
+                state[b] = (fs[k], hi, im, 0.5 * im_hi if kept == +1 else im_hi, spec.u[k, j], +1)
             else:
-                f_hi[b], im_hi[b] = fs[k], float(lam[b].imag)
-                if kept[b] == -1:
-                    im_lo[b] *= 0.5
-                kept[b] = -1
+                state[b] = (lo, fs[k], 0.5 * im_lo if kept == -1 else im_lo, im, u_ref, -1)
         open_ = still
     for b in open_:
         out[b] = BisectionError(
-            f"crossover refinement at [{f_lo[b]}, {f_hi[b]}] Hz did not reach |Im| "
+            f"crossover refinement at [{state[b][0]}, {state[b][1]}] Hz did not reach |Im| "
             f"tolerance in {max_steps} steps (last lambda={lam[b]})")
     return out
 
 
-def _sign_change_steps(im: np.ndarray) -> np.ndarray:
-    """Ascending steps t with im[t] == 0 or a sign change from t to t + 1."""
-    return np.flatnonzero((im[:-1] == 0) | (im[:-1] * im[1:] < 0))
+def _crossing_brackets(im: np.ndarray) -> np.ndarray:
+    """(lo, hi) sample pairs, shape (k, 2) and ascending, of every zero
+    crossing of the samples im: (t, t + 1) for a sign change between
+    samples t and t + 1, (t, t) for a sample exactly on the axis, the last
+    sample included."""
+    change = np.append(im[:-1] * im[1:] < 0, False)  # at t: a sign change t -> t + 1
+    lo = np.flatnonzero((im == 0) | change)
+    return np.stack([lo, lo + change[lo]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -335,14 +337,15 @@ class StabilityReport:
 def assess(spec: Spectrum, traces: Sequence[EigenTrace],
            matrices_at: Callable[[Sequence[float]], np.ndarray],
            margin: float = 0.0) -> StabilityReport:
-    """Stability verdict: stable iff every crossover has Re[lambda] > 0.
+    """Stability verdict: stable iff no crossover is critical, i.e. has
+    Re[lambda] <= 0 or Re[lambda] < margin (at the default margin 0: iff
+    every crossover has Re[lambda] > 0).
 
     traces are tracked on spec.  Every zero crossing of Im[lambda] along
-    every trace is an event, sorted by frequency, then trace id.  A sign
-    change between samples t and t + 1 (_sign_change_steps) is the bracket
-    [f_t, f_t+1]; a sample whose Im is exactly 0 is the zero-width bracket
-    (f_t, f_t, 0, 0, u_t).  u_t, the trace's left eigenvector at sample t,
-    is read from spec as spec.u[t, eig_index[t]].
+    every trace is an event, sorted by frequency, then trace id, bracketed
+    by a (lo, hi) pair of _crossing_brackets: a sign change from sample t
+    is (f_t, f_t+1, Im_t, Im_t+1, u_t), a sample on the axis the zero-width
+    (f_t, f_t, 0, 0, u_t), u_t being spec.u[t, eig_index[t]].
     All the brackets of all traces are located by one refine_crossovers
     run on matrices_at(fs) -> (len(fs), m, m), to |Im| <= 1e-6 *
     max(1, |Re|): each round decomposes the points of every open bracket
@@ -354,27 +357,23 @@ def assess(spec: Spectrum, traces: Sequence[EigenTrace],
     crossings, brackets = [], []  # (trace id, direction) and bracket per crossing
     for tr in traces:
         im = tr.lam.imag
-        steps = [(t, "falling" if im[t + 1] < 0 else "rising") for t in _sign_change_steps(im)]
-        if len(tr) and im[-1] == 0.0:
-            steps.append((len(tr) - 1, "rising" if im[-2] < 0 else "falling"))
-        for t, direction in steps:
-            hi = t if im[t] == 0.0 else t + 1
-            crossings.append((tr.trace_id, direction))
-            brackets.append((tr.f_hz[t], tr.f_hz[hi], im[t], im[hi],
-                             spec.u[t, tr.eig_index[t]]))
-    located = refine_crossovers(matrices_at, *zip(*brackets)) if brackets else []
+        for lo, hi in _crossing_brackets(im):
+            # the sign after the crossing; before it for the last sample
+            falling = im[lo + 1] < 0 if lo + 1 < len(im) else im[lo - 1] >= 0
+            crossings.append((tr.trace_id, "falling" if falling else "rising"))
+            brackets.append((tr.f_hz[lo], tr.f_hz[hi], im[lo], im[hi],
+                             spec.u[lo, tr.eig_index[lo]]))
     events = []
-    for (trace_id, direction), res in zip(crossings, located):
+    for (trace_id, direction), res in zip(crossings, refine_crossovers(matrices_at, brackets)):
         if isinstance(res, BisectionError):
             raise res
         smp, j = res
         re_cr = float(smp.lam[j].real)
-        verdict = "critical" if re_cr < margin else "stable-crossing"
+        verdict = "critical" if re_cr <= 0.0 or re_cr < margin else "stable-crossing"
         events.append(CrossoverEvent(trace_id, smp.f_hz, re_cr, direction, verdict, smp, j))
     events.sort(key=lambda e: (e.f_cr_hz, e.trace_id))
-    stable = all(e.re_lambda > 0.0 for e in events)
     crit = tuple(sorted({e.trace_id for e in events if e.verdict == "critical"}))
-    return StabilityReport(tuple(events), crit, stable)
+    return StabilityReport(tuple(events), crit, not crit)
 
 
 def nyquist_winding(trace: EigenTrace, origin_tol: float = 1e-9) -> int | None:

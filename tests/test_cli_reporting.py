@@ -470,12 +470,13 @@ def test_table_backed_inverter_matches_analytic(fixture_path, tmp_path):
     # assembled spectra must agree to interpolation accuracy
     import math
 
-    from damp_planner.component_models import tabulate
+    from damp_planner.component_models import AdmittanceTable, inverter_block
     from damp_planner.network_assembly import assemble
 
     g = load_network(fixture_path)
     inv = next(s.device for s in g.shunts if isinstance(s.device, InverterParams))
-    table = tabulate(inv, np.logspace(1, math.log10(2600.0), 1500), g.omega0)
+    f_tab = np.logspace(1, math.log10(2600.0), 1500)
+    table = AdmittanceTable(f_tab, inverter_block(inv, f_tab, g.omega0))
     table.to_csv(tmp_path / "inv2.csv")
 
     doc = json.loads(fixture_path.read_text())

@@ -143,8 +143,8 @@ def reference_compensation_table(g, spec, traces, events):
     for ev in events:
         if ev.verdict == "critical":
             smp = eig_lr(assemble(g, ev.f_cr_hz), ev.f_cr_hz)
-            k = _pick_matching_eig(smp, left_vector_near(spec, trace_by_id[ev.trace_id],
-                                                         ev.f_cr_hz))
+            k = _pick_matching_eig(left_vector_near(spec, trace_by_id[ev.trace_id], ev.f_cr_hz),
+                                   smp.w)
             out += [compensation_coefficient(smp, k, pos, trace_id=ev.trace_id)
                     for pos in range(g.n)]
     return out
@@ -420,7 +420,7 @@ def test_fixture_plan_at_node_4_is_pinned(case_graph):
         tr = trace_by_id[trace_id]
         t = int(np.searchsorted(tr.f_hz, f_cr))
         u_ref = spec.u[t, tr.eig_index[t]]
-        lam = smp.lam[_pick_matching_eig(smp, u_ref)]
+        lam = smp.lam[_pick_matching_eig(u_ref, smp.w)]
         assert abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real))
 
 
@@ -482,8 +482,8 @@ def reference_plan(g, node_id, spec, traces, report, epsilon, dalpha=1e-3, predi
             if steps.size:
                 i = min(steps, key=lambda i: abs(0.5 * (fs[i] + fs[i + 1]) - state["f_cr"]))
                 [found] = refine_crossovers(lambda fs: matrices_at(fs, alpha),
-                                            [fs[i]], [fs[i + 1]], [ims[i]], [ims[i + 1]],
-                                            [state["u_ref"]])
+                                            [(fs[i], fs[i + 1], ims[i], ims[i + 1],
+                                              state["u_ref"])])
                 if not isinstance(found, BisectionError):
                     smp, j = found
                     state["df"] = smp.f_hz - state["f_cr"] if attempt <= 1 else 0.0
@@ -678,3 +678,43 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
         t for i, t in enumerate(unbroken) if i != k]
     assert ([(e.trace_id, e.iterations, e.alpha_s) for e in got.entries]
             == [(e.trace_id, e.iterations, e.alpha_s) for e in expected.entries])
+
+
+def scalar_matrices_at(lam_at, sizes):
+    """matrices_at(fs, alpha) of the 1x1 system whose eigenvalue is
+    lam_at(f) whatever alpha, recording the points of every call."""
+    def matrices_at(fs, alpha):
+        sizes.append(len(fs))
+        return np.array([[[lam_at(f)]] for f in fs])
+    return matrices_at
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["falling", "rising"])
+def test_follower_takes_an_on_axis_scan_point_as_its_crossing(sign):
+    """Im[lambda] = +-(f - 100) S and Re 0.01 S, a follower at 100 Hz with a
+    10 Hz drift on 1-5000 Hz: its predicted bracket misses, and its 50 Hz
+    window has the 100 Hz point exactly on the axis.  That point is the
+    crossing's zero-width bracket, confirmed in one refine round, and the
+    follower moves there at try 1, as a drift."""
+    sizes = []
+    follower = compensation_planner._CriticalFollower(100.0, np.ones(1, complex))
+    follower.df = 10.0
+    [(smp, j)] = compensation_planner._locate_all(
+        [follower], 0.0, scalar_matrices_at(lambda f: 0.01 + 1j * sign * (f - 100.0), sizes),
+        (1.0, 5000.0))
+    assert (smp.f_hz, smp.lam[j]) == (100.0, 0.01)
+    assert sizes == [2, 9, 1]
+    assert (follower.f_cr, follower.df) == (100.0, 0.0)
+
+
+def test_lost_crossing_raises_once_a_window_covers_the_range():
+    """A follower at 1000 Hz whose eigenvalue never crosses, on 10-2500 Hz:
+    the predicted bracket, then windows of half-width 50 to 1600 Hz, the
+    last of which covers the whole range, and no scan after it."""
+    sizes = []
+    follower = compensation_planner._CriticalFollower(1000.0, np.ones(1, complex))
+    with pytest.raises(PlanInfeasibleError) as err:
+        compensation_planner._locate_all(
+            [follower], 0.25, scalar_matrices_at(lambda f: 0.01 + 1j, sizes), (10.0, 2500.0))
+    assert str(err.value) == "lost the critical crossover near 1000.0 Hz at alpha=0.25 S"
+    assert sizes == [2] + [9] * 6

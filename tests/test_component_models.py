@@ -18,7 +18,6 @@ from damp_planner.component_models import (
     current_feedforward,
     inverter_block,
     rl_block,
-    tabulate,
 )
 from damp_planner.dq_core import FrequencyGrid, evaluate
 from damp_planner.network_assembly import Branch, NetworkGraph, Shunt, assemble
@@ -180,10 +179,10 @@ def test_table_out_of_range_names_the_first_frequency(f_hz, first):
 
 
 def test_table_roundtrip_of_inverter_model(rng):
-    # tabulate on a dense log grid, re-query off-grid: per-entry error
+    # sample the model on a dense log grid, re-query off-grid: per-entry error
     # within 1% of the block scale
     grid = np.logspace(math.log10(10.0), math.log10(2500.0), 1200)
-    t = tabulate(INV, grid, W0)
+    t = AdmittanceTable(grid, inverter_block(INV, grid, W0))
     for f in rng.uniform(11.0, 2400.0, 40):
         exact = inverter_block(INV, float(f), W0)
         got = t.query(float(f))
@@ -193,7 +192,7 @@ def test_table_roundtrip_of_inverter_model(rng):
 
 def test_table_csv_roundtrip(tmp_path):
     grid = np.logspace(1, 3, 30)
-    t = tabulate(INV, grid, W0)
+    t = AdmittanceTable(grid, inverter_block(INV, grid, W0))
     path = tmp_path / "inv.csv"
     t.to_csv(path)
     t2 = AdmittanceTable.from_csv(path)

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from conftest import make_random_small_system
 from damp_planner import compensation_planner, stability_engine
-from damp_planner.component_models import CapacitorParams, GridImpedanceParams
+from damp_planner.component_models import AdmittanceTable, CapacitorParams, GridImpedanceParams
 from damp_planner.dq_core import FrequencyGrid
 from damp_planner.network_assembly import NetworkGraph, Shunt, assemble, assemble_grid
 from damp_planner.stability_engine import (
@@ -193,6 +195,26 @@ def test_sweep_builds_no_per_frequency_samples(case_graph, monkeypatch):
     track(spec)
     assert len(spec) == 250 and built == []
     assert spec[3].f_hz == 40.0 and built == [1]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps call arguments on the caller's stack until "
+                           "the call returns, so the assembled stack outlives eig there")
+def test_sweep_frees_the_assembled_stack_before_inv(case_graph):
+    """The traced peak of one fixture sweep on the 1 Hz grid stays below
+    2.5 stacks of nf m^2 complex numbers: the assembled matrices are let go
+    once eig has returned, so inv builds u beside w alone, not beside w
+    and the matrices."""
+    grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
+    sweep(case_graph, grid)  # warm-up: lazy imports and caches
+    nf, m = len(grid), 2 * case_graph.n
+    tracemalloc.start()
+    try:
+        sweep(case_graph, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * nf * m * m * 16
 
 
 def test_sweep_nonconvergence_names_the_frequency(eig_failing_on_7, monkeypatch):
@@ -405,7 +427,7 @@ def scalar_matrices(lam_at):
 def refine_one(matrices_at, f_lo, f_hi, im_lo, im_hi, u_ref, max_steps=60):
     """refine_crossovers on one bracket: its result, or its BisectionError
     raised."""
-    [refined] = refine_crossovers(matrices_at, [f_lo], [f_hi], [im_lo], [im_hi], [u_ref],
+    [refined] = refine_crossovers(matrices_at, [(f_lo, f_hi, im_lo, im_hi, u_ref)],
                                   max_steps=max_steps)
     if isinstance(refined, BisectionError):
         raise refined
@@ -440,9 +462,9 @@ def assert_refined_crossover(matrix_at, refined, f_lo, f_hi, im_lo, im_hi, u_ref
     independent decomposition."""
     smp, j = refined
     assert f_lo < smp.f_hz < f_hi
-    assert _pick_matching_eig(smp, u_ref) == j
+    assert _pick_matching_eig(u_ref, smp.w) == j
     ind = eig_lr(matrix_at(smp.f_hz), smp.f_hz)
-    lam = ind.lam[_pick_matching_eig(ind, u_ref)]
+    lam = ind.lam[_pick_matching_eig(u_ref, ind.w)]
     assert lam == pytest.approx(smp.lam[j], abs=1e-9 * max(1.0, abs(lam)))
     assert abs(lam.imag) <= 1e-6 * max(1.0, abs(lam.real))
 
@@ -486,9 +508,9 @@ def test_refined_crossovers_hold_in_planner(case_graph, monkeypatch):
     them at nonzero conductance."""
     checked = []
 
-    def refine(matrices_at, *brackets):
-        refined = refine_crossovers(matrices_at, *brackets)
-        for bracket, one in zip(zip(*brackets), refined):
+    def refine(matrices_at, brackets):
+        refined = refine_crossovers(matrices_at, brackets)
+        for bracket, one in zip(brackets, refined):
             assert_refined_crossover(lambda f: matrices_at([f])[0], one, *bracket)
             checked.append(bracket)
         return refined
@@ -518,7 +540,7 @@ def test_batched_locator_equals_each_bracket_refined_alone():
                     for tr in traces
                     for t in np.flatnonzero(tr.lam.imag[:-1] * tr.lam.imag[1:] < 0)]
         if brackets:
-            together = refine_crossovers(matrices_at, *zip(*brackets))
+            together = refine_crossovers(matrices_at, brackets)
             for bracket, (smp, j) in zip(brackets, together):
                 alone, j_alone = refine_one(matrices_at, *bracket)
                 assert (smp.f_hz, j) == (alone.f_hz, j_alone)
@@ -540,7 +562,7 @@ def test_failed_bracket_does_not_stop_the_others():
     u = np.ones(1, complex)
     sizes = []
     good, bad = refine_crossovers(counted_scalar_matrices(lam_at, sizes),
-                                  [0.0, 60.0], [40.0, 100.0], [-0.2, -1.0], [0.2, 1.0], [u, u],
+                                  [(0.0, 40.0, -0.2, 0.2, u), (60.0, 100.0, -1.0, 1.0, u)],
                                   max_steps=8)
     smp, j = good
     alone, j_alone = refine_one(scalar_matrices(lam_at), 0.0, 40.0, -0.2, 0.2, u, max_steps=8)
@@ -603,13 +625,13 @@ def reference_find_crossovers(spec, trace, matrices_at, margin=0.0):
     u = spec.u[np.arange(len(trace)), trace.eig_index]
 
     def event(f_cr, re_cr, direction, smp, j):
-        verdict = "critical" if re_cr < margin else "stable-crossing"
+        verdict = "critical" if re_cr <= 0.0 or re_cr < margin else "stable-crossing"
         return CrossoverEvent(trace.trace_id, f_cr, re_cr, direction, verdict, smp, j)
 
     def on_axis(t, direction):
         smp = eig_lr(matrices_at([float(f[t])])[0], float(f[t]))
         return event(float(f[t]), float(re_[t]), direction, smp,
-                     _pick_matching_eig(smp, u[t]))
+                     _pick_matching_eig(u[t], smp.w))
 
     for t in range(len(trace) - 1):
         if im[t] == 0.0:
@@ -703,6 +725,22 @@ def test_assess_stable_with_margin_crossings():
     assert report.stable
     assert report.events[0].verdict == "stable-crossing"
 
+
+
+def test_crossing_with_zero_real_part_is_critical():
+    """A node whose table device is diag(jb, jb), b = (f - 100)/100 S: both
+    traces cross at the 100 Hz sample with Re[lambda] exactly 0, which is
+    no damping, so both crossings are critical and the verdict unstable."""
+    f_tab = np.arange(10.0, 1001.0)
+    b = 1j * (f_tab - 100.0) / 100.0
+    blocks = np.zeros((len(f_tab), 2, 2), complex)
+    blocks[:, 0, 0] = blocks[:, 1, 1] = b
+    g = NetworkGraph((1,), (), (Shunt(1, AdmittanceTable(f_tab, blocks)),), W0)
+    _, _, report = analyze(g, FrequencyGrid.regular(10.0, 1000.0, 1.0))
+    assert [(e.f_cr_hz, e.re_lambda, e.verdict) for e in report.events] == [
+        (100.0, 0.0, "critical"), (100.0, 0.0, "critical")]
+    assert report.critical_trace_ids == (1, 2)
+    assert not report.stable
 
 # --- spectral shift property ---
 
