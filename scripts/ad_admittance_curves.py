@@ -1,31 +1,21 @@
 #!/usr/bin/env python3
 """Damper admittance curves: proposed vs traditional control, plus
 parameter clusters (filter inductance, intended low-pass gain, damper
-gain).  Emits plot-ready CSVs."""
+gain).  Runs the CLI's ad-curve command on the built-in case-study
+network, whose file gives the fundamental and the damper parameters, once
+per mode and once per cluster, each into its own subdirectory of --out."""
 
 import argparse
-import csv
-import dataclasses
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
+from damp_planner import RunConfig, emit_fixture, run_command
 
-from damp_planner import FrequencyGrid, ad_curve_cluster
-from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS
-from damp_planner.component_models import ADParams, ad_scalar
-
-# the case study is a 50 Hz system (the fixture's fundamental_hz)
-OMEGA0 = 2 * math.pi * 50.0
-
-
-def write_curves(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-    print(f"wrote {path}")
+CLUSTERS = {
+    "l_f_h": (0.4e-3, 0.8e-3, 1.6e-3),
+    "gain_s": (0.03, 0.06, 0.12),
+    "k_v": (0.5, 1.0, 1.5, 2.0),
+}
 
 
 def main() -> int:
@@ -36,33 +26,15 @@ def main() -> int:
     args = ap.parse_args()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = FrequencyGrid.regular(10.0, args.fmax, 2.0)
-    base = ADParams(**{**CASE_STUDY_AD_PARAMS, "k_v": args.kv})
-
-    rows = []
-    for mode in ("proposed", "traditional"):
-        p = dataclasses.replace(base, mode=mode)
-        y = ad_scalar(p, grid.hz, OMEGA0)
-        with np.errstate(divide="ignore"):
-            ratio = np.abs(y.imag / y.real)
-        rows += [[mode, f"{f:.9g}", f"{v.real:.9g}", f"{v.imag:.9g}", f"{r:.9g}"]
-                 for f, v, r in zip(grid.hz, y, ratio)]
-    write_curves(out / "modes.csv",
-                 ["mode", "f_hz", "re_y_s", "im_y_s", "abs_im_re_ratio"], rows)
-
-    sweeps = {
-        "l_f_h": [0.4e-3, 0.8e-3, 1.6e-3],
-        "gain_s": [0.03, 0.06, 0.12],
-        "k_v": [0.5, 1.0, 1.5, 2.0],
-    }
-    for param, values in sweeps.items():
-        rows = []
-        for curve in ad_curve_cluster(base, param, values, grid.hz, OMEGA0):
-            rows += [[f"{curve.value:.9g}", f"{f:.9g}", f"{v.real:.9g}", f"{v.imag:.9g}"]
-                     for f, v in zip(curve.f_hz, curve.y)]
-        write_curves(out / f"cluster_{param}.csv",
-                     [param, "f_hz", "re_y_s", "im_y_s"], rows)
+    net = emit_fixture(out / "network.json")
+    runs = [(mode, {"ad_mode": mode}) for mode in ("proposed", "traditional")]
+    runs += [(f"cluster_{param}", {"cluster_param": param, "cluster_values": values})
+             for param, values in CLUSTERS.items()]
+    for sub, settings in runs:
+        cfg = RunConfig(network=str(net), fmax_hz=args.fmax, df_hz=2.0, k_v=args.kv,
+                        out_dir=str(out / sub), **settings)
+        run_command(cfg, "ad-curve")
+        print(f"wrote {cfg.out_dir}")
     return 0
 
 

@@ -4,27 +4,33 @@ damper locations, compute the damping-compensation requirement, calibrate
 the damper and verify stabilization at the recommended node versus the
 runner-up and versus the traditional damper variant.
 
-Writes the plot-ready CSV outputs of every stage into --out.
+One baseline analysis feeds the CLI's command writers: sweep, criticals,
+rank and plan write their plot-ready outputs into --out, each
+verification into its own subdirectory.
 """
 
 import argparse
-import dataclasses
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from damp_planner import (
-    FrequencyGrid,
-    analyze,
-    calibrate_ad,
-    compensation_table,
-    emit_fixture,
-    load_network,
-    plan,
-    rank_locations,
-    verify_with_ad,
+from damp_planner import RunConfig, analyze, emit_fixture, load_network
+from damp_planner.cli_reporting import (
+    cmd_criticals,
+    cmd_plan,
+    cmd_rank,
+    cmd_sweep,
+    cmd_verify,
+    damper_defaults_from_file,
 )
-from damp_planner.cli_reporting import RunConfig, damper_defaults_from_file, run_command
+
+
+def print_criticals(crossovers, prefix: str) -> None:
+    for e in crossovers:
+        if e["verdict"] == "critical":
+            print(f"{prefix} trace {e['trace_id']} at {e['f_cr_hz']:8.2f} Hz, "
+                  f"Re = {e['re_lambda_s']:+.5f} S")
 
 
 def main() -> int:
@@ -37,56 +43,52 @@ def main() -> int:
     args = ap.parse_args()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     net = Path(args.network) if args.network else emit_fixture(out / "network.json")
+    cfg = RunConfig(network=str(net), fmax_hz=args.fmax, epsilon_s=args.epsilon,
+                    out_dir=str(out))
     g = load_network(net)
-    grid = FrequencyGrid.regular(10.0, args.fmax, 1.0)
 
     t0 = time.perf_counter()
-    traces, report = analyze(g, grid)[1:]
-    print(f"sweep: {len(grid)} frequencies, {len(traces)} traces "
+    baseline = (g, *analyze(g, cfg.grid())[1:])
+    print(f"sweep: {len(cfg.grid())} frequencies, {len(baseline[1])} traces "
           f"({time.perf_counter() - t0:.2f} s)")
-    print(f"baseline verdict: {'stable' if report.stable else 'unstable'}")
-    for e in report.critical_events:
-        print(f"  critical: trace {e.trace_id} at {e.f_cr_hz:8.2f} Hz, "
-              f"Re = {e.re_lambda:+.5f} S")
 
-    ranks = rank_locations(compensation_table(g, report.critical_events), args.epsilon)
-    print("placement ranking (best first):",
-          ", ".join(f"node {g.nodes[r.node_index]}" for r in ranks))
-    if len(ranks) < 2 or report.stable:
+    def write(command, cfg, *extra):
+        """command's report on the baseline; its files go into cfg.out_dir."""
+        out_dir = Path(cfg.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        doc = command(cfg, out_dir, *baseline, *extra)[0]
+        doc.write(out_dir)
+        return doc
+
+    sweep, criticals, rank = (write(c, cfg) for c in (cmd_sweep, cmd_criticals, cmd_rank))
+    print(f"baseline verdict: {sweep.verdict}")
+    print_criticals(criticals.data["crossovers"], "  critical:")
+    ranking = [r["node"] for r in rank.data["ranking"]]
+    print("placement ranking (best first):", ", ".join(f"node {n}" for n in ranking))
+    if len(ranking) < 2 or sweep.verdict == "stable":
         print("nothing to compensate; stopping after the sweep")
         return 0
-    top, second = (g.nodes[ranks[0].node_index], g.nodes[ranks[1].node_index])
 
-    cplan = plan(g, top, traces, report, epsilon=args.epsilon)
-    print(f"plan at node {top}: required Re[Y] >= {cplan.required_re_yad_s:.4f} S "
-          f"over [{cplan.band_lo_hz:.0f}, {cplan.band_hi_hz:.0f}] Hz")
-    for e in cplan.entries:
-        print(f"  trace {e.trace_id}: alpha = {e.alpha_s:.4f} S in {e.iterations} steps "
-              f"(crossover {e.f_cr_start_hz:.1f} -> {e.f_cr_final_hz:.1f} Hz)")
+    cplan = write(cmd_plan, cfg).data["plan"]
+    print(f"plan at node {cplan['node']}: required Re[Y] >= {cplan['required_re_yad_s']:.4f} S "
+          f"over [{cplan['band_lo_hz']:.0f}, {cplan['band_hi_hz']:.0f}] Hz")
+    for e in cplan["entries"]:
+        print(f"  trace {e['trace_id']}: alpha = {e['alpha_s']:.4f} S in {e['iterations']} "
+              f"steps (crossover {e['f_cr_start_hz']:.1f} -> {e['f_cr_final_hz']:.1f} Hz)")
 
+    # each verification designs the damper at the top node; node and
+    # ad_mode only change where and which variant it installs
     base = damper_defaults_from_file(net)
-    damper = calibrate_ad(cplan, base, omega0=g.omega0)
-    print(f"calibrated damper gain k_v = {damper.k_v:.4f}")
-
-    for label, node, p in [
-            (f"proposed damper at node {top}", top, damper),
-            (f"proposed damper at node {second}", second, damper),
-            (f"traditional damper at node {top}", top,
-             dataclasses.replace(damper, mode="traditional"))]:
-        rep = verify_with_ad(g, node, p, grid)
-        verdict = "stable" if rep.stable else "unstable"
-        print(f"verify: {label}: {verdict}")
-        for e in rep.critical_events:
-            print(f"    still critical: trace {e.trace_id} at {e.f_cr_hz:8.2f} Hz, "
-                  f"Re = {e.re_lambda:+.5f} S")
-
-    # plot-ready data files for every stage
-    for command in ("sweep", "criticals", "rank", "plan"):
-        cfg = RunConfig(network=str(net), fmax_hz=args.fmax,
-                        epsilon_s=args.epsilon, out_dir=str(out))
-        run_command(cfg, command)
+    verifications = [write(cmd_verify, replace(cfg, out_dir=str(out / sub), **change), base)
+                     for sub, change in [("verify_top", {}),
+                                         ("verify_runner_up", {"node": ranking[1]}),
+                                         ("verify_traditional", {"ad_mode": "traditional"})]]
+    print(f"calibrated damper gain k_v = {verifications[0].data['calibrated_k_v']:.4f}")
+    for doc in verifications:
+        print(f"verify: {doc.data['ad_mode']} damper at node {doc.data['install_node']}: "
+              f"{doc.verdict}")
+        print_criticals(doc.data["after"]["crossovers"], "    still critical:")
     print(f"CSV outputs in {out}")
     return 0
 

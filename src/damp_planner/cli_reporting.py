@@ -81,13 +81,11 @@ class RunConfig:
     cluster_values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name in ("fmin_hz", "fmax_hz", "df_hz", "epsilon_s", "dalpha_s", "k_v"):
-            value = getattr(self, name)
+        scalars = ("fmin_hz", "fmax_hz", "df_hz", "epsilon_s", "dalpha_s", "k_v")
+        for name, value in [*((n, getattr(self, n)) for n in scalars),
+                            *(("cluster_values", v) for v in self.cluster_values)]:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for value in self.cluster_values:
-            if not math.isfinite(value):
-                raise ValueError(f"cluster_values must be finite, got {value}")
         if self.fmin_hz <= 0 or self.fmax_hz < self.fmin_hz or self.df_hz <= 0:
             raise ValueError("sweep range must be positive and ordered")
         for name in ("epsilon_s", "dalpha_s"):
@@ -125,7 +123,10 @@ class ReportDocument:
         if not self.created_utc:
             self.created_utc = datetime.now(timezone.utc).isoformat()
 
-    def write(self, path: Path) -> None:
+    def write(self, out_dir: Path) -> None:
+        """Write the report into out_dir as report_<command>.json, with a
+        dash in the command written as an underscore."""
+        path = Path(out_dir) / f"report_{self.command.replace('-', '_')}.json"
         with open(path, "w") as fh:
             json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -159,6 +160,13 @@ def _expect(kind: type, value):
     return value
 
 
+def _node_id(value) -> int:
+    """A node id: an integer (2.0 reads as 2, but 2.7 and true are errors)."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise NetworkFileError(f"node id {value!r} is not an integer")
+    return int(value)
+
+
 def _build_branch(idx: int, obj) -> Branch:
     btype = _expect(dict, obj).get("type")
     if btype not in _BRANCH_TYPES:
@@ -168,7 +176,7 @@ def _build_branch(idx: int, obj) -> Branch:
         model = PiCableParams(float(obj["r_ohm"]), float(obj["l_h"]), float(obj["c_f"]))
     else:
         model = RlBranchParams(float(obj["r_ohm"]), float(obj["l_h"]))
-    return Branch(int(obj["from"]), int(obj["to"]), model,
+    return Branch(*(_at(key, _node_id, obj[key]) for key in ("from", "to")), model,
                   label=obj.get("label", f"{btype}[{idx}]"))
 
 
@@ -177,7 +185,7 @@ def _build_shunt(idx: int, obj, base_dir: Path) -> Shunt:
     if stype not in _SHUNT_TYPES:
         raise NetworkFileError(
             f"unknown shunt type {stype!r} (expected one of {tuple(_SHUNT_TYPES)})")
-    node = int(obj["node"])
+    node = _at("node", _node_id, obj["node"])
     if "table_path" in obj:
         if stype != "inverter":
             raise NetworkFileError("table_path is only valid for inverter shunts")
@@ -218,7 +226,7 @@ def load_network(path, doc: dict | None = None) -> NetworkGraph:
     nodes, branches, shunts = (_at(f"{path}: {key}", _expect, list, doc.get(key, []))
                                for key in ("nodes", "branches", "shunts"))
     omega0 = _fundamental(path, doc)
-    nodes = tuple(_at(f"{path}: nodes[{i}]", int, n) for i, n in enumerate(nodes))
+    nodes = tuple(_at(f"{path}: nodes[{i}]", _node_id, n) for i, n in enumerate(nodes))
     branches = tuple(_at(f"{path}: branches[{i}]", _build_branch, i, b)
                      for i, b in enumerate(branches))
     shunts = tuple(_at(f"{path}: shunts[{i}]", _build_shunt, i, s, path.parent)
@@ -231,20 +239,21 @@ def load_network(path, doc: dict | None = None) -> NetworkGraph:
     return g
 
 
-def _damper_defaults(path: Path, doc: dict, mode: str = "proposed") -> ADParams:
+def _damper_defaults(path: Path, doc: dict) -> ADParams:
     """AD base parameters from the document's damper_defaults block (see
     damper_defaults_from_file)."""
     where = f"{path}: damper_defaults"
     params = _at(where, _expect, dict, doc.get("damper_defaults", CASE_STUDY_AD_PARAMS))
-    return _at(where, ADParams, **{"k_v": 0.0, **params, "mode": mode})
+    return _at(where, ADParams, **{"k_v": 0.0, **params, "mode": "proposed"})
 
 
-def damper_defaults_from_file(path, mode: str = "proposed") -> ADParams:
+def damper_defaults_from_file(path) -> ADParams:
     """AD base parameters from the network file's damper_defaults block,
     falling back to the built-in case-study set when the block is absent;
-    k_v is 0 (uncalibrated) unless the block sets it."""
+    k_v is 0 (uncalibrated) unless the block sets it, and the mode is
+    "proposed" (a run's ad_mode picks the variant)."""
     path = Path(path)
-    return _damper_defaults(path, _read_document(path), mode)
+    return _damper_defaults(path, _read_document(path))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +460,7 @@ def cmd_plan(cfg: RunConfig, out: Path, g, traces, report):
 
 def cmd_ad_curve(cfg: RunConfig, out: Path, omega0: float,
                  base: ADParams) -> tuple[ReportDocument, int]:
-    p = dataclasses.replace(base, k_v=cfg.k_v)
+    p = dataclasses.replace(base, k_v=cfg.k_v, mode=cfg.ad_mode)
     param = cfg.cluster_param
     curves = ad_curve_cluster(p, param or "k_v", cfg.cluster_values if param else (cfg.k_v,),
                               cfg.grid().hz, omega0)
@@ -470,17 +479,15 @@ def cmd_ad_curve(cfg: RunConfig, out: Path, omega0: float,
 
 def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, base: ADParams):
     _, ranks = _ranked_nodes(g, report, cfg.epsilon_s)
-    if ranks:
-        top_node = g.nodes[ranks[0].node_index]
-    else:
-        top_node = cfg.node if cfg.node is not None else g.nodes[0]
+    fallback = cfg.node if cfg.node is not None else g.nodes[0]
+    top_node = g.nodes[ranks[0].node_index] if ranks else fallback
 
-    # the damper is always designed for the top-ranked location; --node
-    # only moves where it is installed
+    # the damper is always designed, as proposed, for the top-ranked
+    # location; --node only moves where it is installed and --ad-mode
+    # which variant
     cplan = plan(g, top_node, traces, report, cfg.epsilon_s, cfg.dalpha_s)
-    calibrated = calibrate_ad(cplan, base, omega0=g.omega0)
-    if cfg.ad_mode == "traditional":
-        calibrated = dataclasses.replace(calibrated, mode="traditional")
+    calibrated = dataclasses.replace(calibrate_ad(cplan, base, omega0=g.omega0),
+                                     mode=cfg.ad_mode)
     install_node = cfg.node if cfg.node is not None else top_node
 
     after = verify_with_ad(g, install_node, calibrated, cfg.grid())
@@ -517,14 +524,13 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
     """Run one workflow command; writes its data files and report JSON
     into cfg.out_dir and returns (report, exit code).
 
-    The network file is read and parsed once.  The analysis commands
-    (sweep, criticals, rank, plan, verify) load the network, reject a
-    cfg.node it does not have and a grid of fewer than 2 points, and run
-    the baseline analyze once, here, keeping its traces and report only;
-    each then only writes its report from (cfg, out, g, traces, report),
-    verify with the file's damper defaults as well.  ad-curve analyses no
-    network: it takes the damper defaults and the fundamental from the
-    file.
+    The network file is read and parsed once.  The analysis commands load
+    the network, reject a cfg.node it does not have and a grid of fewer
+    than 2 points, and run the baseline analyze once, here, keeping its
+    traces and report only; each writer in _ANALYSIS_COMMANDS then writes
+    from (cfg, out, g, traces, report), verify with the file's damper
+    defaults as well.  ad-curve takes the damper defaults and the
+    fundamental from the file and analyses no network.
     """
     if command != "ad-curve" and command not in _ANALYSIS_COMMANDS:
         raise ValueError(f"unknown command {command!r}")
@@ -534,8 +540,7 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
     network_doc = _read_document(path)
     if command == "ad-curve":
         omega0 = _fundamental(path, network_doc)
-        doc, code = cmd_ad_curve(cfg, out, omega0,
-                                 _damper_defaults(path, network_doc, cfg.ad_mode))
+        doc, code = cmd_ad_curve(cfg, out, omega0, _damper_defaults(path, network_doc))
     else:
         g = load_network(path, network_doc)
         if cfg.node is not None and cfg.node not in g.nodes:
@@ -550,7 +555,7 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
         traces, report = analyze(g, grid)[1:]
         doc, code = _ANALYSIS_COMMANDS[command](cfg, out, g, traces, report, *extra)
     if "json" in cfg.formats:
-        doc.write(out / f"report_{command.replace('-', '_')}.json")
+        doc.write(out)
     return doc, code
 
 

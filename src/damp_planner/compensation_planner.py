@@ -9,21 +9,11 @@ compensation_table reads it from the decomposition each critical
 crossover event carries, and the planner at every located crossover.  Damper locations
 rank per crossing by Re[K_C] over its lift epsilon - Re[lambda].  Planning
 starts from the caller's baseline analysis (traces and stability report)
-and seeds each critical crossover's follower from its event.  One loop
-then steps all the critical crossovers in lockstep: step k installs the
-shared conductance alpha_k = k d_alpha at the node and locates every
-unfinished crossover at once (the sensitivity drifts with alpha), with 2
-points per crossover predicted from its last drift (a secant predictor),
-all the brackets decomposed as one batch and refined by one
-refine_crossovers run (batched Illinois regula falsi, one point per open
-bracket per round).  A crossover the prediction misses is found by
-9-point window scans around it, widening until one holds a crossing
-bracket by the engine's rule (_crossing_brackets); one still missing once
-a window covers the whole sweep range is lost, and the plan infeasible.
-A crossover still short of the margin epsilon adds d_alpha K_C
-to its first-order shift; one whose real part has been lifted to epsilon
-stops there, and one still short after _MAX_STEPS steps makes the plan
-infeasible.  Calibration then picks the smallest damper gain k_v
+and steps all its critical crossovers in lockstep (plan): each step adds
+d_alpha of conductance at the node, re-locates every unfinished crossover
+at once (_locate_all; the sensitivity drifts with alpha) and adds d_alpha
+K_C to the first-order shift of each one still short of the margin
+epsilon.  Calibration then picks the smallest damper gain k_v
 whose admittance covers the planned conductance over the planned band
 while staying quasi-resistive: the lower end of the one interval of gains
 that meet both bounds, found in closed form.
@@ -375,8 +365,7 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
         band_hi = math.ceil(max(f_all) / 100.0) * 100.0
         required = max(e.alpha_s for e in entries)
     else:
-        band_lo = band_hi = 0.0
-        required = 0.0
+        band_lo = band_hi = required = 0.0
 
     return CompensationPlan(epsilon, dalpha, node_index, entries,
                             band_lo, band_hi, required)

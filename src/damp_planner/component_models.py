@@ -210,6 +210,19 @@ def cap_block(c: float, f_hz, omega0: float) -> np.ndarray:
     return y[..., None, None] * _I2 + (omega0 * c) * _J
 
 
+def _sampled_control_s(f_hz, f_s_hz: float) -> np.ndarray:
+    """s = j*2*pi*f of a sampled control's model, valid only for
+    0 < f < f_s/2, below its Nyquist band; raises ValueError otherwise."""
+    f = np.asarray(f_hz, dtype=float)
+    if np.any(f <= 0):
+        raise ValueError("f must be > 0")
+    if np.any(f >= f_s_hz / 2.0):
+        raise ValueError(
+            f"f reaches {np.max(f)} Hz, not below the sampled control's "
+            f"f_s/2 = {f_s_hz / 2} Hz")
+    return 1j * 2.0 * np.pi * f
+
+
 # ---------------------------------------------------------------------------
 # grid-following inverter
 # ---------------------------------------------------------------------------
@@ -233,14 +246,7 @@ def inverter_block(p: InverterParams, f_hz, omega0: float) -> np.ndarray:
     The shunt filter capacitor adds in parallel at the terminal.  Valid
     only for 0 < f < f_s/2, below the Nyquist band of the sampled control.
     """
-    f = np.asarray(f_hz, dtype=float)
-    if np.any(f <= 0):
-        raise ValueError("f must be > 0")
-    if np.any(f >= p.f_s_hz / 2.0):
-        raise ValueError(
-            f"f reaches {np.max(f)} Hz, not below the sampled control's "
-            f"f_s/2 = {p.f_s_hz / 2} Hz")
-    s = 1j * 2.0 * np.pi * f
+    s = _sampled_control_s(f_hz, p.f_s_hz)
     gd = np.exp(-s * p.delay_s)
     gci = p.k_pi + p.k_ii / s
     gpll = p.k_p_pll + p.k_i_pll / s
@@ -255,15 +261,15 @@ def inverter_block(p: InverterParams, f_hz, omega0: float) -> np.ndarray:
     rhs[..., 1, 1] -= b_q
 
     y = np.linalg.solve(a, rhs)
-    return y + cap_block(p.c_f, f, omega0)
+    return y + cap_block(p.c_f, f_hz, omega0)
 
 
 # ---------------------------------------------------------------------------
 # tabulated admittance
 # ---------------------------------------------------------------------------
 
-_TABLE_HEADER = ["f_hz", "re_dd", "im_dd", "re_dq", "im_dq",
-                 "re_qd", "im_qd", "re_qq", "im_qq"]
+_ENTRIES = ("dd", "dq", "qd", "qq")  # a block's entries, row by row
+_TABLE_HEADER = ["f_hz", *(f"{part}_{e}" for e in _ENTRIES for part in ("re", "im"))]
 
 
 class AdmittanceTable:
@@ -279,10 +285,17 @@ class AdmittanceTable:
         y = np.asarray(blocks, dtype=complex)
         if f.ndim != 1 or len(f) < 2:
             raise ValueError("table needs at least 2 rows")
-        if np.any(f <= 0) or np.any(np.diff(f) <= 0):
-            raise ValueError("table frequencies must be positive and strictly increasing")
         if y.shape != (len(f), 2, 2):
             raise ValueError("blocks must have shape (n, 2, 2)")
+        finite = np.isfinite(y).reshape(len(f), 4)
+        bad = ~np.isfinite(f) | ~finite.all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            what = (f"frequency {f[k]}" if not np.isfinite(f[k]) else
+                    f"{_ENTRIES[np.argmin(finite[k])]} entry at {f[k]} Hz")
+            raise ValueError(f"table row {k}: non-finite {what}")
+        if np.any(f <= 0) or np.any(np.diff(f) <= 0):
+            raise ValueError("table frequencies must be positive and strictly increasing")
         self._f = f
         self._y = y
         self._logf = np.log10(f)
@@ -301,9 +314,6 @@ class AdmittanceTable:
     def f_max(self) -> float:
         return float(self._f[-1])
 
-    def __len__(self) -> int:
-        return len(self._f)
-
     @classmethod
     def from_rows(cls, rows) -> "AdmittanceTable":
         """rows of (f_hz, dd, dq, qd, qq) complex entries."""
@@ -313,15 +323,15 @@ class AdmittanceTable:
 
     @classmethod
     def from_csv(cls, path) -> "AdmittanceTable":
-        """Read a table written by to_csv; a malformed file raises
-        ValueError naming the file and line."""
+        """Read a table written by to_csv; a malformed file, a non-finite
+        value included, raises ValueError naming the file and line."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != _TABLE_HEADER:
                 raise ValueError(f"{path}:1: bad admittance table header {header}, "
                                  f"expected {','.join(_TABLE_HEADER)}")
-            f, blocks = [], []
+            rows = []
             for row in reader:
                 if len(row) != len(_TABLE_HEADER):
                     raise ValueError(f"{path}:{reader.line_num}: expected "
@@ -330,23 +340,20 @@ class AdmittanceTable:
                     vals = [float(v) for v in row]
                 except ValueError as e:
                     raise ValueError(f"{path}:{reader.line_num}: {e}") from None
-                f.append(vals[0])
-                re = vals[1::2]
-                im = vals[2::2]
-                blocks.append(np.array([[re[0] + 1j * im[0], re[1] + 1j * im[1]],
-                                        [re[2] + 1j * im[2], re[3] + 1j * im[3]]]))
-        return cls(f, blocks)
+                for name, v in zip(_TABLE_HEADER, vals):
+                    if not math.isfinite(v):
+                        raise ValueError(f"{path}:{reader.line_num}: {name} = {v} is not finite")
+                rows.append(vals)
+        v = np.array(rows).reshape(-1, len(_TABLE_HEADER))
+        return cls(v[:, 0], (v[:, 1::2] + 1j * v[:, 2::2]).reshape(-1, 2, 2))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_TABLE_HEADER)
             for f, y in zip(self._f, self._y):
-                flat = [y[0, 0], y[0, 1], y[1, 0], y[1, 1]]
-                row = [format(f, ".9g")]
-                for v in flat:
-                    row += [format(v.real, ".9g"), format(v.imag, ".9g")]
-                writer.writerow(row)
+                parts = [x for v in y.ravel() for x in (v.real, v.imag)]
+                writer.writerow([format(x, ".9g") for x in (f, *parts)])
 
     def query(self, f_hz) -> np.ndarray:
         f = np.asarray(f_hz, dtype=float)
@@ -376,14 +383,7 @@ def ad_scalar(p: ADParams, f_hz, omega0: float) -> np.ndarray:
     s + j*omega0.  Valid only for 0 < f < f_s/2, below the Nyquist band
     of the sampled control.
     """
-    f = np.asarray(f_hz, dtype=float)
-    if np.any(f <= 0):
-        raise ValueError("f must be > 0")
-    if np.any(f >= p.f_s_hz / 2.0):
-        raise ValueError(
-            f"f reaches {np.max(f)} Hz, not below the sampled control's "
-            f"f_s/2 = {p.f_s_hz / 2} Hz")
-    s = 1j * 2.0 * np.pi * f
+    s = _sampled_control_s(f_hz, p.f_s_hz)
     s_stat = s + 1j * omega0
     gd = np.exp(-s * p.delay_s)
     g_low = evaluate(lowpass(p.omega_low_rad_s), s)

@@ -26,6 +26,10 @@ from .network_assembly import NetworkGraph, assemble_grid
 
 # eigenvector-overlap score below which a tracking step is flagged
 DEFAULT_OVERLAP_THRESHOLD = 0.5
+# regula falsi rounds after which a bracket still open is a BisectionError
+_MAX_REFINE_STEPS = 60
+# distance from the origin below which a winding count is indeterminate
+_ORIGIN_TOL = 1e-9
 
 
 class EigNonConvergenceError(RuntimeError):
@@ -76,8 +80,8 @@ def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> Spectrum:
     """eig_lr over a stack of matrices (len(f_hz), m, m), one decomposition
     call for the whole stack, returned as one Spectrum.
 
-    Raises ValueError on non-finite entries and EigNonConvergenceError
-    naming the first frequency whose iteration fails; warns
+    Raises ValueError or EigNonConvergenceError naming the first frequency
+    with a non-finite entry or whose iteration fails; warns
     DefectiveMatrixWarning, with the member's frequency, for every member
     whose Frobenius condition number cond_F(W) = ||W||_F ||U||_F =
     sqrt(m) ||U||_F (unit-norm eigenvector columns, U = inv(W)) exceeds
@@ -87,7 +91,8 @@ def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> Spectrum:
     """
     mats = np.asarray(mats, dtype=complex)
     if not np.all(np.isfinite(mats)):
-        raise ValueError("matrix has non-finite entries")
+        k = np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))[0]
+        raise ValueError(f"matrix at f={f_hz[k]} Hz has non-finite entries")
     try:
         lam, w = np.linalg.eig(mats)
     except np.linalg.LinAlgError:
@@ -237,7 +242,7 @@ class CrossoverEvent:
     f_cr_hz: float
     re_lambda: float
     direction: str  # "falling" (+ to -) or "rising" (- to +)
-    verdict: str    # "critical" if re_lambda <= 0 or < margin, else "stable-crossing"
+    verdict: str    # "critical" if re_lambda <= 0, else "stable-crossing"
     sample: EigenSample = field(compare=False, repr=False)
     eig_index: int = field(compare=False, repr=False)
 
@@ -251,7 +256,7 @@ def _pick_matching_eig(u_ref: np.ndarray, w: np.ndarray):
 
 def refine_crossovers(matrices_at: Callable[[Sequence[float]], np.ndarray],
                       brackets: Sequence[tuple[float, float, float, float, np.ndarray]],
-                      max_steps: int = 60) -> list[tuple[EigenSample, int] | BisectionError]:
+                      ) -> list[tuple[EigenSample, int] | BisectionError]:
     """Locate Im[lambda] = 0 inside each bracket (f_lo, f_hi, im_lo, im_hi,
     u_ref) by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971), all
     brackets stepping together.
@@ -271,8 +276,8 @@ def refine_crossovers(matrices_at: Callable[[Sequence[float]], np.ndarray],
 
     Returns, per bracket, the decomposition at its crossover and the
     eigenvalue's index in it, or a BisectionError naming the narrowed
-    bracket when max_steps rounds do not get there; a failed bracket does
-    not stop the others.
+    bracket when _MAX_REFINE_STEPS rounds do not get there; a failed
+    bracket does not stop the others.
     """
     # per bracket: f_lo, f_hi, im_lo, im_hi, u_ref, end its last step kept (-1 low, +1 high)
     state = [(float(f_lo), float(f_hi), float(im_lo), float(im_hi), u_ref, 0)
@@ -280,7 +285,7 @@ def refine_crossovers(matrices_at: Callable[[Sequence[float]], np.ndarray],
     lam: list = [None] * len(state)
     out: list = [None] * len(state)
     open_ = list(range(len(state)))
-    for _ in range(max_steps):
+    for _ in range(_MAX_REFINE_STEPS):
         if not open_:
             break
         fs = []
@@ -307,7 +312,7 @@ def refine_crossovers(matrices_at: Callable[[Sequence[float]], np.ndarray],
     for b in open_:
         out[b] = BisectionError(
             f"crossover refinement at [{state[b][0]}, {state[b][1]}] Hz did not reach |Im| "
-            f"tolerance in {max_steps} steps (last lambda={lam[b]})")
+            f"tolerance in {_MAX_REFINE_STEPS} steps (last lambda={lam[b]})")
     return out
 
 
@@ -323,23 +328,28 @@ def _crossing_brackets(im: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Crossover events per trace and the overall verdict."""
+    """The crossover events of an analysis; the verdict derives from them:
+    stable iff no event is critical."""
 
     events: tuple[CrossoverEvent, ...]
-    critical_trace_ids: tuple[int, ...]
-    stable: bool
 
     @property
     def critical_events(self) -> tuple[CrossoverEvent, ...]:
         return tuple(e for e in self.events if e.verdict == "critical")
 
+    @property
+    def critical_trace_ids(self) -> tuple[int, ...]:
+        return tuple(sorted({e.trace_id for e in self.critical_events}))
+
+    @property
+    def stable(self) -> bool:
+        return not self.critical_events
+
 
 def assess(spec: Spectrum, traces: Sequence[EigenTrace],
-           matrices_at: Callable[[Sequence[float]], np.ndarray],
-           margin: float = 0.0) -> StabilityReport:
+           matrices_at: Callable[[Sequence[float]], np.ndarray]) -> StabilityReport:
     """Stability verdict: stable iff no crossover is critical, i.e. has
-    Re[lambda] <= 0 or Re[lambda] < margin (at the default margin 0: iff
-    every crossover has Re[lambda] > 0).
+    Re[lambda] <= 0 (iff every crossover has Re[lambda] > 0).
 
     traces are tracked on spec.  Every zero crossing of Im[lambda] along
     every trace is an event, sorted by frequency, then trace id, bracketed
@@ -369,21 +379,20 @@ def assess(spec: Spectrum, traces: Sequence[EigenTrace],
             raise res
         smp, j = res
         re_cr = float(smp.lam[j].real)
-        verdict = "critical" if re_cr <= 0.0 or re_cr < margin else "stable-crossing"
+        verdict = "critical" if re_cr <= 0.0 else "stable-crossing"
         events.append(CrossoverEvent(trace_id, smp.f_hz, re_cr, direction, verdict, smp, j))
     events.sort(key=lambda e: (e.f_cr_hz, e.trace_id))
-    crit = tuple(sorted({e.trace_id for e in events if e.verdict == "critical"}))
-    return StabilityReport(tuple(events), crit, not crit)
+    return StabilityReport(tuple(events))
 
 
-def nyquist_winding(trace: EigenTrace, origin_tol: float = 1e-9) -> int | None:
+def nyquist_winding(trace: EigenTrace) -> int | None:
     """Discrete winding number of the conjugate-closed trace around 0.
 
     The positive-frequency locus is closed with its complex conjugate
     traversed backwards (exact only for real-coefficient systems, which
     is why this is a cross-check oracle rather than a shipped criterion).
     Returns None (indeterminate) when the polygon passes within
-    origin_tol of the origin.
+    _ORIGIN_TOL of the origin.
     """
     fwd = trace.lam
     closed = np.concatenate([fwd, np.conj(fwd[::-1])])
@@ -391,14 +400,10 @@ def nyquist_winding(trace: EigenTrace, origin_tol: float = 1e-9) -> int | None:
 
     # distance from origin to each closing segment
     d = nxt - closed
-    seg_len2 = np.abs(d) ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(seg_len2 > 0,
-                     -np.real(np.conj(d) * closed) / np.where(seg_len2 > 0, seg_len2, 1.0),
-                     0.0)
-    t = np.clip(t, 0.0, 1.0)
+    seg_len2 = np.maximum(np.abs(d) ** 2, np.finfo(float).tiny)  # t = 0 on a zero-length one
+    t = np.clip(-np.real(np.conj(d) * closed) / seg_len2, 0.0, 1.0)
     dist = np.abs(closed + t * d)
-    if np.min(dist) < origin_tol:
+    if np.min(dist) < _ORIGIN_TOL:
         return None
 
     ang = np.angle(nxt / closed)

@@ -140,6 +140,47 @@ def test_malformed_network_file_names_file_and_element(tmp_path, capsys, command
     assert err.count("\n") == 1 and err.startswith(f"error: {path}: {element}: ")
 
 
+_TWO_NODES = {"nodes": [1, 2],
+              "branches": [{"type": "rl", "from": 1, "to": 2, "r_ohm": 0.1, "l_h": 1e-3}],
+              "shunts": [{"type": "grid", "node": 1, "params": {"r_ohm": 0.2, "l_h": 3e-4}}]}
+
+
+@pytest.mark.parametrize("key, index, value, element", [
+    ("nodes", 1, 2.7, "nodes[1]"),
+    ("nodes", 0, True, "nodes[0]"),
+    ("branches", "to", 2.2, "branches[0]: to"),
+    ("branches", "from", False, "branches[0]: from"),
+    ("shunts", "node", 1.9, "shunts[0]: node"),
+], ids=["fractional-node", "boolean-node", "fractional-to", "boolean-from",
+        "fractional-shunt-node"])
+def test_node_id_must_be_an_integer(tmp_path, capsys, key, index, value, element):
+    """A fractional or boolean node id used to load, truncated by int():
+    nodes [1, 2.7] as (1, 2), a branch to 2.2 as 1-2, a shunt at 1.9 at
+    node 1, and true as node 1."""
+    doc = json.loads(json.dumps(_TWO_NODES))
+    (doc[key] if key == "nodes" else doc[key][0])[index] = value
+    path = tmp_path / "bad_node.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkFileError) as err:
+        load_network(path)
+    assert str(err.value) == (f"{path}: {element}: node id {value!r} is not an integer")
+    code = main(["criticals", "--network", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_whole_float_node_ids_load(tmp_path):
+    doc = json.loads(json.dumps(_TWO_NODES))
+    doc["nodes"] = [1, 2.0]
+    doc["branches"][0]["to"] = 2.0
+    doc["shunts"][0]["node"] = 1.0
+    path = tmp_path / "float_nodes.json"
+    path.write_text(json.dumps(doc))
+    g = load_network(path)
+    assert g.nodes == (1, 2)
+    assert (g.branches[0].from_node, g.branches[0].to_node, g.shunts[0].node) == (1, 2, 1)
+
+
 def test_missing_file_is_reported(tmp_path):
     with pytest.raises(NetworkFileError):
         load_network(tmp_path / "nope.json")
@@ -160,10 +201,26 @@ def _network_with_table(tmp_path, fixture_path, table_text):
 _TABLE_HEADER = "f_hz,re_dd,im_dd,re_dq,im_dq,re_qd,im_qd,re_qq,im_qq\n"
 
 
+_TABLE_ROWS = ["10,1,0,0,0,0,0,1,0", "152.75,1,0,0,0,0,0,1,0", "5000,1,0,0,0,0,0,1,0"]
+
+
+def _table(*rows):
+    return _TABLE_HEADER + "".join(row + "\n" for row in rows)
+
+
 @pytest.mark.parametrize("table_text, where", [
     (_TABLE_HEADER + "10,1,0,0,0,0,0,1,0\n100,1,0,0\n", "inv2.csv:3:"),
     ("", "inv2.csv:1:"),
-], ids=["short-row", "empty-file"])
+    # criticals at 10-2500 Hz used to fail on the NaN as "matrix has
+    # non-finite entries", naming no file, line or frequency
+    (_table(_TABLE_ROWS[0], "152.75,nan,0,0,0,0,0,1,0", _TABLE_ROWS[2]),
+     "inv2.csv:3: re_dd = nan is not finite"),
+    # a NaN frequency passes the ordering check, as NaN compares false
+    (_table(_TABLE_ROWS[0], "nan,1,0,0,0,0,0,1,0", _TABLE_ROWS[2]),
+     "inv2.csv:3: f_hz = nan is not finite"),
+    # outside the sweep range, so the sweep alone never sees it
+    (_table(*_TABLE_ROWS[:2], "5000,1,0,0,0,0,inf,1,0"), "inv2.csv:4: im_qd = inf is not finite"),
+], ids=["short-row", "empty-file", "nan-entry", "nan-frequency", "inf-beyond-the-sweep"])
 def test_malformed_admittance_table_is_a_network_file_error(
         tmp_path, fixture_path, capsys, table_text, where):
     net = _network_with_table(tmp_path, fixture_path, table_text)

@@ -26,9 +26,9 @@ from damp_planner.network_assembly import NetworkGraph, Shunt, assemble, assembl
 from damp_planner.stability_engine import (
     BisectionError,
     CrossoverEvent,
+    StabilityReport,
     _pick_matching_eig,
     analyze,
-    assess,
     eig_lr,
     eig_lr_batch,
     refine_crossovers,
@@ -307,11 +307,12 @@ def test_single_node_plan_steps_are_closed_form(dalpha):
 
 
 def test_plan_takes_no_step_for_a_crossing_already_above_epsilon():
-    # critical against margin 1 S, but Re[lambda] = 0.2 S already meets
-    # epsilon = 0.005 S
+    # the crossing marked critical by hand, but Re[lambda] = 0.2 S already
+    # meets epsilon = 0.005 S
     g = single_node_graph()
-    spec, traces, _ = analyze(g, FrequencyGrid.regular(10.0, 2000.0, 5.0))
-    report = assess(spec, traces, lambda fs: assemble_grid(g, fs), margin=1.0)
+    _, traces, stable = analyze(g, FrequencyGrid.regular(10.0, 2000.0, 5.0))
+    report = StabilityReport(tuple(dataclasses.replace(e, verdict="critical")
+                                   for e in stable.events))
     assert [e.verdict for e in report.events] == ["critical"]
     assert report.events[0].re_lambda >= 0.005
     [e] = plan(g, 1, traces, report, epsilon=0.005).entries

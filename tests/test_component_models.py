@@ -206,6 +206,32 @@ def test_table_rejects_single_row():
         AdmittanceTable.from_rows([(100.0, 1 + 0j, 0j, 0j, 1 + 0j)])
 
 
+@pytest.mark.parametrize("row, message", [
+    ((math.nan, 1 + 0j, 0j, 0j, 1 + 0j), "table row 1: non-finite frequency nan"),
+    ((150.0, complex(math.nan, 0.0), 0j, 0j, 1 + 0j),
+     "table row 1: non-finite dd entry at 150.0 Hz"),
+    ((150.0, 1 + 0j, 0j, complex(0.0, math.inf), 1 + 0j),
+     "table row 1: non-finite qd entry at 150.0 Hz"),
+], ids=["nan-frequency", "nan-entry", "inf-entry"])
+def test_table_rejects_a_non_finite_row_naming_it(row, message):
+    # a NaN frequency would pass the ordering check, as NaN compares false
+    rows = [(100.0, 1 + 0j, 0j, 0j, 1 + 0j), row, (1000.0, 3 + 0j, 0j, 0j, 3 + 0j)]
+    with pytest.raises(ValueError) as err:
+        AdmittanceTable.from_rows(rows)
+    assert str(err.value) == message
+
+
+def test_table_csv_names_the_line_of_a_non_finite_value(tmp_path):
+    path = tmp_path / "inv.csv"
+    AdmittanceTable.from_rows([(10.0, 1 + 0j, 0j, 0j, 1 + 0j),
+                               (1000.0, 1 + 0j, 0j, 0j, 1 + 0j)]).to_csv(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:2], "152.75,nan,0,0,0,0,0,1,0", lines[2]]) + "\n")
+    with pytest.raises(ValueError) as err:
+        AdmittanceTable.from_csv(path)
+    assert str(err.value) == f"{path}:3: re_dd = nan is not finite"
+
+
 # --- active damper ---
 
 def test_feedforward_coefficients_from_design_values():

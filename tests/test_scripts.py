@@ -1,11 +1,21 @@
+import ast
+import csv
+import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import damp_planner
+from damp_planner import cli_reporting, compensation_planner, stability_engine
+from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS
+from damp_planner.component_models import ADParams, ad_scalar
+
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize("script, args", [
@@ -20,3 +30,79 @@ def test_script_runs_to_completion(tmp_path, script, args):
                           "--out", str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
+
+
+def run_script(monkeypatch, script, *args):
+    """Run a script in this process, as from the command line."""
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / script), *args])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert done.value.code == 0
+
+
+def test_case_study_runs_one_baseline_analysis(tmp_path, monkeypatch, capsys):
+    """One analyze for the baseline, which the sweep, criticals, rank and
+    plan writers share, and one per verification: 4, where writing the
+    pipeline out by hand next to four run_command calls made 8."""
+    calls = []
+    real = stability_engine.analyze
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for mod in (damp_planner, stability_engine, cli_reporting, compensation_planner):
+        monkeypatch.setattr(mod, "analyze", counted)
+    run_script(monkeypatch, "run_case_study.py", "--fmax", "400", "--out", str(tmp_path))
+    assert len(calls) == 4
+    stdout = capsys.readouterr().out
+    for line in ["verify: proposed damper at node 4: stable",
+                 "verify: proposed damper at node 3: unstable",
+                 "verify: traditional damper at node 4: stable"]:
+        assert f"\n{line}\n" in stdout
+    for name in ["traces.csv", "crossovers.csv", "kc_table.csv", "plan.csv",
+                 "report_sweep.json", "report_criticals.json", "report_rank.json",
+                 "report_plan.json"]:
+        assert (tmp_path / name).is_file()
+    for sub in ["verify_top", "verify_runner_up", "verify_traditional"]:
+        assert {p.name for p in (tmp_path / sub).iterdir()} == {
+            "report_verify.json", "verify_crossovers.csv"}
+
+
+def test_case_study_has_no_workflow_of_its_own():
+    """The plan, calibration, ranking and verification belong to the CLI's
+    command writers; the script names none of the library functions
+    behind them."""
+    tree = ast.parse((SCRIPTS / "run_case_study.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not names & {"plan", "calibrate_ad", "verify_with_ad", "rank_locations",
+                        "compensation_table"}
+
+
+def test_damper_curves_are_ad_curve_runs(tmp_path, monkeypatch):
+    """One ad-curve run per mode and per cluster, each into its own
+    subdirectory; the curves are the fixture damper's at the 50 Hz
+    fundamental of its file."""
+    runs = []
+    real = cli_reporting.run_command
+
+    def recorded(cfg, command):
+        runs.append((Path(cfg.out_dir).name, command))
+        return real(cfg, command)
+
+    monkeypatch.setattr(damp_planner, "run_command", recorded)
+    run_script(monkeypatch, "ad_admittance_curves.py", "--fmax", "200", "--out", str(tmp_path))
+    subdirs = ["proposed", "traditional", "cluster_l_f_h", "cluster_gain_s", "cluster_k_v"]
+    assert runs == [(sub, "ad-curve") for sub in subdirs]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*subdirs, "network.json"])
+    for mode in ("proposed", "traditional"):
+        with open(tmp_path / mode / "ad_curve.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        p = ADParams(**{**CASE_STUDY_AD_PARAMS, "k_v": 1.5, "mode": mode})
+        f = [float(row[0]) for row in rows]
+        assert f == [10.0 + 2.0 * k for k in range(96)]
+        y = ad_scalar(p, f, 2 * math.pi * 50.0)
+        assert [row[1:3] for row in rows] == [[format(v.real, ".9g"), format(v.imag, ".9g")]
+                                              for v in y]

@@ -97,6 +97,14 @@ def test_eig_batch_rejects_nonfinite_member():
         eig_lr_batch(mats, [10.0, 20.0])
 
 
+def test_eig_batch_names_the_first_nonfinite_frequency():
+    bad = np.array([[1.0, 0.0], [np.inf, 1.0]])
+    mats = np.stack([np.eye(2), bad, np.eye(2), bad])
+    with pytest.raises(ValueError) as err:
+        eig_lr_batch(mats, [10.0, 20.0, 30.0, 40.0])
+    assert str(err.value) == "matrix at f=20.0 Hz has non-finite entries"
+
+
 def test_eig_batch_warns_naming_the_near_defective_member():
     mats = np.stack([np.diag([1.0, 2.0]), np.array([[1.0, 1.0], [0.0, 1.0]]),
                      np.diag([3.0, 4.0])])
@@ -413,10 +421,10 @@ def synthetic_trace(freqs, lam) -> tuple[Spectrum, EigenTrace]:
             EigenTrace(1, f, lam, np.zeros(n, dtype=int), np.ones(n - 1)))
 
 
-def assess_synthetic(freqs, lam_at, margin=0.0):
+def assess_synthetic(freqs, lam_at):
     """assess of the one synthetic trace of lam_at over freqs."""
     spec, trace = synthetic_trace(freqs, lam_at(freqs))
-    return assess(spec, [trace], scalar_matrices(lam_at), margin=margin)
+    return assess(spec, [trace], scalar_matrices(lam_at))
 
 
 def scalar_matrices(lam_at):
@@ -424,11 +432,10 @@ def scalar_matrices(lam_at):
     return lambda fs: np.array([[[lam_at(f)]] for f in fs])
 
 
-def refine_one(matrices_at, f_lo, f_hi, im_lo, im_hi, u_ref, max_steps=60):
+def refine_one(matrices_at, f_lo, f_hi, im_lo, im_hi, u_ref):
     """refine_crossovers on one bracket: its result, or its BisectionError
     raised."""
-    [refined] = refine_crossovers(matrices_at, [(f_lo, f_hi, im_lo, im_hi, u_ref)],
-                                  max_steps=max_steps)
+    [refined] = refine_crossovers(matrices_at, [(f_lo, f_hi, im_lo, im_hi, u_ref)])
     if isinstance(refined, BisectionError):
         raise refined
     return refined
@@ -553,7 +560,7 @@ def test_batched_locator_equals_each_bracket_refined_alone():
     assert n > 20
 
 
-def test_failed_bracket_does_not_stop_the_others():
+def test_failed_bracket_does_not_stop_the_others(monkeypatch):
     """Im crosses zero at 20 Hz but jumps over it at 70.3 Hz: in one batch
     the first bracket converges as it does alone, and the second comes
     back as its own BisectionError naming its narrowed bracket."""
@@ -561,11 +568,11 @@ def test_failed_bracket_does_not_stop_the_others():
                                    (1.0 if f >= 70.3 else -1.0))
     u = np.ones(1, complex)
     sizes = []
+    monkeypatch.setattr(stability_engine, "_MAX_REFINE_STEPS", 8)
     good, bad = refine_crossovers(counted_scalar_matrices(lam_at, sizes),
-                                  [(0.0, 40.0, -0.2, 0.2, u), (60.0, 100.0, -1.0, 1.0, u)],
-                                  max_steps=8)
+                                  [(0.0, 40.0, -0.2, 0.2, u), (60.0, 100.0, -1.0, 1.0, u)])
     smp, j = good
-    alone, j_alone = refine_one(scalar_matrices(lam_at), 0.0, 40.0, -0.2, 0.2, u, max_steps=8)
+    alone, j_alone = refine_one(scalar_matrices(lam_at), 0.0, 40.0, -0.2, 0.2, u)
     assert (smp.f_hz, j, smp.lam[j]) == (alone.f_hz, j_alone, alone.lam[j_alone])
     assert isinstance(bad, BisectionError)
     lo, hi = re.search(r"at \[(\S+), (\S+)\] Hz", str(bad)).groups()
@@ -596,15 +603,16 @@ def test_illinois_step_converges_on_one_sided_curve():
 
 
 @pytest.mark.parametrize("max_steps", [1, 7, 8])
-def test_refinement_step_cap_names_the_bracket(max_steps):
+def test_refinement_step_cap_names_the_bracket(max_steps, monkeypatch):
     """Im jumps from -1 to +1 at 37.3 Hz without a zero: every step
     decomposes one point, and the error after max_steps steps names the
     bracket it has narrowed to."""
     lam_at = lambda f: 1.0 + 1j * (1.0 if f >= 37.3 else -1.0)
     sizes = []
+    monkeypatch.setattr(stability_engine, "_MAX_REFINE_STEPS", max_steps)
     with pytest.raises(BisectionError) as err:
         refine_one(counted_scalar_matrices(lam_at, sizes), 0.0, 100.0, -1.0, 1.0,
-                   np.ones(1, complex), max_steps=max_steps)
+                   np.ones(1, complex))
     assert sizes == [1] * max_steps
     lo, hi = re.search(r"at \[(\S+), (\S+)\] Hz", str(err.value)).groups()
     assert 0.0 <= float(lo) < 37.3 <= float(hi) < 100.0
@@ -616,7 +624,7 @@ def test_no_crossover_when_imag_stays_positive():
     assert assess_synthetic(freqs, lam_at).events == ()
 
 
-def reference_find_crossovers(spec, trace, matrices_at, margin=0.0):
+def reference_find_crossovers(spec, trace, matrices_at):
     """assess(spec, [trace]).events as the plain loop over every step of
     the trace: a sample at Im = 0 keeps its f and is decomposed alone,
     every sign change is refined alone."""
@@ -625,7 +633,7 @@ def reference_find_crossovers(spec, trace, matrices_at, margin=0.0):
     u = spec.u[np.arange(len(trace)), trace.eig_index]
 
     def event(f_cr, re_cr, direction, smp, j):
-        verdict = "critical" if re_cr <= 0.0 or re_cr < margin else "stable-crossing"
+        verdict = "critical" if re_cr <= 0.0 else "stable-crossing"
         return CrossoverEvent(trace.trace_id, f_cr, re_cr, direction, verdict, smp, j)
 
     def on_axis(t, direction):
@@ -721,7 +729,7 @@ def test_assess_flags_negative_crossover_trace():
 def test_assess_stable_with_margin_crossings():
     lam_at = lambda f: 0.02 + 1j * (f - 1000.0) / 1000.0
     freqs = np.arange(990.0, 1011.0)
-    report = assess_synthetic(freqs, lam_at, margin=0.005)
+    report = assess_synthetic(freqs, lam_at)
     assert report.stable
     assert report.events[0].verdict == "stable-crossing"
 
