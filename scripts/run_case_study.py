@@ -38,8 +38,9 @@ def main() -> int:
     ap.add_argument("--network", default=None,
                     help="network JSON (default: write the built-in case study)")
     ap.add_argument("--out", default="out/case_study", help="output directory")
-    ap.add_argument("--epsilon", type=float, default=0.005, help="damping margin [S]")
-    ap.add_argument("--fmax", type=float, default=2500.0, help="sweep end [Hz]")
+    ap.add_argument("--epsilon", type=float, default=RunConfig.epsilon_s,
+                    help="damping margin [S]")
+    ap.add_argument("--fmax", type=float, default=RunConfig.fmax_hz, help="sweep end [Hz]")
     args = ap.parse_args()
 
     out = Path(args.out)

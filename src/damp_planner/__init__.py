@@ -17,7 +17,6 @@ from .component_models import (
     InverterParams,
     PiCableParams,
     RlBranchParams,
-    ad_curve_cluster,
     ad_scalar,
     cap_block,
     inverter_block,

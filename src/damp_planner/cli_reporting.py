@@ -4,8 +4,10 @@ CSV/JSON report emission.
 Network files are JSON documents with top-level keys `nodes`, `branches`,
 `shunts`, `fundamental_hz`.  Branches: {type: rl|pi_cable|transformer,
 from, to, r_ohm, l_h, c_f?}.  Shunts: {type: inverter|ad|grid|capacitor,
-node, params|table_path}.  All emitted CSV data uses 9-significant-digit
-fixed formatting so identical inputs produce byte-identical outputs.
+node, params|table_path}.  Every number in a file, node ids included, is a
+finite JSON number, not a boolean or a string.  All emitted CSV data uses
+9-significant-digit fixed formatting so identical inputs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .component_models import (
     InverterParams,
     PiCableParams,
     RlBranchParams,
-    ad_curve_cluster,
+    ad_scalar,
 )
 from .compensation_planner import (
     calibrate_ad,
@@ -51,6 +53,10 @@ from .stability_engine import analyze
 EXIT_STABLE = 0
 EXIT_ERROR = 1
 EXIT_UNSTABLE = 2
+
+
+# the damper parameters an ad-curve cluster (--cluster) can sweep
+_CLUSTER_PARAMS = ("l_f_h", "gain_s", "k_v")
 
 
 class NetworkFileError(ValueError):
@@ -95,6 +101,9 @@ class RunConfig:
             raise ValueError("formats must be a non-empty subset of {csv, json}")
         if self.cluster_values and self.cluster_param is None:
             raise ValueError("cluster_values (--values) need cluster_param (--cluster)")
+        if self.cluster_param not in (None, *_CLUSTER_PARAMS):
+            raise ValueError(f"cluster_param (--cluster) must be one of "
+                             f"{', '.join(_CLUSTER_PARAMS)}, got {self.cluster_param!r}")
         if self.cluster_param is not None and not self.cluster_values:
             raise ValueError(f"cluster_param (--cluster {self.cluster_param}) needs "
                              "cluster_values (--values)")
@@ -160,11 +169,26 @@ def _expect(kind: type, value):
     return value
 
 
-def _node_id(value) -> int:
-    """A node id: an integer (2.0 reads as 2, but 2.7 and true are errors)."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise NetworkFileError(f"node id {value!r} is not an integer")
-    return int(value)
+def _number(value, integer: bool = False):
+    """A number of a network file: a finite JSON number, not a boolean and
+    not a string, as a float; with integer (a node id), an integral one
+    as an int (2.0 reads as 2, but 2.7 is an error)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max
+            or integer and not float(value).is_integer()):
+        raise NetworkFileError(f"node id {value!r} is not an integer" if integer
+                               else f"{value!r} is not a finite number")
+    return int(value) if integer else float(value)
+
+
+def _field(obj: dict, key: str, integer: bool = False):
+    """_number of obj[key], an error naming the field."""
+    return _at(key, _number, obj[key], integer=integer)
+
+
+def _numbers(params: dict, keep=()) -> dict:
+    """params with every value but those of the keys in keep read by _number."""
+    return {k: v if k in keep else _field(params, k) for k, v in params.items()}
 
 
 def _build_branch(idx: int, obj) -> Branch:
@@ -173,10 +197,10 @@ def _build_branch(idx: int, obj) -> Branch:
         raise NetworkFileError(
             f"unknown branch type {btype!r} (expected one of {_BRANCH_TYPES})")
     if btype == "pi_cable":
-        model = PiCableParams(float(obj["r_ohm"]), float(obj["l_h"]), float(obj["c_f"]))
+        model = PiCableParams(*(_field(obj, key) for key in ("r_ohm", "l_h", "c_f")))
     else:
-        model = RlBranchParams(float(obj["r_ohm"]), float(obj["l_h"]))
-    return Branch(*(_at(key, _node_id, obj[key]) for key in ("from", "to")), model,
+        model = RlBranchParams(_field(obj, "r_ohm"), _field(obj, "l_h"))
+    return Branch(*(_field(obj, key, integer=True) for key in ("from", "to")), model,
                   label=obj.get("label", f"{btype}[{idx}]"))
 
 
@@ -185,13 +209,15 @@ def _build_shunt(idx: int, obj, base_dir: Path) -> Shunt:
     if stype not in _SHUNT_TYPES:
         raise NetworkFileError(
             f"unknown shunt type {stype!r} (expected one of {tuple(_SHUNT_TYPES)})")
-    node = _at("node", _node_id, obj["node"])
+    node = _field(obj, "node", integer=True)
     if "table_path" in obj:
         if stype != "inverter":
             raise NetworkFileError("table_path is only valid for inverter shunts")
         device = AdmittanceTable.from_csv(base_dir / obj["table_path"])
     else:
-        device = _SHUNT_TYPES[stype](**obj["params"])
+        params = _at("params", _expect, dict, obj["params"])
+        # an active damper's mode is its one value that is not a number
+        device = _SHUNT_TYPES[stype](**_numbers(params, ("mode",) if stype == "ad" else ()))
     return Shunt(node, device, label=obj.get("label", f"{stype}[{idx}]"))
 
 
@@ -211,7 +237,7 @@ def _read_document(path: Path) -> dict:
 def _fundamental(path: Path, doc: dict) -> float:
     """The network's fundamental angular frequency [rad/s], from the
     document's fundamental_hz (50 Hz when absent)."""
-    return 2 * math.pi * _at(f"{path}: fundamental_hz", float,
+    return 2 * math.pi * _at(f"{path}: fundamental_hz", _number,
                              doc.get("fundamental_hz", 50.0))
 
 
@@ -226,7 +252,8 @@ def load_network(path, doc: dict | None = None) -> NetworkGraph:
     nodes, branches, shunts = (_at(f"{path}: {key}", _expect, list, doc.get(key, []))
                                for key in ("nodes", "branches", "shunts"))
     omega0 = _fundamental(path, doc)
-    nodes = tuple(_at(f"{path}: nodes[{i}]", _node_id, n) for i, n in enumerate(nodes))
+    nodes = tuple(_at(f"{path}: nodes[{i}]", _number, n, integer=True)
+                  for i, n in enumerate(nodes))
     branches = tuple(_at(f"{path}: branches[{i}]", _build_branch, i, b)
                      for i, b in enumerate(branches))
     shunts = tuple(_at(f"{path}: shunts[{i}]", _build_shunt, i, s, path.parent)
@@ -244,14 +271,18 @@ def _damper_defaults(path: Path, doc: dict) -> ADParams:
     damper_defaults_from_file)."""
     where = f"{path}: damper_defaults"
     params = _at(where, _expect, dict, doc.get("damper_defaults", CASE_STUDY_AD_PARAMS))
-    return _at(where, ADParams, **{"k_v": 0.0, **params, "mode": "proposed"})
+    if "mode" in params:
+        raise NetworkFileError(f"{where}: takes no 'mode'; a run's ad_mode (--ad-mode) "
+                               "picks the damper variant")
+    return _at(where, lambda: ADParams(**{"k_v": 0.0, **_numbers(params)}))
 
 
 def damper_defaults_from_file(path) -> ADParams:
     """AD base parameters from the network file's damper_defaults block,
     falling back to the built-in case-study set when the block is absent;
-    k_v is 0 (uncalibrated) unless the block sets it, and the mode is
-    "proposed" (a run's ad_mode picks the variant)."""
+    every value is a finite number, k_v is 0 (uncalibrated) unless the
+    block sets it, and the mode is "proposed": the block takes no mode,
+    as a run's ad_mode picks the variant."""
     path = Path(path)
     return _damper_defaults(path, _read_document(path))
 
@@ -462,11 +493,13 @@ def cmd_ad_curve(cfg: RunConfig, out: Path, omega0: float,
                  base: ADParams) -> tuple[ReportDocument, int]:
     p = dataclasses.replace(base, k_v=cfg.k_v, mode=cfg.ad_mode)
     param = cfg.cluster_param
-    curves = ad_curve_cluster(p, param or "k_v", cfg.cluster_values if param else (cfg.k_v,),
-                              cfg.grid().hz, omega0)
-    rows = [[_fmt(c.value), _fmt(f), _fmt(y.real), _fmt(y.imag),
-             _fmt(abs(y.imag / y.real) if y.real else math.inf)]
-            for c in curves for f, y in zip(c.f_hz, c.y)]
+    f_hz = cfg.grid().hz
+    rows = []
+    for v in cfg.cluster_values if param else (cfg.k_v,):
+        y_f = ad_scalar(dataclasses.replace(p, **{param or "k_v": v}), f_hz, omega0)
+        rows += [[_fmt(v), _fmt(f), _fmt(y.real), _fmt(y.imag),
+                  _fmt(abs(y.imag / y.real) if y.real else math.inf)]
+                 for f, y in zip(f_hz, y_f)]
     header = ["f_hz", "re_y_s", "im_y_s", "abs_im_re_ratio"]
     data = {"mode": cfg.ad_mode, "k_v": cfg.k_v}
     if param:
@@ -619,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name == "ad-curve":
             p.add_argument("--cluster", dest="cluster_param",
-                           choices=["l_f_h", "gain_s", "k_v"],
+                           choices=_CLUSTER_PARAMS,
                            help="parameter to sweep into a curve cluster")
             p.add_argument("--values", dest="cluster_values", type=_values,
                            help="comma-separated values for --cluster")

@@ -408,7 +408,7 @@ def calibrate_ad(cplan: CompensationPlan, base: ADParams,
     """
     if not cplan.entries or cplan.required_re_yad_s <= 0.0:
         return replace(base, k_v=0.0)
-    f = np.arange(cplan.band_lo_hz, cplan.band_hi_hz + _BAND_DF_HZ / 2.0, _BAND_DF_HZ)
+    f = FrequencyGrid.regular(cplan.band_lo_hz, cplan.band_hi_hz, _BAND_DF_HZ).hz
     req = cplan.required_re_yad_s
     band = f"[{cplan.band_lo_hz}, {cplan.band_hi_hz}] Hz"
     a = ad_scalar(replace(base, k_v=0.0), f, omega0)

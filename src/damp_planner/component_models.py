@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -113,10 +113,6 @@ class InverterParams:
         if self.v_d0 <= 0:
             raise ValueError("v_d0 must be > 0")
 
-    @property
-    def delay_s(self) -> float:
-        return 1.5 / self.f_s_hz
-
 
 ADMode = Literal["proposed", "traditional"]
 
@@ -157,10 +153,6 @@ class ADParams:
             raise ValueError(f"k_v must be finite and >= 0, got {self.k_v}")
         if self.mode not in ("proposed", "traditional"):
             raise ValueError(f"unknown AD mode: {self.mode!r}")
-
-    @property
-    def delay_s(self) -> float:
-        return 1.5 / self.f_s_hz
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +202,10 @@ def cap_block(c: float, f_hz, omega0: float) -> np.ndarray:
     return y[..., None, None] * _I2 + (omega0 * c) * _J
 
 
-def _sampled_control_s(f_hz, f_s_hz: float) -> np.ndarray:
-    """s = j*2*pi*f of a sampled control's model, valid only for
-    0 < f < f_s/2, below its Nyquist band; raises ValueError otherwise."""
+def _sampled_control(f_hz, f_s_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """(s, Gd) of a sampled control's model: s = j*2*pi*f and its
+    computation delay Gd = exp(-1.5 s / f_s).  Valid only for
+    0 < f < f_s/2, below the Nyquist band; raises ValueError otherwise."""
     f = np.asarray(f_hz, dtype=float)
     if np.any(f <= 0):
         raise ValueError("f must be > 0")
@@ -220,7 +213,8 @@ def _sampled_control_s(f_hz, f_s_hz: float) -> np.ndarray:
         raise ValueError(
             f"f reaches {np.max(f)} Hz, not below the sampled control's "
             f"f_s/2 = {f_s_hz / 2} Hz")
-    return 1j * 2.0 * np.pi * f
+    s = 1j * 2.0 * np.pi * f
+    return s, np.exp(-s * (1.5 / f_s_hz))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +240,7 @@ def inverter_block(p: InverterParams, f_hz, omega0: float) -> np.ndarray:
     The shunt filter capacitor adds in parallel at the terminal.  Valid
     only for 0 < f < f_s/2, below the Nyquist band of the sampled control.
     """
-    s = _sampled_control_s(f_hz, p.f_s_hz)
-    gd = np.exp(-s * p.delay_s)
+    s, gd = _sampled_control(f_hz, p.f_s_hz)
     gci = p.k_pi + p.k_ii / s
     gpll = p.k_p_pll + p.k_i_pll / s
     tpll = gpll / (s + p.v_d0 * gpll)
@@ -302,18 +295,6 @@ class AdmittanceTable:
         self._f.flags.writeable = False
         self._y.flags.writeable = False
 
-    @property
-    def f_hz(self) -> np.ndarray:
-        return self._f
-
-    @property
-    def f_min(self) -> float:
-        return float(self._f[0])
-
-    @property
-    def f_max(self) -> float:
-        return float(self._f[-1])
-
     @classmethod
     def from_rows(cls, rows) -> "AdmittanceTable":
         """rows of (f_hz, dd, dq, qd, qq) complex entries."""
@@ -357,10 +338,10 @@ class AdmittanceTable:
 
     def query(self, f_hz) -> np.ndarray:
         f = np.asarray(f_hz, dtype=float)
-        if np.any(f < self.f_min) or np.any(f > self.f_max):
-            first = f[(f < self.f_min) | (f > self.f_max)].flat[0]
-            raise ValueError(f"query at {float(first)} Hz outside tabulated range "
-                             f"[{self.f_min}, {self.f_max}] Hz")
+        outside = (f < self._f[0]) | (f > self._f[-1])
+        if np.any(outside):
+            raise ValueError(f"query at {float(f[outside].flat[0])} Hz outside tabulated "
+                             f"range [{float(self._f[0])}, {float(self._f[-1])}] Hz")
         x = np.log10(f)
         out = np.empty(f.shape + (2, 2), dtype=complex)
         for i in range(2):
@@ -383,9 +364,8 @@ def ad_scalar(p: ADParams, f_hz, omega0: float) -> np.ndarray:
     s + j*omega0.  Valid only for 0 < f < f_s/2, below the Nyquist band
     of the sampled control.
     """
-    s = _sampled_control_s(f_hz, p.f_s_hz)
+    s, gd = _sampled_control(f_hz, p.f_s_hz)
     s_stat = s + 1j * omega0
-    gd = np.exp(-s * p.delay_s)
     g_low = evaluate(lowpass(p.omega_low_rad_s), s)
     g_i = p.k_pi + p.k_ii / s
     g_v = (evaluate(notch(p.xi, omega0), s_stat)
@@ -397,34 +377,3 @@ def ad_scalar(p: ADParams, f_hz, omega0: float) -> np.ndarray:
         h_i = evaluate(current_feedforward(p.gain_s, p.omega_c_rad_s, p.l_f_h), s)
         den = den + h_i * g_low * gd
     return num / den
-
-
-@dataclass(frozen=True)
-class AdCurve:
-    """One damper admittance curve for one value of a swept parameter."""
-
-    param: str
-    value: float
-    f_hz: np.ndarray
-    y: np.ndarray  # complex scalar admittance per frequency
-
-
-_SWEEPABLE = {"l_f_h", "gain_s", "k_v"}
-
-
-def ad_curve_cluster(p: ADParams, param: str, values, f_hz,
-                     omega0: float) -> list[AdCurve]:
-    """Damper admittance curves over f_hz [Hz] with one parameter swept,
-    the others held at p.
-
-    param is one of l_f_h, gain_s, k_v; omega0 is the network's
-    fundamental [rad/s], as for every other model function.
-    """
-    if param not in _SWEEPABLE:
-        raise ValueError(f"sweepable parameters are {sorted(_SWEEPABLE)}, got {param!r}")
-    values = list(values)
-    if not values:
-        raise ValueError("empty sweep value list")
-    f = np.asarray(f_hz, dtype=float)
-    return [AdCurve(param, float(v), f, ad_scalar(replace(p, **{param: float(v)}), f, omega0))
-            for v in values]

@@ -4,7 +4,8 @@ Transfer elements are rational functions of s (polynomial coefficients in
 descending powers), evaluated in the frequency domain only.  A frequency
 shift is an evaluation at s + j*omega0.  The 2x2 dq blocks themselves are
 plain (..., 2, 2) complex ndarrays built by the component models, which
-write the computation delay exp(-1.5 s/f_s) inline, exactly.
+take the computation delay exp(-1.5 s/f_s), exactly, from one shared
+sampled-control guard.
 """
 
 from __future__ import annotations

@@ -172,7 +172,9 @@ def _device_block(dev: ShuntDevice, f: np.ndarray, omega0: float) -> np.ndarray:
     raise TypeError(f"unknown shunt device {type(dev).__name__}")
 
 
-def _assemble_batch(g: NetworkGraph, f: np.ndarray) -> np.ndarray:
+def assemble_grid(g: NetworkGraph, f_hz) -> np.ndarray:
+    """Stacked matrices (len(f), 2n, 2n) over a frequency array."""
+    f = np.asarray(f_hz, dtype=float)
     if g._diagnostics:
         raise InvalidNetworkError("; ".join(g._diagnostics))
     if np.any(f <= 0):
@@ -212,12 +214,6 @@ def _assemble_batch(g: NetworkGraph, f: np.ndarray) -> np.ndarray:
     return y
 
 
-def assemble_grid(g: NetworkGraph, f_hz) -> np.ndarray:
-    """Stacked matrices (len(f), 2n, 2n) over a frequency array."""
-    return _assemble_batch(g, np.asarray(f_hz, dtype=float))
-
-
 def assemble(g: NetworkGraph, f_hz: float) -> np.ndarray:
-    """Full 2n x 2n nodal admittance matrix at one frequency, equal to
-    assemble_grid(g, [f_hz])[0]."""
-    return _assemble_batch(g, np.asarray([float(f_hz)]))[0]
+    """Full 2n x 2n nodal admittance matrix at one frequency."""
+    return assemble_grid(g, [f_hz])[0]

@@ -27,10 +27,11 @@ from damp_planner.component_models import (
     CapacitorParams,
     GridImpedanceParams,
     InverterParams,
+    PiCableParams,
     ad_scalar,
 )
 from damp_planner.dq_core import FrequencyGrid
-from damp_planner.network_assembly import NetworkGraph, Shunt
+from damp_planner.network_assembly import Branch, NetworkGraph, Shunt, assemble_grid
 from damp_planner.stability_engine import analyze
 
 
@@ -179,6 +180,82 @@ def test_whole_float_node_ids_load(tmp_path):
     g = load_network(path)
     assert g.nodes == (1, 2)
     assert (g.branches[0].from_node, g.branches[0].to_node, g.shunts[0].node) == (1, 2, 1)
+
+
+# (keys into the fixture document, the value put there, the error after the file name)
+_NUMBER_CASES = [
+    (("nodes", 1), "2", "nodes[1]: node id '2' is not an integer"),
+    (("branches", 0, "to"), " 2 ", "branches[0]: to: node id ' 2 ' is not an integer"),
+    (("shunts", 1, "node"), "2", "shunts[1]: node: node id '2' is not an integer"),
+    (("branches", 0, "r_ohm"), True, "branches[0]: r_ohm: True is not a finite number"),
+    (("branches", 1, "r_ohm"), "0.04", "branches[1]: r_ohm: '0.04' is not a finite number"),
+    (("branches", 2, "l_h"), math.inf, "branches[2]: l_h: inf is not a finite number"),
+    (("shunts", 0, "params", "l_h"), "3e-4", "shunts[0]: l_h: '3e-4' is not a finite number"),
+    (("shunts", 1, "params", "k_pi"), "10", "shunts[1]: k_pi: '10' is not a finite number"),
+    (("shunts", 4, "params", "c_f"), True, "shunts[4]: c_f: True is not a finite number"),
+    (("fundamental_hz",), "50", "fundamental_hz: '50' is not a finite number"),
+    (("damper_defaults", "gain_s"), "0.06",
+     "damper_defaults: gain_s: '0.06' is not a finite number"),
+    (("damper_defaults", "k_v"), True, "damper_defaults: k_v: True is not a finite number"),
+]
+
+
+@pytest.mark.parametrize("keys, value, message", _NUMBER_CASES,
+                         ids=["string-node", "padded-string-to", "string-shunt-node",
+                              "boolean-r", "string-r", "infinite-l", "string-grid-l",
+                              "string-inverter-gain", "boolean-capacitor", "string-fundamental",
+                              "string-damper-gain", "boolean-damper-k_v"])
+def test_network_file_numbers_are_finite_json_numbers(fixture_path, tmp_path, capsys,
+                                                      keys, value, message):
+    """Each used to load, through int() or float() (a boolean as 0 or 1),
+    or to fail in the sweep with a numpy traceback ("k_pi": "10"); a
+    boolean r_ohm turned the fixture's criticals at --fmax 300 stable."""
+    doc = json.loads(fixture_path.read_text())
+    doc["shunts"].append({"type": "capacitor", "node": 2, "params": {"c_f": 1e-6}})
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "bad_number.json"
+    path.write_text(json.dumps(doc))
+    defaults = keys[0] == "damper_defaults"
+    with pytest.raises(NetworkFileError) as err:
+        (damper_defaults_from_file if defaults else load_network)(path)
+    assert str(err.value) == f"{path}: {message}"
+    code = main(["ad-curve" if defaults else "criticals", "--network", str(path),
+                 "--fmax", "300", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"nodes": [1], "shunts": [{"type": "battery", "node": 1}]}',
+     "shunts[0]: unknown shunt type 'battery' (expected one of "
+     "('inverter', 'ad', 'grid', 'capacitor'))"),
+    ('{"nodes": [1], "shunts": [{"type": "grid", "node": 1, "table_path": "y.csv"}]}',
+     "shunts[0]: table_path is only valid for inverter shunts"),
+    ('{"nodes": [1, 2], "branches": [{"type": "rl", "from": 1, "to": 2, "r_ohm": 0.1}]}',
+     "branches[0]: missing field 'l_h'"),
+], ids=["unknown-shunt-type", "table-path-on-a-grid-shunt", "missing-branch-field"])
+def test_loader_error_names_file_element_and_cause(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(NetworkFileError) as err:
+        load_network(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_pi_cable_from_a_file_assembles_as_built(tmp_path):
+    doc = json.loads(json.dumps(_TWO_NODES))
+    doc["branches"][0].update(type="pi_cable", c_f=2e-6)
+    path = tmp_path / "cable.json"
+    path.write_text(json.dumps(doc))
+    g = load_network(path)
+    built = NetworkGraph((1, 2), (Branch(1, 2, PiCableParams(0.1, 1e-3, 2e-6)),),
+                         (Shunt(1, GridImpedanceParams(0.2, 3e-4)),))
+    f = FrequencyGrid.regular(10.0, 2500.0, 10.0).hz
+    assert g.branches[0].model == built.branches[0].model
+    assert np.array_equal(assemble_grid(g, f), assemble_grid(built, f))
 
 
 def test_missing_file_is_reported(tmp_path):
@@ -478,6 +555,23 @@ def test_non_finite_damper_defaults_name_the_block(fixture_path, tmp_path, capsy
     assert err.count("\n") == 1 and err.startswith(f"error: {path}: damper_defaults: ")
 
 
+@pytest.mark.parametrize("mode", ["bogus", "traditional"])
+def test_damper_defaults_take_no_mode(fixture_path, tmp_path, capsys, mode):
+    """A mode in the block used to be overwritten with "proposed"; the
+    run's --ad-mode picks the variant."""
+    doc = json.loads(fixture_path.read_text())
+    doc["damper_defaults"]["mode"] = mode
+    path = tmp_path / "moded_damper.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkFileError) as err:
+        damper_defaults_from_file(path)
+    assert str(err.value) == (f"{path}: damper_defaults: takes no 'mode'; a run's ad_mode "
+                              "(--ad-mode) picks the damper variant")
+    code = main(["ad-curve", "--network", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
 @pytest.mark.parametrize("command", ["plan", "verify"])
 def test_cli_rejects_a_node_not_in_the_network_before_the_sweep(fixture_path, tmp_path,
                                                                 capsys, monkeypatch, command):
@@ -658,6 +752,12 @@ def test_config_rejects_bad_sweep_range(fixture_path):
 def test_config_rejects_a_cluster_half(settings, message):
     with pytest.raises(ValueError, match=message):
         RunConfig(network="net.json", **settings)
+
+
+def test_config_rejects_an_unknown_cluster_param():
+    with pytest.raises(ValueError, match=r"cluster_param \(--cluster\) must be one of "
+                                         r"l_f_h, gain_s, k_v, got 'xi'"):
+        RunConfig(network="net.json", cluster_param="xi", cluster_values=(0.5,))
 
 
 def test_ad_curve_values_without_cluster_is_an_error(fixture_path, tmp_path, capsys):

@@ -12,7 +12,6 @@ from damp_planner.component_models import (
     InverterParams,
     PiCableParams,
     RlBranchParams,
-    ad_curve_cluster,
     ad_scalar,
     cap_block,
     current_feedforward,
@@ -343,28 +342,19 @@ def test_ad_traditional_loses_resistive_character():
 def test_ad_curve_single_value_matches_ad_admittance():
     # one-frequency queries are bitwise identical to the curve's sweep
     grid = FrequencyGrid.regular(100.0, 500.0, 50.0)
-    (curve,) = ad_curve_cluster(AD, "k_v", [AD.k_v], grid.hz, W0)
-    for f, y in zip(curve.f_hz, curve.y):
+    for f, y in zip(grid.hz, ad_scalar(AD, grid.hz, W0)):
         assert ad_scalar(AD, [float(f)], W0)[0] == y
 
 
 def test_ad_curve_larger_kv_raises_conductance():
     grid = FrequencyGrid(( 500.0,))
-    curves = ad_curve_cluster(AD, "k_v", [0.5, 1.0, 2.0], grid.hz, W0)
-    re = [float(c.y[0].real) for c in curves]
+    re = [float(ad_scalar(dataclasses.replace(AD, k_v=v), grid.hz, W0)[0].real)
+          for v in (0.5, 1.0, 2.0)]
     assert re[0] < re[1] < re[2]
 
 
 def test_ad_curve_smaller_gain_lowers_conductance():
     grid = FrequencyGrid((500.0,))
-    curves = ad_curve_cluster(AD, "gain_s", [0.03, 0.06], grid.hz, W0)
-    re = [float(c.y[0].real) for c in curves]
+    re = [float(ad_scalar(dataclasses.replace(AD, gain_s=v), grid.hz, W0)[0].real)
+          for v in (0.03, 0.06)]
     assert re[0] < re[1]
-
-
-def test_ad_curve_rejects_unknown_parameter():
-    grid = FrequencyGrid((500.0,))
-    with pytest.raises(ValueError):
-        ad_curve_cluster(AD, "xi", [0.5], grid.hz, W0)
-    with pytest.raises(ValueError):
-        ad_curve_cluster(AD, "k_v", [], grid.hz, W0)

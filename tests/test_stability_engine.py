@@ -581,6 +581,30 @@ def test_failed_bracket_does_not_stop_the_others(monkeypatch):
     assert sizes[0] == 2 and sizes[-1] == 1 and len(sizes) == 8
 
 
+def test_assess_raises_the_first_failed_bracket(monkeypatch):
+    """Im crosses zero at 20 Hz, then jumps over it at 47.3 and 73.7 Hz:
+    the locator returns one BisectionError per jump, and assess raises the
+    first of them, the bracket at 47.3 Hz."""
+    lam_at = lambda f: 1.0 + 1j * ((f - 20.0) / 100.0 if f < 47.3 else
+                                   (-1.0 if f < 73.7 else 1.0))
+    freqs = np.arange(5.0, 100.0, 10.0)
+    spec, trace = synthetic_trace(freqs, [lam_at(f) for f in freqs])
+    located = []
+
+    def refine(matrices_at, brackets):
+        located.extend(refine_crossovers(matrices_at, brackets))
+        return located
+
+    monkeypatch.setattr(stability_engine, "_MAX_REFINE_STEPS", 8)
+    monkeypatch.setattr(stability_engine, "refine_crossovers", refine)
+    with pytest.raises(BisectionError) as err:
+        assess(spec, [trace], scalar_matrices(lam_at))
+    assert [type(res) for res in located] == [tuple, BisectionError, BisectionError]
+    assert err.value is located[1]
+    lo, hi = re.search(r"at \[(\S+), (\S+)\] Hz", str(err.value)).groups()
+    assert 45.0 <= float(lo) < 47.3 <= float(hi) <= 55.0
+
+
 def counted_scalar_matrices(lam_at, sizes):
     """scalar_matrices that records the number of points of every call."""
     def matrices_at(fs):
