@@ -236,9 +236,11 @@ def _read_document(path: Path) -> dict:
 
 def _fundamental(path: Path, doc: dict) -> float:
     """The network's fundamental angular frequency [rad/s], from the
-    document's fundamental_hz (50 Hz when absent)."""
-    return 2 * math.pi * _at(f"{path}: fundamental_hz", _number,
-                             doc.get("fundamental_hz", 50.0))
+    document's fundamental_hz (50 Hz when absent), which must be > 0."""
+    hz = _at(f"{path}: fundamental_hz", _number, doc.get("fundamental_hz", 50.0))
+    if hz <= 0:
+        raise NetworkFileError(f"{path}: fundamental_hz: {hz!r} is not > 0")
+    return 2 * math.pi * hz
 
 
 def load_network(path, doc: dict | None = None) -> NetworkGraph:

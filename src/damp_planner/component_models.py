@@ -30,7 +30,8 @@ _I2 = np.eye(2)
 
 @dataclass(frozen=True)
 class RlBranchParams:
-    """Series R-L branch (line or transformer winding)."""
+    """Series R-L branch (line or transformer winding); the one R-L rule,
+    which the pi cable and the grid tie inherit."""
 
     r_ohm: float
     l_h: float
@@ -43,32 +44,20 @@ class RlBranchParams:
 
 
 @dataclass(frozen=True)
-class PiCableParams:
+class PiCableParams(RlBranchParams):
     """Pi-section cable: series R-L, total shunt capacitance split half per end."""
 
-    r_ohm: float
-    l_h: float
     c_f: float
 
     def __post_init__(self):
-        if self.r_ohm < 0 or self.l_h < 0 or self.c_f < 0:
-            raise ValueError("R, L, C must be >= 0")
-        if self.c_f == 0:
+        super().__post_init__()
+        if self.c_f <= 0:
             raise ValueError("pi cable needs C > 0 (use RlBranchParams otherwise)")
 
 
 @dataclass(frozen=True)
-class GridImpedanceParams:
+class GridImpedanceParams(RlBranchParams):
     """Series R-L between a node and the ideal (small-signal short) source."""
-
-    r_ohm: float
-    l_h: float
-
-    def __post_init__(self):
-        if self.r_ohm < 0 or self.l_h < 0:
-            raise ValueError("R and L must be >= 0")
-        if self.r_ohm == 0 and self.l_h == 0:
-            raise ValueError("grid impedance cannot be a dead short")
 
 
 @dataclass(frozen=True)

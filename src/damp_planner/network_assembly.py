@@ -6,6 +6,9 @@ admittance matrices over a frequency array, node i (position p,
 zero-based) occupying rows/columns 2p and 2p+1 as (d, q); assemble() is
 the single-frequency case.  Both return plain ndarrays.  Each distinct
 shunt device is evaluated once per call, however many nodes use it.
+Every series R-L element (a branch, a pi cable's series part, a grid tie)
+is inverted by one checked helper, which raises SingularBranchError
+naming the element and the frequency where its impedance is singular.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ class InvalidNetworkError(ValueError):
 
 
 class SingularBranchError(ValueError):
-    """A series branch impedance is not invertible at this frequency."""
+    """A series R-L impedance (a branch, a pi cable's series part or a grid
+    tie) is not invertible at this frequency."""
 
 
 @dataclass(frozen=True)
@@ -145,15 +149,22 @@ def validate(g: NetworkGraph) -> list[str]:
     return out
 
 
-def _branch_stamps(b: Branch, f: np.ndarray, omega0: float):
-    """(series impedance, per-end shunt admittance or None), vectorized over f."""
-    z = rl_block(b.model.r_ohm, b.model.l_h, f, omega0)
-    if isinstance(b.model, PiCableParams):
-        return z, cap_block(b.model.c_f / 2.0, f, omega0)
-    return z, None
+def _series_admittance(model: RlBranchParams, f: np.ndarray, omega0: float,
+                       name: str) -> np.ndarray:
+    """Inverse of the series R-L impedance of a branch, a pi cable's series
+    part or a grid tie, vectorized over f; raises SingularBranchError
+    naming the element and the first frequency where it is singular."""
+    z = rl_block(model.r_ohm, model.l_h, f, omega0)
+    det = z[:, 0, 0] * z[:, 1, 1] - z[:, 0, 1] * z[:, 1, 0]
+    bad = np.abs(det) < 1e-300
+    if np.any(bad):
+        raise SingularBranchError(
+            f"{name} has singular series impedance at f={f[np.argmax(bad)]} Hz")
+    return np.linalg.inv(z)
 
 
-def _device_block(dev: ShuntDevice, f: np.ndarray, omega0: float) -> np.ndarray:
+def _device_block(dev: ShuntDevice, f: np.ndarray, omega0: float,
+                  name: str) -> np.ndarray:
     if isinstance(dev, InverterParams):
         return inverter_block(dev, f, omega0)
     if isinstance(dev, AdmittanceTable):
@@ -165,8 +176,7 @@ def _device_block(dev: ShuntDevice, f: np.ndarray, omega0: float) -> np.ndarray:
         out[..., 1, 1] = y
         return out
     if isinstance(dev, GridImpedanceParams):
-        z = rl_block(dev.r_ohm, dev.l_h, f, omega0)
-        return np.linalg.inv(z)
+        return _series_admittance(dev, f, omega0, name)
     if isinstance(dev, CapacitorParams):
         return cap_block(dev.c_f, f, omega0)
     raise TypeError(f"unknown shunt device {type(dev).__name__}")
@@ -185,30 +195,25 @@ def assemble_grid(g: NetworkGraph, f_hz) -> np.ndarray:
     pos = {nid: g.node_index(nid) for nid in g.nodes}
 
     for b in g.branches:
-        z, ysh = _branch_stamps(b, f, g.omega0)
-        det = z[:, 0, 0] * z[:, 1, 1] - z[:, 0, 1] * z[:, 1, 0]
-        bad = np.abs(det) < 1e-300
-        if np.any(bad):
-            fbad = f[np.argmax(bad)]
-            name = b.label or f"{b.from_node}-{b.to_node}"
-            raise SingularBranchError(
-                f"branch {name} has singular series impedance at f={fbad} Hz")
-        yb = np.linalg.inv(z)
+        name = f"branch {b.label or f'{b.from_node}-{b.to_node}'}"
+        yb = _series_admittance(b.model, f, g.omega0, name)
         i, j = 2 * pos[b.from_node], 2 * pos[b.to_node]
         y[:, i:i + 2, i:i + 2] += yb
         y[:, j:j + 2, j:j + 2] += yb
         y[:, i:i + 2, j:j + 2] -= yb
         y[:, j:j + 2, i:i + 2] -= yb
-        if ysh is not None:
+        if isinstance(b.model, PiCableParams):
+            ysh = cap_block(b.model.c_f / 2.0, f, g.omega0)
             y[:, i:i + 2, i:i + 2] += ysh
             y[:, j:j + 2, j:j + 2] += ysh
 
     # each distinct device is evaluated once and stamped at every node
     # using it: frozen parameter sets are keyed by value, tables by identity
     blocks: dict[ShuntDevice, np.ndarray] = {}
-    for s in g.shunts:
+    for k, s in enumerate(g.shunts):
         if s.device not in blocks:
-            blocks[s.device] = _device_block(s.device, f, g.omega0)
+            blocks[s.device] = _device_block(s.device, f, g.omega0,
+                                             s.label or f"shunt[{k}]")
         i = 2 * pos[s.node]
         y[:, i:i + 2, i:i + 2] += blocks[s.device]
     return y

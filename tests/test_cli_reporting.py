@@ -228,6 +228,50 @@ def test_network_file_numbers_are_finite_json_numbers(fixture_path, tmp_path, ca
     assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
+@pytest.mark.parametrize("command", ["criticals", "ad-curve"])
+@pytest.mark.parametrize("hz", [0, -50], ids=["zero", "negative"])
+def test_fundamental_must_be_positive(fixture_path, tmp_path, capsys, command, hz):
+    """A dq frame that does not rotate, or rotates backwards: at -50 Hz
+    the fixture's criticals at --fmax 300 used to report a verdict."""
+    doc = json.loads(fixture_path.read_text())
+    doc["fundamental_hz"] = hz
+    path = tmp_path / "bad_fundamental.json"
+    path.write_text(json.dumps(doc))
+    message = f"{path}: fundamental_hz: {float(hz)!r} is not > 0"
+    with pytest.raises(NetworkFileError) as err:
+        load_network(path)
+    assert str(err.value) == message
+    code = main([command, "--network", str(path), "--fmax", "300",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_lossless_grid_tie_is_a_named_error(fixture_path, tmp_path, capsys):
+    """R = 0 makes the tie's impedance singular at the fundamental, which
+    the sweep grid hits; it used to be inverted unchecked, and the run
+    failed in the crossover refinement with no element named."""
+    doc = json.loads(fixture_path.read_text())
+    doc["shunts"][0]["params"]["r_ohm"] = 0.0
+    path = tmp_path / "lossless_tie.json"
+    path.write_text(json.dumps(doc))
+    code = main(["criticals", "--network", str(path), "--fmax", "300",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: grid-cable has singular series "
+                                       "impedance at f=50.0 Hz\n")
+
+
+def test_pi_cable_without_r_and_l_is_a_load_error(fixture_path, tmp_path):
+    doc = json.loads(fixture_path.read_text())
+    doc["branches"][1].update(type="pi_cable", r_ohm=0.0, l_h=0.0, c_f=1e-6)
+    path = tmp_path / "zero_cable.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkFileError) as err:
+        load_network(path)
+    assert str(err.value) == f"{path}: branches[1]: R and L cannot both be zero"
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"nodes": [1], "shunts": [{"type": "battery", "node": 1}]}',
      "shunts[0]: unknown shunt type 'battery' (expected one of "

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_random_small_system
 from damp_planner import compensation_planner
+from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS
 from damp_planner.compensation_planner import (
     CalibrationInfeasibleError,
     CompensationCoefficient,
@@ -36,9 +37,7 @@ from damp_planner.stability_engine import (
 
 W0 = 2 * math.pi * 50.0
 
-AD_BASE = ADParams(v_dc=750.0, l_f_h=0.8e-3, k_pi=5.0, k_ii=100.0, xi=0.707,
-                   tau_s=0.0014, beta=2.0, omega_low_rad_s=12566.36,
-                   omega_c_rad_s=21991.13, gain_s=0.06, k_v=0.0, f_s_hz=40e3)
+AD_BASE = ADParams(**CASE_STUDY_AD_PARAMS)
 
 
 # --- sensitivity ---

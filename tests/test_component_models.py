@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS
 from damp_planner.component_models import (
     ADParams,
     AdmittanceTable,
+    GridImpedanceParams,
     InverterParams,
     PiCableParams,
     RlBranchParams,
@@ -27,9 +29,7 @@ INV = InverterParams(v_dc=750.0, l_h=2.5e-3, c_f=15e-6, i_d=50.0, i_q=0.0,
                      k_pi=10.0, k_ii=300.0, k_p_pll=6.0, k_i_pll=100.0,
                      f_s_hz=10e3, v_d0=311.0)
 
-AD = ADParams(v_dc=750.0, l_f_h=0.8e-3, k_pi=5.0, k_ii=100.0, xi=0.707,
-              tau_s=0.0014, beta=2.0, omega_low_rad_s=12566.36,
-              omega_c_rad_s=21991.13, gain_s=0.06, k_v=1.5, f_s_hz=40e3)
+AD = dataclasses.replace(ADParams(**CASE_STUDY_AD_PARAMS), k_v=1.5)
 
 
 # --- parameter invariants ---
@@ -37,6 +37,19 @@ AD = ADParams(v_dc=750.0, l_f_h=0.8e-3, k_pi=5.0, k_ii=100.0, xi=0.707,
 def test_rl_rejects_double_zero():
     with pytest.raises(ValueError):
         RlBranchParams(0.0, 0.0)
+
+
+@pytest.mark.parametrize("record", [RlBranchParams, GridImpedanceParams,
+                                    lambda r, l: PiCableParams(r, l, 12e-6)],
+                         ids=["rl", "grid", "pi_cable"])
+@pytest.mark.parametrize("r, l, message", [
+    (-0.1, 1e-3, "R and L must be >= 0"),
+    (0.1, -1e-3, "R and L must be >= 0"),
+    (0.0, 0.0, "R and L cannot both be zero"),
+], ids=["negative-r", "negative-l", "zero-r-and-l"])
+def test_series_rl_records_share_one_rule(record, r, l, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        record(r, l)
 
 
 def test_pi_cable_needs_capacitance():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from damp_planner import network_assembly
+from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS
 from damp_planner.compensation_planner import _with_conductance
 from damp_planner.component_models import (
     ADParams,
@@ -80,10 +81,7 @@ def test_empty_node_list_is_diagnosed():
 
 
 def test_two_dampers_at_one_node_diagnosed():
-    from damp_planner.component_models import ADParams
-    ad = ADParams(v_dc=750.0, l_f_h=0.8e-3, k_pi=5.0, k_ii=100.0, xi=0.707,
-                  tau_s=0.0014, beta=2.0, omega_low_rad_s=12566.36,
-                  omega_c_rad_s=21991.13, gain_s=0.06, k_v=0.0, f_s_hz=40e3)
+    ad = ADParams(**CASE_STUDY_AD_PARAMS)
     g = NetworkGraph((1,), (), (Shunt(1, ad), Shunt(1, ad)), W0)
     assert any("damper" in d for d in validate(g))
 
@@ -122,9 +120,7 @@ def test_invalid_graph_raises_on_every_assembly():
 
 
 def test_damper_added_to_a_validated_graph_is_revalidated():
-    ad = ADParams(v_dc=750.0, l_f_h=0.8e-3, k_pi=5.0, k_ii=100.0, xi=0.707,
-                  tau_s=0.0014, beta=2.0, omega_low_rad_s=12566.36,
-                  omega_c_rad_s=21991.13, gain_s=0.06, k_v=0.0, f_s_hz=40e3)
+    ad = ADParams(**CASE_STUDY_AD_PARAMS)
     g = single_node_graph(ad)
     assemble(g, 100.0)
     with pytest.raises(InvalidNetworkError, match="more than one active damper"):
@@ -214,6 +210,16 @@ def test_purely_inductive_branch_dc_limit_raises():
         assemble(g, 1e-160)
 
 
+def test_lossless_grid_tie_at_the_fundamental_raises():
+    # R = 0: the tie's impedance is singular where f equals the
+    # fundamental; it used to be inverted unchecked, through rounding
+    g = NetworkGraph((1, 2), (Branch(1, 2, RlBranchParams(0.1, 1e-3)),),
+                     (Shunt(1, GridImpedanceParams(0.0, 3e-4), "tie"),), W0)
+    with pytest.raises(SingularBranchError,
+                       match=r"^tie has singular series impedance at f=50.0 Hz$"):
+        assemble_grid(g, [40.0, 50.0, 60.0])
+
+
 # --- conductance shunt added by the planner ---
 
 def with_conductance(g, node_index, f, alpha):
@@ -289,7 +295,8 @@ def per_shunt_reference(g, f):
     y = assemble_grid(NetworkGraph(g.nodes, g.branches, (), g.omega0), f)
     for s in g.shunts:
         i = 2 * g.node_index(s.node)
-        y[:, i:i + 2, i:i + 2] += network_assembly._device_block(s.device, f, g.omega0)
+        y[:, i:i + 2, i:i + 2] += network_assembly._device_block(s.device, f, g.omega0,
+                                                                 s.label)
     return y
 
 
