@@ -4,9 +4,9 @@ damper locations, compute the damping-compensation requirement, calibrate
 the damper and verify stabilization at the recommended node versus the
 runner-up and versus the traditional damper variant.
 
-One baseline analysis feeds the CLI's command writers: sweep, criticals,
-rank and plan write their plot-ready outputs into --out, each
-verification into its own subdirectory.
+One baseline analysis and one damper design on it feed the CLI's command
+writers: sweep, criticals, rank and plan write their plot-ready outputs
+into --out, each verification into its own subdirectory.
 """
 
 import argparse
@@ -23,6 +23,7 @@ from damp_planner.cli_reporting import (
     cmd_sweep,
     cmd_verify,
     damper_defaults_from_file,
+    design,
 )
 
 
@@ -71,17 +72,18 @@ def main() -> int:
         print("nothing to compensate; stopping after the sweep")
         return 0
 
-    cplan = write(cmd_plan, cfg).data["plan"]
+    designed = design(cfg, *baseline)
+    cplan = write(cmd_plan, cfg, designed).data["plan"]
     print(f"plan at node {cplan['node']}: required Re[Y] >= {cplan['required_re_yad_s']:.4f} S "
           f"over [{cplan['band_lo_hz']:.0f}, {cplan['band_hi_hz']:.0f}] Hz")
     for e in cplan["entries"]:
         print(f"  trace {e['trace_id']}: alpha = {e['alpha_s']:.4f} S in {e['iterations']} "
               f"steps (crossover {e['f_cr_start_hz']:.1f} -> {e['f_cr_final_hz']:.1f} Hz)")
 
-    # each verification designs the damper at the top node; node and
-    # ad_mode only change where and which variant it installs
+    # each calibrates that one design; node and ad_mode pick where and which variant
     base = damper_defaults_from_file(net)
-    verifications = [write(cmd_verify, replace(cfg, out_dir=str(out / sub), **change), base)
+    verifications = [write(cmd_verify, replace(cfg, out_dir=str(out / sub), **change),
+                           designed, base)
                      for sub, change in [("verify_top", {}),
                                          ("verify_runner_up", {"node": ranking[1]}),
                                          ("verify_traditional", {"ad_mode": "traditional"})]]

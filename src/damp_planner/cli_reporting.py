@@ -437,13 +437,9 @@ def cmd_criticals(cfg: RunConfig, out: Path, g, traces, report):
     return doc, EXIT_STABLE if report.stable else EXIT_UNSTABLE
 
 
-def _ranked_nodes(g, report, epsilon):
-    coeffs = compensation_table(g, report.critical_events)
-    return coeffs, rank_locations(coeffs, epsilon)
-
-
 def cmd_rank(cfg: RunConfig, out: Path, g, traces, report):
-    coeffs, ranks = _ranked_nodes(g, report, cfg.epsilon_s)
+    coeffs = compensation_table(g, report.critical_events)
+    ranks = rank_locations(coeffs, cfg.epsilon_s)
     rows = [[g.nodes[c.node_index], c.trace_id, _fmt(c.f_cr_hz),
              _fmt(c.value.real), _fmt(c.value.imag)] for c in coeffs]
     _write_csv(cfg, out / "kc_table.csv",
@@ -474,12 +470,18 @@ def _plan_data(node_id, cplan) -> dict:
     }
 
 
-def cmd_plan(cfg: RunConfig, out: Path, g, traces, report):
-    node_id = cfg.node
-    if node_id is None:
-        _, ranks = _ranked_nodes(g, report, cfg.epsilon_s)
-        node_id = g.nodes[ranks[0].node_index] if ranks else g.nodes[0]
-    cplan = plan(g, node_id, traces, report, cfg.epsilon_s, cfg.dalpha_s)
+def design(cfg: RunConfig, g, traces, report, node: int | None = None):
+    """The run's one damper design, (node id, plan), at node, else at the top
+    K_C node, else (nothing critical) at cfg.node or the network's first node."""
+    if node is None:
+        ranks = rank_locations(compensation_table(g, report.critical_events), cfg.epsilon_s)
+        node = (g.nodes[ranks[0].node_index] if ranks
+                else cfg.node if cfg.node is not None else g.nodes[0])
+    return node, plan(g, node, traces, report, cfg.epsilon_s, cfg.dalpha_s)
+
+
+def cmd_plan(cfg: RunConfig, out: Path, g, traces, report, designed):
+    node_id, cplan = designed
     rows = [[e.trace_id, _fmt(e.f_cr_start_hz), _fmt(e.f_cr_final_hz),
              _fmt(e.alpha_s), e.iterations, _fmt(e.predicted_re)]
             for e in cplan.entries]
@@ -512,18 +514,13 @@ def cmd_ad_curve(cfg: RunConfig, out: Path, omega0: float,
     return ReportDocument("ad-curve", cfg.hash(), None, data), EXIT_STABLE
 
 
-def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, base: ADParams):
-    _, ranks = _ranked_nodes(g, report, cfg.epsilon_s)
-    fallback = cfg.node if cfg.node is not None else g.nodes[0]
-    top_node = g.nodes[ranks[0].node_index] if ranks else fallback
-
-    # the damper is always designed, as proposed, for the top-ranked
-    # location; --node only moves where it is installed and --ad-mode
-    # which variant
-    cplan = plan(g, top_node, traces, report, cfg.epsilon_s, cfg.dalpha_s)
+def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, designed, base: ADParams):
+    # the damper is designed, as proposed, at the design node; --node only
+    # moves where it is installed and --ad-mode which variant
+    design_node, cplan = designed
     calibrated = dataclasses.replace(calibrate_ad(cplan, base, omega0=g.omega0),
                                      mode=cfg.ad_mode)
-    install_node = cfg.node if cfg.node is not None else top_node
+    install_node = cfg.node if cfg.node is not None else design_node
 
     after = verify_with_ad(g, install_node, calibrated, cfg.grid())
 
@@ -533,10 +530,10 @@ def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, base: ADParams):
                ["phase", "trace_id", "f_cr_hz", "re_lambda", "verdict"], rows)
     doc = ReportDocument("verify", cfg.hash(), _verdict_str(after), {
         "install_node": install_node,
-        "design_node": top_node,
+        "design_node": design_node,
         "ad_mode": cfg.ad_mode,
         "calibrated_k_v": calibrated.k_v,
-        "plan": _plan_data(top_node, cplan),
+        "plan": _plan_data(design_node, cplan),
         "before": {"verdict": _verdict_str(report),
                    "crossovers": _events_data(report.events)},
         "after": {"verdict": _verdict_str(after),
@@ -545,7 +542,7 @@ def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, base: ADParams):
     return doc, EXIT_STABLE if after.stable else EXIT_UNSTABLE
 
 
-# the analysis commands' report writers, each over (cfg, out, g, traces, report)
+# the analysis commands' report writers (see run_command for their arguments)
 _ANALYSIS_COMMANDS = {
     "sweep": cmd_sweep,
     "criticals": cmd_criticals,
@@ -562,10 +559,11 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
     The network file is read and parsed once.  The analysis commands load
     the network, reject a cfg.node it does not have and a grid of fewer
     than 2 points, and run the baseline analyze once, here, keeping its
-    traces and report only; each writer in _ANALYSIS_COMMANDS then writes
-    from (cfg, out, g, traces, report), verify with the file's damper
-    defaults as well.  ad-curve takes the damper defaults and the
-    fundamental from the file and analyses no network.
+    traces and report only; plan and verify make their one design here.
+    Each writer in _ANALYSIS_COMMANDS then writes from (cfg, out, g,
+    traces, report), plan and verify with the design, and verify with the
+    file's damper defaults too.  ad-curve takes the damper defaults and
+    the fundamental from the file and analyses no network.
     """
     if command != "ad-curve" and command not in _ANALYSIS_COMMANDS:
         raise ValueError(f"unknown command {command!r}")
@@ -588,6 +586,9 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
         extra = (_damper_defaults(path, network_doc),) if command == "verify" else ()
         # the traces index the spectrum; it is not kept past the analysis
         traces, report = analyze(g, grid)[1:]
+        if command in ("plan", "verify"):  # plan at --node, verify at the top-ranked node
+            node = cfg.node if command == "plan" else None
+            extra = (design(cfg, g, traces, report, node), *extra)
         doc, code = _ANALYSIS_COMMANDS[command](cfg, out, g, traces, report, *extra)
     if "json" in cfg.formats:
         doc.write(out)

@@ -285,13 +285,6 @@ class AdmittanceTable:
         self._y.flags.writeable = False
 
     @classmethod
-    def from_rows(cls, rows) -> "AdmittanceTable":
-        """rows of (f_hz, dd, dq, qd, qq) complex entries."""
-        f = [r[0] for r in rows]
-        y = [[[r[1], r[2]], [r[3], r[4]]] for r in rows]
-        return cls(f, y)
-
-    @classmethod
     def from_csv(cls, path) -> "AdmittanceTable":
         """Read a table written by to_csv; a malformed file, a non-finite
         value included, raises ValueError naming the file and line."""

@@ -153,13 +153,16 @@ def _series_admittance(model: RlBranchParams, f: np.ndarray, omega0: float,
                        name: str) -> np.ndarray:
     """Inverse of the series R-L impedance of a branch, a pi cable's series
     part or a grid tie, vectorized over f; raises SingularBranchError
-    naming the element and the first frequency where it is singular."""
+    naming the element and the first frequency where it is singular: the
+    fundamental for a lossless element whose f spans it, as det Z =
+    (R + jwL)^2 + (w0 L)^2 vanishes only there, and only for R = 0."""
     z = rl_block(model.r_ohm, model.l_h, f, omega0)
     det = z[:, 0, 0] * z[:, 1, 1] - z[:, 0, 1] * z[:, 1, 0]
     bad = np.abs(det) < 1e-300
-    if np.any(bad):
-        raise SingularBranchError(
-            f"{name} has singular series impedance at f={f[np.argmax(bad)]} Hz")
+    f0 = omega0 / (2 * math.pi)
+    if np.any(bad) or model.r_ohm == 0 and f.min() <= f0 <= f.max():
+        at = f[np.argmax(bad)] if np.any(bad) else float(f"{f0:.12g}")  # not 59.99999999999999
+        raise SingularBranchError(f"{name} has singular series impedance at f={at} Hz")
     return np.linalg.inv(z)
 
 

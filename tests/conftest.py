@@ -26,6 +26,12 @@ def case_graph(tmp_path_factory) -> NetworkGraph:
     return load_network(path)
 
 
+def table_from_rows(rows) -> AdmittanceTable:
+    """A table from rows of (f_hz, dd, dq, qd, qq) complex entries."""
+    return AdmittanceTable([r[0] for r in rows],
+                           [[[r[1], r[2]], [r[3], r[4]]] for r in rows])
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240517)

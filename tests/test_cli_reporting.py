@@ -262,6 +262,24 @@ def test_lossless_grid_tie_is_a_named_error(fixture_path, tmp_path, capsys):
                                        "impedance at f=50.0 Hz\n")
 
 
+@pytest.mark.parametrize("grid", [["--fmin", "10.5"], ["--fmin", "12", "--df", "5"]],
+                         ids=["half-hz-offset", "5-hz-step"])
+def test_lossless_grid_tie_between_grid_points_is_a_named_error(fixture_path, tmp_path,
+                                                                capsys, grid):
+    """A grid that steps over the fundamental never lands on the
+    singularity; the run used to fail in the crossover refinement near
+    50 Hz with no element named."""
+    doc = json.loads(fixture_path.read_text())
+    doc["shunts"][0]["params"]["r_ohm"] = 0.0
+    path = tmp_path / "lossless_tie.json"
+    path.write_text(json.dumps(doc))
+    code = main(["criticals", "--network", str(path), "--fmax", "300", *grid,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: grid-cable has singular series "
+                                       "impedance at f=50.0 Hz\n")
+
+
 def test_pi_cable_without_r_and_l_is_a_load_error(fixture_path, tmp_path):
     doc = json.loads(fixture_path.read_text())
     doc["branches"][1].update(type="pi_cable", r_ohm=0.0, l_h=0.0, c_f=1e-6)
@@ -724,6 +742,29 @@ def test_one_baseline_analysis_per_command(fixture_path, tmp_path, monkeypatch,
                     df_hz=2.0, out_dir=str(tmp_path))
     run_command(cfg, command)
     assert len(calls) == sweeps
+
+
+def test_plan_and_verify_report_the_same_design(fixture_path, tmp_path):
+    # verify calibrates the damper that plan designs, at the top-ranked node
+    docs = {}
+    for command in ("plan", "verify"):
+        cfg = RunConfig(network=str(fixture_path), fmin_hz=150.0, fmax_hz=250.0,
+                        df_hz=2.0, out_dir=str(tmp_path / command))
+        run_command(cfg, command)
+        docs[command] = json.loads((tmp_path / command / f"report_{command}.json").read_text())
+    assert docs["plan"]["data"]["plan"]["entries"]
+    assert docs["plan"]["data"]["plan"] == docs["verify"]["data"]["plan"]
+
+
+def test_stable_verify_designs_and_installs_at_its_node(fixture_path, tmp_path):
+    # 150-170 Hz holds no critical crossing: with nothing to rank, the
+    # design node is --node, where the damper is installed
+    cfg = RunConfig(network=str(fixture_path), fmin_hz=150.0, fmax_hz=170.0,
+                    df_hz=2.0, node=2, out_dir=str(tmp_path))
+    doc, code = run_command(cfg, "verify")
+    assert (doc.data["before"]["verdict"], code) == ("stable", 0)
+    assert doc.data["design_node"] == doc.data["install_node"] == 2
+    assert doc.data["plan"]["node"] == 2
 
 
 @pytest.mark.parametrize("command", ["verify", "ad-curve"])

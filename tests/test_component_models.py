@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import table_from_rows
 from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS
 from damp_planner.component_models import (
     ADParams,
@@ -154,20 +155,20 @@ def test_inverter_rejects_frequencies_at_nyquist():
 
 def test_table_exact_at_tabulated_frequency():
     rows = [(100.0, 1 + 0j, 0j, 0j, 1 + 0j), (1000.0, 3 + 0j, 0j, 0j, 3 + 0j)]
-    t = AdmittanceTable.from_rows(rows)
+    t = table_from_rows(rows)
     assert t.query(100.0)[0, 0] == 1 + 0j
     assert t.query(1000.0)[0, 0] == 3 + 0j
 
 
 def test_table_log_midpoint():
     rows = [(100.0, 1 + 0j, 0j, 0j, 1 + 0j), (1000.0, 3 + 0j, 0j, 0j, 3 + 0j)]
-    t = AdmittanceTable.from_rows(rows)
+    t = table_from_rows(rows)
     mid = math.sqrt(100.0 * 1000.0)  # 316.23 Hz, halfway in log f
     assert t.query(mid)[0, 0] == pytest.approx(2 + 0j, rel=1e-9)
 
 
 def test_table_out_of_range():
-    t = AdmittanceTable.from_rows(
+    t = table_from_rows(
         [(100.0, 1 + 0j, 0j, 0j, 1 + 0j), (1000.0, 3 + 0j, 0j, 0j, 3 + 0j)])
     with pytest.raises(ValueError):
         t.query(99.0)
@@ -182,7 +183,7 @@ def test_table_out_of_range():
     (2e5, 2e5),
 ])
 def test_table_out_of_range_names_the_first_frequency(f_hz, first):
-    t = AdmittanceTable.from_rows(
+    t = table_from_rows(
         [(1.0, 1 + 0j, 0j, 0j, 1 + 0j), (1e5, 3 + 0j, 0j, 0j, 3 + 0j)])
     with pytest.raises(ValueError) as err:
         t.query(f_hz)
@@ -215,7 +216,7 @@ def test_table_csv_roundtrip(tmp_path):
 
 def test_table_rejects_single_row():
     with pytest.raises(ValueError):
-        AdmittanceTable.from_rows([(100.0, 1 + 0j, 0j, 0j, 1 + 0j)])
+        table_from_rows([(100.0, 1 + 0j, 0j, 0j, 1 + 0j)])
 
 
 @pytest.mark.parametrize("row, message", [
@@ -229,13 +230,13 @@ def test_table_rejects_a_non_finite_row_naming_it(row, message):
     # a NaN frequency would pass the ordering check, as NaN compares false
     rows = [(100.0, 1 + 0j, 0j, 0j, 1 + 0j), row, (1000.0, 3 + 0j, 0j, 0j, 3 + 0j)]
     with pytest.raises(ValueError) as err:
-        AdmittanceTable.from_rows(rows)
+        table_from_rows(rows)
     assert str(err.value) == message
 
 
 def test_table_csv_names_the_line_of_a_non_finite_value(tmp_path):
     path = tmp_path / "inv.csv"
-    AdmittanceTable.from_rows([(10.0, 1 + 0j, 0j, 0j, 1 + 0j),
+    table_from_rows([(10.0, 1 + 0j, 0j, 0j, 1 + 0j),
                                (1000.0, 1 + 0j, 0j, 0j, 1 + 0j)]).to_csv(path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join([*lines[:2], "152.75,nan,0,0,0,0,0,1,0", lines[2]]) + "\n")

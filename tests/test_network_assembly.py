@@ -220,6 +220,18 @@ def test_lossless_grid_tie_at_the_fundamental_raises():
         assemble_grid(g, [40.0, 50.0, 60.0])
 
 
+@pytest.mark.parametrize("f_hz", [[55.5, 64.5], np.arange(12.0, 300.0, 5.0)])
+def test_lossless_element_raises_over_a_grid_spanning_the_fundamental(f_hz):
+    # det Z vanishes only at the fundamental, between these samples; a
+    # 60 Hz fundamental computes as 59.99999999999999 Hz
+    g = NetworkGraph((1, 2), (Branch(1, 2, RlBranchParams(0.0, 1e-3), "choke"),),
+                     (Shunt(1, GridImpedanceParams(0.1, 3e-4), "tie"),), 2 * math.pi * 60.0)
+    with pytest.raises(SingularBranchError,
+                       match=r"^branch choke has singular series impedance at f=60.0 Hz$"):
+        assemble_grid(g, f_hz)
+    assert np.all(np.isfinite(assemble_grid(g, [10.0, 59.5])))
+
+
 # --- conductance shunt added by the planner ---
 
 def with_conductance(g, node_index, f, alpha):

@@ -43,7 +43,9 @@ def run_script(monkeypatch, script, *args):
 def test_case_study_runs_one_baseline_analysis(tmp_path, monkeypatch, capsys):
     """One analyze for the baseline, which the sweep, criticals, rank and
     plan writers share, and one per verification: 4, where writing the
-    pipeline out by hand next to four run_command calls made 8."""
+    pipeline out by hand next to four run_command calls made 8.  One plan,
+    the damper design that plan and the three verifications share, where
+    each of those writers planned on its own made 4."""
     calls = []
     real = stability_engine.analyze
 
@@ -53,8 +55,17 @@ def test_case_study_runs_one_baseline_analysis(tmp_path, monkeypatch, capsys):
 
     for mod in (damp_planner, stability_engine, cli_reporting, compensation_planner):
         monkeypatch.setattr(mod, "analyze", counted)
+    plans = []
+    real_plan = cli_reporting.plan
+
+    def counted_plan(g, node_id, *args, **kwargs):
+        plans.append(node_id)
+        return real_plan(g, node_id, *args, **kwargs)
+
+    monkeypatch.setattr(cli_reporting, "plan", counted_plan)
     run_script(monkeypatch, "run_case_study.py", "--fmax", "400", "--out", str(tmp_path))
     assert len(calls) == 4
+    assert plans == [4]
     stdout = capsys.readouterr().out
     for line in ["verify: proposed damper at node 4: stable",
                  "verify: proposed damper at node 3: unstable",
