@@ -516,13 +516,16 @@ def cmd_ad_curve(cfg: RunConfig, out: Path, omega0: float,
 
 def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, designed, base: ADParams):
     # the damper is designed, as proposed, at the design node; --node only
-    # moves where it is installed and --ad-mode which variant
+    # moves where it is installed and --ad-mode which variant.  A baseline
+    # with no critical crossing needs none: its plan is empty and k_v 0, so
+    # nothing is installed and "after" is the baseline
     design_node, cplan = designed
     calibrated = dataclasses.replace(calibrate_ad(cplan, base, omega0=g.omega0),
                                      mode=cfg.ad_mode)
     install_node = cfg.node if cfg.node is not None else design_node
+    installed = not report.stable
 
-    after = verify_with_ad(g, install_node, calibrated, cfg.grid())
+    after = verify_with_ad(g, install_node, calibrated, cfg.grid()) if installed else report
 
     rows = [["before", *row] for row in _crossover_rows(report.events)]
     rows += [["after", *row] for row in _crossover_rows(after.events)]
@@ -533,6 +536,7 @@ def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, designed, base: ADP
         "design_node": design_node,
         "ad_mode": cfg.ad_mode,
         "calibrated_k_v": calibrated.k_v,
+        "damper_installed": installed,
         "plan": _plan_data(design_node, cplan),
         "before": {"verdict": _verdict_str(report),
                    "crossovers": _events_data(report.events)},

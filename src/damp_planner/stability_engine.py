@@ -15,6 +15,8 @@ oracle for tests; it is not part of the shipped verdict.
 
 from __future__ import annotations
 
+import functools
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -30,6 +32,11 @@ DEFAULT_OVERLAP_THRESHOLD = 0.5
 _MAX_REFINE_STEPS = 60
 # distance from the origin below which a winding count is indeterminate
 _ORIGIN_TOL = 1e-9
+# a stack of at most this many matrices is decomposed on the calling thread
+_EIG_INLINE = 256
+# a longer one is split into this many chunks per pool thread, so that
+# the chunk results in flight stay near 1/8 of the stack on any CPU count
+_CHUNKS_PER_WORKER = 8
 
 
 class EigNonConvergenceError(RuntimeError):
@@ -76,12 +83,60 @@ class Spectrum:
         return EigenSample(float(self.f_hz[k]), self.lam[k], self.w[k], self.u[k])
 
 
-def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> Spectrum:
-    """eig_lr over a stack of matrices (len(f_hz), m, m), one decomposition
-    call for the whole stack, returned as one Spectrum.
+@functools.cache
+def _pool(pid: int):
+    """(executor, workers): one decomposition thread per CPU that process
+    pid may run on, created on the first long stack (a forked child makes
+    its own).  Imported here, so importing the package loads no
+    concurrent.futures."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    Raises ValueError or EigNonConvergenceError naming the first frequency
-    with a non-finite entry or whose iteration fails; warns
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="eig_lr"), workers
+
+
+def _stackwise(fn, a: np.ndarray, *shapes):
+    """fn(a) for fn np.linalg.eig or np.linalg.inv of a complex stack a,
+    whose complex results have the given shapes.  A stack of at most
+    _EIG_INLINE members is one call on the calling thread; a longer one is
+    one call per contiguous chunk, _CHUNKS_PER_WORKER chunks per pool
+    thread, each written into its rows of the results.  Both functions
+    decompose every member on its own, so chunks give the same bits as
+    one call.  Returns once every chunk has finished, and raises then the
+    error of the first failing chunk, in stack order."""
+    n = len(a)
+    if n <= _EIG_INLINE:
+        return fn(a)
+    pool, workers = _pool(os.getpid())
+    step = -(-n // (_CHUNKS_PER_WORKER * workers))
+    outs = [np.empty(shape, complex) for shape in shapes]
+
+    def fill(k):
+        res = fn(a[k:k + step])
+        for out, r in zip(outs, res if len(outs) > 1 else [res]):
+            out[k:k + step] = r
+
+    futures = [pool.submit(fill, k) for k in range(0, n, step)]
+    for err in [fut.exception() for fut in futures]:  # the list waits for every chunk
+        if err is not None:
+            raise err
+    return outs if len(outs) > 1 else outs[0]
+
+
+def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> Spectrum:
+    """eig_lr over a stack of matrices (len(f_hz), m, m), returned as one
+    Spectrum: np.linalg.eig, then, with the matrices let go, np.linalg.inv
+    of the right vectors, each through _stackwise, so a stack longer than
+    _EIG_INLINE runs in chunks on a thread per available CPU.  Every member
+    is decomposed on its own: the bits do not depend on the chunking or
+    the thread count.
+
+    The checks run on the calling thread.  Raises ValueError or
+    EigNonConvergenceError naming the first frequency with a non-finite
+    entry or whose iteration fails; warns
     DefectiveMatrixWarning, with the member's frequency, for every member
     whose Frobenius condition number cond_F(W) = ||W||_F ||U||_F =
     sqrt(m) ||U||_F (unit-norm eigenvector columns, U = inv(W)) exceeds
@@ -94,7 +149,7 @@ def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> Spectrum:
         k = np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))[0]
         raise ValueError(f"matrix at f={f_hz[k]} Hz has non-finite entries")
     try:
-        lam, w = np.linalg.eig(mats)
+        lam, w = _stackwise(np.linalg.eig, mats, mats.shape[:2], mats.shape)
     except np.linalg.LinAlgError:
         # the stacked call does not say which member failed
         for m, f in zip(mats, f_hz):
@@ -104,7 +159,7 @@ def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> Spectrum:
                 raise EigNonConvergenceError(f"eig failed at f={f} Hz: {e}") from e
         raise
     del mats  # not needed past eig: a sweep's assembled stack is freed before inv
-    u = np.linalg.inv(w)
+    u = _stackwise(np.linalg.inv, w, w.shape)
     # ||U||_F^2 from views of U's parts: no (nf, m, m) temporary
     sq = np.einsum("kij,kij->k", u.real, u.real) + np.einsum("kij,kij->k", u.imag, u.imag)
     cond = np.sqrt(w.shape[-1] * sq)
@@ -122,7 +177,8 @@ def eig_lr(m: np.ndarray, f_hz: float = float("nan")) -> EigenSample:
 
 def sweep(g: NetworkGraph, grid: FrequencyGrid) -> Spectrum:
     """The Spectrum of the grid, in grid order: the grid assembled in one
-    batch and decomposed by eig_lr_batch, with all its checks."""
+    batch on the calling thread and decomposed by eig_lr_batch, in chunks
+    on a thread per available CPU, with all its checks."""
     return eig_lr_batch(assemble_grid(g, grid.hz), grid.hz)
 
 

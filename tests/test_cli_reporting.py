@@ -767,6 +767,38 @@ def test_stable_verify_designs_and_installs_at_its_node(fixture_path, tmp_path):
     assert doc.data["plan"]["node"] == 2
 
 
+def test_stable_verify_installs_nothing_and_sweeps_once(fixture_path, tmp_path, monkeypatch):
+    # with no critical crossing the plan is empty and k_v is 0: the baseline
+    # is the verdict after, with no damper installed and no second sweep
+    real_sweep = stability_engine.sweep
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(stability_engine, "sweep", counted)
+    cfg = RunConfig(network=str(fixture_path), fmin_hz=150.0, fmax_hz=170.0,
+                    df_hz=2.0, node=2, out_dir=str(tmp_path))
+    doc, code = run_command(cfg, "verify")
+    assert len(calls) == 1
+    assert (doc.verdict, code) == ("stable", 0)
+    assert doc.data["after"] == doc.data["before"]
+    assert doc.data["calibrated_k_v"] == 0.0
+    assert doc.data["damper_installed"] is False
+    on_disk = json.loads((tmp_path / "report_verify.json").read_text())
+    assert on_disk["data"]["damper_installed"] is False
+
+
+def test_unstable_verify_reports_the_damper_installed(fixture_path, tmp_path):
+    cfg = RunConfig(network=str(fixture_path), fmin_hz=150.0, fmax_hz=250.0,
+                    df_hz=2.0, out_dir=str(tmp_path))
+    doc, _ = run_command(cfg, "verify")
+    assert doc.data["before"]["verdict"] == "unstable"
+    assert doc.data["damper_installed"] is True
+    assert doc.data["calibrated_k_v"] > 0.0
+
+
 @pytest.mark.parametrize("command", ["verify", "ad-curve"])
 def test_network_file_is_read_once_per_command(fixture_path, tmp_path, monkeypatch, command):
     real_read = cli_reporting._read_document

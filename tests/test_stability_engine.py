@@ -1,8 +1,14 @@
 import math
+import os
 import re
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +141,141 @@ def test_eig_batch_nonconvergence_names_the_failing_member(eig_failing_on_7):
         eig_lr_batch(mats, [10.0, 20.0])
     with pytest.raises(EigNonConvergenceError, match="f=5.0 Hz"):
         eig_lr(7.0 * np.eye(2), 5.0)
+
+
+# --- chunked decomposition of long stacks ---
+
+INLINE = stability_engine._EIG_INLINE
+
+
+def reference_eig_lr(mats):
+    """One unchunked stacked eig + inv, without the checks."""
+    lam, w = np.linalg.eig(mats)
+    return lam, w, np.linalg.inv(w)
+
+
+@pytest.mark.parametrize("n", [1, INLINE, INLINE + 1, 5 * INLINE + 3])
+def test_eig_batch_equals_one_stacked_call_bitwise(rng, n):
+    mats = rng.normal(size=(n, 8, 8)) + 1j * rng.normal(size=(n, 8, 8))
+    fs = [float(k + 1) for k in range(n)]
+    got = eig_lr_batch(mats, fs)
+    lam, w, u = reference_eig_lr(mats)
+    assert got.f_hz.tolist() == fs
+    assert np.array_equal(got.lam, lam)
+    assert np.array_equal(got.w, w)
+    assert np.array_equal(got.u, u)
+
+
+def test_chunked_nonconvergence_names_the_member_after_every_chunk(eig_failing_on_7,
+                                                                   monkeypatch):
+    # member 700 of 1000 fails in its chunk; the per-member search that
+    # names it starts only once every chunk has finished, the slowed ones
+    # after the failing chunk too
+    failing_eig = np.linalg.eig
+    log = []  # a chunk's length when it finishes, None when a member's search starts
+
+    def logged(a):
+        if np.ndim(a) == 2:
+            log.append(None)
+            return failing_eig(a)
+        try:
+            if not np.any(np.asarray(a)[:, 0, 0] == 7.0):
+                time.sleep(0.005)
+            return failing_eig(a)
+        finally:
+            log.append(len(a))
+
+    monkeypatch.setattr(np.linalg, "eig", logged)
+    mats = np.tile(np.eye(2, dtype=complex), (1000, 1, 1))
+    mats[700, 0, 0] = 7.0
+    fs = [10.0 + k for k in range(1000)]
+    with pytest.raises(EigNonConvergenceError, match=r"f=710\.0 Hz"):
+        eig_lr_batch(mats, fs)
+    first_single = log.index(None)
+    assert sum(log[:first_single]) == 1000  # every chunk finished before the search
+    assert log[first_single:] == [None] * 701  # which stops at member 700
+
+
+def test_chunked_defective_member_warns_once_on_the_calling_thread(monkeypatch):
+    real_warn = warnings.warn
+    threads = []
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real_warn(*args, **kwargs)
+
+    monkeypatch.setattr(warnings, "warn", recorded)
+    n = 4 * INLINE
+    mats = np.tile(np.diag([1.0, 2.0]).astype(complex), (n, 1, 1))
+    mats[3 * INLINE + 5] = [[1.0, 1.0], [0.0, 1.0]]
+    fs = [float(k + 1) for k in range(n)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eig_lr_batch(mats, fs)
+    defective = [w for w in caught if issubclass(w.category, DefectiveMatrixWarning)]
+    assert len(defective) == 1
+    assert f"f={fs[3 * INLINE + 5]} Hz" in str(defective[0].message)
+    assert threads == [threading.main_thread()]
+
+
+def test_sweep_on_one_worker_equals_the_default_sweep_bitwise(case_graph, monkeypatch):
+    grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
+    default = sweep(case_graph, grid)
+    real_eig, threads = np.linalg.eig, set()
+
+    def eig(a):
+        threads.add(threading.current_thread().name)
+        return real_eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="one") as one:
+        monkeypatch.setattr(stability_engine, "_pool", lambda pid: (one, 1))
+        single = sweep(case_graph, grid)
+    assert threads == {"one_0"}
+    for name in ("f_hz", "lam", "w", "u"):
+        assert np.array_equal(getattr(single, name), getattr(default, name))
+
+
+def test_chunked_decomposition_under_thread_stress(rng, monkeypatch):
+    # more workers than cores, a thread switch every microsecond and three
+    # callers sharing the pool: each gets the bits of one unchunked call
+    shapes = [(3 * INLINE + k, 6, 6) for k in range(3)]
+    stacks = [rng.normal(size=sh) + 1j * rng.normal(size=sh) for sh in shapes]
+    results = [None] * len(stacks)
+
+    def decompose(k):
+        results[k] = eig_lr_batch(stacks[k], [float(f + 1) for f in range(len(stacks[k]))])
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        monkeypatch.setattr(stability_engine, "_pool", lambda pid: (pool, 8))
+        callers = [threading.Thread(target=decompose, args=(k,)) for k in range(len(stacks))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for stack, got in zip(stacks, results):
+        lam, w, u = reference_eig_lr(stack)
+        assert np.array_equal(got.lam, lam)
+        assert np.array_equal(got.w, w)
+        assert np.array_equal(got.u, u)
+
+
+def test_import_loads_no_thread_pool():
+    # the pool is created on the first long stack, so importing the
+    # package loads no concurrent.futures
+    src = Path(stability_engine.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-c",
+                          "import sys; import damp_planner; "
+                          "print('concurrent.futures' in sys.modules)"],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout.strip()) == (0, "False")
 
 
 # --- sweep ---
