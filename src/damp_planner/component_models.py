@@ -3,10 +3,11 @@
 Covers series RL branches (lines, transformers), pi-section cables,
 grid-following inverters (analytic small-signal model or measured table),
 and the shunt active damper in its proposed (current-feedforward) and
-traditional variants.  All models are pure functions of (parameters,
-frequency array) returning (..., 2, 2) complex dq blocks -- the damper
-returns its scalar admittance Y, its block being diag(Y, Y) -- evaluated
-at s = j*2*pi*f in a global dq frame rotating at omega0.
+traditional variants.  The analytic models are pure functions of
+(parameters, complex s array in rad/s, on or off the imaginary axis)
+returning (..., 2, 2) complex dq blocks in a global dq frame rotating at
+omega0; the damper's returns its scalar admittance Y, its block being
+diag(Y, Y).  A measured table and ad_scalar take f in Hz (s = j*2*pi*f).
 """
 
 from __future__ import annotations
@@ -177,59 +178,56 @@ def current_feedforward(gain_s: float, omega_c: float, l_f: float) -> TransferEl
 # passive stamps
 # ---------------------------------------------------------------------------
 
-def rl_block(r: float, l: float, f_hz, omega0: float) -> np.ndarray:
-    """(..., 2, 2) series R-L impedance stamp at s = j*2*pi*f."""
-    w = 2.0 * np.pi * np.asarray(f_hz, dtype=float)
-    z = np.asarray(r + 1j * w * l)
+def rl_block(r: float, l: float, s, omega0: float) -> np.ndarray:
+    """(..., 2, 2) series R-L impedance stamp (R + sL) I + w0 L J."""
+    z = np.asarray(r + s * l)
     return z[..., None, None] * _I2 + (omega0 * l) * _J
 
 
-def cap_block(c: float, f_hz, omega0: float) -> np.ndarray:
-    """(..., 2, 2) shunt capacitor admittance stamp."""
-    w = 2.0 * np.pi * np.asarray(f_hz, dtype=float)
-    y = np.asarray(1j * w * c)
+def cap_block(c: float, s, omega0: float) -> np.ndarray:
+    """(..., 2, 2) shunt capacitor admittance stamp sC I + w0 C J."""
+    y = np.asarray(s * c)
     return y[..., None, None] * _I2 + (omega0 * c) * _J
 
 
-def _sampled_control(f_hz, f_s_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """(s, Gd) of a sampled control's model: s = j*2*pi*f and its
-    computation delay Gd = exp(-1.5 s / f_s).  Valid only for
-    0 < f < f_s/2, below the Nyquist band; raises ValueError otherwise."""
-    f = np.asarray(f_hz, dtype=float)
-    if np.any(f <= 0):
-        raise ValueError("f must be > 0")
-    if np.any(f >= f_s_hz / 2.0):
+def _sampled_control(s, f_s_hz: float) -> np.ndarray:
+    """Computation delay Gd = exp(-1.5 s / f_s) of a sampled control's
+    model; raises ValueError outside its range 0 < Im s < pi*f_s, below
+    the Nyquist band, naming Im s/2pi to 12 digits (not 5219.000000000001)."""
+    w = np.imag(s)
+    if np.any(w <= 0):
+        raise ValueError("Im s must be > 0")
+    if np.any(w >= math.pi * f_s_hz):
         raise ValueError(
-            f"f reaches {np.max(f)} Hz, not below the sampled control's "
-            f"f_s/2 = {f_s_hz / 2} Hz")
-    s = 1j * 2.0 * np.pi * f
-    return s, np.exp(-s * (1.5 / f_s_hz))
+            f"f reaches {float(f'{np.max(w) / (2 * math.pi):.12g}')} Hz, not below "
+            f"the sampled control's f_s/2 = {f_s_hz / 2} Hz")
+    return np.exp(-s * (1.5 / f_s_hz))
 
 
 # ---------------------------------------------------------------------------
 # grid-following inverter
 # ---------------------------------------------------------------------------
 
-def inverter_block(p: InverterParams, f_hz, omega0: float) -> np.ndarray:
-    """(..., 2, 2) inverter output admittance at s = j*2*pi*f.
+def inverter_block(p: InverterParams, s, omega0: float) -> np.ndarray:
+    """(..., 2, 2) inverter output admittance at complex s.
 
     Current balance in the system frame, with the control action rotated
     through the PLL's small-signal angle:
 
         A * dI = (I2 - [0 | b]) * dV,  Y = -dI/dV = A^-1 (I2 - [0 | b])
 
-    A       = s*L + Gd*Gci on the diagonal, w0*L*(1 - Gd) cross terms
+    A       = (s*L + Gd*Gci) I2 + w0*L*(1 - Gd) J, J = [[0, -1], [1, 0]]
               (the controller's w0*L decoupling cancels the plant's
-              rotation coupling up to the delay),
+              rotation coupling up to the delay Gd),
     b       = Gd * Tpll * [-Gci*i_q; Gci*i_d + v_d0]  (operating-point
               current and modulation voltage re-entering via the PLL
               frame rotation; the w0*L parts cancel exactly),
-    Tpll    = Gpll / (s + v_d0*Gpll), the closed PLL phase transfer.
+    Tpll    = Gpll / (s + v_d0*Gpll), the closed PLL phase transfer, with
+              the PI laws Gci = k_pi + k_ii/s, Gpll = k_p_pll + k_i_pll/s.
 
-    The shunt filter capacitor adds in parallel at the terminal.  Valid
-    only for 0 < f < f_s/2, below the Nyquist band of the sampled control.
-    """
-    s, gd = _sampled_control(f_hz, p.f_s_hz)
+    The shunt filter capacitor adds cap_block in parallel at the terminal.
+    Valid for 0 < Im s < pi*f_s, below the sampled control's Nyquist band."""
+    gd = _sampled_control(s, p.f_s_hz)
     gci = p.k_pi + p.k_ii / s
     gpll = p.k_p_pll + p.k_i_pll / s
     tpll = gpll / (s + p.v_d0 * gpll)
@@ -243,7 +241,7 @@ def inverter_block(p: InverterParams, f_hz, omega0: float) -> np.ndarray:
     rhs[..., 1, 1] -= b_q
 
     y = np.linalg.solve(a, rhs)
-    return y + cap_block(p.c_f, f_hz, omega0)
+    return y + cap_block(p.c_f, s, omega0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +336,18 @@ class AdmittanceTable:
 # ---------------------------------------------------------------------------
 
 def ad_scalar(p: ADParams, f_hz, omega0: float) -> np.ndarray:
-    """Scalar damper admittance Y; the dq block is diag(Y, Y), d and q
-    being decoupled and identical.
+    """Scalar damper admittance Y (block diag(Y, Y)) at s = j*2*pi*f."""
+    return _ad_admittance(p, 1j * 2.0 * np.pi * np.asarray(f_hz, dtype=float), omega0)
 
-    The damping loop acts on the non-fundamental voltage seen in the
-    stationary frame, so its notch * lag * low-pass chain is evaluated at
-    s + j*omega0.  Valid only for 0 < f < f_s/2, below the Nyquist band
-    of the sampled control.
-    """
-    s, gd = _sampled_control(f_hz, p.f_s_hz)
+
+def _ad_admittance(p: ADParams, s, omega0: float) -> np.ndarray:
+    """Y = (1 + k_v Gv Gd) / (s L_f + Gi Gd [+ H Glow Gd, proposed mode]) at
+    complex s: Gi = k_pi + k_ii/s, Gd the delay, Glow the damping-path
+    low-pass, H the current feedforward.  The damping loop acts on the
+    non-fundamental voltage in the stationary frame, so its chain Gv =
+    notch * lag * low-pass is taken at s + j*omega0.  Valid for
+    0 < Im s < pi*f_s, below the Nyquist band of the sampled control."""
+    gd = _sampled_control(s, p.f_s_hz)
     s_stat = s + 1j * omega0
     g_low = evaluate(lowpass(p.omega_low_rad_s), s)
     g_i = p.k_pi + p.k_ii / s

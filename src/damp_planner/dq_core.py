@@ -1,11 +1,11 @@
 """Frequency-response primitives for dq-frame network analysis.
 
 Transfer elements are rational functions of s (polynomial coefficients in
-descending powers), evaluated in the frequency domain only.  A frequency
-shift is an evaluation at s + j*omega0.  The 2x2 dq blocks themselves are
-plain (..., 2, 2) complex ndarrays built by the component models, which
-take the computation delay exp(-1.5 s/f_s), exactly, from one shared
-sampled-control guard.
+descending powers), evaluated at any complex s in rad/s, on or off the
+imaginary axis.  A frequency shift is an evaluation at s + j*omega0.  The
+2x2 dq blocks themselves are plain (..., 2, 2) complex ndarrays built by
+the component models, which take the computation delay exp(-1.5 s/f_s),
+exactly, from one shared sampled-control guard.
 """
 
 from __future__ import annotations

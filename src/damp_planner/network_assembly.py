@@ -4,11 +4,13 @@ A NetworkGraph holds nodes, series branches and shunt devices.
 assemble_grid() stamps them into the stacked 2n x 2n complex nodal
 admittance matrices over a frequency array, node i (position p,
 zero-based) occupying rows/columns 2p and 2p+1 as (d, q); assemble() is
-the single-frequency case.  Both return plain ndarrays.  Each distinct
-shunt device is evaluated once per call, however many nodes use it.
-Every series R-L element (a branch, a pi cable's series part, a grid tie)
-is inverted by one checked helper, which raises SingularBranchError
-naming the element and the frequency where its impedance is singular.
+the single-frequency case.  Both return plain ndarrays, and convert f to
+s = j*2*pi*f once for the s-domain models; tables and messages keep f.
+Each distinct shunt device is evaluated once per call, however many nodes
+use it.  Every series R-L element (a branch, a pi cable's series part, a
+grid tie) is inverted by one checked helper, which raises
+SingularBranchError naming the element and the frequency where its
+impedance is singular.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .component_models import (
     InverterParams,
     PiCableParams,
     RlBranchParams,
-    ad_scalar,
+    _ad_admittance,
     cap_block,
     inverter_block,
     rl_block,
@@ -149,14 +151,14 @@ def validate(g: NetworkGraph) -> list[str]:
     return out
 
 
-def _series_admittance(model: RlBranchParams, f: np.ndarray, omega0: float,
-                       name: str) -> np.ndarray:
+def _series_admittance(model: RlBranchParams, f: np.ndarray, s: np.ndarray,
+                       omega0: float, name: str) -> np.ndarray:
     """Inverse of the series R-L impedance of a branch, a pi cable's series
-    part or a grid tie, vectorized over f; raises SingularBranchError
-    naming the element and the first frequency where it is singular: the
-    fundamental for a lossless element whose f spans it, as det Z =
-    (R + jwL)^2 + (w0 L)^2 vanishes only there, and only for R = 0."""
-    z = rl_block(model.r_ohm, model.l_h, f, omega0)
+    part or a grid tie at s = j*2*pi*f, vectorized over f; raises
+    SingularBranchError naming the element and the first f where it is
+    singular: the fundamental for a lossless element whose f spans it, as
+    det Z = (R + sL)^2 + (w0 L)^2 vanishes there only, and only for R = 0."""
+    z = rl_block(model.r_ohm, model.l_h, s, omega0)
     det = z[:, 0, 0] * z[:, 1, 1] - z[:, 0, 1] * z[:, 1, 0]
     bad = np.abs(det) < 1e-300
     f0 = omega0 / (2 * math.pi)
@@ -166,22 +168,18 @@ def _series_admittance(model: RlBranchParams, f: np.ndarray, omega0: float,
     return np.linalg.inv(z)
 
 
-def _device_block(dev: ShuntDevice, f: np.ndarray, omega0: float,
+def _device_block(dev: ShuntDevice, f: np.ndarray, s: np.ndarray, omega0: float,
                   name: str) -> np.ndarray:
     if isinstance(dev, InverterParams):
-        return inverter_block(dev, f, omega0)
+        return inverter_block(dev, s, omega0)
     if isinstance(dev, AdmittanceTable):
         return dev.query(f)
     if isinstance(dev, ADParams):
-        y = ad_scalar(dev, f, omega0)
-        out = np.zeros(np.shape(y) + (2, 2), dtype=complex)
-        out[..., 0, 0] = y
-        out[..., 1, 1] = y
-        return out
+        return _ad_admittance(dev, s, omega0)[..., None, None] * np.eye(2)
     if isinstance(dev, GridImpedanceParams):
-        return _series_admittance(dev, f, omega0, name)
+        return _series_admittance(dev, f, s, omega0, name)
     if isinstance(dev, CapacitorParams):
-        return cap_block(dev.c_f, f, omega0)
+        return cap_block(dev.c_f, s, omega0)
     raise TypeError(f"unknown shunt device {type(dev).__name__}")
 
 
@@ -192,6 +190,7 @@ def assemble_grid(g: NetworkGraph, f_hz) -> np.ndarray:
         raise InvalidNetworkError("; ".join(g._diagnostics))
     if np.any(f <= 0):
         raise ValueError("all frequencies must be > 0")
+    s = 1j * 2.0 * np.pi * f
     nf = len(f)
     dim = 2 * g.n
     y = np.zeros((nf, dim, dim), dtype=complex)
@@ -199,26 +198,26 @@ def assemble_grid(g: NetworkGraph, f_hz) -> np.ndarray:
 
     for b in g.branches:
         name = f"branch {b.label or f'{b.from_node}-{b.to_node}'}"
-        yb = _series_admittance(b.model, f, g.omega0, name)
+        yb = _series_admittance(b.model, f, s, g.omega0, name)
         i, j = 2 * pos[b.from_node], 2 * pos[b.to_node]
         y[:, i:i + 2, i:i + 2] += yb
         y[:, j:j + 2, j:j + 2] += yb
         y[:, i:i + 2, j:j + 2] -= yb
         y[:, j:j + 2, i:i + 2] -= yb
         if isinstance(b.model, PiCableParams):
-            ysh = cap_block(b.model.c_f / 2.0, f, g.omega0)
+            ysh = cap_block(b.model.c_f / 2.0, s, g.omega0)
             y[:, i:i + 2, i:i + 2] += ysh
             y[:, j:j + 2, j:j + 2] += ysh
 
     # each distinct device is evaluated once and stamped at every node
     # using it: frozen parameter sets are keyed by value, tables by identity
     blocks: dict[ShuntDevice, np.ndarray] = {}
-    for k, s in enumerate(g.shunts):
-        if s.device not in blocks:
-            blocks[s.device] = _device_block(s.device, f, g.omega0,
-                                             s.label or f"shunt[{k}]")
-        i = 2 * pos[s.node]
-        y[:, i:i + 2, i:i + 2] += blocks[s.device]
+    for k, sh in enumerate(g.shunts):
+        if sh.device not in blocks:
+            blocks[sh.device] = _device_block(sh.device, f, s, g.omega0,
+                                              sh.label or f"shunt[{k}]")
+        i = 2 * pos[sh.node]
+        y[:, i:i + 2, i:i + 2] += blocks[sh.device]
     return y
 
 

@@ -37,6 +37,9 @@ _EIG_INLINE = 256
 # a longer one is split into this many chunks per pool thread, so that
 # the chunk results in flight stay near 1/8 of the stack on any CPU count
 _CHUNKS_PER_WORKER = 8
+# pool threads at most: more chunks in flight would outgrow the memory
+# bound of a sweep (2.5 stacks traced) through their per-chunk objects
+_MAX_WORKERS = 8
 
 
 class EigNonConvergenceError(RuntimeError):
@@ -86,15 +89,16 @@ class Spectrum:
 @functools.cache
 def _pool(pid: int):
     """(executor, workers): one decomposition thread per CPU that process
-    pid may run on, created on the first long stack (a forked child makes
-    its own).  Imported here, so importing the package loads no
-    concurrent.futures."""
+    pid may run on, at most _MAX_WORKERS, created on the first long stack
+    (a forked child makes its own).  Imported here, so importing the
+    package loads no concurrent.futures."""
     from concurrent.futures import ThreadPoolExecutor
 
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
     else:
         workers = os.cpu_count() or 1
+    workers = min(workers, _MAX_WORKERS)
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="eig_lr"), workers
 
 
@@ -130,9 +134,9 @@ def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> Spectrum:
     """eig_lr over a stack of matrices (len(f_hz), m, m), returned as one
     Spectrum: np.linalg.eig, then, with the matrices let go, np.linalg.inv
     of the right vectors, each through _stackwise, so a stack longer than
-    _EIG_INLINE runs in chunks on a thread per available CPU.  Every member
-    is decomposed on its own: the bits do not depend on the chunking or
-    the thread count.
+    _EIG_INLINE runs in chunks on a thread per available CPU, up to
+    _MAX_WORKERS.  Every member is decomposed on its own: the bits do not
+    depend on the chunking or the thread count.
 
     The checks run on the calling thread.  Raises ValueError or
     EigNonConvergenceError naming the first frequency with a non-finite

@@ -32,6 +32,11 @@ def table_from_rows(rows) -> AdmittanceTable:
                            [[[r[1], r[2]], [r[3], r[4]]] for r in rows])
 
 
+def jw(f_hz):
+    """s = j*2*pi*f for frequencies f in Hz, as assemble_grid converts them."""
+    return 1j * 2.0 * np.pi * np.asarray(f_hz, dtype=float)
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240517)

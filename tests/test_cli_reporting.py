@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import damp_planner
+from conftest import jw
 from damp_planner import cli_reporting, network_assembly, stability_engine
 from damp_planner.cli_reporting import (
     NetworkFileError,
@@ -689,7 +690,7 @@ def test_table_backed_inverter_matches_analytic(fixture_path, tmp_path):
     g = load_network(fixture_path)
     inv = next(s.device for s in g.shunts if isinstance(s.device, InverterParams))
     f_tab = np.logspace(1, math.log10(2600.0), 1500)
-    table = AdmittanceTable(f_tab, inverter_block(inv, f_tab, g.omega0))
+    table = AdmittanceTable(f_tab, inverter_block(inv, jw(f_tab), g.omega0))
     table.to_csv(tmp_path / "inv2.csv")
 
     doc = json.loads(fixture_path.read_text())
@@ -895,6 +896,18 @@ def test_ad_curve_beyond_the_damper_f_s_half_is_an_error(fixture_path, tmp_path,
     assert err.startswith("error: f reaches 29510.0 Hz, not below the sampled control's "
                           "f_s/2 = 20000.0 Hz")
     assert not (tmp_path / "ad_curve.csv").exists()
+
+
+def test_sweep_beyond_the_inverter_f_s_half_names_the_grid_frequency(fixture_path, tmp_path,
+                                                                    capsys):
+    # the fixture inverters sample at 10 kHz; the assembly hands them
+    # s = j*2*pi*f, and the guard names f as given, not Im s/2pi
+    # (5219.000000000001)
+    code = main(["criticals", "--network", str(fixture_path), "--fmax", "5219",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: f reaches 5219.0 Hz, not below the sampled "
+                                       "control's f_s/2 = 5000.0 Hz\n")
 
 
 def test_criticals_grid_stays_below_fmax(fixture_path, tmp_path):

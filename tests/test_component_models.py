@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import table_from_rows
+from conftest import jw, table_from_rows
+from damp_planner import component_models
 from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS
 from damp_planner.component_models import (
     ADParams,
@@ -74,7 +75,7 @@ def test_ad_mode_traditional_allowed():
 
 def test_rl_stamp_line1_at_203_hz():
     # hand evaluation: w*L = 2*pi*203*1.5e-3, w0*L = 2*pi*50*1.5e-3
-    b = rl_block(0.04, 1.5e-3, 203.0, W0)
+    b = rl_block(0.04, 1.5e-3, jw(203.0), W0)
     assert b[0, 0] == pytest.approx(0.04 + 1.9133j, abs=2e-4)
     assert b[1, 1] == b[0, 0]
     assert b[0, 1] == pytest.approx(-0.4712, abs=1e-4)
@@ -82,7 +83,7 @@ def test_rl_stamp_line1_at_203_hz():
 
 
 def test_rl_stamp_dc_limit_without_rotation():
-    b = rl_block(0.25, 3e-3, 1e-9, 0.0)
+    b = rl_block(0.25, 3e-3, jw(1e-9), 0.0)
     assert b[0, 0] == pytest.approx(0.25, abs=1e-9)
     assert b[0, 1] == 0 and b[1, 0] == 0
 
@@ -99,19 +100,19 @@ def test_pi_cable_series_matches_rl():
 def test_pi_cable_shunt_end_values():
     # each end carries half the cable capacitance
     cab = PiCableParams(0.2, 0.3e-3, 12e-6)
-    shunt = cap_block(cab.c_f / 2.0, 1000.0, W0)
+    shunt = cap_block(cab.c_f / 2.0, jw(1000.0), W0)
     assert shunt[0, 0] == pytest.approx(1j * 2 * math.pi * 1000.0 * 6e-6, rel=1e-12)
     assert shunt[0, 1] == pytest.approx(-W0 * 6e-6, rel=1e-12)
     # the same cross term at any frequency
-    shunt2 = cap_block(cab.c_f / 2.0, 123.0, W0)
+    shunt2 = cap_block(cab.c_f / 2.0, jw(123.0), W0)
     assert shunt2[0, 1] == shunt[0, 1]
 
 
 @given(st.floats(0.0, 10.0), st.floats(1e-6, 0.1), st.floats(1.0, 4000.0))
 def test_passive_stamps_are_dq_antisymmetric(r, l, f):
-    b = rl_block(r, l, f, W0)
+    b = rl_block(r, l, jw(f), W0)
     assert b[0, 1] == pytest.approx(-b[1, 0], rel=1e-15)
-    c = cap_block(4.7e-6, f, W0)
+    c = cap_block(4.7e-6, jw(f), W0)
     assert c[0, 1] == pytest.approx(-c[1, 0], rel=1e-15)
 
 
@@ -122,7 +123,7 @@ def test_inverter_passive_limit_is_parallel_lc():
     p = dataclasses.replace(INV, k_pi=0.0, k_ii=0.0, k_p_pll=0.0, k_i_pll=0.0)
     for f in (13.0, 230.0, 1700.0):
         w = 2 * math.pi * f
-        got = inverter_block(p, f, omega0=0.0)
+        got = inverter_block(p, jw(f), omega0=0.0)
         dd = 1j * w * p.c_f + 1.0 / (1j * w * p.l_h)
         assert got[0, 0] == pytest.approx(dd, rel=1e-10)
         assert got[1, 1] == pytest.approx(dd, rel=1e-10)
@@ -136,19 +137,19 @@ def test_inverter_high_frequency_filter_dominance():
     f = 2000.0
     w = 2 * math.pi * f
     passive = abs(1.0 / (1j * w * INV.l_h) + 1j * w * INV.c_f)
-    got = abs(inverter_block(INV, f, W0)[0, 0])
+    got = abs(inverter_block(INV, jw(f), W0)[0, 0])
     assert got == pytest.approx(passive, rel=0.25)
 
 
 def test_inverter_pll_negative_damping_at_10_hz():
-    assert inverter_block(INV, 10.0, W0)[1, 1].real < 0.0
+    assert inverter_block(INV, jw(10.0), W0)[1, 1].real < 0.0
 
 
 def test_inverter_rejects_frequencies_at_nyquist():
     with pytest.raises(ValueError, match="f_s/2"):
-        inverter_block(INV, INV.f_s_hz / 2.0, W0)
+        inverter_block(INV, jw(INV.f_s_hz / 2.0), W0)
     with pytest.raises(ValueError):
-        inverter_block(INV, np.array([0.0, 100.0]), W0)
+        inverter_block(INV, jw([0.0, 100.0]), W0)
 
 
 # --- tabulated admittance ---
@@ -195,9 +196,9 @@ def test_table_roundtrip_of_inverter_model(rng):
     # sample the model on a dense log grid, re-query off-grid: per-entry error
     # within 1% of the block scale
     grid = np.logspace(math.log10(10.0), math.log10(2500.0), 1200)
-    t = AdmittanceTable(grid, inverter_block(INV, grid, W0))
+    t = AdmittanceTable(grid, inverter_block(INV, jw(grid), W0))
     for f in rng.uniform(11.0, 2400.0, 40):
-        exact = inverter_block(INV, float(f), W0)
+        exact = inverter_block(INV, jw(float(f)), W0)
         got = t.query(float(f))
         scale = float(np.max(np.abs(exact)))
         assert np.max(np.abs(got - exact)) <= 0.01 * scale
@@ -205,7 +206,7 @@ def test_table_roundtrip_of_inverter_model(rng):
 
 def test_table_csv_roundtrip(tmp_path):
     grid = np.logspace(1, 3, 30)
-    t = AdmittanceTable(grid, inverter_block(INV, grid, W0))
+    t = AdmittanceTable(grid, inverter_block(INV, jw(grid), W0))
     path = tmp_path / "inv.csv"
     t.to_csv(path)
     t2 = AdmittanceTable.from_csv(path)
@@ -372,3 +373,65 @@ def test_ad_curve_smaller_gain_lowers_conductance():
     re = [float(ad_scalar(dataclasses.replace(AD, gain_s=v), grid.hz, W0)[0].real)
           for v in (0.03, 0.06)]
     assert re[0] < re[1]
+
+
+# --- off the imaginary axis ---
+
+S_OFF = 120.0 + 2j * math.pi * 500.0  # a growing 500 Hz oscillation
+
+
+def test_passive_stamps_off_the_axis():
+    # (R + sL) I + w0 L J and sC I + w0 C J
+    r, l, c = 0.04, 1.5e-3, 4.7e-6
+    rl = np.array([[r + S_OFF * l, -W0 * l], [W0 * l, r + S_OFF * l]])
+    assert np.allclose(rl_block(r, l, S_OFF, W0), rl, rtol=1e-14, atol=0)
+    cap = np.array([[S_OFF * c, -W0 * c], [W0 * c, S_OFF * c]])
+    assert np.allclose(cap_block(c, S_OFF, W0), cap, rtol=1e-14, atol=0)
+
+
+def test_inverter_block_off_the_axis():
+    # Y = A^-1 (I2 - [0 | b]) + sC I + w0 C J, as the docstring writes it
+    p, s = INV, S_OFF
+    gd = np.exp(-1.5 * s / p.f_s_hz)
+    gci = p.k_pi + p.k_ii / s
+    gpll = p.k_p_pll + p.k_i_pll / s
+    tpll = gpll / (s + p.v_d0 * gpll)
+    diag, cross = s * p.l_h + gd * gci, W0 * p.l_h * (1 - gd)
+    a = np.array([[diag, -cross], [cross, diag]])
+    b = gd * tpll * np.array([-gci * p.i_q, gci * p.i_d + p.v_d0])
+    rhs = np.array([[1.0, -b[0]], [0.0, 1.0 - b[1]]])
+    cap = np.array([[s * p.c_f, -W0 * p.c_f], [W0 * p.c_f, s * p.c_f]])
+    expected = np.linalg.inv(a) @ rhs + cap
+    got = inverter_block(p, s, W0)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("mode", ["proposed", "traditional"])
+def test_ad_admittance_off_the_axis(mode):
+    # Y = (1 + k_v Gv Gd) / (s L_f + Gi Gd [+ H Glow Gd]), Gv at s + j*w0
+    p, s = dataclasses.replace(AD, mode=mode), S_OFF
+    sh = s + 1j * W0
+    notch = (sh**2 + W0**2) / (sh**2 + 2 * p.xi * W0 * sh + W0**2)
+    lag = (p.tau_s * sh + 1) / (p.beta * p.tau_s * sh + 1)
+    g_v = notch * lag * p.omega_low_rad_s / (sh + p.omega_low_rad_s)
+    gd = np.exp(-1.5 * s / p.f_s_hz)
+    den = s * p.l_f_h + (p.k_pi + p.k_ii / s) * gd
+    if mode == "proposed":
+        h = (1 / (p.gain_s * p.omega_c_rad_s) - p.l_f_h) * s + 1 / p.gain_s
+        den += h * p.omega_low_rad_s / (s + p.omega_low_rad_s) * gd
+    expected = (1 + p.k_v * g_v * gd) / den
+    got = component_models._ad_admittance(p, np.array([s]), W0)[0]
+    assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("re_s", [-300.0, 0.0, 120.0])
+@pytest.mark.parametrize("im_frac", [-0.1, 0.0, 1.0, 1.2])
+def test_sampled_control_guard_rejects_im_s_outside_the_band(re_s, im_frac):
+    # valid for 0 < Im s < pi*f_s whatever Re s is; the fixture damper
+    # samples at 40 kHz, the inverter at 10 kHz
+    for model, f_s in ((lambda s: inverter_block(INV, s, W0), INV.f_s_hz),
+                       (lambda s: component_models._ad_admittance(AD, s, W0), AD.f_s_hz)):
+        s = np.array([re_s + 2j * math.pi * 100.0, complex(re_s, im_frac * math.pi * f_s)])
+        with pytest.raises(ValueError, match="f_s/2" if im_frac > 0 else "Im s must be > 0"):
+            model(s)
+        model(s[:1])  # the in-band point alone passes

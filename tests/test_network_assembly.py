@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import jw
 from damp_planner import network_assembly
 from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS
 from damp_planner.compensation_planner import _with_conductance
@@ -307,8 +308,8 @@ def per_shunt_reference(g, f):
     y = assemble_grid(NetworkGraph(g.nodes, g.branches, (), g.omega0), f)
     for s in g.shunts:
         i = 2 * g.node_index(s.node)
-        y[:, i:i + 2, i:i + 2] += network_assembly._device_block(s.device, f, g.omega0,
-                                                                 s.label)
+        y[:, i:i + 2, i:i + 2] += network_assembly._device_block(s.device, f, jw(f),
+                                                                 g.omega0, s.label)
     return y
 
 

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -363,6 +364,48 @@ def test_sweep_frees_the_assembled_stack_before_inv(case_graph):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 2.5 * nf * m * m * 16
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps call arguments on the caller's stack until "
+                           "the call returns, so the assembled stack outlives eig there")
+def test_sweep_on_64_cpus_caps_the_pool(case_graph, monkeypatch):
+    """On a machine with 64 CPUs the pool has 8 threads, so each phase of
+    the fixture sweep is at most 64 chunks (499 of 5 members uncapped),
+    with the bits of the default sweep and a traced peak below the 2.5
+    stacks of test_sweep_frees_the_assembled_stack_before_inv."""
+    grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
+    nf, m = len(grid), 2 * case_graph.n
+    default = sweep(case_graph, grid)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    stability_engine._pool.cache_clear()
+    pool, workers = stability_engine._pool(os.getpid())
+    try:
+        submitted, real_submit = [], pool.submit
+
+        def submit(fn, *args):
+            submitted.append(fn)
+            return real_submit(fn, *args)
+
+        pool.submit = submit
+        many = sweep(case_graph, grid)
+        del pool.submit  # the chunk functions hold the stacks: trace without them
+        phases = Counter(map(id, submitted))  # one chunk function per eig or inv phase
+        submitted.clear()
+        tracemalloc.start()
+        try:
+            sweep(case_graph, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        stability_engine._pool.cache_clear()
+        pool.shutdown()
+    assert workers == 8
+    assert len(phases) == 2 and max(phases.values()) <= 64
+    for name in ("f_hz", "lam", "w", "u"):
+        assert np.array_equal(getattr(many, name), getattr(default, name))
     assert peak < 2.5 * nf * m * m * 16
 
 
