@@ -22,6 +22,7 @@ from damp_planner.cli_reporting import (
     cmd_rank,
     cmd_sweep,
     cmd_verify,
+    check_run,
     damper_defaults_from_file,
     design,
 )
@@ -49,16 +50,16 @@ def main() -> int:
     cfg = RunConfig(network=str(net), fmax_hz=args.fmax, epsilon_s=args.epsilon,
                     out_dir=str(out))
     g = load_network(net)
+    grid = check_run(cfg, g)
 
     t0 = time.perf_counter()
-    baseline = (g, *analyze(g, cfg.grid())[1:])
-    print(f"sweep: {len(cfg.grid())} frequencies, {len(baseline[1])} traces "
+    baseline = (g, *analyze(g, grid)[1:])
+    print(f"sweep: {len(grid)} frequencies, {len(baseline[1])} traces "
           f"({time.perf_counter() - t0:.2f} s)")
 
     def write(command, cfg, *extra):
         """command's report on the baseline; its files go into cfg.out_dir."""
         out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         doc = command(cfg, out_dir, *baseline, *extra)[0]
         doc.write(out_dir)
         return doc
@@ -72,18 +73,19 @@ def main() -> int:
         print("nothing to compensate; stopping after the sweep")
         return 0
 
-    designed = design(cfg, *baseline)
-    cplan = write(cmd_plan, cfg, designed).data["plan"]
-    print(f"plan at node {cplan['node']}: required Re[Y] >= {cplan['required_re_yad_s']:.4f} S "
-          f"over [{cplan['band_lo_hz']:.0f}, {cplan['band_hi_hz']:.0f}] Hz")
-    for e in cplan["entries"]:
+    cplan = design(cfg, *baseline)
+    planned = write(cmd_plan, cfg, cplan).data["plan"]
+    print(f"plan at node {planned['node']}: required Re[Y] >= "
+          f"{planned['required_re_yad_s']:.4f} S "
+          f"over [{planned['band_lo_hz']:.0f}, {planned['band_hi_hz']:.0f}] Hz")
+    for e in planned["entries"]:
         print(f"  trace {e['trace_id']}: alpha = {e['alpha_s']:.4f} S in {e['iterations']} "
               f"steps (crossover {e['f_cr_start_hz']:.1f} -> {e['f_cr_final_hz']:.1f} Hz)")
 
     # each calibrates that one design; node and ad_mode pick where and which variant
     base = damper_defaults_from_file(net)
     verifications = [write(cmd_verify, replace(cfg, out_dir=str(out / sub), **change),
-                           designed, base)
+                           cplan, base)
                      for sub, change in [("verify_top", {}),
                                          ("verify_runner_up", {"node": ranking[1]}),
                                          ("verify_traditional", {"ad_mode": "traditional"})]]

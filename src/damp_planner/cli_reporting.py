@@ -133,9 +133,11 @@ class ReportDocument:
             self.created_utc = datetime.now(timezone.utc).isoformat()
 
     def write(self, out_dir: Path) -> None:
-        """Write the report into out_dir as report_<command>.json, with a
-        dash in the command written as an underscore."""
+        """Write the report into out_dir, made if missing, as
+        report_<command>.json, with a dash in the command written as an
+        underscore."""
         path = Path(out_dir) / f"report_{self.command.replace('-', '_')}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as fh:
             json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -378,6 +380,7 @@ def emit_fixture(path) -> Path:
 def _write_csv(cfg: "RunConfig", path: Path, header: list[str], rows) -> None:
     if "csv" not in cfg.formats:
         return
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -452,9 +455,9 @@ def cmd_rank(cfg: RunConfig, out: Path, g, traces, report):
     return doc, EXIT_STABLE
 
 
-def _plan_data(node_id, cplan) -> dict:
+def _plan_data(g, cplan) -> dict:
     return {
-        "node": node_id,
+        "node": g.nodes[cplan.node_index],
         "epsilon_s": cplan.epsilon_s,
         "dalpha_s": cplan.dalpha_s,
         "band_lo_hz": cplan.band_lo_hz,
@@ -471,17 +474,16 @@ def _plan_data(node_id, cplan) -> dict:
 
 
 def design(cfg: RunConfig, g, traces, report, node: int | None = None):
-    """The run's one damper design, (node id, plan), at node, else at the top
-    K_C node, else (nothing critical) at cfg.node or the network's first node."""
+    """The run's one damper design: the plan at node, else at the top K_C
+    node, else (nothing critical) at cfg.node or the network's first node."""
     if node is None:
         ranks = rank_locations(compensation_table(g, report.critical_events), cfg.epsilon_s)
         node = (g.nodes[ranks[0].node_index] if ranks
                 else cfg.node if cfg.node is not None else g.nodes[0])
-    return node, plan(g, node, traces, report, cfg.epsilon_s, cfg.dalpha_s)
+    return plan(g, node, traces, report, cfg.epsilon_s, cfg.dalpha_s)
 
 
-def cmd_plan(cfg: RunConfig, out: Path, g, traces, report, designed):
-    node_id, cplan = designed
+def cmd_plan(cfg: RunConfig, out: Path, g, traces, report, cplan):
     rows = [[e.trace_id, _fmt(e.f_cr_start_hz), _fmt(e.f_cr_final_hz),
              _fmt(e.alpha_s), e.iterations, _fmt(e.predicted_re)]
             for e in cplan.entries]
@@ -489,7 +491,7 @@ def cmd_plan(cfg: RunConfig, out: Path, g, traces, report, designed):
                ["trace_id", "f_cr_start_hz", "f_cr_final_hz", "alpha_s",
                 "iterations", "predicted_re"], rows)
     doc = ReportDocument("plan", cfg.hash(), _verdict_str(report),
-                         {"plan": _plan_data(node_id, cplan)})
+                         {"plan": _plan_data(g, cplan)})
     return doc, EXIT_STABLE
 
 
@@ -514,14 +516,14 @@ def cmd_ad_curve(cfg: RunConfig, out: Path, omega0: float,
     return ReportDocument("ad-curve", cfg.hash(), None, data), EXIT_STABLE
 
 
-def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, designed, base: ADParams):
-    # the damper is designed, as proposed, at the design node; --node only
-    # moves where it is installed and --ad-mode which variant.  A baseline
-    # with no critical crossing needs none: its plan is empty and k_v 0, so
-    # nothing is installed and "after" is the baseline
-    design_node, cplan = designed
-    calibrated = dataclasses.replace(calibrate_ad(cplan, base, omega0=g.omega0),
-                                     mode=cfg.ad_mode)
+def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, cplan, base: ADParams):
+    """Calibrate the damper of the design cplan at its fundamental (g's),
+    install it (at the plan's node, or --node, as the --ad-mode variant)
+    and re-analyse.  A baseline with no critical crossing needs none: its
+    plan is empty and k_v 0, so nothing is installed and "after" is the
+    baseline."""
+    design_node = g.nodes[cplan.node_index]
+    calibrated = dataclasses.replace(calibrate_ad(cplan, base), mode=cfg.ad_mode)
     install_node = cfg.node if cfg.node is not None else design_node
     installed = not report.stable
 
@@ -537,7 +539,7 @@ def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, designed, base: ADP
         "ad_mode": cfg.ad_mode,
         "calibrated_k_v": calibrated.k_v,
         "damper_installed": installed,
-        "plan": _plan_data(design_node, cplan),
+        "plan": _plan_data(g, cplan),
         "before": {"verdict": _verdict_str(report),
                    "crossovers": _events_data(report.events)},
         "after": {"verdict": _verdict_str(after),
@@ -556,23 +558,37 @@ _ANALYSIS_COMMANDS = {
 }
 
 
+def check_run(cfg: RunConfig, g) -> FrequencyGrid:
+    """cfg's sweep grid, once cfg is checked against the network g: a
+    cfg.node g does not have and a grid of fewer than 2 points (too few
+    to track) are errors, raised before any sweep."""
+    if cfg.node is not None and cfg.node not in g.nodes:
+        raise ValueError(f"node {cfg.node} is not in the network {Path(cfg.network)} "
+                         f"(nodes {', '.join(map(str, g.nodes))})")
+    grid = cfg.grid()
+    if len(grid) < 2:
+        raise ValueError(f"--fmin {cfg.fmin_hz} --fmax {cfg.fmax_hz} --df {cfg.df_hz} "
+                         f"give {len(grid)} sweep point; tracking needs at least 2")
+    return grid
+
+
 def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
     """Run one workflow command; writes its data files and report JSON
     into cfg.out_dir and returns (report, exit code).
 
-    The network file is read and parsed once.  The analysis commands load
-    the network, reject a cfg.node it does not have and a grid of fewer
-    than 2 points, and run the baseline analyze once, here, keeping its
-    traces and report only; plan and verify make their one design here.
-    Each writer in _ANALYSIS_COMMANDS then writes from (cfg, out, g,
-    traces, report), plan and verify with the design, and verify with the
-    file's damper defaults too.  ad-curve takes the damper defaults and
-    the fundamental from the file and analyses no network.
+    The network file is read and parsed once, and cfg.out_dir is made only
+    when a file is written into it.  The analysis commands load the
+    network, check cfg against it (check_run) and run the baseline analyze
+    once, here, keeping its traces and report only; plan and verify make
+    their one design here.  Each writer in _ANALYSIS_COMMANDS then writes
+    from (cfg, out, g, traces, report), plan and verify with the design,
+    and verify with the file's damper defaults too.  ad-curve takes the
+    damper defaults and the fundamental from the file and analyses no
+    network.
     """
     if command != "ad-curve" and command not in _ANALYSIS_COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = Path(cfg.network)
     network_doc = _read_document(path)
     if command == "ad-curve":
@@ -580,13 +596,7 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
         doc, code = cmd_ad_curve(cfg, out, omega0, _damper_defaults(path, network_doc))
     else:
         g = load_network(path, network_doc)
-        if cfg.node is not None and cfg.node not in g.nodes:
-            raise ValueError(f"node {cfg.node} is not in the network {path} "
-                             f"(nodes {', '.join(map(str, g.nodes))})")
-        grid = cfg.grid()
-        if len(grid) < 2:
-            raise ValueError(f"--fmin {cfg.fmin_hz} --fmax {cfg.fmax_hz} --df {cfg.df_hz} "
-                             f"give {len(grid)} sweep point; tracking needs at least 2")
+        grid = check_run(cfg, g)
         extra = (_damper_defaults(path, network_doc),) if command == "verify" else ()
         # the traces index the spectrum; it is not kept past the analysis
         traces, report = analyze(g, grid)[1:]

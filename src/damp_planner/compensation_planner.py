@@ -161,7 +161,8 @@ class PlanEntry:
 
 @dataclass(frozen=True)
 class CompensationPlan:
-    """Per-eigenvalue conductance requirements and the band-level target."""
+    """Per-eigenvalue conductance requirements, the band-level target, and
+    omega0 [rad/s], the planned network's fundamental the damper is sized at."""
 
     epsilon_s: float
     dalpha_s: float
@@ -170,6 +171,7 @@ class CompensationPlan:
     band_lo_hz: float
     band_hi_hz: float
     required_re_yad_s: float
+    omega0: float = 2 * math.pi * 50.0  # plan sets g.omega0; 50 Hz is for hand-built plans
 
 
 # lockstep steps after which a crossover still short of epsilon is infeasible
@@ -368,7 +370,7 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
         band_lo = band_hi = required = 0.0
 
     return CompensationPlan(epsilon, dalpha, node_index, entries,
-                            band_lo, band_hi, required)
+                            band_lo, band_hi, required, g.omega0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +392,9 @@ def _gain_interval(c: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     return (lo, hi) if np.all(d[c == 0] >= 0) else (lo, -np.inf)
 
 
-def calibrate_ad(cplan: CompensationPlan, base: ADParams,
-                 omega0: float = 2 * math.pi * 50.0) -> ADParams:
+def calibrate_ad(cplan: CompensationPlan, base: ADParams) -> ADParams:
     """Smallest damper gain k_v on a _K_V_RESOLUTION (1e-3) grid whose
-    admittance meets the plan.
+    admittance, at the plan's fundamental cplan.omega0, meets the plan.
 
     Feasible means: over the plan band at 1 Hz spacing, Re[Y] >= the
     band requirement and |Im/Re| <= 0.1 (quasi-resistive).  k_v enters
@@ -411,8 +412,8 @@ def calibrate_ad(cplan: CompensationPlan, base: ADParams,
     f = FrequencyGrid.regular(cplan.band_lo_hz, cplan.band_hi_hz, _BAND_DF_HZ).hz
     req = cplan.required_re_yad_s
     band = f"[{cplan.band_lo_hz}, {cplan.band_hi_hz}] Hz"
-    a = ad_scalar(replace(base, k_v=0.0), f, omega0)
-    b = ad_scalar(replace(base, k_v=1.0), f, omega0) - a
+    a = ad_scalar(replace(base, k_v=0.0), f, cplan.omega0)
+    b = ad_scalar(replace(base, k_v=1.0), f, cplan.omega0) - a
     # the bounds as rows c k <= d: Re[Y] >= req, Im[Y] <= r Re[Y], -Im[Y] <= r Re[Y]
     r = MAX_IM_RE_RATIO
     c = np.concatenate([-b.real, b.imag - r * b.real, -b.imag - r * b.real])
@@ -424,7 +425,7 @@ def calibrate_ad(cplan: CompensationPlan, base: ADParams,
             f"no gain k_v >= 0 gives Re[Y] >= {req:.4g} S at every frequency")
     lo, hi = _gain_interval(c, d)
     k_v = math.ceil(lo / _K_V_RESOLUTION) * _K_V_RESOLUTION
-    y = ad_scalar(replace(base, k_v=k_v), f, omega0)
+    y = ad_scalar(replace(base, k_v=k_v), f, cplan.omega0)
     if not (k_v <= hi and np.min(y.real) >= req
             and np.max(np.abs(y.imag / y.real)) <= MAX_IM_RE_RATIO):
         raise CalibrationInfeasibleError(

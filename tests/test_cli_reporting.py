@@ -664,6 +664,41 @@ def test_one_point_grid_names_its_flags(fixture_path, tmp_path, capsys, monkeypa
                                        "sweep point; tracking needs at least 2\n")
 
 
+def _at_60_hz(fixture_path, tmp_path) -> Path:
+    """The fixture re-declared at a 60 Hz fundamental."""
+    doc = json.loads(fixture_path.read_text())
+    doc["fundamental_hz"] = 60.0
+    path = tmp_path / "fx60.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_verify_calibrates_at_the_file_fundamental(fixture_path, tmp_path, capsys):
+    """At 60 Hz no gain keeps the damper planned at node 4 both conductive
+    enough and quasi-resistive over the band: verify stops there."""
+    code = main(["verify", "--network", str(_at_60_hz(fixture_path, tmp_path)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: conductance requirement 0.044 S and quasi-resistive bound |Im/Re| <= 0.1 "
+        "conflict over [100.0, 2000.0] Hz\n")
+
+
+@pytest.mark.parametrize("network, args", [
+    ("missing", ["criticals"]),
+    ("fixture", ["plan", "--node", "99"]),
+    ("60 Hz", ["verify"]),
+])
+def test_a_run_that_fails_before_writing_leaves_no_output_directory(
+        fixture_path, tmp_path, capsys, network, args):
+    path = {"missing": tmp_path / "missing.json", "fixture": fixture_path,
+            "60 Hz": _at_60_hz(fixture_path, tmp_path)}[network]
+    code = main([args[0], "--network", str(path), "--out", str(tmp_path / "new"), *args[1:]])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "new").exists()
+
+
 def test_ad_curve_accepts_a_one_point_grid(fixture_path, tmp_path):
     cfg = RunConfig(network=str(fixture_path), fmin_hz=10.0, fmax_hz=10.5, df_hz=1.0,
                     out_dir=str(tmp_path))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import make_random_small_system
 from damp_planner import compensation_planner
-from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS
+from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS, emit_fixture, load_network
 from damp_planner.compensation_planner import (
     CalibrationInfeasibleError,
     CompensationCoefficient,
@@ -436,6 +437,24 @@ def test_verify_with_ad_stabilizes_fixture_at_top_node(case_graph):
     calibrated = calibrate_ad(cplan, AD_BASE)
     report = verify_with_ad(case_graph, 4, calibrated, grid)
     assert report.stable
+
+
+def test_calibration_takes_the_planned_network_fundamental(tmp_path):
+    """The fixture re-declared at 60 Hz and planned at node 4: the plan
+    carries the 60 Hz fundamental, at which no damper gain meets both
+    bounds over the band; the same plan at 50 Hz calibrates."""
+    doc = json.loads(emit_fixture(tmp_path / "fx.json").read_text())
+    doc["fundamental_hz"] = 60.0
+    (tmp_path / "fx60.json").write_text(json.dumps(doc))
+    g = load_network(tmp_path / "fx60.json")
+    _, traces, report = analyze(g, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    cplan = plan(g, 4, traces, report, epsilon=0.005)
+    assert cplan.omega0 == g.omega0 == 2 * math.pi * 60.0
+    with pytest.raises(CalibrationInfeasibleError,
+                       match=r"^conductance requirement 0\.044 S and quasi-resistive bound "
+                             r"\|Im/Re\| <= 0\.1 conflict over \[100\.0, 2000\.0\] Hz$"):
+        calibrate_ad(cplan, AD_BASE)
+    assert calibrate_ad(dataclasses.replace(cplan, omega0=W0), AD_BASE).k_v == 1.407
 
 
 # --- lockstep planning against the per-trace loop ---

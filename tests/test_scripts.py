@@ -80,6 +80,21 @@ def test_case_study_runs_one_baseline_analysis(tmp_path, monkeypatch, capsys):
             "report_verify.json", "verify_crossovers.csv"}
 
 
+def test_case_study_checks_its_grid_before_the_sweep(tmp_path, monkeypatch):
+    """A one-point grid stops the script before any analysis, with the
+    CLI's message, not in the tracker."""
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("the baseline analysis ran")
+
+    monkeypatch.setattr(damp_planner, "analyze", no_analysis)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / "run_case_study.py"), "--fmax", "10",
+                                      "--out", str(tmp_path)])
+    with pytest.raises(ValueError) as err:
+        runpy.run_path(str(SCRIPTS / "run_case_study.py"), run_name="__main__")
+    assert str(err.value) == ("--fmin 10.0 --fmax 10.0 --df 1.0 give 1 sweep point; "
+                              "tracking needs at least 2")
+
+
 def test_case_study_has_no_workflow_of_its_own():
     """The plan, calibration, ranking and verification belong to the CLI's
     command writers; the script names none of the library functions
