@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from damp_planner import RunConfig, emit_fixture, run_command
+from damp_planner.cli_reporting import OPERATIONAL_ERRORS
 
 CLUSTERS = {
     "l_f_h": (0.4e-3, 0.8e-3, 1.6e-3),
@@ -39,4 +40,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except OPERATIONAL_ERRORS as e:
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(1)

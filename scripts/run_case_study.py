@@ -17,13 +17,13 @@ from pathlib import Path
 
 from damp_planner import RunConfig, analyze, emit_fixture, load_network
 from damp_planner.cli_reporting import (
+    OPERATIONAL_ERRORS,
     cmd_criticals,
     cmd_plan,
     cmd_rank,
     cmd_sweep,
     cmd_verify,
     check_run,
-    damper_defaults_from_file,
     design,
 )
 
@@ -69,7 +69,7 @@ def main() -> int:
     print_criticals(criticals.data["crossovers"], "  critical:")
     ranking = [r["node"] for r in rank.data["ranking"]]
     print("placement ranking (best first):", ", ".join(f"node {n}" for n in ranking))
-    if len(ranking) < 2 or sweep.verdict == "stable":
+    if sweep.verdict == "stable":
         print("nothing to compensate; stopping after the sweep")
         return 0
 
@@ -83,12 +83,13 @@ def main() -> int:
               f"steps (crossover {e['f_cr_start_hz']:.1f} -> {e['f_cr_final_hz']:.1f} Hz)")
 
     # each calibrates that one design; node and ad_mode pick where and which variant
-    base = damper_defaults_from_file(net)
-    verifications = [write(cmd_verify, replace(cfg, out_dir=str(out / sub), **change),
-                           cplan, base)
-                     for sub, change in [("verify_top", {}),
-                                         ("verify_runner_up", {"node": ranking[1]}),
-                                         ("verify_traditional", {"ad_mode": "traditional"})]]
+    checks = [("verify_top", {}), ("verify_traditional", {"ad_mode": "traditional"})]
+    if len(ranking) > 1:
+        checks.insert(1, ("verify_runner_up", {"node": ranking[1]}))
+    else:
+        print("one ranked node: no runner-up to verify")
+    verifications = [write(cmd_verify, replace(cfg, out_dir=str(out / sub), **change), cplan)
+                     for sub, change in checks]
     print(f"calibrated damper gain k_v = {verifications[0].data['calibrated_k_v']:.4f}")
     for doc in verifications:
         print(f"verify: {doc.data['ad_mode']} damper at node {doc.data['install_node']}: "
@@ -99,4 +100,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except OPERATIONAL_ERRORS as e:
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(1)

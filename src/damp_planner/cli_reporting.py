@@ -2,12 +2,12 @@
 CSV/JSON report emission.
 
 Network files are JSON documents with top-level keys `nodes`, `branches`,
-`shunts`, `fundamental_hz`.  Branches: {type: rl|pi_cable|transformer,
-from, to, r_ohm, l_h, c_f?}.  Shunts: {type: inverter|ad|grid|capacitor,
-node, params|table_path}.  Every number in a file, node ids included, is a
-finite JSON number, not a boolean or a string.  All emitted CSV data uses
-9-significant-digit fixed formatting so identical inputs produce
-byte-identical outputs.
+`shunts`, `fundamental_hz`, `damper_defaults`.  Branches: {type:
+rl|pi_cable|transformer, from, to, r_ohm, l_h, c_f?}.  Shunts: {type:
+inverter|ad|grid|capacitor, node, params|table_path}.  Every number in a
+file, node ids included, is a finite JSON number, not a boolean or a
+string.  All emitted CSV data uses 9-significant-digit fixed formatting
+so identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -42,17 +42,17 @@ from .compensation_planner import (
     verify_with_ad,
 )
 from .dq_core import FrequencyGrid
-from .network_assembly import (
-    Branch,
-    InvalidNetworkError,
-    NetworkGraph,
-    Shunt,
-)
+from .network_assembly import Branch, NetworkGraph, Shunt
 from .stability_engine import analyze
 
 EXIT_STABLE = 0
 EXIT_ERROR = 1
 EXIT_UNSTABLE = 2
+
+# what every entry point reports as one "error: " line and exit 1: bad
+# input (network files, options), engine errors (plan or calibration
+# infeasibility, refinement failures) and IO problems
+OPERATIONAL_ERRORS = (ValueError, RuntimeError, OSError)
 
 
 # the damper parameters an ad-curve cluster (--cluster) can sweep
@@ -236,59 +236,40 @@ def _read_document(path: Path) -> dict:
     return _at(f"{path}: top level", _expect, dict, doc)
 
 
-def _fundamental(path: Path, doc: dict) -> float:
-    """The network's fundamental angular frequency [rad/s], from the
-    document's fundamental_hz (50 Hz when absent), which must be > 0."""
+def load_network(path) -> NetworkGraph:
+    """Parse and validate the whole network file, whatever the command
+    that reads it: nodes, branches, shunts, fundamental_hz (50 Hz when
+    absent; > 0) and damper_defaults, the AD base parameters, which the
+    graph carries.  That block falls back to the built-in case-study set
+    when absent; every value is a finite number, k_v is 0 (uncalibrated)
+    unless it sets it, and it takes no mode, as a run's ad_mode picks the
+    variant.  Raises NetworkFileError naming the file and the parse
+    position, the malformed element or all validation diagnostics."""
+    path = Path(path)
+    doc = _read_document(path)
+    nodes, branches, shunts = (_at(f"{path}: {key}", _expect, list, doc.get(key, []))
+                               for key in ("nodes", "branches", "shunts"))
     hz = _at(f"{path}: fundamental_hz", _number, doc.get("fundamental_hz", 50.0))
     if hz <= 0:
         raise NetworkFileError(f"{path}: fundamental_hz: {hz!r} is not > 0")
-    return 2 * math.pi * hz
-
-
-def load_network(path, doc: dict | None = None) -> NetworkGraph:
-    """Parse and validate a network file; raises NetworkFileError naming
-    the file and the parse position, the malformed element or all
-    validation diagnostics.  doc is the file's document when the caller
-    has already read it with _read_document."""
-    path = Path(path)
-    if doc is None:
-        doc = _read_document(path)
-    nodes, branches, shunts = (_at(f"{path}: {key}", _expect, list, doc.get(key, []))
-                               for key in ("nodes", "branches", "shunts"))
-    omega0 = _fundamental(path, doc)
+    where = f"{path}: damper_defaults"
+    params = _at(where, _expect, dict, doc.get("damper_defaults", CASE_STUDY_AD_PARAMS))
+    if "mode" in params:
+        raise NetworkFileError(f"{where}: takes no 'mode'; a run's ad_mode (--ad-mode) "
+                               "picks the damper variant")
+    damper = _at(where, lambda: ADParams(**{"k_v": 0.0, **_numbers(params)}))
     nodes = tuple(_at(f"{path}: nodes[{i}]", _number, n, integer=True)
                   for i, n in enumerate(nodes))
     branches = tuple(_at(f"{path}: branches[{i}]", _build_branch, i, b)
                      for i, b in enumerate(branches))
     shunts = tuple(_at(f"{path}: shunts[{i}]", _build_shunt, i, s, path.parent)
                    for i, s in enumerate(shunts))
-    g = NetworkGraph(nodes, branches, shunts, omega0)
+    g = NetworkGraph(nodes, branches, shunts, 2 * math.pi * hz, damper)
 
     # the graph's cached validation, which its assembly reuses
     if g._diagnostics:
         raise NetworkFileError(f"{path}: " + "; ".join(g._diagnostics))
     return g
-
-
-def _damper_defaults(path: Path, doc: dict) -> ADParams:
-    """AD base parameters from the document's damper_defaults block (see
-    damper_defaults_from_file)."""
-    where = f"{path}: damper_defaults"
-    params = _at(where, _expect, dict, doc.get("damper_defaults", CASE_STUDY_AD_PARAMS))
-    if "mode" in params:
-        raise NetworkFileError(f"{where}: takes no 'mode'; a run's ad_mode (--ad-mode) "
-                               "picks the damper variant")
-    return _at(where, lambda: ADParams(**{"k_v": 0.0, **_numbers(params)}))
-
-
-def damper_defaults_from_file(path) -> ADParams:
-    """AD base parameters from the network file's damper_defaults block,
-    falling back to the built-in case-study set when the block is absent;
-    every value is a finite number, k_v is 0 (uncalibrated) unless the
-    block sets it, and the mode is "proposed": the block takes no mode,
-    as a run's ad_mode picks the variant."""
-    path = Path(path)
-    return _damper_defaults(path, _read_document(path))
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +476,16 @@ def cmd_plan(cfg: RunConfig, out: Path, g, traces, report, cplan):
     return doc, EXIT_STABLE
 
 
-def cmd_ad_curve(cfg: RunConfig, out: Path, omega0: float,
-                 base: ADParams) -> tuple[ReportDocument, int]:
-    p = dataclasses.replace(base, k_v=cfg.k_v, mode=cfg.ad_mode)
+def cmd_ad_curve(cfg: RunConfig, out: Path, g) -> tuple[ReportDocument, int]:
+    """The admittance curve of g's damper defaults at g's fundamental,
+    with cfg's k_v and ad_mode, or a cluster of them over one parameter;
+    no network is analysed."""
+    p = dataclasses.replace(g.damper_defaults, k_v=cfg.k_v, mode=cfg.ad_mode)
     param = cfg.cluster_param
     f_hz = cfg.grid().hz
     rows = []
     for v in cfg.cluster_values if param else (cfg.k_v,):
-        y_f = ad_scalar(dataclasses.replace(p, **{param or "k_v": v}), f_hz, omega0)
+        y_f = ad_scalar(dataclasses.replace(p, **{param or "k_v": v}), f_hz, g.omega0)
         rows += [[_fmt(v), _fmt(f), _fmt(y.real), _fmt(y.imag),
                   _fmt(abs(y.imag / y.real) if y.real else math.inf)]
                  for f, y in zip(f_hz, y_f)]
@@ -516,14 +499,15 @@ def cmd_ad_curve(cfg: RunConfig, out: Path, omega0: float,
     return ReportDocument("ad-curve", cfg.hash(), None, data), EXIT_STABLE
 
 
-def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, cplan, base: ADParams):
-    """Calibrate the damper of the design cplan at its fundamental (g's),
-    install it (at the plan's node, or --node, as the --ad-mode variant)
-    and re-analyse.  A baseline with no critical crossing needs none: its
-    plan is empty and k_v 0, so nothing is installed and "after" is the
-    baseline."""
+def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, cplan):
+    """Calibrate g's damper defaults for the design cplan at its
+    fundamental (g's), install the damper (at the plan's node, or --node,
+    as the --ad-mode variant) and re-analyse.  A baseline with no critical
+    crossing needs none: its plan is empty and k_v 0, so nothing is
+    installed and "after" is the baseline."""
     design_node = g.nodes[cplan.node_index]
-    calibrated = dataclasses.replace(calibrate_ad(cplan, base), mode=cfg.ad_mode)
+    calibrated = dataclasses.replace(calibrate_ad(cplan, g.damper_defaults),
+                                     mode=cfg.ad_mode)
     install_node = cfg.node if cfg.node is not None else design_node
     installed = not report.stable
 
@@ -576,33 +560,29 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
     """Run one workflow command; writes its data files and report JSON
     into cfg.out_dir and returns (report, exit code).
 
-    The network file is read and parsed once, and cfg.out_dir is made only
-    when a file is written into it.  The analysis commands load the
-    network, check cfg against it (check_run) and run the baseline analyze
+    Every command loads the whole network file once (load_network), so a
+    file is valid or invalid whatever the command; cfg.out_dir is made
+    only when a file is written into it.  ad-curve plots the graph's
+    damper defaults and analyses no network.  The analysis commands check
+    cfg against the network (check_run) and run the baseline analyze
     once, here, keeping its traces and report only; plan and verify make
     their one design here.  Each writer in _ANALYSIS_COMMANDS then writes
-    from (cfg, out, g, traces, report), plan and verify with the design,
-    and verify with the file's damper defaults too.  ad-curve takes the
-    damper defaults and the fundamental from the file and analyses no
-    network.
+    from (cfg, out, g, traces, report), plan and verify with the design.
     """
     if command != "ad-curve" and command not in _ANALYSIS_COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     out = Path(cfg.out_dir)
-    path = Path(cfg.network)
-    network_doc = _read_document(path)
+    g = load_network(cfg.network)
     if command == "ad-curve":
-        omega0 = _fundamental(path, network_doc)
-        doc, code = cmd_ad_curve(cfg, out, omega0, _damper_defaults(path, network_doc))
+        doc, code = cmd_ad_curve(cfg, out, g)
     else:
-        g = load_network(path, network_doc)
         grid = check_run(cfg, g)
-        extra = (_damper_defaults(path, network_doc),) if command == "verify" else ()
         # the traces index the spectrum; it is not kept past the analysis
         traces, report = analyze(g, grid)[1:]
+        extra = ()
         if command in ("plan", "verify"):  # plan at --node, verify at the top-ranked node
             node = cfg.node if command == "plan" else None
-            extra = (design(cfg, g, traces, report, node), *extra)
+            extra = (design(cfg, g, traces, report, node),)
         doc, code = _ANALYSIS_COMMANDS[command](cfg, out, g, traces, report, *extra)
     if "json" in cfg.formats:
         doc.write(out)
@@ -689,10 +669,7 @@ def main(argv=None) -> int:
         print(f"{command}: ok{verdict} (outputs in {cfg.out_dir}, "
               f"config {doc.config_hash})")
         return code
-    except (NetworkFileError, InvalidNetworkError, ValueError,
-            RuntimeError, OSError) as e:
-        # engine errors (plan/calibration infeasibility, refinement
-        # failures) and IO problems are operational failures
+    except OPERATIONAL_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -67,12 +67,15 @@ class Shunt:
 
 @dataclass(frozen=True)
 class NetworkGraph:
-    """Nodes (ids in file order), series branches, shunt devices."""
+    """Nodes (ids in file order), series branches, shunt devices, the
+    fundamental omega0 [rad/s] and the active damper's base parameters:
+    a network file's damper_defaults, None for a graph built in code."""
 
     nodes: tuple[int, ...]
     branches: tuple[Branch, ...]
     shunts: tuple[Shunt, ...]
     omega0: float = 2 * math.pi * 50.0
+    damper_defaults: ADParams | None = None
 
     @property
     def n(self) -> int:

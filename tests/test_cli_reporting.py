@@ -17,7 +17,6 @@ from damp_planner.cli_reporting import (
     NetworkFileError,
     ReportDocument,
     RunConfig,
-    damper_defaults_from_file,
     emit_fixture,
     load_network,
     main,
@@ -64,7 +63,7 @@ def test_fixture_carries_expected_design_values(fixture_path):
 
 
 def test_fixture_damper_defaults(fixture_path):
-    ad = damper_defaults_from_file(fixture_path)
+    ad = load_network(fixture_path).damper_defaults
     assert ad.l_f_h == pytest.approx(0.8e-3)
     assert ad.gain_s == pytest.approx(0.06)
     assert ad.omega_c_rad_s == pytest.approx(21991.13)
@@ -130,8 +129,12 @@ def test_network_is_validated_once_per_command(fixture_path, tmp_path, monkeypat
     ("criticals", '{"nodes": [1], "fundamental_hz": "abc"}', "fundamental_hz"),
     ("ad-curve", "[1, 2]", "top level"),
     ("ad-curve", '{"damper_defaults": [3]}', "damper_defaults"),
+    # ad-curve used to read only the fundamental and the damper block
+    ("ad-curve", '{"nodes": [1], "shunts": [{"type": "inverter", "node": 1, '
+                 '"table_path": "absent.csv"}]}', "shunts[0]"),
 ], ids=["top-level-list", "branch-not-object", "shunt-not-object", "node-not-numeric",
-        "fundamental-not-numeric", "ad-curve-top-level-list", "damper-defaults-not-object"])
+        "fundamental-not-numeric", "ad-curve-top-level-list", "damper-defaults-not-object",
+        "ad-curve-missing-table"])
 def test_malformed_network_file_names_file_and_element(tmp_path, capsys, command, text,
                                                         element):
     path = tmp_path / "bad.json"
@@ -210,7 +213,10 @@ def test_network_file_numbers_are_finite_json_numbers(fixture_path, tmp_path, ca
                                                       keys, value, message):
     """Each used to load, through int() or float() (a boolean as 0 or 1),
     or to fail in the sweep with a numpy traceback ("k_pi": "10"); a
-    boolean r_ohm turned the fixture's criticals at --fmax 300 stable."""
+    boolean r_ohm turned the fixture's criticals at --fmax 300 stable.
+    The whole file is read for every command, so criticals and ad-curve
+    reject it alike: criticals used to ignore the damper block, and
+    ad-curve everything else."""
     doc = json.loads(fixture_path.read_text())
     doc["shunts"].append({"type": "capacitor", "node": 2, "params": {"c_f": 1e-6}})
     target = doc
@@ -219,14 +225,14 @@ def test_network_file_numbers_are_finite_json_numbers(fixture_path, tmp_path, ca
     target[keys[-1]] = value
     path = tmp_path / "bad_number.json"
     path.write_text(json.dumps(doc))
-    defaults = keys[0] == "damper_defaults"
     with pytest.raises(NetworkFileError) as err:
-        (damper_defaults_from_file if defaults else load_network)(path)
+        load_network(path)
     assert str(err.value) == f"{path}: {message}"
-    code = main(["ad-curve" if defaults else "criticals", "--network", str(path),
-                 "--fmax", "300", "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {err.value}\n"
+    for command in ("criticals", "ad-curve"):
+        code = main([command, "--network", str(path), "--fmax", "300",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 @pytest.mark.parametrize("command", ["criticals", "ad-curve"])
@@ -299,13 +305,20 @@ def test_pi_cable_without_r_and_l_is_a_load_error(fixture_path, tmp_path):
      "shunts[0]: table_path is only valid for inverter shunts"),
     ('{"nodes": [1, 2], "branches": [{"type": "rl", "from": 1, "to": 2, "r_ohm": 0.1}]}',
      "branches[0]: missing field 'l_h'"),
-], ids=["unknown-shunt-type", "table-path-on-a-grid-shunt", "missing-branch-field"])
-def test_loader_error_names_file_element_and_cause(tmp_path, text, message):
+    ('{"nodes": [1], "branches": [{"type": "rl", "from": 1, "to": 1, "r_ohm": 0.1, '
+     '"l_h": 1e-3}]}', "rl[0] is a self-loop at node 1"),
+], ids=["unknown-shunt-type", "table-path-on-a-grid-shunt", "missing-branch-field",
+        "self-loop"])
+def test_loader_error_names_file_element_and_cause(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(NetworkFileError) as err:
         load_network(path)
     assert str(err.value) == f"{path}: {message}"
+    # ad-curve, which analyses no network, used to plot from such a file
+    code = main(["ad-curve", "--network", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 def test_pi_cable_from_a_file_assembles_as_built(tmp_path):
@@ -483,7 +496,7 @@ def test_ad_curve_uses_the_network_fundamental(fixture_path, tmp_path, cluster):
     name = "ad_curve_cluster.csv" if cluster else "ad_curve.csv"
     rows = [ln.split(",") for ln in (tmp_path / name).read_text().splitlines()[1:]]
     assert len(rows) == (2 if cluster else 1) * 10
-    base = damper_defaults_from_file(net)
+    base = load_network(net).damper_defaults
     for row in rows:
         k_v = float(row[0]) if cluster else 1.5
         f, re_y, im_y = row[-4:-1]
@@ -611,7 +624,7 @@ def test_non_finite_damper_defaults_name_the_block(fixture_path, tmp_path, capsy
     path = tmp_path / "nan_damper.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(NetworkFileError, match="damper_defaults: .*finite"):
-        damper_defaults_from_file(path)
+        load_network(path).damper_defaults
     code = main(["ad-curve", "--network", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
@@ -627,7 +640,7 @@ def test_damper_defaults_take_no_mode(fixture_path, tmp_path, capsys, mode):
     path = tmp_path / "moded_damper.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(NetworkFileError) as err:
-        damper_defaults_from_file(path)
+        load_network(path).damper_defaults
     assert str(err.value) == (f"{path}: damper_defaults: takes no 'mode'; a run's ad_mode "
                               "(--ad-mode) picks the damper variant")
     code = main(["ad-curve", "--network", str(path), "--out", str(tmp_path / "out")])

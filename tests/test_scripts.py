@@ -1,5 +1,6 @@
 import ast
 import csv
+import json
 import math
 import os
 import runpy
@@ -11,7 +12,7 @@ import pytest
 
 import damp_planner
 from damp_planner import cli_reporting, compensation_planner, stability_engine
-from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS
+from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS, CASE_STUDY_INVERTER_PARAMS
 from damp_planner.component_models import ADParams, ad_scalar
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,7 +81,7 @@ def test_case_study_runs_one_baseline_analysis(tmp_path, monkeypatch, capsys):
             "report_verify.json", "verify_crossovers.csv"}
 
 
-def test_case_study_checks_its_grid_before_the_sweep(tmp_path, monkeypatch):
+def test_case_study_checks_its_grid_before_the_sweep(tmp_path, monkeypatch, capsys):
     """A one-point grid stops the script before any analysis, with the
     CLI's message, not in the tracker."""
     def no_analysis(*args, **kwargs):
@@ -89,10 +90,51 @@ def test_case_study_checks_its_grid_before_the_sweep(tmp_path, monkeypatch):
     monkeypatch.setattr(damp_planner, "analyze", no_analysis)
     monkeypatch.setattr(sys, "argv", [str(SCRIPTS / "run_case_study.py"), "--fmax", "10",
                                       "--out", str(tmp_path)])
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(SystemExit) as done:
         runpy.run_path(str(SCRIPTS / "run_case_study.py"), run_name="__main__")
-    assert str(err.value) == ("--fmin 10.0 --fmax 10.0 --df 1.0 give 1 sweep point; "
-                              "tracking needs at least 2")
+    assert done.value.code == 1
+    assert capsys.readouterr().err == ("error: --fmin 10.0 --fmax 10.0 --df 1.0 give 1 sweep "
+                                       "point; tracking needs at least 2\n")
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("run_case_study.py", ["--network", "missing.json"],
+     "missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+    ("ad_admittance_curves.py", ["--kv", "nan"], "k_v must be finite, got nan"),
+], ids=["case-study-missing-network", "curves-non-finite-kv"])
+def test_scripts_report_an_operational_error_as_one_line(tmp_path, monkeypatch, capsys,
+                                                         script, args, message):
+    """Each used to end in a Python traceback; the CLI's main() prints the
+    same errors as one "error: " line and exits 1."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / script), *args, "--out", "out"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert done.value.code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_case_study_compensates_a_one_node_network(tmp_path, monkeypatch, capsys):
+    """One node (a grid tie and the case-study inverter) has a critical
+    crossing at 162.7 Hz; the script used to say "nothing to compensate"
+    there, as no runner-up ranks.  It plans and verifies at that node and
+    skips only the runner-up verification."""
+    net = tmp_path / "one_node.json"
+    net.write_text(json.dumps({
+        "nodes": [1],
+        "shunts": [{"type": "grid", "node": 1, "params": {"r_ohm": 0.2, "l_h": 6e-3}},
+                   {"type": "inverter", "node": 1, "params": CASE_STUDY_INVERTER_PARAMS}],
+        "damper_defaults": CASE_STUDY_AD_PARAMS}))
+    run_script(monkeypatch, "run_case_study.py", "--network", str(net), "--fmax", "300",
+               "--out", str(tmp_path / "out"))
+    lines = capsys.readouterr().out.splitlines()
+    assert "  critical: trace 2 at   162.70 Hz, Re = -0.05321 S" in lines
+    assert "plan at node 1: required Re[Y] >= 0.0590 S over [100, 200] Hz" in lines
+    assert "one ranked node: no runner-up to verify" in lines
+    assert "calibrated damper gain k_v = 0.5420" in lines
+    assert "verify: proposed damper at node 1: stable" in lines
+    assert "verify: traditional damper at node 1: stable" in lines
+    assert not (tmp_path / "out" / "verify_runner_up").exists()
 
 
 def test_case_study_has_no_workflow_of_its_own():
