@@ -542,15 +542,15 @@ _ANALYSIS_COMMANDS = {
 }
 
 
-def check_run(cfg: RunConfig, g) -> FrequencyGrid:
-    """cfg's sweep grid, once cfg is checked against the network g: a
-    cfg.node g does not have and a grid of fewer than 2 points (too few
-    to track) are errors, raised before any sweep."""
+def check_run(cfg: RunConfig, g, tracked: bool = True) -> FrequencyGrid:
+    """cfg's sweep grid, once cfg is checked against the network g, before
+    any sweep: a cfg.node g does not have is an error, and so is a tracked
+    grid of fewer than 2 points (ad-curve's one-point grid is not tracked)."""
     if cfg.node is not None and cfg.node not in g.nodes:
         raise ValueError(f"node {cfg.node} is not in the network {Path(cfg.network)} "
                          f"(nodes {', '.join(map(str, g.nodes))})")
     grid = cfg.grid()
-    if len(grid) < 2:
+    if tracked and len(grid) < 2:
         raise ValueError(f"--fmin {cfg.fmin_hz} --fmax {cfg.fmax_hz} --df {cfg.df_hz} "
                          f"give {len(grid)} sweep point; tracking needs at least 2")
     return grid
@@ -561,22 +561,23 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
     into cfg.out_dir and returns (report, exit code).
 
     Every command loads the whole network file once (load_network), so a
-    file is valid or invalid whatever the command; cfg.out_dir is made
-    only when a file is written into it.  ad-curve plots the graph's
-    damper defaults and analyses no network.  The analysis commands check
-    cfg against the network (check_run) and run the baseline analyze
-    once, here, keeping its traces and report only; plan and verify make
-    their one design here.  Each writer in _ANALYSIS_COMMANDS then writes
-    from (cfg, out, g, traces, report), plan and verify with the design.
+    file is valid or invalid whatever the command, and checks cfg
+    against the network (check_run); cfg.out_dir is made only when a
+    file is written into it.  ad-curve plots the graph's damper defaults
+    and analyses no network.  The analysis commands run the baseline
+    analyze once, here, keeping its traces and report only; plan and
+    verify make their one design here.  Each writer in _ANALYSIS_COMMANDS
+    then writes from (cfg, out, g, traces, report), plan and verify with
+    the design.
     """
     if command != "ad-curve" and command not in _ANALYSIS_COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     out = Path(cfg.out_dir)
     g = load_network(cfg.network)
+    grid = check_run(cfg, g, tracked=command != "ad-curve")
     if command == "ad-curve":
         doc, code = cmd_ad_curve(cfg, out, g)
     else:
-        grid = check_run(cfg, g)
         # the traces index the spectrum; it is not kept past the analysis
         traces, report = analyze(g, grid)[1:]
         extra = ()

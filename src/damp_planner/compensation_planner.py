@@ -21,7 +21,6 @@ that meet both bounds, found in closed form.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -52,8 +51,8 @@ class DegenerateEigenvalueWarning(UserWarning):
 
 
 class PlanInfeasibleError(RuntimeError):
-    """Iteration cap hit, or a critical crossover lost, before the damping
-    requirement was met."""
+    """A plan stopped short of the damping requirement: a critical
+    crossover still short at the iteration cap, or lost."""
 
 
 class CalibrationInfeasibleError(RuntimeError):
@@ -193,22 +192,22 @@ class _CriticalFollower:
     """Re-locates one critical eigenvalue as conductance is added at a node.
 
     Keeps the crossover frequency f_cr, its drift df from the locate
-    before (0 after a locate that took a widened window: a jump is no
-    drift), and the left eigenvector u_ref of the last confirmed point as
+    before, and the left eigenvector u_ref of the last confirmed point as
     the identity reference.  Followers are located together by
-    _locate_all, try by try: try 0 is a 2-point bracket predicted by the
-    secant, centred on f_cr + df with half-width max(|df| / 4, 0.05 Hz);
-    tries 1, 2, ... are the recovery, 9-point windows of half-width 50,
-    100, ... Hz around f_cr.  Every window is clipped to the baseline
-    sweep's range, and the first window that covers the whole range is
-    the last.  A scan's brackets follow the engine's rule
-    (_crossing_brackets), and the one nearest f_cr is refined by regula
-    falsi from the scan's Im values at its ends.
+    _locate_all in at most two tries: try 0 is a 2-point bracket
+    predicted by the secant, centred on f_cr + df with half-width
+    max(|df| / 4, 0.05 Hz); try 1 is a 9-point window of half-width
+    WINDOW_HZ around f_cr.  Both are clipped to the baseline sweep's
+    range.  A crossover neither try finds is lost, never searched for
+    further, so a follower is never carried on to another crossing.  A
+    scan's brackets follow the engine's rule (_crossing_brackets), and
+    the one nearest f_cr is refined by regula falsi from the scan's Im
+    values at its ends.
     """
 
     PREDICTED_FRACTION = 0.25  # predicted half-width per Hz of drift
     PREDICTED_FLOOR_HZ = 0.05  # smallest predicted half-width
-    WINDOW_HZ = 50.0  # half-width of the first scan window around f_cr
+    WINDOW_HZ = 50.0  # half-width of the scan window around f_cr
     SCAN_POINTS = 9
 
     def __init__(self, f_cr: float, u_ref: np.ndarray):
@@ -218,16 +217,13 @@ class _CriticalFollower:
 
     def window(self, attempt: int, f_bounds: tuple[float, float]) -> list[float]:
         """The scan points of try `attempt`, clipped to f_bounds: the
-        predicted bracket for 0, else the window of half-width
-        WINDOW_HZ * 2**(attempt - 1)."""
+        predicted bracket for 0, the window of half-width WINDOW_HZ for 1."""
         if attempt == 0:
             centre = self.f_cr + self.df
             half_width = max(abs(self.df) * self.PREDICTED_FRACTION, self.PREDICTED_FLOOR_HZ)
             n = 2
         else:
-            centre = self.f_cr
-            half_width = self.WINDOW_HZ * 2.0 ** (attempt - 1)
-            n = self.SCAN_POINTS
+            centre, half_width, n = self.f_cr, self.WINDOW_HZ, self.SCAN_POINTS
         lo, hi = np.clip((centre - half_width, centre + half_width), *f_bounds)
         return [float(f) for f in np.linspace(lo, hi, n)]
 
@@ -244,36 +240,35 @@ class _CriticalFollower:
         lo, hi = pairs[np.argmin(np.abs(np.asarray(fs)[pairs].mean(axis=1) - self.f_cr))]
         return fs[lo], fs[hi], ims[lo], ims[hi], self.u_ref
 
-    def move_to(self, smp: EigenSample, j: int, attempt: int) -> None:
-        """Confirm eigenvalue j of smp, found at try `attempt`, as the
-        crossover.  df becomes the move, unless it took a widened window
-        (try 2 on): a move that far is a jump, not a drift, and df resets
-        to 0."""
-        self.df = smp.f_hz - self.f_cr if attempt <= 1 else 0.0
+    def move_to(self, smp: EigenSample, j: int) -> None:
+        """Confirm eigenvalue j of smp as the crossover; df becomes the move."""
+        self.df = smp.f_hz - self.f_cr
         self.f_cr, self.u_ref = smp.f_hz, smp.u[j]
 
 
 def _locate_all(followers: Sequence[_CriticalFollower], alpha: float, matrices_at,
-                f_bounds: tuple[float, float]) -> list[tuple[EigenSample, int]]:
+                f_bounds: tuple[float, float]) -> list[tuple[EigenSample, int] | None]:
     """Crossover sample of every follower's eigenvalue at conductance alpha
-    and the eigenvalue's index in it; each follower moves to its sample.
+    and the eigenvalue's index in it, or None for a follower lost; each
+    follower found moves to its sample.
 
     matrices_at(fs, alpha) gives the nodal matrices at fs with alpha
     installed (_with_conductance for the planned node), and every window
-    stays inside f_bounds.  Each try scans the window of every follower
-    still unlocated (at try 0 its predicted 2-point bracket), all windows
-    assembled and decomposed as one batch, then refines all their brackets
-    in one refine_crossovers run.  A follower whose window holds no
-    crossing, or whose bracket fails to converge, goes on to its next
-    window; once such a window covered all of f_bounds,
-    PlanInfeasibleError names the crossover it lost.
+    stays inside f_bounds.  Each of the two tries scans the window of
+    every follower still unlocated (at try 0 its predicted 2-point
+    bracket), all windows assembled and decomposed as one batch, then
+    refines all their brackets in one refine_crossovers run.  A follower
+    whose window holds no crossing, or whose bracket fails to converge,
+    goes on to try 1; one try 1 misses too is lost and does not move.
     """
     def at_alpha(fs: Sequence[float]) -> np.ndarray:
         return matrices_at(fs, alpha)
 
     found: list = [None] * len(followers)
-    pending = list(range(len(followers)))
-    for attempt in itertools.count():
+    for attempt in (0, 1):
+        pending = [i for i, res in enumerate(found) if res is None]
+        if not pending:
+            break
         scans = [followers[i].window(attempt, f_bounds) for i in pending]
         n = len(scans[0])  # every window of one try has the same points
         fs = [f for scan in scans for f in scan]
@@ -286,14 +281,8 @@ def _locate_all(followers: Sequence[_CriticalFollower], alpha: float, matrices_a
         for i, res in zip(brackets, refine_crossovers(at_alpha, list(brackets.values()))):
             if not isinstance(res, BisectionError):
                 found[i] = res
-                followers[i].move_to(*res, attempt)
-        for i, scan in zip(pending, scans):  # a lost follower whose window covered the range
-            if found[i] is None and attempt and (scan[0], scan[-1]) == tuple(f_bounds):
-                raise PlanInfeasibleError(
-                    f"lost the critical crossover near {followers[i].f_cr} Hz at alpha={alpha} S")
-        pending = [i for i in pending if found[i] is None]
-        if not pending:
-            return found
+                followers[i].move_to(*res)
+    return found
 
 
 def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
@@ -309,15 +298,17 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     One loop steps every critical crossover in lockstep: step k installs
     alpha_k (k additions of dalpha) at the node and locates every
     unfinished crossover with one _locate_all, so one batch of predicted
-    2-point brackets and one batched regula falsi serve them all (window
-    scans only for the brackets that miss).  A crossover still short of
-    epsilon adds dalpha times its K_C at the located crossover to its
-    first-order shift; one whose Re[lambda] plus shift has reached epsilon
-    finishes with alpha_s = alpha_k, k iterations and f_cr_final_hz from
-    the same locate.  A crossover still short after _MAX_STEPS steps
-    raises PlanInfeasibleError.  The band-level requirement is the
-    largest per-eigenvalue conductance over the band spanned by the
-    crossover frequencies, padded outward to the nearest 100 Hz.
+    2-point brackets and one batched regula falsi serve them all (50 Hz
+    window scans only for the brackets that miss).  A crossover still
+    short of epsilon adds dalpha times its K_C at the located crossover
+    to its first-order shift; one whose Re[lambda] plus shift has reached
+    epsilon finishes with alpha_s = alpha_k, k iterations and
+    f_cr_final_hz from the same locate.  The loop stops a plan with a
+    PlanInfeasibleError naming the trace and its starting frequency: a
+    crossover still short after _MAX_STEPS steps, or one lost (neither
+    try found it).  The band-level requirement is the largest
+    per-eigenvalue conductance over the band spanned by the crossover
+    frequencies, padded outward to the nearest 100 Hz.
     """
     for name, value in (("epsilon", epsilon), ("dalpha", dalpha)):
         if not 0 < value < math.inf:
@@ -341,7 +332,14 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
                 f"{epsilon - ev.re_lambda - shift[short[0]].real:.6g} S remains "
                 f"at alpha={alpha:.6g} S")
         located = _locate_all([followers[i] for i in open_], alpha, matrices_at, f_bounds)
-        for i, (smp, j) in zip(open_, located):
+        for i, res in zip(open_, located):
+            if res is None:
+                ev = criticals[i]
+                raise PlanInfeasibleError(
+                    f"trace {ev.trace_id} (crossover starting at {ev.f_cr_hz:.6g} Hz) lost "
+                    f"near {followers[i].f_cr:.6g} Hz at alpha={alpha:.6g} S: no crossing "
+                    f"within {_CriticalFollower.WINDOW_HZ:.6g} Hz")
+            smp, j = res
             if i in short:
                 shift[i] += dalpha * compensation_coefficient(smp, j, node_index).value
             else:

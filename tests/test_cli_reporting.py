@@ -663,6 +663,19 @@ def test_cli_rejects_a_node_not_in_the_network_before_the_sweep(fixture_path, tm
     assert "Traceback" not in err
 
 
+def test_ad_curve_rejects_a_node_not_in_the_network(fixture_path, tmp_path, capsys):
+    """The node rule of plan and verify holds for ad-curve too, which writes
+    nothing then."""
+    out = tmp_path / "out"
+    code = main(["ad-curve", "--network", str(fixture_path), "--node", "99",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: node 99 is not in the network {fixture_path} ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "criticals", "rank", "plan", "verify"])
 def test_one_point_grid_names_its_flags(fixture_path, tmp_path, capsys, monkeypatch,
                                         command):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -463,8 +464,8 @@ def reference_plan(g, node_id, spec, traces, report, epsilon, dalpha=1e-3, predi
     """plan as the per-trace loop: each critical crossover followed alone,
     one one-bracket locator run per try.  Try 0 is the 2-point bracket of
     half-width max(|df| / 4, 0.05 Hz) around f_cr + df, df being the move
-    of the last locate (0 when it took a window wider than 50 Hz); the
-    tries after it scan 9-point windows of half-width 50, 100, ... Hz.
+    of the last locate; try 1 scans the 9-point window of half-width
+    50 Hz, and a crossover neither finds raises PlanInfeasibleError.
     predicted=False leaves out try 0: the scan-only loop the predicted
     bracket replaced."""
     node_index = g.node_index(node_id)
@@ -479,20 +480,15 @@ def reference_plan(g, node_id, spec, traces, report, epsilon, dalpha=1e-3, predi
         return m
 
     def scans(state):
-        # (attempt, scan points) of each try, the windows around the f_cr
-        # of the moment
+        # the scan points of each try, around the f_cr of the moment
         if predicted:
             centre = state["f_cr"] + state["df"]
             half = max(abs(state["df"]) / 4.0, 0.05)
-            yield 0, np.linspace(*np.clip((centre - half, centre + half), f_lo, f_hi), 2)
-        window = 50.0
-        for attempt in range(1, 9):
-            yield attempt, np.linspace(max(f_lo, state["f_cr"] - window),
-                                       min(f_hi, state["f_cr"] + window), 9)
-            window *= 2.0
+            yield np.linspace(*np.clip((centre - half, centre + half), f_lo, f_hi), 2)
+        yield np.linspace(max(f_lo, state["f_cr"] - 50.0), min(f_hi, state["f_cr"] + 50.0), 9)
 
     def locate(state, alpha):
-        for attempt, points in scans(state):
+        for points in scans(state):
             fs = [float(f) for f in points]
             spec = eig_lr_batch(matrices_at(fs, alpha), fs)
             picked = np.argmax(np.abs(state["u_ref"] @ spec.w), axis=-1)
@@ -505,11 +501,10 @@ def reference_plan(g, node_id, spec, traces, report, epsilon, dalpha=1e-3, predi
                                               state["u_ref"])])
                 if not isinstance(found, BisectionError):
                     smp, j = found
-                    state["df"] = smp.f_hz - state["f_cr"] if attempt <= 1 else 0.0
+                    state["df"] = smp.f_hz - state["f_cr"]
                     state["f_cr"], state["u_ref"] = smp.f_hz, smp.u[j]
                     return found
-        raise PlanInfeasibleError(
-            f"lost the critical crossover near {state['f_cr']} Hz at alpha={alpha} S")
+        raise PlanInfeasibleError(f"lost near {state['f_cr']} Hz at alpha={alpha} S")
 
     entries = []
     for ev in (e for e in report.events if e.verdict == "critical"):
@@ -550,8 +545,7 @@ def test_lockstep_plan_equals_per_trace_loop_on_fixture(case_graph, fixture_base
 
 # (seed, node id) of make_random_small_system networks with at least two
 # nodes and two critical crossovers whose plan at that node is feasible
-RANDOM_PLANS = [(3, 1), (5, 2), (7, 2), (12, 1), (13, 2), (22, 1), (24, 1), (32, 3),
-                (40, 2), (45, 3)]
+RANDOM_PLANS = [(3, 1), (5, 2), (7, 2), (12, 1), (13, 2), (22, 1), (32, 3), (40, 2), (45, 3)]
 
 
 @pytest.mark.parametrize("seed, node", RANDOM_PLANS)
@@ -562,6 +556,31 @@ def test_lockstep_plan_equals_per_trace_loop_on_random_systems(seed, node):
     got = plan(g, node, traces, report, 0.005, 5e-3)
     assert got.entries
     assert got == reference_plan(g, node, spec, traces, report, 0.005, 5e-3)
+
+
+@pytest.mark.parametrize("seed, node, dalpha, lost", [
+    # trace 4's crossover leaves both tries after one step
+    (26, 3, 0.01, r"trace 4 \(crossover starting at 2033\.11 Hz\) lost near 2033\.13 Hz "
+                  r"at alpha=0\.01 S"),
+    (26, 3, 5e-3, r"trace 4 \(crossover starting at 2033\.11 Hz\) lost near 2033\.13 Hz "
+                  r"at alpha=0\.005 S"),
+    # trace 4's crossing folds
+    (24, 1, 5e-3, r"trace 4 \(crossover starting at 1020\.15 Hz\) lost near 937\.248 Hz "
+                  r"at alpha=0\.615 S"),
+], ids=["26-3-0.01", "26-3-0.005", "24-1-0.005"])
+def test_plan_stops_naming_a_lost_crossing(seed, node, dalpha, lost):
+    """A crossover found in neither its predicted bracket nor its 50 Hz
+    window stops the plan, named, and is not followed to another
+    crossing; the per-trace loop stops too."""
+    g = make_random_small_system(seed)
+    spec, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
+    start = time.perf_counter()
+    with pytest.raises(PlanInfeasibleError, match=f"^{lost}: no crossing within 50 Hz$"):
+        plan(g, node, traces, report, 0.005, dalpha)
+    if seed == 26:
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(PlanInfeasibleError, match="^lost near "):
+        reference_plan(g, node, spec, traces, report, 0.005, dalpha)
 
 
 @pytest.mark.parametrize("node", [4, 3])
@@ -601,33 +620,38 @@ def test_plan_decomposes_two_points_per_follower_per_step(case_graph, fixture_ba
 
 
 def test_predicted_bracket_stays_on_a_close_crossing_pair(monkeypatch):
-    """make_random_small_system(24) at node 1: at alpha = 0.72 S trace 3's
-    crossover near 1000.23 Hz has a second crossing 2.3 Hz below it.  The
-    scan-only loop's 50 Hz window (12.5 Hz spacing) steps over the pair
-    and jumps to a crossover near 827.5 Hz, where trace 3 reaches epsilon
-    two steps earlier; the predicted bracket stays on the pair."""
+    """make_random_small_system(24) at node 1, dalpha 5e-3.  The lockstep
+    plan stops at alpha = 0.615 S, where trace 4's crossing folds.
+    Planned alone, trace 3's crossover near 1000.23 Hz has a second
+    crossing 2.3 Hz below it at alpha = 0.72 S: the predicted bracket
+    stays on the pair, while the scan-only loop's 50 Hz window (12.5 Hz
+    spacing) steps over it and loses trace 3 there.  The pair vanishes
+    before 0.725 S, and that stops the plan too."""
     g = make_random_small_system(24)
     spec, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
+    with pytest.raises(PlanInfeasibleError, match=r"^trace 4 .* at alpha=0\.615 S"):
+        plan(g, 1, traces, report, 0.005, 5e-3)
+
+    only_3 = StabilityReport(tuple(e for e in report.critical_events if e.trace_id == 3))
     real_locate_all = compensation_planner._locate_all
-    followers, at_072 = [], {}
+    at_072 = []
 
     def recorded(located, alpha, *args):
         out = real_locate_all(located, alpha, *args)
-        if not followers:  # the locate at alpha 0 has them all, in entry order
-            followers.extend(located)
         if alpha == pytest.approx(0.72, abs=1e-9):
-            at_072.update({id(f): res for f, res in zip(located, out)})
+            at_072.extend(out)
         return out
 
     monkeypatch.setattr(compensation_planner, "_locate_all", recorded)
-    got = plan(g, 1, traces, report, 0.005, 5e-3)
-    old = reference_plan(g, 1, spec, traces, report, 0.005, 5e-3, predicted=False)
+    with pytest.raises(PlanInfeasibleError,
+                       match=r"^trace 3 \(crossover starting at 1118\.19 Hz\) lost near "
+                             r"1000\.23 Hz at alpha=0\.725 S: no crossing within 50 Hz$"):
+        plan(g, 1, traces, only_3, 0.005, 5e-3)
+    with pytest.raises(PlanInfeasibleError) as scan_only:
+        reference_plan(g, 1, spec, traces, only_3, 0.005, 5e-3, predicted=False)
+    assert float(str(scan_only.value).split("alpha=")[1].split()[0]) == pytest.approx(0.72)
 
-    [i] = [k for k, e in enumerate(got.entries) if e.trace_id == 3]
-    assert (got.entries[i].iterations, old.entries[i].iterations) == (194, 192)
-    assert got.entries[i].alpha_s == pytest.approx(0.97, abs=1e-9)
-    assert old.entries[i].alpha_s == pytest.approx(0.96, abs=1e-9)
-    smp, j = at_072[id(followers[i])]
+    [(smp, j)] = at_072
     assert smp.f_hz == pytest.approx(1000.23, abs=0.01)
     # an independent decomposition with the conductance installed has an
     # eigenvalue on the real axis there: the followed one
@@ -642,9 +666,11 @@ def test_predicted_bracket_stays_on_a_close_crossing_pair(monkeypatch):
 
 def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline, monkeypatch):
     """At alpha = 0, matrices near the low-frequency crossover have Im
-    jump over zero, so that follower's predicted bracket and its 50 Hz
-    window fail; it is located at 100 Hz, the other followers try the
-    same windows as in the unbroken plan, and the plan matches it."""
+    jump over zero, so that follower's predicted bracket fails; with the
+    break lifted it is located in its 50 Hz window, the other followers
+    try the same windows as in the unbroken plan, and the plan matches
+    it.  A break that outlasts the window stops the plan, naming that
+    crossover."""
     _, traces, report = fixture_baseline
     low = min(report.critical_events, key=lambda e: e.f_cr_hz)
     failures = []
@@ -667,7 +693,7 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
 
     def recorded_window(self, attempt, f_bounds):
         tries.setdefault(id(self), []).append((self.f_cr, attempt))
-        if attempt > 1:
+        if attempt == 1 and lift[0]:
             broken[0] = False
         return window(self, attempt, f_bounds)
 
@@ -680,6 +706,7 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
     monkeypatch.setattr(follower_cls, "window", recorded_window)
     monkeypatch.setattr(compensation_planner, "refine_crossovers", recorded_refine)
     tries: dict = {}
+    lift = [True]
     expected = plan(case_graph, 4, traces, report, 0.005, 5e-3)
     unbroken = list(tries.values())
     assert not failures
@@ -687,16 +714,26 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
     got = plan(case_graph, 4, traces, report, 0.005, 5e-3)
     broken_run = list(tries.values())
 
-    assert len(failures) == 2
+    assert len(failures) == 1
     [k] = [k for k, e in enumerate(report.critical_events) if e is low]
     # the first locate: the low follower's predicted bracket, then its
-    # 50 Hz and 100 Hz windows; the others as without the break
-    assert broken_run[k][:3] == [(low.f_cr_hz, 0), (low.f_cr_hz, 1), (low.f_cr_hz, 2)]
+    # 50 Hz window; the others as without the break
+    assert broken_run[k][:2] == [(low.f_cr_hz, 0), (low.f_cr_hz, 1)]
     assert unbroken[k][0] == (low.f_cr_hz, 0)
     assert [t for i, t in enumerate(broken_run) if i != k] == [
         t for i, t in enumerate(unbroken) if i != k]
     assert ([(e.trace_id, e.iterations, e.alpha_s) for e in got.entries]
             == [(e.trace_id, e.iterations, e.alpha_s) for e in expected.entries])
+
+    failures.clear()
+    tries, broken[0], lift[0] = {}, True, False
+    with pytest.raises(PlanInfeasibleError,
+                       match=rf"^trace {low.trace_id} \(crossover starting at "
+                             rf"{low.f_cr_hz:.6g} Hz\) lost near {low.f_cr_hz:.6g} Hz at "
+                             r"alpha=0 S: no crossing within 50 Hz$"):
+        plan(case_graph, 4, traces, report, 0.005, 5e-3)
+    assert len(failures) == 2
+    assert list(tries.values())[k] == [(low.f_cr_hz, 0), (low.f_cr_hz, 1)]
 
 
 def scalar_matrices_at(lam_at, sizes):
@@ -726,14 +763,13 @@ def test_follower_takes_an_on_axis_scan_point_as_its_crossing(sign):
     assert (follower.f_cr, follower.df) == (100.0, 0.0)
 
 
-def test_lost_crossing_raises_once_a_window_covers_the_range():
+def test_lost_crossing_takes_two_scans_and_no_more():
     """A follower at 1000 Hz whose eigenvalue never crosses, on 10-2500 Hz:
-    the predicted bracket, then windows of half-width 50 to 1600 Hz, the
-    last of which covers the whole range, and no scan after it."""
+    the predicted bracket, then the 50 Hz window, and no scan after it.
+    The follower is lost (None) and stays where it was, for plan to name."""
     sizes = []
     follower = compensation_planner._CriticalFollower(1000.0, np.ones(1, complex))
-    with pytest.raises(PlanInfeasibleError) as err:
-        compensation_planner._locate_all(
-            [follower], 0.25, scalar_matrices_at(lambda f: 0.01 + 1j, sizes), (10.0, 2500.0))
-    assert str(err.value) == "lost the critical crossover near 1000.0 Hz at alpha=0.25 S"
-    assert sizes == [2] + [9] * 6
+    assert compensation_planner._locate_all(
+        [follower], 0.25, scalar_matrices_at(lambda f: 0.01 + 1j, sizes), (10.0, 2500.0)) == [None]
+    assert sizes == [2, 9]
+    assert (follower.f_cr, follower.df) == (1000.0, 0.0)
