@@ -93,11 +93,12 @@ class FrequencyGrid:
         if not (0 < fmin <= fmax < math.inf and 0 < df < math.inf):
             raise ValueError(f"need finite 0 < fmin <= fmax and df > 0, "
                              f"got fmin={fmin}, fmax={fmax}, df={df}")
-        # the last point stays at or below fmax; the relative slack keeps
-        # the end of a whole span whose step count the division puts just
-        # below an integer (0.1..0.3 by 0.1 gives 1.999...)
+        # the relative slack keeps the end of a whole span whose step count
+        # the division puts just below an integer (0.1..0.3 by 0.1 gives
+        # 1.999...); the clamp keeps that end at or below fmax, where
+        # fmin + k df rounds past it (0.1 + 2 * 0.1 = 0.30000000000000004)
         n = math.floor((fmax - fmin) / df * (1.0 + 1e-9)) + 1
-        return cls(fmin + np.arange(n) * df)
+        return cls(np.minimum(fmin + np.arange(n) * df, fmax))
 
     @cached_property
     def hz(self) -> np.ndarray:

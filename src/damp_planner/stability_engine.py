@@ -242,8 +242,21 @@ def _fast_match(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, is_perm & np.all(strict, axis=-1)
 
 
-# tracking steps scored by one batched product; bounds the scores' memory
-_TRACK_BLOCK = 128
+# overlap scores (m * m per step) of one batched product; bounds their memory
+_TRACK_OVERLAPS = 1 << 14
+
+
+def _chain(q: np.ndarray, start_row: np.ndarray) -> np.ndarray:
+    """Index rows after a run of clean steps: q[j] maps the eigenvalue
+    indices of step j's sample to the next one's, start_row is the row
+    before the run.  Composes the prefixes in place by pointer doubling
+    (q[j] becomes q[j] o q[j - 1] o ... o q[0] in log2(len(q)) gathers;
+    Hillis & Steele, CACM 29(12), 1986) and returns (len(q), m) rows."""
+    d = 1
+    while d < len(q):
+        q[d:] = np.take_along_axis(q[d:], q[:-d], axis=1)
+        d *= 2
+    return q[:, start_row]
 
 
 def track(spec: Spectrum) -> list[EigenTrace]:
@@ -256,9 +269,14 @@ def track(spec: Spectrum) -> list[EigenTrace]:
     value-proximity matching would swap them.
 
     The overlap scores of a block of steps are one batched product of
-    slices of spec.u and spec.w.  Where a step's row argmax is a
-    permutation with a strict maximum in every row, that is the greedy
-    result; the other steps go through _greedy_match.
+    slices of spec.u and spec.w, a block holding _TRACK_OVERLAPS scores:
+    max(1, _TRACK_OVERLAPS // m**2) steps.  A step is clean where its row
+    argmax is a permutation with a strict maximum in every row, which is
+    the greedy result; a block's other steps split it into runs of clean
+    steps.  Each run is chained from the index row before it by pointer
+    doubling (_chain), with no Python iteration per step, and each other
+    step goes through _greedy_match.  The block's overlaps are one gather
+    from its scores.
 
     Each trace is one column of the resulting index map (its eig_index)
     with its eigenvalues and overlaps; the eigenvectors stay in spec.
@@ -269,16 +287,20 @@ def track(spec: Spectrum) -> list[EigenTrace]:
     idx = np.empty((nf, m), dtype=int)  # [step, trace] -> eigenvalue index
     idx[0] = np.argsort(-np.abs(spec.lam[0]), kind="stable")
     overlaps = np.ones((nf - 1, m))
-    for start in range(0, nf - 1, _TRACK_BLOCK):
-        stop = min(start + _TRACK_BLOCK, nf - 1)  # steps t -> t + 1 for t in [start, stop)
+    block = max(1, _TRACK_OVERLAPS // (m * m))
+    for start in range(0, nf - 1, block):
+        stop = min(start + block, nf - 1)  # steps t -> t + 1 for t in [start, stop)
         score = np.abs(spec.u[start:stop] @ spec.w[start + 1:stop + 1])
         best, fast = _fast_match(score)
-        for k, t in enumerate(range(start, stop)):
-            if fast[k]:
-                idx[t + 1] = best[k, idx[t]]
-            else:
-                idx[t + 1] = _greedy_match(score[k, idx[t]], spec.lam[t, idx[t]],
+        k = 0  # block step of the next run
+        for s in [*np.flatnonzero(~fast).tolist(), stop - start]:
+            if s > k:  # clean steps k .. s - 1
+                idx[start + k + 1:start + s + 1] = _chain(best[k:s], idx[start + k])
+            if s < stop - start:
+                t = start + s
+                idx[t + 1] = _greedy_match(score[s, idx[t]], spec.lam[t, idx[t]],
                                            spec.lam[t + 1])
+            k = s + 1
         overlaps[start:stop] = score[np.arange(stop - start)[:, None],
                                      idx[start:stop], idx[start + 1:stop + 1]]
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_grid_regular():
     (10.0, 15.1, 2.0, 3, 14.0),
     (2.0, 4999.5, 2.0, 2499, 4998.0),
     (2.0, 5000.0, 5.0, 1000, 4997.0),
-    (0.1, 0.3, 0.1, 3, pytest.approx(0.3)),
+    (0.1, 0.3, 0.1, 3, 0.3),
     (10.0, 2500.0, 1.0, 2491, 2500.0),
     (2.0, 5000.0, 2.0, 2500, 5000.0),
     (5.0, 5.0, 1.0, 1, 5.0),
@@ -94,6 +95,18 @@ def test_grid_regular_stops_at_or_below_fmax(fmin, fmax, df, n, last):
     g = FrequencyGrid.regular(fmin, fmax, df)
     assert len(g) == n
     assert g.frequencies[-1] == last
+
+
+@given(st.integers(1, 10**6), st.integers(0, 3), st.integers(1, 10**5), st.integers(0, 3),
+       st.integers(0, 5000))
+def test_grid_regular_spans_a_whole_decimal_span(fmin_units, fmin_places, df_units,
+                                                 df_places, k):
+    # fmin, df decimal; fmax = fmin + k df exactly, then rounded to a float
+    fmin, df = Decimal(fmin_units).scaleb(-fmin_places), Decimal(df_units).scaleb(-df_places)
+    g = FrequencyGrid.regular(float(fmin), float(fmin + k * df), float(df))
+    assert len(g) == k + 1
+    assert g.frequencies[-1] <= float(fmin + k * df)
+    assert all(a < b for a, b in zip(g.frequencies, g.frequencies[1:]))
 
 
 @pytest.mark.parametrize("freqs", [(), (0.0, 1.0), (10.0, 10.0), (20.0, 10.0)])

@@ -593,6 +593,76 @@ def test_track_falls_back_to_greedy_match(monkeypatch, score, lam_next, expected
     assert tuple(tr.lam[1].real for tr in traces) == expected_next
 
 
+def _scored_spectrum(rng, m, steps, non_strict=()):
+    """Spectrum of `steps` tracking steps whose scores |u_t . w_t+1| are
+    set directly, built from its arrays like _two_step_samples: u_t = I
+    and w_t+1 a random permutation matrix (0.8) over noise (< 0.1), a
+    clean step.  At a step in non_strict, row 0 of w_t+1 ties its maximum
+    with row 1's column (even steps) or exceeds it there (odd steps), so
+    the row argmax is no strict permutation and _greedy_match decides."""
+    w = np.empty((steps + 1, m, m), dtype=complex)
+    w[0] = np.eye(m)
+    for t in range(steps):
+        p = rng.permutation(m)
+        s = 0.1 * rng.random((m, m))
+        s[np.arange(m), p] = 0.8
+        if t in non_strict:
+            s[0, p[1]] = 0.8 if t % 2 == 0 else 0.9
+        w[t + 1] = s
+    lam = rng.normal(size=(steps + 1, m)) + 1j * rng.normal(size=(steps + 1, m))
+    u = np.broadcast_to(np.eye(m, dtype=complex), w.shape)
+    return Spectrum(np.arange(1.0, steps + 2.0), lam, w, u)
+
+
+def _track_block(m):
+    """Steps per score block of an m-eigenvalue sweep."""
+    return max(1, stability_engine._TRACK_OVERLAPS // (m * m))
+
+
+def _splice_case(m):
+    """(m, steps, non-strict steps) over 3.5 score blocks: non-strict at
+    the first step, at a block's last and the next block's first, at two
+    consecutive steps and at the final step."""
+    b = _track_block(m)
+    steps = 3 * b + b // 2
+    return m, steps, (0, b - 1, b, 2 * b + 2, 2 * b + 3, steps - 1)
+
+
+@pytest.mark.parametrize("m, steps, non_strict", [
+    _splice_case(4),
+    _splice_case(40),
+    (3, 1, ()),
+    (3, 1, (0,)),
+    (40, 3 * _track_block(40) + 5, range(3 * _track_block(40) + 5)),
+], ids=["splice-m4", "splice-m40", "two-samples-clean", "two-samples-non-strict",
+        "all-non-strict"])
+def test_track_splices_greedy_steps_into_chained_runs(monkeypatch, m, steps, non_strict):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _greedy_match(*args)
+
+    monkeypatch.setattr(stability_engine, "_greedy_match", counted)
+    spec = _scored_spectrum(np.random.default_rng(m + steps), m, steps, set(non_strict))
+    assert_track_equals_reference(spec)
+    assert len(calls) == len(non_strict)
+
+
+def test_track_score_memory_follows_the_overlap_budget():
+    """At m = 40 a score block is 10 steps, 0.4 MB of complex products and
+    their magnitudes; the bound sits far below the 4.9 MB that 128 steps
+    of scores would hold."""
+    spec = _scored_spectrum(np.random.default_rng(7), 40, 299)
+    tracemalloc.start()
+    try:
+        track(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
 # --- crossover detection ---
 
 def synthetic_trace(freqs, lam) -> tuple[Spectrum, EigenTrace]:
