@@ -504,7 +504,7 @@ def cmd_verify(cfg: RunConfig, out: Path, g, traces, report, cplan):
     fundamental (g's), install the damper (at the plan's node, or --node,
     as the --ad-mode variant) and re-analyse.  A baseline with no critical
     crossing needs none: its plan is empty and k_v 0, so nothing is
-    installed and "after" is the baseline."""
+    installed and "after" is the baseline.  traces is not read."""
     design_node = g.nodes[cplan.node_index]
     calibrated = dataclasses.replace(calibrate_ad(cplan, g.damper_defaults),
                                      mode=cfg.ad_mode)
@@ -565,10 +565,12 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
     against the network (check_run); cfg.out_dir is made only when a
     file is written into it.  ad-curve plots the graph's damper defaults
     and analyses no network.  The analysis commands run the baseline
-    analyze once, here, keeping its traces and report only; plan and
-    verify make their one design here.  Each writer in _ANALYSIS_COMMANDS
-    then writes from (cfg, out, g, traces, report), plan and verify with
-    the design.
+    analyze once, here, keeping its traces and report only (analyze holds
+    no sweep's Spectrum); plan and verify make their one design here.
+    Each writer in _ANALYSIS_COMMANDS then writes from (cfg, out, g,
+    traces, report), plan and verify with the design.  verify reads no
+    traces, so it is given None and the baseline traces are let go
+    before its re-analysis: one verify holds one analysis at a time.
     """
     if command != "ad-curve" and command not in _ANALYSIS_COMMANDS:
         raise ValueError(f"unknown command {command!r}")
@@ -578,12 +580,13 @@ def run_command(cfg: RunConfig, command: str) -> tuple[ReportDocument, int]:
     if command == "ad-curve":
         doc, code = cmd_ad_curve(cfg, out, g)
     else:
-        # the traces index the spectrum; it is not kept past the analysis
         traces, report = analyze(g, grid)[1:]
         extra = ()
         if command in ("plan", "verify"):  # plan at --node, verify at the top-ranked node
             node = cfg.node if command == "plan" else None
             extra = (design(cfg, g, traces, report, node),)
+        if command == "verify":
+            traces = None  # not read past the design: let go before the re-analysis
         doc, code = _ANALYSIS_COMMANDS[command](cfg, out, g, traces, report, *extra)
     if "json" in cfg.formats:
         doc.write(out)

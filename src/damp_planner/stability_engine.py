@@ -18,7 +18,9 @@ from __future__ import annotations
 import functools
 import os
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,13 +34,11 @@ DEFAULT_OVERLAP_THRESHOLD = 0.5
 _MAX_REFINE_STEPS = 60
 # distance from the origin below which a winding count is indeterminate
 _ORIGIN_TOL = 1e-9
-# a stack of at most this many matrices is decomposed on the calling thread
-_EIG_INLINE = 256
-# a longer one is split into this many chunks per pool thread, so that
-# the chunk results in flight stay near 1/8 of the stack on any CPU count
-_CHUNKS_PER_WORKER = 8
-# pool threads at most: more chunks in flight would outgrow the memory
-# bound of a sweep (2.5 stacks traced) through their per-chunk objects
+# matrix entries (m * m per frequency) of one chunk of a sweep, and overlap
+# scores (m * m per step) of one batched tracking product: bounds the memory
+# of both
+_TRACK_OVERLAPS = 1 << 14
+# pool threads at most: a sweep holds workers + 1 chunks in flight
 _MAX_WORKERS = 8
 
 
@@ -88,10 +88,10 @@ class Spectrum:
 
 @functools.cache
 def _pool(pid: int):
-    """(executor, workers): one decomposition thread per CPU that process
-    pid may run on, at most _MAX_WORKERS, created on the first long stack
-    (a forked child makes its own).  Imported here, so importing the
-    package loads no concurrent.futures."""
+    """(executor, workers): one sweep thread per CPU that process pid may
+    run on, at most _MAX_WORKERS, created on the first sweep (a forked
+    child makes its own).  Imported here, so importing the package loads
+    no concurrent.futures."""
     from concurrent.futures import ThreadPoolExecutor
 
     if hasattr(os, "sched_getaffinity"):
@@ -99,61 +99,21 @@ def _pool(pid: int):
     else:
         workers = os.cpu_count() or 1
     workers = min(workers, _MAX_WORKERS)
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="eig_lr"), workers
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="sweep"), workers
 
 
-def _stackwise(fn, a: np.ndarray, *shapes):
-    """fn(a) for fn np.linalg.eig or np.linalg.inv of a complex stack a,
-    whose complex results have the given shapes.  A stack of at most
-    _EIG_INLINE members is one call on the calling thread; a longer one is
-    one call per contiguous chunk, _CHUNKS_PER_WORKER chunks per pool
-    thread, each written into its rows of the results.  Both functions
-    decompose every member on its own, so chunks give the same bits as
-    one call.  Returns once every chunk has finished, and raises then the
-    error of the first failing chunk, in stack order."""
-    n = len(a)
-    if n <= _EIG_INLINE:
-        return fn(a)
-    pool, workers = _pool(os.getpid())
-    step = -(-n // (_CHUNKS_PER_WORKER * workers))
-    outs = [np.empty(shape, complex) for shape in shapes]
-
-    def fill(k):
-        res = fn(a[k:k + step])
-        for out, r in zip(outs, res if len(outs) > 1 else [res]):
-            out[k:k + step] = r
-
-    futures = [pool.submit(fill, k) for k in range(0, n, step)]
-    for err in [fut.exception() for fut in futures]:  # the list waits for every chunk
-        if err is not None:
-            raise err
-    return outs if len(outs) > 1 else outs[0]
-
-
-def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> Spectrum:
-    """eig_lr over a stack of matrices (len(f_hz), m, m), returned as one
-    Spectrum: np.linalg.eig, then, with the matrices let go, np.linalg.inv
-    of the right vectors, each through _stackwise, so a stack longer than
-    _EIG_INLINE runs in chunks on a thread per available CPU, up to
-    _MAX_WORKERS.  Every member is decomposed on its own: the bits do not
-    depend on the chunking or the thread count.
-
-    The checks run on the calling thread.  Raises ValueError or
-    EigNonConvergenceError naming the first frequency with a non-finite
-    entry or whose iteration fails; warns
-    DefectiveMatrixWarning, with the member's frequency, for every member
-    whose Frobenius condition number cond_F(W) = ||W||_F ||U||_F =
-    sqrt(m) ||U||_F (unit-norm eigenvector columns, U = inv(W)) exceeds
-    1e10: a near-defective matrix, whose left vectors via inversion lose
-    accuracy.  cond_2 <= cond_F <= m cond_2, so every member with
-    cond_2(W) > 1e10 warns, and one may warn up to a factor m earlier.
-    """
+def _decompose(mats: np.ndarray, f_hz: Sequence[float]) -> tuple[Spectrum, list[str]]:
+    """eig_lr_batch but for its warnings: the Spectrum of the stack mats
+    and the message of every DefectiveMatrixWarning it owes, which the
+    calling thread warns (a sweep's pool thread runs this on its chunk).
+    The matrices are let go once eig has returned, so inv builds u beside
+    w alone when the caller holds no reference to them."""
     mats = np.asarray(mats, dtype=complex)
     if not np.all(np.isfinite(mats)):
         k = np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))[0]
         raise ValueError(f"matrix at f={f_hz[k]} Hz has non-finite entries")
     try:
-        lam, w = _stackwise(np.linalg.eig, mats, mats.shape[:2], mats.shape)
+        lam, w = np.linalg.eig(mats)
     except np.linalg.LinAlgError:
         # the stacked call does not say which member failed
         for m, f in zip(mats, f_hz):
@@ -162,15 +122,42 @@ def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> Spectrum:
             except np.linalg.LinAlgError as e:
                 raise EigNonConvergenceError(f"eig failed at f={f} Hz: {e}") from e
         raise
-    del mats  # not needed past eig: a sweep's assembled stack is freed before inv
-    u = _stackwise(np.linalg.inv, w, w.shape)
+    del mats
+    u = np.linalg.inv(w)
     # ||U||_F^2 from views of U's parts: no (nf, m, m) temporary
     sq = np.einsum("kij,kij->k", u.real, u.real) + np.einsum("kij,kij->k", u.imag, u.imag)
     cond = np.sqrt(w.shape[-1] * sq)
-    for k in np.flatnonzero(cond > 1e10):
-        warnings.warn(f"near-defective matrix at f={f_hz[k]} Hz (cond_F(W)={cond[k]:.2e})",
-                      DefectiveMatrixWarning, stacklevel=2)
-    return Spectrum(np.asarray(f_hz, dtype=float), lam, w, u)
+    defective = [f"near-defective matrix at f={f_hz[k]} Hz (cond_F(W)={cond[k]:.2e})"
+                 for k in np.flatnonzero(cond > 1e10)]
+    return Spectrum(np.asarray(f_hz, dtype=float), lam, w, u), defective
+
+
+def _warn_defective(messages: list[str]) -> None:
+    """Warn each message of _decompose, naming the frame that called the
+    caller of this function."""
+    for msg in messages:
+        warnings.warn(msg, DefectiveMatrixWarning, stacklevel=3)
+
+
+def eig_lr_batch(mats: np.ndarray, f_hz: Sequence[float]) -> Spectrum:
+    """eig_lr over a stack of matrices (len(f_hz), m, m), returned as one
+    Spectrum, on the calling thread: np.linalg.eig, then np.linalg.inv of
+    the right vectors.  Every member is decomposed on its own, so a stack
+    gives the bits of its members decomposed apart; a sweep runs this
+    decomposition and these checks on each of its chunks (_stream).
+
+    Raises ValueError or EigNonConvergenceError naming the first frequency
+    with a non-finite entry or whose iteration fails; warns
+    DefectiveMatrixWarning, with the member's frequency, for every member
+    whose Frobenius condition number cond_F(W) = ||W||_F ||U||_F =
+    sqrt(m) ||U||_F (unit-norm eigenvector columns, U = inv(W)) exceeds
+    1e10: a near-defective matrix, whose left vectors via inversion lose
+    accuracy.  cond_2 <= cond_F <= m cond_2, so every member with
+    cond_2(W) > 1e10 warns, and one may warn up to a factor m earlier.
+    """
+    spec, defective = _decompose(mats, f_hz)
+    _warn_defective(defective)
+    return spec
 
 
 def eig_lr(m: np.ndarray, f_hz: float = float("nan")) -> EigenSample:
@@ -179,11 +166,78 @@ def eig_lr(m: np.ndarray, f_hz: float = float("nan")) -> EigenSample:
     return eig_lr_batch(np.asarray(m)[None], [f_hz])[0]
 
 
+def _stream(g: NetworkGraph, grid: FrequencyGrid, take: Callable[[Spectrum], None]) -> None:
+    """take(chunk) for the Spectrum of each chunk of the grid, in grid
+    order: the one sweep path, which sweep copies into one Spectrum and
+    analyze tracks as it goes.
+
+    A chunk holds _TRACK_OVERLAPS matrix entries, max(1, _TRACK_OVERLAPS
+    // m**2) frequencies, and at most ceil(nf / workers), so every pool
+    thread gets one.  Each chunk is one pool task: assemble_grid on its
+    frequencies, then _decompose, whose matrices are let go before inv.
+    The calling thread takes the chunks in grid order, warns each one's
+    DefectiveMatrixWarnings and raises the error of the first failing
+    one.  At most workers + 1 chunks are in flight: the one awaited and
+    workers chunks after it, so the pool stays busy while take runs.  Before
+    this returns or raises, the chunks not started are cancelled and the
+    running ones waited for, so no task outlives the call.  Every member
+    is decomposed on its own: the bits depend on neither the chunking nor
+    the thread count.
+
+    The grid's two ends are assembled first, on the calling thread, so an
+    assembly error that depends on the grid's extent (a sampled control's
+    band, a lossless element's fundamental, a table's range) is raised
+    before any chunk, and, from one assembly of the whole grid, with the
+    whole grid's message.
+    """
+    from concurrent.futures import wait
+
+    hz = grid.hz
+    try:
+        assemble_grid(g, hz[[0, -1]])
+    except ValueError:
+        assemble_grid(g, hz)  # raises what one assembly of the grid would
+        raise
+    pool, workers = _pool(os.getpid())
+    nf, m = len(hz), 2 * g.n
+    size = min(max(1, _TRACK_OVERLAPS // (m * m)), -(-nf // workers))
+
+    def chunk(k):
+        fs = hz[k:k + size]
+        return _decompose(assemble_grid(g, fs), fs)
+
+    starts = iter(range(0, nf, size))
+    ahead = deque(pool.submit(chunk, k) for k in islice(starts, workers + 1))
+    try:
+        while ahead:
+            spec, defective = ahead.popleft().result()
+            _warn_defective(defective)
+            take(spec)
+            del spec
+            ahead.extend(pool.submit(chunk, k) for k in islice(starts, 1))
+    finally:
+        for fut in ahead:
+            fut.cancel()
+        wait(ahead)
+
+
 def sweep(g: NetworkGraph, grid: FrequencyGrid) -> Spectrum:
-    """The Spectrum of the grid, in grid order: the grid assembled in one
-    batch on the calling thread and decomposed by eig_lr_batch, in chunks
-    on a thread per available CPU, with all its checks."""
-    return eig_lr_batch(assemble_grid(g, grid.hz), grid.hz)
+    """The Spectrum of the grid, in grid order: the chunks of _stream,
+    assembled and decomposed on a thread per available CPU with all the
+    checks of eig_lr_batch, copied into one stack each of lam, w and u."""
+    nf, m = len(grid), 2 * g.n
+    spec = Spectrum(np.asarray(grid.hz, dtype=float), np.empty((nf, m), dtype=complex),
+                    np.empty((nf, m, m), dtype=complex), np.empty((nf, m, m), dtype=complex))
+    taken = 0
+
+    def put(chunk):
+        nonlocal taken
+        rows = slice(taken, taken + len(chunk))
+        spec.lam[rows], spec.w[rows], spec.u[rows] = chunk.lam, chunk.w, chunk.u
+        taken = rows.stop
+
+    _stream(g, grid, put)
+    return spec
 
 
 @dataclass
@@ -192,11 +246,12 @@ class EigenTrace:
 
     Trace ids are 1-based, assigned by descending |lambda| at the first
     sweep frequency.  eig_index[t] is the trace's eigenvalue index in the
-    swept Spectrum at sample t, so its eigenvectors there are
-    spec.u[t, eig_index[t]] and spec.w[t, :, eig_index[t]]; the trace
-    holds no copy of them.  overlaps[t] is the tracking score of step
-    t -> t + 1, and discontinuities lists the steps whose score fell below
-    the threshold (never silently bridged, only flagged).
+    decomposition of sample t, so its eigenvectors there are
+    spec.u[t, eig_index[t]] and spec.w[t, :, eig_index[t]] of the sweep's
+    Spectrum spec (sweep(g, grid) decomposes every sample as analyze
+    does); the trace holds no copy of them.  overlaps[t] is the tracking
+    score of step t -> t + 1, and discontinuities lists the steps whose
+    score fell below the threshold (never silently bridged, only flagged).
     """
 
     trace_id: int
@@ -242,10 +297,6 @@ def _fast_match(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, is_perm & np.all(strict, axis=-1)
 
 
-# overlap scores (m * m per step) of one batched product; bounds their memory
-_TRACK_OVERLAPS = 1 << 14
-
-
 def _chain(q: np.ndarray, start_row: np.ndarray) -> np.ndarray:
     """Index rows after a run of clean steps: q[j] maps the eigenvalue
     indices of step j's sample to the next one's, start_row is the row
@@ -259,6 +310,84 @@ def _chain(q: np.ndarray, start_row: np.ndarray) -> np.ndarray:
     return q[:, start_row]
 
 
+class _Tracker:
+    """The traces of a sweep of the frequencies f_hz and m eigenvalues,
+    tracked one chunk of consecutive samples at a time, in order (see
+    track).  A chunk's first step starts from the previous chunk's last
+    sample, whose eigenvalues, left vectors and index row are carried.
+    Keeps the index map, the overlaps and the eigenvalues in trace order
+    and, when rows is a dict (analyze's), the left eigenvectors assess
+    reads: rows[t, j] = u[t, j] at every sample t that starts a
+    _crossing_brackets bracket of a trace, j the trace's eigenvalue index
+    there.  track, whose Spectrum holds every u, keeps none."""
+
+    def __init__(self, f_hz: np.ndarray, m: int, rows: dict | None = None):
+        nf = len(f_hz)
+        self.f_hz = f_hz
+        self.idx = np.empty((nf, m), dtype=int)  # [sample, trace] -> eigenvalue index
+        self.lam = np.empty((nf, m), dtype=complex)  # [sample, trace] -> eigenvalue
+        self.overlaps = np.ones((max(nf - 1, 0), m))
+        self.rows = rows
+        self.taken = 0  # samples tracked so far
+        self.last = None  # (eigenvalues, left vectors) of the last of them
+
+    def add(self, lam: np.ndarray, w: np.ndarray, u: np.ndarray) -> None:
+        """Track the next chunk, its eigenvalues lam (k, m) and right and
+        left vectors w, u (k, m, m)."""
+        a = self.taken
+        b = a + len(lam)
+        if a == 0:
+            self.idx[0] = np.argsort(-np.abs(lam[0]), kind="stable")
+        else:
+            lam_last, u_last = self.last
+            self._steps(a - 1, u_last[None], w[:1], np.stack([lam_last, lam[0]]))
+        self._steps(a, u[:-1], w[1:], lam)
+        self.lam[a:b] = np.take_along_axis(lam, self.idx[a:b], axis=1)
+        if self.rows is not None:
+            # samples lo .. b - 1: every bracket ending in this chunk starts there
+            lo = max(a - 1, 0)
+            starts = np.nonzero(_crossing_starts(self.lam[lo:b].imag))
+            for s, k in zip(*(x.tolist() for x in starts)):
+                t, j = lo + s, int(self.idx[lo + s, k])
+                self.rows[t, j] = (u[t - a] if t >= a else self.last[1])[j].copy()
+        self.last = (lam[-1].copy(), u[-1].copy())
+        self.taken = b
+
+    def _steps(self, start: int, u: np.ndarray, w: np.ndarray, lam: np.ndarray) -> None:
+        """Track the steps t -> t + 1 for t in [start, start + len(u)), u
+        holding the left vectors of the samples t, w the right vectors of
+        the samples t + 1 and lam the eigenvalues of samples start to
+        start + len(u)."""
+        n = len(u)
+        if n == 0:
+            return
+        idx = self.idx
+        score = np.abs(u @ w)
+        best, fast = _fast_match(score)
+        k = 0  # step of the next run
+        for s in [*np.flatnonzero(~fast).tolist(), n]:
+            if s > k:  # clean steps k .. s - 1
+                idx[start + k + 1:start + s + 1] = _chain(best[k:s], idx[start + k])
+            if s < n:
+                t = start + s
+                idx[t + 1] = _greedy_match(score[s, idx[t]], lam[s, idx[t]], lam[s + 1])
+            k = s + 1
+        self.overlaps[start:start + n] = score[np.arange(n)[:, None], idx[start:start + n],
+                                               idx[start + 1:start + n + 1]]
+
+    def traces(self) -> list[EigenTrace]:
+        """One EigenTrace per column of the index map, once every sample
+        is tracked."""
+        nf, m = self.idx.shape
+        if nf < 2:
+            raise ValueError("tracking needs at least 2 samples")
+        # per trace k and step t: eigenvalue index, eigenvalue and overlap
+        pick, lam, ov = self.idx.T, self.lam.T, self.overlaps.T
+        return [EigenTrace(k + 1, self.f_hz, lam[k], pick[k], ov[k],
+                           tuple(np.flatnonzero(ov[k] < DEFAULT_OVERLAP_THRESHOLD).tolist()))
+                for k in range(m)]
+
+
 def track(spec: Spectrum) -> list[EigenTrace]:
     """Connect the spectra of a sweep into continuous eigenvalue traces.
 
@@ -268,48 +397,27 @@ def track(spec: Spectrum) -> list[EigenTrace]:
     identity through eigenvalue near-collisions where plain
     value-proximity matching would swap them.
 
-    The overlap scores of a block of steps are one batched product of
-    slices of spec.u and spec.w, a block holding _TRACK_OVERLAPS scores:
-    max(1, _TRACK_OVERLAPS // m**2) steps.  A step is clean where its row
-    argmax is a permutation with a strict maximum in every row, which is
-    the greedy result; a block's other steps split it into runs of clean
+    The spectrum is tracked in chunks of max(1, _TRACK_OVERLAPS // m**2)
+    samples, as analyze tracks a sweep's chunks (_Tracker): the overlap
+    scores of a chunk's steps, the step from the previous chunk's last
+    sample included, are batched products of slices of spec.u and spec.w,
+    at most _TRACK_OVERLAPS scores.  A step is clean where its row argmax
+    is a permutation with a strict maximum in every row, which is the
+    greedy result; the other steps split the chunk into runs of clean
     steps.  Each run is chained from the index row before it by pointer
     doubling (_chain), with no Python iteration per step, and each other
-    step goes through _greedy_match.  The block's overlaps are one gather
+    step goes through _greedy_match.  The chunk's overlaps are one gather
     from its scores.
 
     Each trace is one column of the resulting index map (its eig_index)
     with its eigenvalues and overlaps; the eigenvectors stay in spec.
     """
     nf, m = spec.lam.shape
-    if nf < 2:
-        raise ValueError("tracking needs at least 2 samples")
-    idx = np.empty((nf, m), dtype=int)  # [step, trace] -> eigenvalue index
-    idx[0] = np.argsort(-np.abs(spec.lam[0]), kind="stable")
-    overlaps = np.ones((nf - 1, m))
-    block = max(1, _TRACK_OVERLAPS // (m * m))
-    for start in range(0, nf - 1, block):
-        stop = min(start + block, nf - 1)  # steps t -> t + 1 for t in [start, stop)
-        score = np.abs(spec.u[start:stop] @ spec.w[start + 1:stop + 1])
-        best, fast = _fast_match(score)
-        k = 0  # block step of the next run
-        for s in [*np.flatnonzero(~fast).tolist(), stop - start]:
-            if s > k:  # clean steps k .. s - 1
-                idx[start + k + 1:start + s + 1] = _chain(best[k:s], idx[start + k])
-            if s < stop - start:
-                t = start + s
-                idx[t + 1] = _greedy_match(score[s, idx[t]], spec.lam[t, idx[t]],
-                                           spec.lam[t + 1])
-            k = s + 1
-        overlaps[start:stop] = score[np.arange(stop - start)[:, None],
-                                     idx[start:stop], idx[start + 1:stop + 1]]
-
-    # per trace k and step t: eigenvalue index and eigenvalue
-    pick, ov = idx.T, overlaps.T
-    lam_tr = spec.lam[np.arange(nf), pick]
-    return [EigenTrace(k + 1, spec.f_hz, lam_tr[k], pick[k], ov[k],
-                       tuple(np.flatnonzero(ov[k] < DEFAULT_OVERLAP_THRESHOLD).tolist()))
-            for k in range(m)]
+    tracker = _Tracker(spec.f_hz, m)
+    size = max(1, _TRACK_OVERLAPS // (m * m))
+    for a in range(0, nf, size):
+        tracker.add(spec.lam[a:a + size], spec.w[a:a + size], spec.u[a:a + size])
+    return tracker.traces()
 
 
 @dataclass(frozen=True)
@@ -398,14 +506,22 @@ def refine_crossovers(matrices_at: Callable[[Sequence[float]], np.ndarray],
     return out
 
 
+def _crossing_starts(im: np.ndarray) -> np.ndarray:
+    """Mask of the samples of im (along axis 0) where a zero crossing
+    starts: a sample exactly on the axis, or one whose sign differs from
+    the next sample's."""
+    starts = im == 0
+    starts[:-1] |= im[:-1] * im[1:] < 0
+    return starts
+
+
 def _crossing_brackets(im: np.ndarray) -> np.ndarray:
     """(lo, hi) sample pairs, shape (k, 2) and ascending, of every zero
     crossing of the samples im: (t, t + 1) for a sign change between
     samples t and t + 1, (t, t) for a sample exactly on the axis, the last
     sample included."""
-    change = np.append(im[:-1] * im[1:] < 0, False)  # at t: a sign change t -> t + 1
-    lo = np.flatnonzero((im == 0) | change)
-    return np.stack([lo, lo + change[lo]], axis=1)
+    lo = np.flatnonzero(_crossing_starts(im))
+    return np.stack([lo, lo + (im[lo] != 0)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -428,16 +544,19 @@ class StabilityReport:
         return not self.critical_events
 
 
-def assess(spec: Spectrum, traces: Sequence[EigenTrace],
+def assess(u, traces: Sequence[EigenTrace],
            matrices_at: Callable[[Sequence[float]], np.ndarray]) -> StabilityReport:
     """Stability verdict: stable iff no crossover is critical, i.e. has
     Re[lambda] <= 0 (iff every crossover has Re[lambda] > 0).
 
-    traces are tracked on spec.  Every zero crossing of Im[lambda] along
+    traces are tracked on a sweep, and u[t, j] is the left eigenvector of
+    eigenvalue j at its sample t: the u stack of the sweep's Spectrum, or
+    the rows analyze keeps, which hold it at the samples assess reads
+    only.  Every zero crossing of Im[lambda] along
     every trace is an event, sorted by frequency, then trace id, bracketed
     by a (lo, hi) pair of _crossing_brackets: a sign change from sample t
     is (f_t, f_t+1, Im_t, Im_t+1, u_t), a sample on the axis the zero-width
-    (f_t, f_t, 0, 0, u_t), u_t being spec.u[t, eig_index[t]].
+    (f_t, f_t, 0, 0, u_t), u_t being u[t, eig_index[t]].
     All the brackets of all traces are located by one refine_crossovers
     run on matrices_at(fs) -> (len(fs), m, m), to |Im| <= 1e-6 *
     max(1, |Re|): each round decomposes the points of every open bracket
@@ -454,7 +573,7 @@ def assess(spec: Spectrum, traces: Sequence[EigenTrace],
             falling = im[lo + 1] < 0 if lo + 1 < len(im) else im[lo - 1] >= 0
             crossings.append((tr.trace_id, "falling" if falling else "rising"))
             brackets.append((tr.f_hz[lo], tr.f_hz[hi], im[lo], im[hi],
-                             spec.u[lo, tr.eig_index[lo]]))
+                             u[lo, tr.eig_index[lo]]))
     events = []
     for (trace_id, direction), res in zip(crossings, refine_crossovers(matrices_at, brackets)):
         if isinstance(res, BisectionError):
@@ -493,20 +612,26 @@ def nyquist_winding(trace: EigenTrace) -> int | None:
 
 
 def analyze(g: NetworkGraph, grid: FrequencyGrid):
-    """Sweep, track and assess in one call.
+    """Sweep, track and assess in one call, holding no sweep's Spectrum.
 
-    Returns (spectrum, traces, report), the traces tracked on the sweep's
-    one Spectrum and indexing it, so the eigenvectors are held once: a
-    caller that keeps only (traces, report), e.g. analyze(g, grid)[1:],
-    lets the spectrum go.  The sweep and the crossover refinement decompose
-    through eig_lr_batch and its checks; the crossovers of all traces are
-    refined together by batched Illinois regula falsi (refine_crossovers)
-    against matrices re-assembled with matrices_at(fs) = assemble_grid(g,
-    fs), one assembly and decomposition per round for every open bracket.
-    Tracking steps with overlap below DEFAULT_OVERLAP_THRESHOLD are
-    flagged.
+    The grid goes through the sweep's chunk stream (_stream): each chunk
+    is assembled and decomposed on a pool thread, then tracked on the
+    calling thread as it arrives, in grid order, from the last sample of
+    the one before (_Tracker); the chunk is let go once tracked.  What is
+    kept is each trace's eigenvalues, eig_index and overlaps, and the left
+    eigenvector rows that assess reads, rows[t, j] at the samples t where
+    a crossing bracket starts.  Returns (rows, traces, report).  The
+    crossovers of all traces are then refined together by batched
+    Illinois regula falsi (refine_crossovers) against matrices
+    re-assembled with matrices_at(fs) = assemble_grid(g, fs), one assembly
+    and eig_lr_batch per round for every open bracket.  Tracking steps
+    with overlap below DEFAULT_OVERLAP_THRESHOLD are flagged.  The traces,
+    events and errors are those of track(sweep(g, grid)) and assess on
+    that Spectrum, bit for bit.
     """
-    spec = sweep(g, grid)
-    traces = track(spec)
-    report = assess(spec, traces, lambda fs: assemble_grid(g, fs))
-    return spec, traces, report
+    rows: dict[tuple[int, int], np.ndarray] = {}
+    tracker = _Tracker(grid.hz, 2 * g.n, rows)
+    _stream(g, grid, lambda chunk: tracker.add(chunk.lam, chunk.w, chunk.u))
+    traces = tracker.traces()
+    report = assess(rows, traces, lambda fs: assemble_grid(g, fs))
+    return rows, traces, report

@@ -428,9 +428,8 @@ def test_sweep_report_names_flagged_steps(fixture_path, tmp_path, monkeypatch):
 def test_verify_holds_one_spectrum_at_a_time(fixture_path, tmp_path):
     """The traced allocation peak of one verify on the fixture's 1 Hz grid
     stays below the eigenvector stacks w and u of two sweeps (4 nf m^2
-    complex numbers): the traces index the Spectrum instead of copying its
-    vectors, and the baseline spectrum is let go before the damper's
-    re-analysis sweeps."""
+    complex numbers): the traces copy no eigenvectors, and the baseline
+    analysis is let go before the damper's re-analysis."""
     cfg = RunConfig(network=str(fixture_path), out_dir=str(tmp_path))
     run_command(cfg, "verify")  # warm-up: lazy imports and caches
     nf, m = len(cfg.grid()), 2 * len(load_network(fixture_path).nodes)
@@ -441,6 +440,25 @@ def test_verify_holds_one_spectrum_at_a_time(fixture_path, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * nf * m * m * 16
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps call arguments on the caller's stack until "
+                           "the call returns, so an assembled chunk outlives its eig there")
+def test_verify_peaks_below_one_and_a_half_stacks(fixture_path, tmp_path):
+    """One verify on the fixture's 1 Hz grid peaks at 3.4 MB traced, 1.3
+    of the 2.55 MB stacks of nf m^2 complex numbers: each analysis
+    streams its sweep chunk by chunk, holding no Spectrum, and the
+    baseline traces are let go before the re-analysis."""
+    cfg = RunConfig(network=str(fixture_path), out_dir=str(tmp_path))
+    run_command(cfg, "verify")  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        run_command(cfg, "verify")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.4e6
 
 
 def test_report_embeds_config_hash_and_metadata(fixture_path, tmp_path):
@@ -792,14 +810,14 @@ def test_one_baseline_analysis_per_command(fixture_path, tmp_path, monkeypatch,
                                            command, sweeps):
     # plan reuses the baseline analysis; verify adds only the re-assessment
     # with the damper installed
-    real_sweep = stability_engine.sweep
+    real_stream = stability_engine._stream
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return real_sweep(*args, **kwargs)
+        return real_stream(*args, **kwargs)
 
-    monkeypatch.setattr(stability_engine, "sweep", counted)
+    monkeypatch.setattr(stability_engine, "_stream", counted)
     cfg = RunConfig(network=str(fixture_path), fmin_hz=150.0, fmax_hz=250.0,
                     df_hz=2.0, out_dir=str(tmp_path))
     run_command(cfg, command)
@@ -832,14 +850,14 @@ def test_stable_verify_designs_and_installs_at_its_node(fixture_path, tmp_path):
 def test_stable_verify_installs_nothing_and_sweeps_once(fixture_path, tmp_path, monkeypatch):
     # with no critical crossing the plan is empty and k_v is 0: the baseline
     # is the verdict after, with no damper installed and no second sweep
-    real_sweep = stability_engine.sweep
+    real_stream = stability_engine._stream
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return real_sweep(*args, **kwargs)
+        return real_stream(*args, **kwargs)
 
-    monkeypatch.setattr(stability_engine, "sweep", counted)
+    monkeypatch.setattr(stability_engine, "_stream", counted)
     cfg = RunConfig(network=str(fixture_path), fmin_hz=150.0, fmax_hz=170.0,
                     df_hz=2.0, node=2, out_dir=str(tmp_path))
     doc, code = run_command(cfg, "verify")
@@ -968,6 +986,18 @@ def test_sweep_beyond_the_inverter_f_s_half_names_the_grid_frequency(fixture_pat
                  "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err == ("error: f reaches 5219.0 Hz, not below the sampled "
+                                       "control's f_s/2 = 5000.0 Hz\n")
+
+
+def test_sweep_far_beyond_the_inverter_f_s_half_names_the_grid_top(fixture_path, tmp_path,
+                                                                   capsys):
+    # 10-9000 Hz @ 1 Hz passes f_s/2 = 5000 Hz in many of its chunks: the
+    # error names the grid's top frequency, as one assembly of the grid
+    # would, not the top of the first chunk past 5000 Hz
+    code = main(["criticals", "--network", str(fixture_path), "--fmax", "9000",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: f reaches 9000.0 Hz, not below the sampled "
                                        "control's f_s/2 = 5000.0 Hz\n")
 
 

@@ -35,6 +35,7 @@ from damp_planner.stability_engine import (
     eig_lr,
     eig_lr_batch,
     refine_crossovers,
+    sweep,
 )
 
 W0 = 2 * math.pi * 50.0
@@ -126,6 +127,13 @@ def test_fixture_dominant_nodes_split_low_vs_high(case_graph):
         assert dominant(t) == case_graph.node_index(3)
 
 
+def swept_analysis(g, grid):
+    """(spectrum, traces, report): analyze's traces and report, and the
+    sweep's Spectrum, whose samples their eig_index indexes (sweep
+    decomposes each sample as analyze does)."""
+    return (sweep(g, grid), *analyze(g, grid)[1:])
+
+
 def left_vector_near(spec, tr, f_hz):
     """The trace's left eigenvector in the swept spec at the first swept
     frequency >= f_hz (the last one when f_hz lies beyond the sweep): the
@@ -152,7 +160,7 @@ def reference_compensation_table(g, spec, traces, events):
 
 
 def test_kc_from_events_equals_re_decomposition_on_fixture(case_graph):
-    spec, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    spec, traces, report = swept_analysis(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
     got = compensation_table(case_graph, report.events)
     assert len(got) == 3 * case_graph.n
     assert got == reference_compensation_table(case_graph, spec, traces, report.events)
@@ -163,7 +171,7 @@ def test_kc_from_events_equals_re_decomposition_on_random_systems():
     n = 0
     for seed in range(40):
         g = make_random_small_system(seed)
-        spec, traces, report = analyze(g, grid)
+        spec, traces, report = swept_analysis(g, grid)
         got = compensation_table(g, report.events)
         assert got == reference_compensation_table(g, spec, traces, report.events), f"seed {seed}"
         n += len(got)
@@ -397,7 +405,7 @@ def test_fixture_plan_at_node_4_is_pinned(case_graph):
     # regression pin of the planner on the case-study fixture: per critical
     # trace the accumulation step count, the conductance and the final
     # crossover frequency, plus the calibrated damper gain
-    spec, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    spec, traces, report = swept_analysis(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
     cplan = plan(case_graph, 4, traces, report, epsilon=0.005)
     got = [(e.trace_id, e.iterations, e.alpha_s, e.f_cr_final_hz)
            for e in cplan.entries]
@@ -530,7 +538,7 @@ def reference_plan(g, node_id, spec, traces, report, epsilon, dalpha=1e-3, predi
 
 @pytest.fixture(scope="module")
 def fixture_baseline(case_graph):
-    return analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    return swept_analysis(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
 
 
 @pytest.mark.parametrize("node", [4, 3])
@@ -551,7 +559,7 @@ RANDOM_PLANS = [(3, 1), (5, 2), (7, 2), (12, 1), (13, 2), (22, 1), (32, 3), (40,
 @pytest.mark.parametrize("seed, node", RANDOM_PLANS)
 def test_lockstep_plan_equals_per_trace_loop_on_random_systems(seed, node):
     g = make_random_small_system(seed)
-    spec, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
+    spec, traces, report = swept_analysis(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
     assert g.n >= 2 and len(report.critical_events) >= 2
     got = plan(g, node, traces, report, 0.005, 5e-3)
     assert got.entries
@@ -573,7 +581,7 @@ def test_plan_stops_naming_a_lost_crossing(seed, node, dalpha, lost):
     window stops the plan, named, and is not followed to another
     crossing; the per-trace loop stops too."""
     g = make_random_small_system(seed)
-    spec, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
+    spec, traces, report = swept_analysis(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
     start = time.perf_counter()
     with pytest.raises(PlanInfeasibleError, match=f"^{lost}: no crossing within 50 Hz$"):
         plan(g, node, traces, report, 0.005, dalpha)
@@ -628,7 +636,7 @@ def test_predicted_bracket_stays_on_a_close_crossing_pair(monkeypatch):
     spacing) steps over it and loses trace 3 there.  The pair vanishes
     before 0.725 S, and that stops the plan too."""
     g = make_random_small_system(24)
-    spec, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
+    spec, traces, report = swept_analysis(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
     with pytest.raises(PlanInfeasibleError, match=r"^trace 4 .* at alpha=0\.615 S"):
         plan(g, 1, traces, report, 0.005, 5e-3)
 

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -16,9 +17,14 @@ import pytest
 
 from conftest import make_random_small_system
 from damp_planner import compensation_planner, stability_engine
-from damp_planner.component_models import AdmittanceTable, CapacitorParams, GridImpedanceParams
+from damp_planner.component_models import (
+    AdmittanceTable,
+    CapacitorParams,
+    GridImpedanceParams,
+    RlBranchParams,
+)
 from damp_planner.dq_core import FrequencyGrid
-from damp_planner.network_assembly import NetworkGraph, Shunt, assemble, assemble_grid
+from damp_planner.network_assembly import Branch, NetworkGraph, Shunt, assemble, assemble_grid
 from damp_planner.stability_engine import (
     BisectionError,
     CrossoverEvent,
@@ -144,18 +150,15 @@ def test_eig_batch_nonconvergence_names_the_failing_member(eig_failing_on_7):
         eig_lr(7.0 * np.eye(2), 5.0)
 
 
-# --- chunked decomposition of long stacks ---
-
-INLINE = stability_engine._EIG_INLINE
-
+# --- the sweep's chunk stream ---
 
 def reference_eig_lr(mats):
-    """One unchunked stacked eig + inv, without the checks."""
+    """One stacked eig + inv, without the checks."""
     lam, w = np.linalg.eig(mats)
     return lam, w, np.linalg.inv(w)
 
 
-@pytest.mark.parametrize("n", [1, INLINE, INLINE + 1, 5 * INLINE + 3])
+@pytest.mark.parametrize("n", [1, 256, 257, 1283])
 def test_eig_batch_equals_one_stacked_call_bitwise(rng, n):
     mats = rng.normal(size=(n, 8, 8)) + 1j * rng.normal(size=(n, 8, 8))
     fs = [float(k + 1) for k in range(n)]
@@ -167,37 +170,95 @@ def test_eig_batch_equals_one_stacked_call_bitwise(rng, n):
     assert np.array_equal(got.u, u)
 
 
+def single_rc_graph() -> NetworkGraph:
+    return NetworkGraph((1,), (),
+                        (Shunt(1, GridImpedanceParams(10.0, 0.0)),
+                         Shunt(1, CapacitorParams(10e-6))),
+                        omega0=0.0)
+
+
+def matrices_by_frequency(monkeypatch, at):
+    """Make assemble_grid build the 2 x 2 matrix at(f) at each frequency f,
+    for the sweep's chunks and for the crossover locator: a sweep of
+    single_rc_graph() then decomposes those."""
+    monkeypatch.setattr(stability_engine, "assemble_grid",
+                        lambda g, fs: np.array([at(float(f)) for f in fs], dtype=complex))
+
+
+def chunks_of(monkeypatch, m, size):
+    """Make a sweep of m x m matrices stream chunks of size frequencies
+    (fewer where the grid over the workers is fewer)."""
+    monkeypatch.setattr(stability_engine, "_TRACK_OVERLAPS", m * m * size)
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """pool_of(n) gives the sweeps of the test a pool of n threads."""
+    pools = []
+
+    def install(n):
+        pools.append(ThreadPoolExecutor(max_workers=n, thread_name_prefix=f"pool{n}"))
+        monkeypatch.setattr(stability_engine, "_pool", lambda pid, pool=pools[-1]: (pool, n))
+
+    yield install
+    for pool in pools:
+        pool.shutdown()
+
+
 def test_chunked_nonconvergence_names_the_member_after_every_chunk(eig_failing_on_7,
-                                                                   monkeypatch):
-    # member 700 of 1000 fails in its chunk; the per-member search that
-    # names it starts only once every chunk has finished, the slowed ones
-    # after the failing chunk too
+                                                                   monkeypatch, pool_of):
+    # member 700 of 1000 fails in chunk 17 of 25 chunks of 40; on 2 threads
+    # chunks 18 and 19 may run beside it.  The error is raised once they
+    # have finished or been cancelled: no chunk runs after the call, and
+    # none after chunk 19 starts
     failing_eig = np.linalg.eig
-    log = []  # a chunk's length when it finishes, None when a member's search starts
+    log = []  # ("start" | "end", chunk) of each chunk's stacked eig
 
     def logged(a):
-        if np.ndim(a) == 2:
-            log.append(None)
+        if np.ndim(a) == 2:  # the failing chunk's per-member search
             return failing_eig(a)
+        chunk = (int(a[0, 1, 1].real) - 10) // 40
+        log.append(("start", chunk))
         try:
-            if not np.any(np.asarray(a)[:, 0, 0] == 7.0):
-                time.sleep(0.005)
+            time.sleep(0.005)
             return failing_eig(a)
         finally:
-            log.append(len(a))
+            log.append(("end", chunk))
 
     monkeypatch.setattr(np.linalg, "eig", logged)
-    mats = np.tile(np.eye(2, dtype=complex), (1000, 1, 1))
-    mats[700, 0, 0] = 7.0
-    fs = [10.0 + k for k in range(1000)]
+    matrices_by_frequency(monkeypatch, lambda f: np.diag([7.0 if f == 710.0 else 1.0, f]))
+    chunks_of(monkeypatch, 2, 40)
+    pool_of(2)
     with pytest.raises(EigNonConvergenceError, match=r"f=710\.0 Hz"):
-        eig_lr_batch(mats, fs)
-    first_single = log.index(None)
-    assert sum(log[:first_single]) == 1000  # every chunk finished before the search
-    assert log[first_single:] == [None] * 701  # which stops at member 700
+        sweep(single_rc_graph(), FrequencyGrid.regular(10.0, 1009.0, 1.0))
+    done = list(log)
+    time.sleep(0.05)
+    assert log == done
+    started = [c for kind, c in done if kind == "start"]
+    assert sorted(started) == sorted(c for kind, c in done if kind == "end")
+    assert set(range(18)) <= set(started) <= set(range(20))
 
 
-def test_chunked_defective_member_warns_once_on_the_calling_thread(monkeypatch):
+def test_first_failing_chunk_in_grid_order_raises(monkeypatch, pool_of):
+    # chunk 1 of 3 holds a non-finite entry at 25 Hz and is slow; chunk 2,
+    # non-finite at 35 Hz, fails first, but the grid's first one is named
+    real_decompose = stability_engine._decompose
+
+    def slow_first(mats, fs):
+        if fs[0] == 21.0:
+            time.sleep(0.05)
+        return real_decompose(mats, fs)
+
+    monkeypatch.setattr(stability_engine, "_decompose", slow_first)
+    matrices_by_frequency(monkeypatch,
+                          lambda f: np.diag([np.nan if f in (25.0, 35.0) else 1.0, f]))
+    chunks_of(monkeypatch, 2, 10)
+    pool_of(2)
+    with pytest.raises(ValueError, match=r"^matrix at f=25\.0 Hz has non-finite entries$"):
+        analyze(single_rc_graph(), FrequencyGrid.regular(11.0, 40.0, 1.0))
+
+
+def test_chunked_defective_member_warns_once_on_the_calling_thread(monkeypatch, pool_of):
     real_warn = warnings.warn
     threads = []
 
@@ -206,16 +267,16 @@ def test_chunked_defective_member_warns_once_on_the_calling_thread(monkeypatch):
         return real_warn(*args, **kwargs)
 
     monkeypatch.setattr(warnings, "warn", recorded)
-    n = 4 * INLINE
-    mats = np.tile(np.diag([1.0, 2.0]).astype(complex), (n, 1, 1))
-    mats[3 * INLINE + 5] = [[1.0, 1.0], [0.0, 1.0]]
-    fs = [float(k + 1) for k in range(n)]
+    matrices_by_frequency(monkeypatch, lambda f: [[1.0, 1.0], [0.0, 1.0]] if f == 773.0
+                          else np.diag([1.0, 2.0]))
+    chunks_of(monkeypatch, 2, 64)
+    pool_of(2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        eig_lr_batch(mats, fs)
+        sweep(single_rc_graph(), FrequencyGrid.regular(1.0, 1024.0, 1.0))
     defective = [w for w in caught if issubclass(w.category, DefectiveMatrixWarning)]
     assert len(defective) == 1
-    assert f"f={fs[3 * INLINE + 5]} Hz" in str(defective[0].message)
+    assert "f=773.0 Hz" in str(defective[0].message)
     assert threads == [threading.main_thread()]
 
 
@@ -237,39 +298,121 @@ def test_sweep_on_one_worker_equals_the_default_sweep_bitwise(case_graph, monkey
         assert np.array_equal(getattr(single, name), getattr(default, name))
 
 
-def test_chunked_decomposition_under_thread_stress(rng, monkeypatch):
+def tracked_sweep(g, grid):
+    """(traces, report) of the whole Spectrum: track(sweep(g, grid)) and
+    assess on it."""
+    spec = sweep(g, grid)
+    traces = track(spec)
+    return traces, assess(spec.u, traces, lambda fs: stability_engine.assemble_grid(g, fs))
+
+
+def assert_analysis_equals(got, want):
+    """analyze's (rows, traces, report) against tracked_sweep's (traces,
+    report), bit for bit, the events' decompositions included; the rows
+    hold the left vector of every bracket's first sample."""
+    rows, traces, report = got
+    want_traces, want_report = want
+    assert len(traces) == len(want_traces)
+    for tr, w in zip(traces, want_traces):
+        assert tr.trace_id == w.trace_id
+        for name in ("f_hz", "lam", "eig_index", "overlaps"):
+            assert np.array_equal(getattr(tr, name), getattr(w, name)), name
+        assert tr.discontinuities == w.discontinuities
+    assert report.events == want_report.events
+    for e, w in zip(report.events, want_report.events):
+        assert e.eig_index == w.eig_index
+        for name in ("lam", "w", "u"):
+            assert getattr(e.sample, name).tobytes() == getattr(w.sample, name).tobytes()
+    starts = {(int(t), int(tr.eig_index[t])) for tr in traces
+              for t in np.flatnonzero(stability_engine._crossing_starts(tr.lam.imag))}
+    assert set(rows) == starts
+
+
+@pytest.fixture(scope="module")
+def chunking_cases(case_graph):
+    """(network, grid, tracked_sweep) of the fixture at 10 Hz and of
+    make_random_small_system seeds 0-19 at 40 Hz, at the default chunking."""
+    cases = [(case_graph, FrequencyGrid.regular(10.0, 2500.0, 10.0))]
+    cases += [(make_random_small_system(seed), FrequencyGrid.regular(2.0, 5000.0, 40.0))
+              for seed in range(20)]
+    out = [(g, grid, tracked_sweep(g, grid)) for g, grid in cases]
+    assert sum(len(report.critical_events) for *_, (_, report) in out) >= 20
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("size", [1, 2, 7, 64])
+def test_analysis_does_not_depend_on_the_chunking(chunking_cases, monkeypatch, pool_of,
+                                                  size, workers):
+    pool_of(workers)
+    for g, grid, want in chunking_cases:
+        chunks_of(monkeypatch, 2 * g.n, size)
+        assert_analysis_equals(analyze(g, grid), want)
+
+
+def chunk_boundary_case(monkeypatch, pool_of, g, grid, t, carried):
+    """analyze on one thread in chunks that end at sample t (carried: t is
+    the last sample of the first chunk, carried into the second) or start
+    there, against tracked_sweep."""
+    want = tracked_sweep(g, grid)
+    pool_of(1)
+    chunks_of(monkeypatch, 2 * g.n, t + 1 if carried else t)
+    assert_analysis_equals(analyze(g, grid), want)
+
+
+@pytest.mark.parametrize("carried", [True, False], ids=["ends-a-chunk", "starts-a-chunk"])
+def test_chunk_boundary_on_a_sign_change_sample(case_graph, monkeypatch, pool_of, carried):
+    grid = FrequencyGrid.regular(10.0, 2500.0, 10.0)
+    im = track(sweep(case_graph, grid))[0].lam.imag
+    t = int(np.flatnonzero(im[1:-1] * im[2:] < 0)[0]) + 1  # Im changes sign t -> t + 1
+    chunk_boundary_case(monkeypatch, pool_of, case_graph, grid, t, carried)
+
+
+@pytest.mark.parametrize("carried", [True, False], ids=["ends-a-chunk", "starts-a-chunk"])
+def test_chunk_boundary_on_an_on_axis_sample(monkeypatch, pool_of, carried):
+    # seed 37's trace 1 is exactly on the axis at 50 Hz, sample 24
+    g = make_random_small_system(37)
+    grid = FrequencyGrid.regular(2.0, 5000.0, 2.0)
+    assert track(sweep(g, grid))[0].lam[24].imag == 0.0
+    chunk_boundary_case(monkeypatch, pool_of, g, grid, 24, carried)
+
+
+def test_chunked_decomposition_under_thread_stress(monkeypatch, pool_of):
     # more workers than cores, a thread switch every microsecond and three
-    # callers sharing the pool: each gets the bits of one unchunked call
-    shapes = [(3 * INLINE + k, 6, 6) for k in range(3)]
-    stacks = [rng.normal(size=sh) + 1j * rng.normal(size=sh) for sh in shapes]
-    results = [None] * len(stacks)
+    # callers sharing the pool, each streaming its own network: each gets
+    # the bits of one stacked decomposition, and the analysis of a calm run
+    grid = FrequencyGrid.regular(2.0, 5000.0, 10.0)
+    graphs = [make_random_small_system(seed) for seed in (2, 9, 11)]
+    assert len({g.n for g in graphs}) == 3
+    calm = [tracked_sweep(g, grid) for g in graphs]
+    results = [None] * len(graphs)
 
-    def decompose(k):
-        results[k] = eig_lr_batch(stacks[k], [float(f + 1) for f in range(len(stacks[k]))])
+    def stream(k):
+        results[k] = sweep(graphs[k], grid), analyze(graphs[k], grid)
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        monkeypatch.setattr(stability_engine, "_pool", lambda pid: (pool, 8))
-        callers = [threading.Thread(target=decompose, args=(k,)) for k in range(len(stacks))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
+    pool_of(8)
+    callers = [threading.Thread(target=stream, args=(k,)) for k in range(len(graphs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    for stack, got in zip(stacks, results):
-        lam, w, u = reference_eig_lr(stack)
-        assert np.array_equal(got.lam, lam)
-        assert np.array_equal(got.w, w)
-        assert np.array_equal(got.u, u)
+    for g, want, (spec, analysis) in zip(graphs, calm, results):
+        lam, w, u = reference_eig_lr(assemble_grid(g, grid.hz))
+        assert np.array_equal(spec.lam, lam)
+        assert np.array_equal(spec.w, w)
+        assert np.array_equal(spec.u, u)
+        assert_analysis_equals(analysis, want)
 
 
 def test_import_loads_no_thread_pool():
-    # the pool is created on the first long stack, so importing the
-    # package loads no concurrent.futures
+    # the pool is created on the first sweep, so importing the package
+    # loads no concurrent.futures
     src = Path(stability_engine.__file__).resolve().parents[1]
     res = subprocess.run([sys.executable, "-c",
                           "import sys; import damp_planner; "
@@ -280,13 +423,6 @@ def test_import_loads_no_thread_pool():
 
 
 # --- sweep ---
-
-def single_rc_graph() -> NetworkGraph:
-    return NetworkGraph((1,), (),
-                        (Shunt(1, GridImpedanceParams(10.0, 0.0)),
-                         Shunt(1, CapacitorParams(10e-6))),
-                        omega0=0.0)
-
 
 def test_sweep_single_rc_traces_scalar_admittance():
     g = single_rc_graph()
@@ -347,40 +483,68 @@ def test_sweep_builds_no_per_frequency_samples(case_graph, monkeypatch):
     assert spec[3].f_hz == 40.0 and built == [1]
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="CPython 3.10 keeps call arguments on the caller's stack until "
-                           "the call returns, so the assembled stack outlives eig there")
-def test_sweep_frees_the_assembled_stack_before_inv(case_graph):
-    """The traced peak of one fixture sweep on the 1 Hz grid stays below
-    2.5 stacks of nf m^2 complex numbers: the assembled matrices are let go
-    once eig has returned, so inv builds u beside w alone, not beside w
-    and the matrices."""
-    grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
-    sweep(case_graph, grid)  # warm-up: lazy imports and caches
-    nf, m = len(grid), 2 * case_graph.n
+needs_311 = pytest.mark.skipif(sys.version_info < (3, 11),
+                               reason="CPython 3.10 keeps call arguments on the caller's stack "
+                                      "until the call returns, so an assembled chunk outlives "
+                                      "its eig there")
+
+
+def traced_peak(run):
+    """The traced allocation peak of run(), after a warm-up run (lazy
+    imports and caches)."""
+    run()
     tracemalloc.start()
     try:
-        sweep(case_graph, grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * nf * m * m * 16
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="CPython 3.10 keeps call arguments on the caller's stack until "
-                           "the call returns, so the assembled stack outlives eig there")
+@needs_311
+def test_sweep_frees_the_assembled_stack_before_inv(case_graph, monkeypatch):
+    """Each chunk's assembled matrices are let go once eig has returned, so
+    inv builds the chunk's u beside its w alone: when a pool thread
+    inverts, the matrices it assembled last are gone."""
+    real_assemble, real_inv = stability_engine.assemble_grid, np.linalg.inv
+    last = threading.local()
+    held = []  # per pool-thread inv of right vectors: whether that thread's last matrices live
+
+    def assemble(g, fs):
+        mats = real_assemble(g, fs)
+        last.mats = weakref.ref(mats)
+        return mats
+
+    def inv(a):
+        if a.shape[-1] == 8 and threading.current_thread() is not threading.main_thread():
+            held.append(last.mats() is not None)
+        return real_inv(a)
+
+    monkeypatch.setattr(stability_engine, "assemble_grid", assemble)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    assert len(held) == 10 and not any(held)
+
+
+@needs_311
 def test_sweep_on_64_cpus_caps_the_pool(case_graph, monkeypatch):
-    """On a machine with 64 CPUs the pool has 8 threads, so each phase of
-    the fixture sweep is at most 64 chunks (499 of 5 members uncapped),
-    with the bits of the default sweep and a traced peak below the 2.5
-    stacks of test_sweep_frees_the_assembled_stack_before_inv."""
+    """On a machine with 64 CPUs the pool has 8 threads: the fixture's
+    1 Hz sweep is one stream of 10 chunks of at most 256 frequencies, on
+    at most 8 threads, with the bits of the default sweep, and one
+    analyze, 9 chunks in flight, peaks below 2.5 stacks of nf m^2 complex
+    numbers (the bound of the whole-stack sweep this stream replaced)."""
     grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
     nf, m = len(grid), 2 * case_graph.n
     default = sweep(case_graph, grid)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     stability_engine._pool.cache_clear()
     pool, workers = stability_engine._pool(os.getpid())
+    real_eig, threads = np.linalg.eig, set()
+
+    def eig(a):
+        threads.add(threading.current_thread().name)
+        return real_eig(a)
+
     try:
         submitted, real_submit = [], pool.submit
 
@@ -389,38 +553,65 @@ def test_sweep_on_64_cpus_caps_the_pool(case_graph, monkeypatch):
             return real_submit(fn, *args)
 
         pool.submit = submit
+        monkeypatch.setattr(np.linalg, "eig", eig)
         many = sweep(case_graph, grid)
-        del pool.submit  # the chunk functions hold the stacks: trace without them
-        phases = Counter(map(id, submitted))  # one chunk function per eig or inv phase
+        monkeypatch.setattr(np.linalg, "eig", real_eig)
+        del pool.submit
+        chunk_fns = Counter(map(id, submitted))  # one chunk function per stream
         submitted.clear()
-        tracemalloc.start()
-        try:
-            sweep(case_graph, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: analyze(case_graph, grid))
     finally:
         stability_engine._pool.cache_clear()
         pool.shutdown()
     assert workers == 8
-    assert len(phases) == 2 and max(phases.values()) <= 64
+    assert list(chunk_fns.values()) == [-(-nf // 256)]
+    assert 1 < len(threads) <= 8 and threading.main_thread().name not in threads
     for name in ("f_hz", "lam", "w", "u"):
         assert np.array_equal(getattr(many, name), getattr(default, name))
     assert peak < 2.5 * nf * m * m * 16
 
 
+@needs_311
+def test_fixture_analyze_holds_no_stack(case_graph):
+    """One fixture analyze on the 1 Hz grid peaks at 3.0 MB traced, where
+    holding the sweep's Spectrum took 6 MB: a stack is 2.55 MB, and the
+    analysis keeps the chunks in flight, the traces and the bracket rows."""
+    grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
+    assert traced_peak(lambda: analyze(case_graph, grid)) <= 3.0e6
+
+
+def chain_graph(n: int) -> NetworkGraph:
+    """A chain of n nodes: R-L branches, a capacitor at every node and a
+    grid tie at node 1."""
+    nodes = tuple(range(1, n + 1))
+    branches = tuple(Branch(i, i + 1, RlBranchParams(0.05 + 0.01 * i, 0.3e-3)) for i in nodes[:-1])
+    shunts = (Shunt(1, GridImpedanceParams(0.2, 0.5e-3)),
+              *(Shunt(i, CapacitorParams(5e-6 + 1e-7 * i)) for i in nodes))
+    return NetworkGraph(nodes, branches, shunts, W0)
+
+
+@needs_311
+def test_analyze_of_a_40x40_chain_holds_less_than_one_stack():
+    """A 20-node chain's analysis (m = 40, 250 frequencies, chunks of 10)
+    peaks below one stack of its grid, nf m^2 complex numbers, where the
+    whole-stack sweep held about three."""
+    g = chain_graph(20)
+    grid = FrequencyGrid.regular(10.0, 2500.0, 10.0)
+    nf, m = len(grid), 2 * g.n
+    assert (nf, m) == (250, 40)
+    assert traced_peak(lambda: analyze(g, grid)) < nf * m * m * 16
+
+
 def test_sweep_nonconvergence_names_the_frequency(eig_failing_on_7, monkeypatch):
-    monkeypatch.setattr(stability_engine, "assemble_grid",
-                        lambda g, fs: np.stack([np.eye(2), 7.0 * np.eye(2), np.eye(2)]))
+    matrices_by_frequency(monkeypatch, lambda f: (7.0 if f == 20.0 else 1.0) * np.eye(2))
     with pytest.raises(EigNonConvergenceError, match="f=20.0 Hz"):
         sweep(single_rc_graph(), FrequencyGrid.regular(10.0, 30.0, 10.0))
 
 
 def test_sweep_warns_naming_the_near_defective_member(monkeypatch):
     near_defective = np.array([[1.0, 1.0], [1e-24, 1.0]])
-    monkeypatch.setattr(stability_engine, "assemble_grid",
-                        lambda g, fs: np.stack([np.diag([1.0, 2.0]), near_defective,
-                                                np.diag([3.0, 4.0])]))
+    matrices_by_frequency(monkeypatch, lambda f: near_defective if f == 20.0
+                          else np.diag([f / 10.0, f / 10.0 + 1.0]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         samples = sweep(single_rc_graph(), FrequencyGrid.regular(10.0, 30.0, 10.0))
@@ -523,8 +714,9 @@ def reference_track(spec, overlap_threshold=0.5):
     return out
 
 
-def assert_track_equals_reference(spec):
-    traces = track(spec)
+def assert_track_equals_reference(spec, traces=None):
+    """track(spec), or the given traces of spec, against reference_track."""
+    traces = track(spec) if traces is None else traces
     assert [tr.trace_id for tr in traces] == list(range(1, spec.lam.shape[1] + 1))
     steps = np.arange(len(spec))
     for tr, (lam, u, w, ov, disc) in zip(traces, reference_track(spec)):
@@ -649,6 +841,34 @@ def test_track_splices_greedy_steps_into_chained_runs(monkeypatch, m, steps, non
     assert len(calls) == len(non_strict)
 
 
+@pytest.mark.parametrize("m, steps, non_strict", [
+    _splice_case(4),
+    _splice_case(40),
+    (3, 1, (0,)),
+    (40, 3 * _track_block(40) + 5, range(3 * _track_block(40) + 5)),
+], ids=["splice-m4", "splice-m40", "two-samples-non-strict", "all-non-strict"])
+def test_tracker_chunks_split_at_non_strict_steps(monkeypatch, m, steps, non_strict):
+    """The spectra of test_track_splices_greedy_steps_into_chained_runs fed
+    to the tracker in chunks that start at the samples after the
+    non-strict steps: each such step is a chunk's first, from the
+    previous chunk's carried last sample, and still goes through
+    _greedy_match."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _greedy_match(*args)
+
+    monkeypatch.setattr(stability_engine, "_greedy_match", counted)
+    spec = _scored_spectrum(np.random.default_rng(m + steps), m, steps, set(non_strict))
+    tracker = stability_engine._Tracker(spec.f_hz, m)
+    cuts = [0, *sorted({t + 1 for t in non_strict}), steps + 1]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        tracker.add(spec.lam[a:b], spec.w[a:b], spec.u[a:b])
+    assert_track_equals_reference(spec, tracker.traces())
+    assert len(calls) == len(non_strict)
+
+
 def test_track_score_memory_follows_the_overlap_budget():
     """At m = 40 a score block is 10 steps, 0.4 MB of complex products and
     their magnitudes; the bound sits far below the 4.9 MB that 128 steps
@@ -678,7 +898,7 @@ def synthetic_trace(freqs, lam) -> tuple[Spectrum, EigenTrace]:
 def assess_synthetic(freqs, lam_at):
     """assess of the one synthetic trace of lam_at over freqs."""
     spec, trace = synthetic_trace(freqs, lam_at(freqs))
-    return assess(spec, [trace], scalar_matrices(lam_at))
+    return assess(spec.u, [trace], scalar_matrices(lam_at))
 
 
 def scalar_matrices(lam_at):
@@ -746,7 +966,7 @@ def assert_crossings_refine(g, grid) -> int:
             refined = refine_one(lambda fs: assemble_grid(g, fs), *bracket)
             assert_refined_crossover(lambda f: assemble(g, f), refined, *bracket)
             n += 1
-    for ev in assess(spec, traces, lambda fs: assemble_grid(g, fs)).events:
+    for ev in assess(spec.u, traces, lambda fs: assemble_grid(g, fs)).events:
         assert ev.sample.f_hz == ev.f_cr_hz
         assert ev.sample.lam[ev.eig_index].real == ev.re_lambda
     return n
@@ -808,9 +1028,9 @@ def test_batched_locator_equals_each_bracket_refined_alone():
                 for a, b in ((smp.lam, alone.lam), (smp.w, alone.w), (smp.u, alone.u)):
                     assert np.array_equal(a, b)
         n += len(brackets)
-        per_trace = [e for tr in traces for e in assess(spec, [tr], matrices_at).events]
+        per_trace = [e for tr in traces for e in assess(spec.u, [tr], matrices_at).events]
         per_trace.sort(key=lambda e: (e.f_cr_hz, e.trace_id))
-        assert list(assess(spec, traces, matrices_at).events) == per_trace
+        assert list(assess(spec.u, traces, matrices_at).events) == per_trace
     assert n > 20
 
 
@@ -852,7 +1072,7 @@ def test_assess_raises_the_first_failed_bracket(monkeypatch):
     monkeypatch.setattr(stability_engine, "_MAX_REFINE_STEPS", 8)
     monkeypatch.setattr(stability_engine, "refine_crossovers", refine)
     with pytest.raises(BisectionError) as err:
-        assess(spec, [trace], scalar_matrices(lam_at))
+        assess(spec.u, [trace], scalar_matrices(lam_at))
     assert [type(res) for res in located] == [tuple, BisectionError, BisectionError]
     assert err.value is located[1]
     lo, hi = re.search(r"at \[(\S+), (\S+)\] Hz", str(err.value)).groups()
@@ -903,7 +1123,7 @@ def test_no_crossover_when_imag_stays_positive():
 
 
 def reference_find_crossovers(spec, trace, matrices_at):
-    """assess(spec, [trace]).events as the plain loop over every step of
+    """assess(spec.u, [trace]).events as the plain loop over every step of
     the trace: a sample at Im = 0 keeps its f and is decomposed alone,
     every sign change is refined alone."""
     events = []
@@ -948,7 +1168,7 @@ def test_find_crossovers_exact_zeros_match_the_plain_loop(freqs, im_at, n_events
     lam_at = lambda f: -0.01 + 1j * im_at(f)
     spec, trace = synthetic_trace(freqs, [lam_at(f) for f in freqs])
     assert np.count_nonzero(trace.lam.imag == 0.0) >= 1
-    events = assess(spec, [trace], scalar_matrices(lam_at)).events
+    events = assess(spec.u, [trace], scalar_matrices(lam_at)).events
     assert len(events) == n_events
     assert list(events) == reference_find_crossovers(spec, trace, scalar_matrices(lam_at))
     zeros = set(trace.f_hz[trace.lam.imag == 0.0])
@@ -976,7 +1196,7 @@ def test_assess_on_axis_crossing_on_assembled_network():
         sizes.append(len(fs))
         return assemble_grid(g, fs)
 
-    report = assess(spec, traces, matrices_at)
+    report = assess(spec.u, traces, matrices_at)
     [ev] = [e for e in report.events if e.f_cr_hz == 50.0]
     assert ev.trace_id == 1
     assert ev.sample.f_hz == 50.0
