@@ -9,11 +9,13 @@ compensation_table reads it from the decomposition each critical
 crossover event carries, and the planner at every located crossover.  Damper locations
 rank per crossing by Re[K_C] over its lift epsilon - Re[lambda].  Planning
 starts from the caller's baseline analysis (traces and stability report)
-and steps all its critical crossovers in lockstep (plan): each step adds
-d_alpha of conductance at the node, re-locates every unfinished crossover
-at once (_locate_all; the sensitivity drifts with alpha) and adds d_alpha
-K_C to the first-order shift of each one still short of the margin
-epsilon.  Calibration then picks the smallest damper gain k_v
+and accumulates d_alpha K_C per step of d_alpha conductance at the node,
+for every critical crossover in lockstep (plan), until each one's
+first-order shift lifts it to the margin epsilon.  The sensitivity drifts
+with alpha but smoothly, so the crossovers are re-located (_locate_all)
+only at nodes a few steps apart, chosen by error control, and K_C at the
+steps between comes from an interpolant of the located values; each
+finishing step is located.  Calibration then picks the smallest damper gain k_v
 whose admittance covers the planned conductance over the planned band
 while staying quasi-resistive: the lower end of the one interval of gains
 that meet both bounds, found in closed form.
@@ -21,6 +23,7 @@ that meet both bounds, found in closed form.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -173,8 +176,12 @@ class CompensationPlan:
     omega0: float = 2 * math.pi * 50.0  # plan sets g.omega0; 50 Hz is for hand-built plans
 
 
-# lockstep steps after which a crossover still short of epsilon is infeasible
+# dalpha steps after which a crossover still short of epsilon is infeasible
 _MAX_STEPS = 10000
+# largest disagreement [S] of the two interpolants on an interval's partial sum
+_STEP_TOL = 5e-9
+# most dalpha steps between two located nodes
+_MAX_STRIDE = 16
 
 
 def _with_conductance(g: NetworkGraph, node_index: int, fs: Sequence[float],
@@ -191,12 +198,15 @@ def _with_conductance(g: NetworkGraph, node_index: int, fs: Sequence[float],
 class _CriticalFollower:
     """Re-locates one critical eigenvalue as conductance is added at a node.
 
-    Keeps the crossover frequency f_cr, its drift df from the locate
-    before, and the left eigenvector u_ref of the last confirmed point as
-    the identity reference.  Followers are located together by
-    _locate_all in at most two tries: try 0 is a 2-point bracket
-    predicted by the secant, centred on f_cr + df with half-width
-    max(|df| / 4, 0.05 Hz); try 1 is a 9-point window of half-width
+    Keeps the crossover frequency f_cr, its predicted drift df to the next
+    locate, and the left eigenvector u_ref of the last confirmed point as
+    the identity reference; plan sets all three before each locate (from
+    the node below and its quadratic predictor, _NodePath.start).
+    Followers are located together by _locate_all in at most two tries:
+    try 0 is a 2-point bracket centred on f_cr + df with half-width
+    max(|df| / 10, 0.05 Hz), the predictor's error being a small part of
+    the drift (a narrow bracket also starts regula falsi near the root, so
+    a flat crossing ends nearer it); try 1 is a 9-point window of half-width
     WINDOW_HZ around f_cr.  Both are clipped to the baseline sweep's
     range.  A crossover neither try finds is lost, never searched for
     further, so a follower is never carried on to another crossing.  A
@@ -205,7 +215,7 @@ class _CriticalFollower:
     values at its ends.
     """
 
-    PREDICTED_FRACTION = 0.25  # predicted half-width per Hz of drift
+    PREDICTED_FRACTION = 0.1  # predicted half-width per Hz of drift
     PREDICTED_FLOOR_HZ = 0.05  # smallest predicted half-width
     WINDOW_HZ = 50.0  # half-width of the scan window around f_cr
     SCAN_POINTS = 9
@@ -285,6 +295,100 @@ def _locate_all(followers: Sequence[_CriticalFollower], alpha: float, matrices_a
     return found
 
 
+def _lagrange(xs: Sequence[float], x: Sequence[float]) -> np.ndarray:
+    """Lagrange basis of the nodes xs at the points x, (len(x), len(xs)):
+    row t dotted with values at xs is their interpolant at x[t]."""
+    xs = np.asarray(xs, dtype=float)
+    own = np.eye(len(xs), dtype=bool)  # factor l == m left out of basis m
+    num = np.where(own, 1.0, np.asarray(x, dtype=float)[:, None, None] - xs).prod(axis=-1)
+    return num / np.where(own, 1.0, xs[:, None] - xs).prod(axis=-1)
+
+
+class _NodePath:
+    """One critical crossover along the plan's dalpha steps: its located
+    nodes (step -> f_cr, u_ref, K_C), and per step j the K_C the
+    accumulation sums (located at a node, interpolated between nodes),
+    that value's error estimate (0 at a node) and shift[j + 1] =
+    shift[j] + dalpha K_C[j], the float sum in step order."""
+
+    INTERP_NODES = 5  # nodes of the higher-degree interpolant
+    PREDICT_NODES = 3  # nodes of the quadratic drift predictor
+
+    def __init__(self):
+        self.steps: list[int] = []  # node steps, ascending
+        self.nodes: dict[int, tuple[float, np.ndarray, complex]] = {}
+        self.kc: list[complex] = []
+        self.err: list[float] = []
+        self.shift: list[complex] = [0j]
+        self.checked = 0  # shift[:checked] is known short of epsilon
+
+    def add(self, k: int, smp: EigenSample, j: int, node_index: int) -> None:
+        bisect.insort(self.steps, k)
+        self.nodes[k] = (smp.f_hz, smp.u[j], compensation_coefficient(smp, j, node_index).value)
+
+    def nearest(self, x: float, n: int) -> list[int]:
+        """The n node steps nearest x, nearest first (ties to the lower)."""
+        p = bisect.bisect_left(self.steps, x)
+        near = self.steps[max(0, p - n):p + n]
+        return sorted(near, key=lambda k: (abs(k - x), k))[:n]
+
+    def below(self, k: int) -> int | None:
+        """The nearest node step below k, None when there is none."""
+        p = bisect.bisect_left(self.steps, k)
+        return self.steps[p - 1] if p else None
+
+    def next_after(self, k: int) -> int:
+        """The nearest node step above k, _MAX_STEPS when there is none."""
+        p = bisect.bisect_right(self.steps, k)
+        return self.steps[p] if p < len(self.steps) else _MAX_STEPS
+
+    def start(self, follower: _CriticalFollower, k: int) -> None:
+        """Set follower to its crossing at the nearest node below step k,
+        with the drift a quadratic through the PREDICT_NODES nodes nearest
+        k predicts; a path with no node yet leaves the seed as it is."""
+        if (below := self.below(k)) is None:
+            return
+        f_cr, u_ref, _ = self.nodes[below]
+        near = self.nearest(k, self.PREDICT_NODES)
+        predicted = float(_lagrange(near, [k])[0] @ [self.nodes[j][0] for j in near])
+        follower.f_cr, follower.u_ref, follower.df = f_cr, u_ref, predicted - f_cr
+
+    def interpolate(self, a: int, b: int, dalpha: float):
+        """(K_C, per-step error, interval error) at the steps strictly
+        between nodes a and b: K_C from the interpolant through the
+        INTERP_NODES nodes nearest the interval, the errors dalpha
+        |Re (p_hi - p_lo)| per step and |dalpha Re sum(p_hi - p_lo)| over
+        the interval, p_lo the interpolant through one node fewer."""
+        inner = np.arange(a + 1, b)
+        near = self.nearest((a + b) / 2, self.INTERP_NODES)
+        values = np.array([self.nodes[j][2] for j in near])
+        hi = _lagrange(near, inner) @ values
+        diff = dalpha * (hi - _lagrange(near[:-1], inner) @ values[:-1]).real
+        return hi, np.abs(diff), abs(float(diff.sum()))
+
+    def extend(self, a: int, values, errors, dalpha: float) -> None:
+        """Append node a's K_C and the interpolated steps after it."""
+        for value, error in [(self.nodes[a][2], 0.0), *zip(values.tolist(), errors.tolist())]:
+            self.kc.append(value)
+            self.err.append(error)
+            self.shift.append(self.shift[-1] + dalpha * value)
+
+    def settle(self, j: int, dalpha: float) -> None:
+        """Replace step j's interpolated K_C by its located node's."""
+        self.kc[j], self.err[j] = self.nodes[j][2], 0.0
+        for t in range(j, len(self.kc)):
+            self.shift[t + 1] = self.shift[t] + dalpha * self.kc[t]
+        self.checked = min(self.checked, j + 1)
+
+    def first_reach(self, re_lambda: float, epsilon: float) -> int | None:
+        """The first step whose Re[lambda] plus shift reaches epsilon."""
+        for k in range(self.checked, len(self.shift)):
+            if not re_lambda + self.shift[k].real < epsilon:
+                return k
+        self.checked = len(self.shift)
+        return None
+
+
 def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
          report: StabilityReport, epsilon: float, dalpha: float = 1e-3) -> CompensationPlan:
     """Conductance required at one node to lift every critical eigenvalue
@@ -295,16 +399,30 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     follower seeded with the left eigenvector of the decomposition its
     event carries, and the crossover search stays inside the traces'
     frequency range.
-    One loop steps every critical crossover in lockstep: step k installs
-    alpha_k (k additions of dalpha) at the node and locates every
-    unfinished crossover with one _locate_all, so one batch of predicted
-    2-point brackets and one batched regula falsi serve them all (50 Hz
-    window scans only for the brackets that miss).  A crossover still
-    short of epsilon adds dalpha times its K_C at the located crossover
-    to its first-order shift; one whose Re[lambda] plus shift has reached
-    epsilon finishes with alpha_s = alpha_k, k iterations and
-    f_cr_final_hz from the same locate.  The loop stops a plan with a
-    PlanInfeasibleError naming the trace and its starting frequency: a
+
+    The result is the paper's accumulation: alpha_k is k additions of
+    dalpha, the shift after k steps is dalpha sum_{j<k} K_C(alpha_j) at
+    the followed crossover, and a crossover finishes at the first k whose
+    Re[lambda] plus shift reaches epsilon, with alpha_s = alpha_k, k
+    iterations, f_cr_final_hz located at alpha_k and predicted_re that
+    sum.  The crossovers are located only at nodes: one loop steps them
+    in lockstep from node kc to kn = kc + H (never past a node already
+    located, nor past _MAX_STEPS), all unfinished ones located at alpha_kn
+    with one _locate_all, each follower started from its nearest node
+    below with a quadratic drift predictor (_NodePath.start).  K_C at the
+    steps between nodes comes from the interpolant through the 5 nodes
+    nearest; the interval is accepted when the degree-3 interpolant
+    agrees with it on the interval's partial sum within _STEP_TOL, and H
+    doubles (up to _MAX_STRIDE) after an interval well inside it.  A
+    disagreement, or a crossover lost at kn, halves H, and kn stays a
+    node; a crossover lost one step from its node stops the plan.  Where
+    the summed error estimates are not clearly below the gap between
+    epsilon and the sum at the deciding step or the step before, the
+    interpolated step with the largest estimate is located, until the
+    decision is clear.  Each finishing step is located exactly, one
+    _locate_all for the crossovers finishing there.
+
+    A PlanInfeasibleError names the trace and its starting frequency: a
     crossover still short after _MAX_STEPS steps, or one lost (neither
     try found it).  The band-level requirement is the largest
     per-eigenvalue conductance over the band spanned by the crossover
@@ -317,36 +435,100 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     f_bounds = (float(traces[0].f_hz[0]), float(traces[0].f_hz[-1]))
     criticals = report.critical_events
     followers = [_CriticalFollower(ev.f_cr_hz, ev.sample.u[ev.eig_index]) for ev in criticals]
-    shift = [0j] * len(criticals)  # accumulated first-order d_lambda
-    finished: list = [None] * len(criticals)  # (alpha_s, iterations, f_cr_final)
-    open_ = list(range(len(criticals)))
+    paths = [_NodePath() for _ in criticals]
+    finished: list = [None] * len(criticals)  # (alpha_s, iterations, f_cr_final, shift)
     matrices_at = partial(_with_conductance, g, node_index)
-    alpha, k = 0.0, 0
-    while open_:
-        short = [i for i in open_ if criticals[i].re_lambda + shift[i].real < epsilon]
-        if short and k == _MAX_STEPS:
-            ev = criticals[short[0]]
+    alphas = [0.0]
+
+    def alpha_at(k: int) -> float:
+        while len(alphas) <= k:
+            alphas.append(alphas[-1] + dalpha)
+        return alphas[k]
+
+    def lost(i: int, k: int) -> PlanInfeasibleError:
+        ev = criticals[i]
+        return PlanInfeasibleError(
+            f"trace {ev.trace_id} (crossover starting at {ev.f_cr_hz:.6g} Hz) lost "
+            f"near {followers[i].f_cr:.6g} Hz at alpha={alpha_at(k):.6g} S: no crossing "
+            f"within {_CriticalFollower.WINDOW_HZ:.6g} Hz")
+
+    def locate(entries: list[int], k: int) -> list[int]:
+        """Locate entries' crossovers at step k; returns the ones lost."""
+        entries = [i for i in entries if k not in paths[i].nodes]
+        if not entries:
+            return []
+        for i in entries:
+            paths[i].start(followers[i], k)
+        found = _locate_all([followers[i] for i in entries], alpha_at(k), matrices_at, f_bounds)
+        for i, res in zip(entries, found):
+            if res is not None:
+                paths[i].add(k, *res, node_index)
+        return [i for i, res in zip(entries, found) if res is None]
+
+    def locate_exact(i: int, k: int) -> None:
+        """Locate entry i at step k, halving the way from its node below
+        while the crossover is lost there."""
+        while k not in paths[i].nodes:
+            below = paths[i].below(k)
+            target = k
+            while locate([i], target):
+                if target - below == 1:
+                    raise lost(i, target)
+                target = (below + target) // 2
+
+    def decided(i: int) -> int | None:
+        """The step at which entry i finishes, located where the error
+        estimates leave the decision unclear; None while it is short."""
+        path, re_lambda = paths[i], criticals[i].re_lambda
+        while (k := path.first_reach(re_lambda, epsilon)) is not None:
+            gap = re_lambda + path.shift[k].real - epsilon
+            if k:
+                gap = min(gap, epsilon - re_lambda - path.shift[k - 1].real)
+            error = sum(path.err[:k])
+            if error == 0.0 or 2.0 * error < gap:
+                return k
+            j = int(np.argmax(path.err[:k]))
+            locate_exact(i, j)
+            path.settle(j, dalpha)
+        return None
+
+    open_ = list(range(len(criticals)))
+    if lost_at_0 := locate(open_, 0):
+        raise lost(lost_at_0[0], 0)
+    kc, stride = 0, 1
+    while True:
+        ends = {i: k for i in open_ if (k := decided(i)) is not None}
+        for k in sorted(set(ends.values())):
+            for i in locate([i for i in ends if ends[i] == k], k):
+                locate_exact(i, k)
+        for i, k in ends.items():
+            finished[i] = (alpha_at(k), k, paths[i].nodes[k][0], paths[i].shift[k])
+        open_ = [i for i in open_ if i not in ends]
+        if not open_:
+            break
+        if kc == _MAX_STEPS:
+            ev, path = criticals[open_[0]], paths[open_[0]]
             raise PlanInfeasibleError(
                 f"iteration cap {_MAX_STEPS} reached for trace {ev.trace_id} "
                 f"(crossover starting at {ev.f_cr_hz:.6g} Hz); shortfall "
-                f"{epsilon - ev.re_lambda - shift[short[0]].real:.6g} S remains "
-                f"at alpha={alpha:.6g} S")
-        located = _locate_all([followers[i] for i in open_], alpha, matrices_at, f_bounds)
-        for i, res in zip(open_, located):
-            if res is None:
-                ev = criticals[i]
-                raise PlanInfeasibleError(
-                    f"trace {ev.trace_id} (crossover starting at {ev.f_cr_hz:.6g} Hz) lost "
-                    f"near {followers[i].f_cr:.6g} Hz at alpha={alpha:.6g} S: no crossing "
-                    f"within {_CriticalFollower.WINDOW_HZ:.6g} Hz")
-            smp, j = res
-            if i in short:
-                shift[i] += dalpha * compensation_coefficient(smp, j, node_index).value
-            else:
-                finished[i] = (alpha, k, smp.f_hz)
-        open_ = short
-        alpha += dalpha
-        k += 1
+                f"{epsilon - ev.re_lambda - path.shift[kc].real:.6g} S remains "
+                f"at alpha={alpha_at(kc):.6g} S")
+        kn = min(kc + stride, *(paths[i].next_after(kc) for i in open_))
+        if missing := locate(open_, kn):
+            if kn - kc == 1:
+                raise lost(missing[0], kn)
+            stride = (kn - kc) // 2
+            continue
+        interpolated = [paths[i].interpolate(kc, kn, dalpha) for i in open_]
+        worst = max(error for *_, error in interpolated)
+        if worst > _STEP_TOL:
+            stride = (kn - kc) // 2
+            continue
+        for i, (values, errors, _) in zip(open_, interpolated):
+            paths[i].extend(kc, values, errors, dalpha)
+        if worst <= _STEP_TOL / 32:  # the estimate grows about as H^5
+            stride = min(2 * stride, _MAX_STRIDE)
+        kc = kn
 
     entries = tuple(PlanEntry(
         trace_id=ev.trace_id,
@@ -357,7 +539,7 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
         alpha_s=alpha_s,
         iterations=iterations,
         predicted_re=ev.re_lambda + d_lam.real,
-    ) for ev, d_lam, (alpha_s, iterations, f_cr_final) in zip(criticals, shift, finished))
+    ) for ev, (alpha_s, iterations, f_cr_final, d_lam) in zip(criticals, finished))
 
     if entries:
         f_all = [e.f_cr_start_hz for e in entries] + [e.f_cr_final_hz for e in entries]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_small_system
-from damp_planner import compensation_planner
+from damp_planner import compensation_planner, stability_engine
 from damp_planner.cli_reporting import CASE_STUDY_AD_PARAMS, emit_fixture, load_network
 from damp_planner.compensation_planner import (
     CalibrationInfeasibleError,
@@ -409,9 +409,9 @@ def test_fixture_plan_at_node_4_is_pinned(case_graph):
     cplan = plan(case_graph, 4, traces, report, epsilon=0.005)
     got = [(e.trace_id, e.iterations, e.alpha_s, e.f_cr_final_hz)
            for e in cplan.entries]
-    expected = [(8, 47, 0.047, 178.4865853631394),
-                (5, 34, 0.034, 1755.1238516446276),
-                (6, 46, 0.046, 1885.5985527731548)]
+    expected = [(8, 47, 0.047, 178.48658536380253),
+                (5, 34, 0.034, 1755.1238546575155),
+                (6, 46, 0.046, 1885.5985575933237)]
     assert [g[:2] for g in got] == [x[:2] for x in expected]
     for (_, _, alpha, f_cr), (_, _, alpha_x, f_cr_x) in zip(got, expected):
         assert alpha == pytest.approx(alpha_x, rel=1e-12)
@@ -541,6 +541,23 @@ def fixture_baseline(case_graph):
     return swept_analysis(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
 
 
+def assert_plans_agree(got, ref, re_tol, f_tol=5e-3):
+    """got keeps ref's followed crossovers, step counts, conductances (to
+    the bit), band, requirement and settings; predicted_re is within re_tol [S] and
+    f_cr_final_hz within f_tol [Hz]: the interpolated sums and the
+    finishing locates' refine tolerance."""
+    def exact(p):
+        return ([(e.trace_id, e.node_index, e.f_cr_start_hz, e.re_lambda_start,
+                  e.alpha_s.hex(), e.iterations) for e in p.entries],
+                p.band_lo_hz, p.band_hi_hz, p.required_re_yad_s,
+                p.epsilon_s, p.dalpha_s, p.node_index, p.omega0)
+
+    assert exact(got) == exact(ref)
+    for e, r in zip(got.entries, ref.entries):
+        assert abs(e.predicted_re - r.predicted_re) <= re_tol
+        assert abs(e.f_cr_final_hz - r.f_cr_final_hz) <= f_tol
+
+
 @pytest.mark.parametrize("node", [4, 3])
 @pytest.mark.parametrize("dalpha", [1e-3, 5e-3])
 def test_lockstep_plan_equals_per_trace_loop_on_fixture(case_graph, fixture_baseline,
@@ -548,7 +565,8 @@ def test_lockstep_plan_equals_per_trace_loop_on_fixture(case_graph, fixture_base
     spec, traces, report = fixture_baseline
     got = plan(case_graph, node, traces, report, 0.005, dalpha)
     assert len(got.entries) == 3
-    assert got == reference_plan(case_graph, node, spec, traces, report, 0.005, dalpha)
+    assert_plans_agree(got, reference_plan(case_graph, node, spec, traces, report, 0.005, dalpha),
+                       re_tol=1e-8)
 
 
 # (seed, node id) of make_random_small_system networks with at least two
@@ -563,7 +581,8 @@ def test_lockstep_plan_equals_per_trace_loop_on_random_systems(seed, node):
     assert g.n >= 2 and len(report.critical_events) >= 2
     got = plan(g, node, traces, report, 0.005, 5e-3)
     assert got.entries
-    assert got == reference_plan(g, node, spec, traces, report, 0.005, 5e-3)
+    assert_plans_agree(got, reference_plan(g, node, spec, traces, report, 0.005, 5e-3),
+                       re_tol=1e-6)
 
 
 @pytest.mark.parametrize("seed, node, dalpha, lost", [
@@ -610,21 +629,140 @@ def test_predicted_brackets_keep_the_scan_only_plan_on_fixture(case_graph, fixtu
         assert abs(e.predicted_re - o.predicted_re) <= 1e-8
 
 
-def test_plan_decomposes_two_points_per_follower_per_step(case_graph, fixture_baseline,
-                                                          monkeypatch):
-    # the scan-only loop took 128 batches of 1 332 points in all
+def counted_batches(monkeypatch) -> list:
+    """The points of every eig_lr_batch call the planner and the locator
+    make from now on, one list entry per call."""
+    calls = []
+    real = stability_engine.eig_lr_batch
+
+    def counted(mats, fs):
+        calls.append(len(fs))
+        return real(mats, fs)
+
+    monkeypatch.setattr(compensation_planner, "eig_lr_batch", counted)
+    monkeypatch.setattr(stability_engine, "eig_lr_batch", counted)
+    return calls
+
+
+def test_plan_locates_the_fixture_in_at_most_40_batches(case_graph, fixture_baseline,
+                                                        monkeypatch):
+    # one locate per dalpha step took 96 batches (390 points), and the
+    # scan-only loop before it 128 batches (1 332 points)
     _, traces, report = fixture_baseline
-    sizes = []
-    real = compensation_planner.assemble_grid
-
-    def counted(g, fs):
-        sizes.append(len(fs))
-        return real(g, fs)
-
-    monkeypatch.setattr(compensation_planner, "assemble_grid", counted)
+    calls = counted_batches(monkeypatch)
     plan(case_graph, 4, traces, report, 0.005)
-    assert len(sizes) <= 100
-    assert sum(sizes) <= 400
+    assert len(calls) <= 40
+
+
+def test_quadratic_drift_keeps_coarse_locates_in_their_brackets(case_graph, fixture_baseline,
+                                                                monkeypatch):
+    """Fixture node 4 at dalpha 5e-3: predicting each crossover by the
+    secant of its last move sent 11 of 29 locates on to the 50 Hz window;
+    the quadratic through the nearest nodes sends at most 8."""
+    _, traces, report = fixture_baseline
+    tries = [0, 0]
+    window = compensation_planner._CriticalFollower.window
+
+    def counted(self, attempt, f_bounds):
+        tries[attempt] += 1
+        return window(self, attempt, f_bounds)
+
+    monkeypatch.setattr(compensation_planner._CriticalFollower, "window", counted)
+    plan(case_graph, 4, traces, report, 0.005, 5e-3)
+    assert tries[1] <= 8
+
+
+def losing_locate_all(monkeypatch, lose_at: float) -> list:
+    """_locate_all that loses its first follower at conductance lose_at
+    once (the others located as usual), recording the conductance of
+    every call."""
+    real = compensation_planner._locate_all
+    alphas = []
+
+    def losing(followers, alpha, *args):
+        alphas.append(alpha)
+        if alpha == lose_at and alphas.count(alpha) == 1:
+            return [None] + real(followers[1:], alpha, *args)
+        return real(followers, alpha, *args)
+
+    monkeypatch.setattr(compensation_planner, "_locate_all", losing)
+    return alphas
+
+
+def test_a_crossover_lost_at_a_coarse_node_halves_the_stride(case_graph, fixture_baseline,
+                                                             monkeypatch):
+    """The first coarse node (step 3, two steps past node 1) loses a
+    crossover: the plan locates the midpoint, step 2, next, locates the
+    lost crossover at step 3 again from there, and plans as without the
+    loss."""
+    _, traces, report = fixture_baseline
+    expected = plan(case_graph, 4, traces, report, 0.005, 5e-3)
+    d = 5e-3
+    alpha_2, alpha_3 = 0.0 + d + d, 0.0 + d + d + d
+    alphas = losing_locate_all(monkeypatch, alpha_3)
+    got = plan(case_graph, 4, traces, report, 0.005, 5e-3)
+    assert alphas[:5] == [0.0, d, alpha_3, alpha_2, alpha_3]
+    assert_plans_agree(got, expected, re_tol=1e-8)
+
+
+def test_a_crossover_lost_one_step_from_its_node_stops_the_plan(case_graph, fixture_baseline,
+                                                                monkeypatch):
+    _, traces, report = fixture_baseline
+    ev = report.critical_events[0]
+    losing_locate_all(monkeypatch, 5e-3)
+    with pytest.raises(PlanInfeasibleError,
+                       match=rf"^trace {ev.trace_id} \(crossover starting at {ev.f_cr_hz:.6g} Hz\) "
+                             rf"lost near {ev.f_cr_hz:.6g} Hz at alpha=0\.005 S: no crossing "
+                             r"within 50 Hz$"):
+        plan(case_graph, 4, traces, report, 0.005, 5e-3)
+
+
+@pytest.mark.parametrize("seed, f_start, shortfall", [(5, "960.997", 0.0329995),
+                                                      (7, "770.014", 0.0513804)])
+def test_an_infeasible_plan_reaches_the_cap_in_coarse_steps(seed, f_start, shortfall,
+                                                            monkeypatch):
+    """Trace 6 of these networks stays short of epsilon after 100 S at
+    node 1: the plan runs its 10 000 dalpha steps and names the trace,
+    where it started and the shortfall, in at most 2 500 batches (one
+    locate per step took 20 001 and 20 003)."""
+    g = make_random_small_system(seed)
+    _, traces, report = analyze(g, FrequencyGrid.regular(2.0, 5000.0, 5.0))
+    calls = counted_batches(monkeypatch)
+    with pytest.raises(PlanInfeasibleError,
+                       match=rf"^iteration cap 10000 reached for trace 6 \(crossover starting at "
+                             rf"{f_start} Hz\); shortfall \S+ S remains at alpha=100 S$") as stop:
+        plan(g, 1, traces, report, 0.005, 0.01)
+    assert float(str(stop.value).split("shortfall ")[1].split()[0]) == pytest.approx(
+        shortfall, abs=1e-6)
+    assert len(calls) <= 2500
+
+
+@pytest.mark.parametrize("lift", [-1e-7, 1e-7])
+def test_an_unclear_decision_is_located(case_graph, fixture_baseline, monkeypatch, lift):
+    """Fixture node 4 at dalpha 5e-3 with epsilon 1e-7 S from trace 6's
+    dalpha-step sum at its last step, and interpolants accepted up to
+    1e-4 S per interval: the sums' error estimates exceed the gap, so the
+    plan locates the interpolated steps that decide it and keeps the
+    reference's step counts (with the estimates alone, +1e-7 S ends trace
+    6 one step early)."""
+    spec, traces, report = fixture_baseline
+    [e6] = [e for e in reference_plan(case_graph, 4, spec, traces, report, 0.005, 5e-3).entries
+            if e.trace_id == 6]
+    epsilon = e6.predicted_re + lift
+    ref = reference_plan(case_graph, 4, spec, traces, report, epsilon, 5e-3)
+    monkeypatch.setattr(compensation_planner, "_STEP_TOL", 1e-4)
+    settled = []
+    settle = compensation_planner._NodePath.settle
+
+    def recorded(self, j, dalpha):
+        settled.append(j)
+        settle(self, j, dalpha)
+
+    monkeypatch.setattr(compensation_planner._NodePath, "settle", recorded)
+    got = plan(case_graph, 4, traces, report, epsilon, 5e-3)
+    assert settled
+    assert ([(e.trace_id, e.iterations, e.alpha_s) for e in got.entries]
+            == [(e.trace_id, e.iterations, e.alpha_s) for e in ref.entries])
 
 
 def test_predicted_bracket_stays_on_a_close_crossing_pair(monkeypatch):
