@@ -45,6 +45,7 @@ from .stability_engine import (
     assess,
     eig_lr,
     eig_lr_batch,
+    locate_crossings,
     nyquist_winding,
     refine_crossovers,
     sweep,

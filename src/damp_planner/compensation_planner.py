@@ -12,7 +12,8 @@ starts from the caller's baseline analysis (traces and stability report)
 and accumulates d_alpha K_C per step of d_alpha conductance at the node,
 for every critical crossover in lockstep (plan), until each one's
 first-order shift lifts it to the margin epsilon.  The sensitivity drifts
-with alpha but smoothly, so the crossovers are re-located (_locate_all)
+with alpha but smoothly, so the crossovers are re-located (the engine's
+locate_crossings, on the matrices with the node's conductance installed)
 only at nodes a few steps apart, chosen by error control, and K_C at the
 steps between comes from an interpolant of the located values; each
 finishing step is located.  Calibration then picks the smallest damper gain k_v
@@ -36,16 +37,13 @@ from .component_models import ADParams, ad_scalar
 from .dq_core import FrequencyGrid
 from .network_assembly import NetworkGraph, assemble_grid
 from .stability_engine import (
-    BisectionError,
+    LOCATE_WINDOW_HZ,
     CrossoverEvent,
     EigenSample,
     EigenTrace,
     StabilityReport,
-    _crossing_brackets,
-    _pick_matching_eig,
     analyze,
-    eig_lr_batch,
-    refine_crossovers,
+    locate_crossings,
 )
 
 
@@ -195,106 +193,6 @@ def _with_conductance(g: NetworkGraph, node_index: int, fs: Sequence[float],
     return m
 
 
-class _CriticalFollower:
-    """Re-locates one critical eigenvalue as conductance is added at a node.
-
-    Keeps the crossover frequency f_cr, its predicted drift df to the next
-    locate, and the left eigenvector u_ref of the last confirmed point as
-    the identity reference; plan sets all three before each locate (from
-    the node below and its quadratic predictor, _NodePath.start).
-    Followers are located together by _locate_all in at most two tries:
-    try 0 is a 2-point bracket centred on f_cr + df with half-width
-    max(|df| / 10, 0.05 Hz), the predictor's error being a small part of
-    the drift (a narrow bracket also starts regula falsi near the root, so
-    a flat crossing ends nearer it); try 1 is a 9-point window of half-width
-    WINDOW_HZ around f_cr.  Both are clipped to the baseline sweep's
-    range.  A crossover neither try finds is lost, never searched for
-    further, so a follower is never carried on to another crossing.  A
-    scan's brackets follow the engine's rule (_crossing_brackets), and
-    the one nearest f_cr is refined by regula falsi from the scan's Im
-    values at its ends.
-    """
-
-    PREDICTED_FRACTION = 0.1  # predicted half-width per Hz of drift
-    PREDICTED_FLOOR_HZ = 0.05  # smallest predicted half-width
-    WINDOW_HZ = 50.0  # half-width of the scan window around f_cr
-    SCAN_POINTS = 9
-
-    def __init__(self, f_cr: float, u_ref: np.ndarray):
-        self.f_cr = f_cr
-        self.df = 0.0
-        self.u_ref = u_ref
-
-    def window(self, attempt: int, f_bounds: tuple[float, float]) -> list[float]:
-        """The scan points of try `attempt`, clipped to f_bounds: the
-        predicted bracket for 0, the window of half-width WINDOW_HZ for 1."""
-        if attempt == 0:
-            centre = self.f_cr + self.df
-            half_width = max(abs(self.df) * self.PREDICTED_FRACTION, self.PREDICTED_FLOOR_HZ)
-            n = 2
-        else:
-            centre, half_width, n = self.f_cr, self.WINDOW_HZ, self.SCAN_POINTS
-        lo, hi = np.clip((centre - half_width, centre + half_width), *f_bounds)
-        return [float(f) for f in np.linspace(lo, hi, n)]
-
-    def bracket(self, fs: list[float], w: np.ndarray, lam: np.ndarray):
-        """(f_lo, f_hi, im_lo, im_hi, u_ref) of the crossing bracket nearest
-        f_cr in a scan with right eigenvectors w and eigenvalues lam at fs,
-        or None when the followed eigenvalue has no crossing there."""
-        # Im of the followed eigenvalue (best overlap with u_ref) at each point
-        ims = lam[np.arange(len(fs)), _pick_matching_eig(self.u_ref, w)].imag
-        pairs = _crossing_brackets(ims)
-        if not len(pairs):
-            return None
-        # the bracket whose midpoint is nearest the previous crossover
-        lo, hi = pairs[np.argmin(np.abs(np.asarray(fs)[pairs].mean(axis=1) - self.f_cr))]
-        return fs[lo], fs[hi], ims[lo], ims[hi], self.u_ref
-
-    def move_to(self, smp: EigenSample, j: int) -> None:
-        """Confirm eigenvalue j of smp as the crossover; df becomes the move."""
-        self.df = smp.f_hz - self.f_cr
-        self.f_cr, self.u_ref = smp.f_hz, smp.u[j]
-
-
-def _locate_all(followers: Sequence[_CriticalFollower], alpha: float, matrices_at,
-                f_bounds: tuple[float, float]) -> list[tuple[EigenSample, int] | None]:
-    """Crossover sample of every follower's eigenvalue at conductance alpha
-    and the eigenvalue's index in it, or None for a follower lost; each
-    follower found moves to its sample.
-
-    matrices_at(fs, alpha) gives the nodal matrices at fs with alpha
-    installed (_with_conductance for the planned node), and every window
-    stays inside f_bounds.  Each of the two tries scans the window of
-    every follower still unlocated (at try 0 its predicted 2-point
-    bracket), all windows assembled and decomposed as one batch, then
-    refines all their brackets in one refine_crossovers run.  A follower
-    whose window holds no crossing, or whose bracket fails to converge,
-    goes on to try 1; one try 1 misses too is lost and does not move.
-    """
-    def at_alpha(fs: Sequence[float]) -> np.ndarray:
-        return matrices_at(fs, alpha)
-
-    found: list = [None] * len(followers)
-    for attempt in (0, 1):
-        pending = [i for i, res in enumerate(found) if res is None]
-        if not pending:
-            break
-        scans = [followers[i].window(attempt, f_bounds) for i in pending]
-        n = len(scans[0])  # every window of one try has the same points
-        fs = [f for scan in scans for f in scan]
-        spec = eig_lr_batch(at_alpha(fs), fs)
-        brackets = {}
-        for k, (i, scan) in enumerate(zip(pending, scans)):
-            b = followers[i].bracket(scan, spec.w[k * n:(k + 1) * n], spec.lam[k * n:(k + 1) * n])
-            if b is not None:
-                brackets[i] = b
-        for i, res in zip(brackets, refine_crossovers(at_alpha, list(brackets.values()))):
-            if not isinstance(res, BisectionError):
-                found[i] = res
-                followers[i].move_to(*res)
-    return found
-
-
 def _lagrange(xs: Sequence[float], x: Sequence[float]) -> np.ndarray:
     """Lagrange basis of the nodes xs at the points x, (len(x), len(xs)):
     row t dotted with values at xs is their interpolant at x[t]."""
@@ -342,16 +240,17 @@ class _NodePath:
         p = bisect.bisect_right(self.steps, k)
         return self.steps[p] if p < len(self.steps) else _MAX_STEPS
 
-    def start(self, follower: _CriticalFollower, k: int) -> None:
-        """Set follower to its crossing at the nearest node below step k,
-        with the drift a quadratic through the PREDICT_NODES nodes nearest
-        k predicts; a path with no node yet leaves the seed as it is."""
+    def seed(self, k: int) -> tuple[float, float, np.ndarray] | None:
+        """locate_crossings' seed (f_cr, df, u_ref) for step k: the
+        crossing at the nearest node below k, with the drift a quadratic
+        through the PREDICT_NODES nodes nearest k predicts; None for a
+        path with no node yet."""
         if (below := self.below(k)) is None:
-            return
+            return None
         f_cr, u_ref, _ = self.nodes[below]
         near = self.nearest(k, self.PREDICT_NODES)
         predicted = float(_lagrange(near, [k])[0] @ [self.nodes[j][0] for j in near])
-        follower.f_cr, follower.u_ref, follower.df = f_cr, u_ref, predicted - f_cr
+        return f_cr, predicted - f_cr, u_ref
 
     def interpolate(self, a: int, b: int, dalpha: float):
         """(K_C, per-step error, interval error) at the steps strictly
@@ -408,8 +307,8 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     sum.  The crossovers are located only at nodes: one loop steps them
     in lockstep from node kc to kn = kc + H (never past a node already
     located, nor past _MAX_STEPS), all unfinished ones located at alpha_kn
-    with one _locate_all, each follower started from its nearest node
-    below with a quadratic drift predictor (_NodePath.start).  K_C at the
+    with one locate_crossings, each seeded from its nearest node below
+    with a quadratic drift predictor (_NodePath.seed).  K_C at the
     steps between nodes comes from the interpolant through the 5 nodes
     nearest; the interval is accepted when the degree-3 interpolant
     agrees with it on the interval's partial sum within _STEP_TOL, and H
@@ -420,7 +319,7 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     epsilon and the sum at the deciding step or the step before, the
     interpolated step with the largest estimate is located, until the
     decision is clear.  Each finishing step is located exactly, one
-    _locate_all for the crossovers finishing there.
+    locate_crossings for the crossovers finishing there.
 
     A PlanInfeasibleError names the trace and its starting frequency: a
     crossover still short after _MAX_STEPS steps, or one lost (neither
@@ -434,10 +333,8 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     node_index = g.node_index(node_id)
     f_bounds = (float(traces[0].f_hz[0]), float(traces[0].f_hz[-1]))
     criticals = report.critical_events
-    followers = [_CriticalFollower(ev.f_cr_hz, ev.sample.u[ev.eig_index]) for ev in criticals]
     paths = [_NodePath() for _ in criticals]
     finished: list = [None] * len(criticals)  # (alpha_s, iterations, f_cr_final, shift)
-    matrices_at = partial(_with_conductance, g, node_index)
     alphas = [0.0]
 
     def alpha_at(k: int) -> float:
@@ -445,21 +342,24 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
             alphas.append(alphas[-1] + dalpha)
         return alphas[k]
 
+    def seed(i: int, k: int) -> tuple[float, float, np.ndarray]:
+        ev = criticals[i]
+        return paths[i].seed(k) or (ev.f_cr_hz, 0.0, ev.sample.u[ev.eig_index])
+
     def lost(i: int, k: int) -> PlanInfeasibleError:
         ev = criticals[i]
         return PlanInfeasibleError(
             f"trace {ev.trace_id} (crossover starting at {ev.f_cr_hz:.6g} Hz) lost "
-            f"near {followers[i].f_cr:.6g} Hz at alpha={alpha_at(k):.6g} S: no crossing "
-            f"within {_CriticalFollower.WINDOW_HZ:.6g} Hz")
+            f"near {seed(i, k)[0]:.6g} Hz at alpha={alpha_at(k):.6g} S: no crossing "
+            f"within {LOCATE_WINDOW_HZ:.6g} Hz")
 
     def locate(entries: list[int], k: int) -> list[int]:
         """Locate entries' crossovers at step k; returns the ones lost."""
         entries = [i for i in entries if k not in paths[i].nodes]
         if not entries:
             return []
-        for i in entries:
-            paths[i].start(followers[i], k)
-        found = _locate_all([followers[i] for i in entries], alpha_at(k), matrices_at, f_bounds)
+        found = locate_crossings(partial(_with_conductance, g, node_index, alpha=alpha_at(k)),
+                                 [seed(i, k) for i in entries], f_bounds)
         for i, res in zip(entries, found):
             if res is not None:
                 paths[i].add(k, *res, node_index)

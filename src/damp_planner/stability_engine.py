@@ -6,9 +6,13 @@ trace of the nodal admittance matrix crosses the real axis (Im = 0), the
 real part is positive.  Crossings with Re <= 0 are the critical
 (undamped or negatively damped) oscillatory modes.  assess finds them: every sign
 change and every sample on the axis, of every trace, is one bracket
-(_crossing_brackets, the rule the planner's follower scans share) of a
+(_crossing_brackets, the rule locate_crossings' scans share) of a
 single refine_crossovers run, and each event carries the decomposition
-that run located it with.  A discrete Nyquist winding count
+that run located it with.  locate_crossings re-locates known crossings
+at another point of a path (matrices_at bound there by the caller: a
+conductance for the planner, or an operating point), each from a seed,
+with the same bracket rule and the same refine_crossovers.  A discrete
+Nyquist winding count
 over the conjugate-closed eigenvalue loci is provided as a cross-check
 oracle for tests; it is not part of the shipped verdict.
 """
@@ -40,6 +44,12 @@ _ORIGIN_TOL = 1e-9
 _TRACK_OVERLAPS = 1 << 14
 # pool threads at most: a sweep holds workers + 1 chunks in flight
 _MAX_WORKERS = 8
+# locate_crossings: try 0's bracket half-width per Hz of predicted drift
+# and its floor [Hz]; try 1's window half-width [Hz] and points
+_PREDICTED_FRACTION = 0.1
+_PREDICTED_FLOOR_HZ = 0.05
+LOCATE_WINDOW_HZ = 50.0
+_WINDOW_POINTS = 9
 
 
 class EigNonConvergenceError(RuntimeError):
@@ -522,6 +532,73 @@ def _crossing_brackets(im: np.ndarray) -> np.ndarray:
     sample included."""
     lo = np.flatnonzero(_crossing_starts(im))
     return np.stack([lo, lo + (im[lo] != 0)], axis=1)
+
+
+def _locate_scan(seed: tuple[float, float, np.ndarray], attempt: int,
+                 f_bounds: tuple[float, float]) -> list[float]:
+    """The scan points of locate_crossings' try `attempt` for a seed
+    (f_cr, df, u_ref), clipped to f_bounds: for 0 the 2-point bracket of
+    half-width max(|df| _PREDICTED_FRACTION, _PREDICTED_FLOOR_HZ) around
+    f_cr + df, for 1 the _WINDOW_POINTS-point window of half-width
+    LOCATE_WINDOW_HZ around f_cr."""
+    f_cr, df, _ = seed
+    if attempt == 0:
+        centre, n = f_cr + df, 2
+        half_width = max(abs(df) * _PREDICTED_FRACTION, _PREDICTED_FLOOR_HZ)
+    else:
+        centre, half_width, n = f_cr, LOCATE_WINDOW_HZ, _WINDOW_POINTS
+    lo, hi = np.clip((centre - half_width, centre + half_width), *f_bounds)
+    return [float(f) for f in np.linspace(lo, hi, n)]
+
+
+def locate_crossings(matrices_at: Callable[[Sequence[float]], np.ndarray],
+                     seeds: Sequence[tuple[float, float, np.ndarray]],
+                     f_bounds: tuple[float, float]) -> list[tuple[EigenSample, int] | None]:
+    """The crossing of each seed's eigenvalue in the matrices
+    matrices_at(fs) -> (len(fs), m, m): per seed the decomposition at
+    its crossover and the eigenvalue's index in it, or None when it is
+    lost.
+
+    A seed (f_cr, df, u_ref) is a crossing at f_cr, its predicted drift
+    df and its eigenvalue's left eigenvector u_ref; the caller binds
+    matrices_at to the point of its path (a conductance, an operating
+    point) where the crossings are sought.  Each seed takes at most two
+    tries (_locate_scan), both inside f_bounds: try 0 is a 2-point
+    bracket centred on f_cr + df with half-width max(|df| / 10, 0.05 Hz),
+    the predictor's error being a small part of the drift (a narrow
+    bracket also starts regula falsi near the root, so a flat crossing
+    ends nearer it); try 1 is a 9-point window of half-width
+    LOCATE_WINDOW_HZ around f_cr.  Each try scans the points of every
+    seed still unlocated in one eig_lr_batch, picks the seed's
+    eigenvalue at each point by overlap with u_ref (_pick_matching_eig),
+    takes the bracket of _crossing_brackets whose midpoint is nearest
+    f_cr and refines all these brackets in one refine_crossovers run.  A
+    seed whose scan holds no crossing, or whose bracket fails to
+    converge, goes on to try 1; one try 1 misses too is lost, never
+    searched for further, so it is never carried on to another crossing.
+    """
+    found: list = [None] * len(seeds)
+    for attempt in (0, 1):
+        pending = [i for i, res in enumerate(found) if res is None]
+        if not pending:
+            break
+        scans = [_locate_scan(seeds[i], attempt, f_bounds) for i in pending]
+        n = len(scans[0])  # every scan of one try has the same points
+        fs = [f for scan in scans for f in scan]
+        spec = eig_lr_batch(matrices_at(fs), fs)
+        brackets = {}
+        for k, (i, scan) in enumerate(zip(pending, scans)):
+            f_cr, _, u_ref = seeds[i]
+            rows = slice(k * n, (k + 1) * n)
+            ims = spec.lam[rows][np.arange(n), _pick_matching_eig(u_ref, spec.w[rows])].imag
+            pairs = _crossing_brackets(ims)
+            if len(pairs):
+                lo, hi = pairs[np.argmin(np.abs(np.asarray(scan)[pairs].mean(axis=1) - f_cr))]
+                brackets[i] = (scan[lo], scan[hi], ims[lo], ims[hi], u_ref)
+        for i, res in zip(brackets, refine_crossovers(matrices_at, list(brackets.values()))):
+            if not isinstance(res, BisectionError):
+                found[i] = res
+    return found
 
 
 @dataclass(frozen=True)

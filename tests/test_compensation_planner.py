@@ -23,7 +23,12 @@ from damp_planner.compensation_planner import (
     rank_locations,
     verify_with_ad,
 )
-from damp_planner.component_models import ADParams, CapacitorParams, GridImpedanceParams
+from damp_planner.component_models import (
+    ADParams,
+    CapacitorParams,
+    GridImpedanceParams,
+    InverterParams,
+)
 from damp_planner.dq_core import FrequencyGrid
 from damp_planner.network_assembly import NetworkGraph, Shunt, assemble, assemble_grid
 from damp_planner.stability_engine import (
@@ -34,6 +39,7 @@ from damp_planner.stability_engine import (
     analyze,
     eig_lr,
     eig_lr_batch,
+    locate_crossings,
     refine_crossovers,
     sweep,
 )
@@ -639,7 +645,6 @@ def counted_batches(monkeypatch) -> list:
         calls.append(len(fs))
         return real(mats, fs)
 
-    monkeypatch.setattr(compensation_planner, "eig_lr_batch", counted)
     monkeypatch.setattr(stability_engine, "eig_lr_batch", counted)
     return calls
 
@@ -661,31 +666,37 @@ def test_quadratic_drift_keeps_coarse_locates_in_their_brackets(case_graph, fixt
     the quadratic through the nearest nodes sends at most 8."""
     _, traces, report = fixture_baseline
     tries = [0, 0]
-    window = compensation_planner._CriticalFollower.window
+    scan = stability_engine._locate_scan
 
-    def counted(self, attempt, f_bounds):
+    def counted(seed, attempt, f_bounds):
         tries[attempt] += 1
-        return window(self, attempt, f_bounds)
+        return scan(seed, attempt, f_bounds)
 
-    monkeypatch.setattr(compensation_planner._CriticalFollower, "window", counted)
+    monkeypatch.setattr(stability_engine, "_locate_scan", counted)
     plan(case_graph, 4, traces, report, 0.005, 5e-3)
     assert tries[1] <= 8
 
 
-def losing_locate_all(monkeypatch, lose_at: float) -> list:
-    """_locate_all that loses its first follower at conductance lose_at
-    once (the others located as usual), recording the conductance of
-    every call."""
-    real = compensation_planner._locate_all
+def locate_alpha(matrices_at) -> float:
+    """The conductance plan bound into a locate's matrices_at (a partial
+    of _with_conductance)."""
+    return matrices_at.keywords["alpha"]
+
+
+def losing_locate_crossings(monkeypatch, lose_at: float) -> list:
+    """The planner's locate_crossings, losing its first seed at
+    conductance lose_at once (the others located as usual), recording
+    the conductance of every call."""
+    real = compensation_planner.locate_crossings
     alphas = []
 
-    def losing(followers, alpha, *args):
-        alphas.append(alpha)
+    def losing(matrices_at, seeds, f_bounds):
+        alphas.append(alpha := locate_alpha(matrices_at))
         if alpha == lose_at and alphas.count(alpha) == 1:
-            return [None] + real(followers[1:], alpha, *args)
-        return real(followers, alpha, *args)
+            return [None] + real(matrices_at, seeds[1:], f_bounds)
+        return real(matrices_at, seeds, f_bounds)
 
-    monkeypatch.setattr(compensation_planner, "_locate_all", losing)
+    monkeypatch.setattr(compensation_planner, "locate_crossings", losing)
     return alphas
 
 
@@ -699,7 +710,7 @@ def test_a_crossover_lost_at_a_coarse_node_halves_the_stride(case_graph, fixture
     expected = plan(case_graph, 4, traces, report, 0.005, 5e-3)
     d = 5e-3
     alpha_2, alpha_3 = 0.0 + d + d, 0.0 + d + d + d
-    alphas = losing_locate_all(monkeypatch, alpha_3)
+    alphas = losing_locate_crossings(monkeypatch, alpha_3)
     got = plan(case_graph, 4, traces, report, 0.005, 5e-3)
     assert alphas[:5] == [0.0, d, alpha_3, alpha_2, alpha_3]
     assert_plans_agree(got, expected, re_tol=1e-8)
@@ -709,7 +720,7 @@ def test_a_crossover_lost_one_step_from_its_node_stops_the_plan(case_graph, fixt
                                                                 monkeypatch):
     _, traces, report = fixture_baseline
     ev = report.critical_events[0]
-    losing_locate_all(monkeypatch, 5e-3)
+    losing_locate_crossings(monkeypatch, 5e-3)
     with pytest.raises(PlanInfeasibleError,
                        match=rf"^trace {ev.trace_id} \(crossover starting at {ev.f_cr_hz:.6g} Hz\) "
                              rf"lost near {ev.f_cr_hz:.6g} Hz at alpha=0\.005 S: no crossing "
@@ -779,16 +790,16 @@ def test_predicted_bracket_stays_on_a_close_crossing_pair(monkeypatch):
         plan(g, 1, traces, report, 0.005, 5e-3)
 
     only_3 = StabilityReport(tuple(e for e in report.critical_events if e.trace_id == 3))
-    real_locate_all = compensation_planner._locate_all
+    real_locate = compensation_planner.locate_crossings
     at_072 = []
 
-    def recorded(located, alpha, *args):
-        out = real_locate_all(located, alpha, *args)
-        if alpha == pytest.approx(0.72, abs=1e-9):
+    def recorded(matrices_at, seeds, f_bounds):
+        out = real_locate(matrices_at, seeds, f_bounds)
+        if locate_alpha(matrices_at) == pytest.approx(0.72, abs=1e-9):
             at_072.extend(out)
         return out
 
-    monkeypatch.setattr(compensation_planner, "_locate_all", recorded)
+    monkeypatch.setattr(compensation_planner, "locate_crossings", recorded)
     with pytest.raises(PlanInfeasibleError,
                        match=r"^trace 3 \(crossover starting at 1118\.19 Hz\) lost near "
                              r"1000\.23 Hz at alpha=0\.725 S: no crossing within 50 Hz$"):
@@ -818,12 +829,12 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
     it.  A break that outlasts the window stops the plan, naming that
     crossover."""
     _, traces, report = fixture_baseline
-    low = min(report.critical_events, key=lambda e: e.f_cr_hz)
+    events = report.critical_events
+    low = min(events, key=lambda e: e.f_cr_hz)
     failures = []
     broken = [False]
-    follower_cls = compensation_planner._CriticalFollower
-    matrices_at, window, refine = (compensation_planner._with_conductance, follower_cls.window,
-                                   compensation_planner.refine_crossovers)
+    matrices_at, scan, refine = (compensation_planner._with_conductance,
+                                 stability_engine._locate_scan, stability_engine.refine_crossovers)
 
     def jumping_matrices_at(g, node_index, fs, alpha):
         m = matrices_at(g, node_index, fs, alpha)
@@ -837,11 +848,13 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
                     m[k] += 1e-3j * sign * side * np.eye(len(m[k]))
         return m
 
-    def recorded_window(self, attempt, f_bounds):
-        tries.setdefault(id(self), []).append((self.f_cr, attempt))
+    def recorded_scan(seed, attempt, f_bounds):
+        # each seed's tries, under the critical event whose crossover it follows
+        i = min(range(len(events)), key=lambda i: abs(events[i].f_cr_hz - seed[0]))
+        tries.setdefault(i, []).append((seed[0], attempt))
         if attempt == 1 and lift[0]:
             broken[0] = False
-        return window(self, attempt, f_bounds)
+        return scan(seed, attempt, f_bounds)
 
     def recorded_refine(*args, **kwargs):
         out = refine(*args, **kwargs)
@@ -849,19 +862,19 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
         return out
 
     monkeypatch.setattr(compensation_planner, "_with_conductance", jumping_matrices_at)
-    monkeypatch.setattr(follower_cls, "window", recorded_window)
-    monkeypatch.setattr(compensation_planner, "refine_crossovers", recorded_refine)
+    monkeypatch.setattr(stability_engine, "_locate_scan", recorded_scan)
+    monkeypatch.setattr(stability_engine, "refine_crossovers", recorded_refine)
     tries: dict = {}
     lift = [True]
     expected = plan(case_graph, 4, traces, report, 0.005, 5e-3)
-    unbroken = list(tries.values())
+    unbroken = [tries[i] for i in range(len(events))]
     assert not failures
     tries, broken[0] = {}, True
     got = plan(case_graph, 4, traces, report, 0.005, 5e-3)
-    broken_run = list(tries.values())
+    broken_run = [tries[i] for i in range(len(events))]
 
     assert len(failures) == 1
-    [k] = [k for k, e in enumerate(report.critical_events) if e is low]
+    [k] = [k for k, e in enumerate(events) if e is low]
     # the first locate: the low follower's predicted bracket, then its
     # 50 Hz window; the others as without the break
     assert broken_run[k][:2] == [(low.f_cr_hz, 0), (low.f_cr_hz, 1)]
@@ -879,13 +892,13 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
                              r"alpha=0 S: no crossing within 50 Hz$"):
         plan(case_graph, 4, traces, report, 0.005, 5e-3)
     assert len(failures) == 2
-    assert list(tries.values())[k] == [(low.f_cr_hz, 0), (low.f_cr_hz, 1)]
+    assert tries[k] == [(low.f_cr_hz, 0), (low.f_cr_hz, 1)]
 
 
 def scalar_matrices_at(lam_at, sizes):
-    """matrices_at(fs, alpha) of the 1x1 system whose eigenvalue is
-    lam_at(f) whatever alpha, recording the points of every call."""
-    def matrices_at(fs, alpha):
+    """matrices_at(fs) of the 1x1 system whose eigenvalue is lam_at(f),
+    recording the points of every call."""
+    def matrices_at(fs):
         sizes.append(len(fs))
         return np.array([[[lam_at(f)]] for f in fs])
     return matrices_at
@@ -893,29 +906,57 @@ def scalar_matrices_at(lam_at, sizes):
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["falling", "rising"])
 def test_follower_takes_an_on_axis_scan_point_as_its_crossing(sign):
-    """Im[lambda] = +-(f - 100) S and Re 0.01 S, a follower at 100 Hz with a
+    """Im[lambda] = +-(f - 100) S and Re 0.01 S, a seed at 100 Hz with a
     10 Hz drift on 1-5000 Hz: its predicted bracket misses, and its 50 Hz
     window has the 100 Hz point exactly on the axis.  That point is the
-    crossing's zero-width bracket, confirmed in one refine round, and the
-    follower moves there at try 1, as a drift."""
+    crossing's zero-width bracket, confirmed in one refine round at try 1."""
     sizes = []
-    follower = compensation_planner._CriticalFollower(100.0, np.ones(1, complex))
-    follower.df = 10.0
-    [(smp, j)] = compensation_planner._locate_all(
-        [follower], 0.0, scalar_matrices_at(lambda f: 0.01 + 1j * sign * (f - 100.0), sizes),
-        (1.0, 5000.0))
+    [(smp, j)] = locate_crossings(
+        scalar_matrices_at(lambda f: 0.01 + 1j * sign * (f - 100.0), sizes),
+        [(100.0, 10.0, np.ones(1, complex))], (1.0, 5000.0))
     assert (smp.f_hz, smp.lam[j]) == (100.0, 0.01)
     assert sizes == [2, 9, 1]
-    assert (follower.f_cr, follower.df) == (100.0, 0.0)
 
 
 def test_lost_crossing_takes_two_scans_and_no_more():
-    """A follower at 1000 Hz whose eigenvalue never crosses, on 10-2500 Hz:
+    """A seed at 1000 Hz whose eigenvalue never crosses, on 10-2500 Hz:
     the predicted bracket, then the 50 Hz window, and no scan after it.
-    The follower is lost (None) and stays where it was, for plan to name."""
+    The seed is lost (None), for the caller to name."""
     sizes = []
-    follower = compensation_planner._CriticalFollower(1000.0, np.ones(1, complex))
-    assert compensation_planner._locate_all(
-        [follower], 0.25, scalar_matrices_at(lambda f: 0.01 + 1j, sizes), (10.0, 2500.0)) == [None]
+    assert locate_crossings(scalar_matrices_at(lambda f: 0.01 + 1j, sizes),
+                            [(1000.0, 0.0, np.ones(1, complex))], (10.0, 2500.0)) == [None]
     assert sizes == [2, 9]
-    assert (follower.f_cr, follower.df) == (1000.0, 0.0)
+
+
+def test_locate_crossings_follows_a_crossing_along_an_operating_point_path(case_graph):
+    """locate_crossings along a path other than conductance: the fixture
+    with its default damper (node 4, k_v 1.407) installed and the i_d of
+    all three inverters scaled by x, in steps of 0.01.  Trace 8's
+    crossing at 176.33 Hz, followed from its baseline event with the
+    secant drift, keeps Re[lambda] > 0 up to x = 1.20 and is critical at
+    1.21, where a fresh analysis finds the same critical crossing."""
+    damped = case_graph.with_shunt_device(4, dataclasses.replace(AD_BASE, k_v=1.407),
+                                          label="active-damper")
+    grid = FrequencyGrid.regular(10.0, 2500.0, 1.0)
+
+    def scaled(x):
+        return dataclasses.replace(damped, shunts=tuple(
+            dataclasses.replace(s, device=dataclasses.replace(s.device, i_d=s.device.i_d * x))
+            if isinstance(s.device, InverterParams) else s for s in damped.shunts))
+
+    _, _, report = analyze(damped, grid)
+    [ev] = [e for e in report.events if e.trace_id == 8 and abs(e.f_cr_hz - 176.33) < 0.01]
+    seed, re_at = (ev.f_cr_hz, 0.0, ev.sample.u[ev.eig_index]), {}
+    for step in range(1, 22):
+        g = scaled(1.0 + step / 100)
+        [(smp, j)] = locate_crossings(lambda fs: assemble_grid(g, fs), [seed], (10.0, 2500.0))
+        seed = (smp.f_hz, smp.f_hz - seed[0], smp.u[j])
+        re_at[step] = float(smp.lam[j].real)
+    assert all(re_at[step] > 0 for step in range(1, 21))
+    assert re_at[21] < 0
+    assert 163.0 < seed[0] < 164.0
+    _, _, report = analyze(g, grid)
+    [critical] = report.critical_events
+    assert critical.trace_id == 8
+    assert abs(critical.f_cr_hz - seed[0]) <= 0.02
+    assert critical.re_lambda == pytest.approx(re_at[21], abs=1e-6)

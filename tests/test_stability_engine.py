@@ -996,8 +996,8 @@ def test_refined_crossovers_hold_in_planner(case_graph, monkeypatch):
             checked.append(bracket)
         return refined
 
-    monkeypatch.setattr(compensation_planner, "refine_crossovers", refine)
     _, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
+    monkeypatch.setattr(stability_engine, "refine_crossovers", refine)
     cplan = compensation_planner.plan(case_graph, 4, traces, report, 0.005, dalpha=0.005)
     # one refinement per accumulation step (more if a window widens)
     assert len(checked) >= sum(e.iterations for e in cplan.entries) > 3 * len(cplan.entries)
