@@ -6,11 +6,13 @@ node i is  d_lambda = Y * (u_{k,2i-1} w_{2i-1,k} + u_{k,2i} w_{2i,k}),
 the bracket being the node's compensation coefficient K_C.
 compensation_coefficient is the one place it is computed:
 compensation_table reads it from the decomposition each critical
-crossover event carries, and the planner at every located crossover.  Damper locations
-rank per crossing by Re[K_C] over its lift epsilon - Re[lambda].  Planning
-starts from the caller's baseline analysis (traces and stability report)
-and accumulates d_alpha K_C per step of d_alpha conductance at the node,
-for every critical crossover in lockstep (plan), until each one's
+crossover event carries, and the planner at every located crossover, the
+baseline events themselves at alpha = 0, so rank and plan read one K_C
+there.  Damper locations rank per crossing by Re[K_C] over its lift
+epsilon - Re[lambda].  Planning starts from the caller's baseline
+analysis (traces and stability report) and accumulates d_alpha K_C per
+step of d_alpha conductance at the node, for every critical crossover in
+lockstep (plan), until each one's
 first-order shift lifts it to the margin epsilon.  The sensitivity drifts
 with alpha but smoothly, so the crossovers are re-located (the engine's
 locate_crossings, on the matrices with the node's conductance installed)
@@ -204,10 +206,11 @@ def _lagrange(xs: Sequence[float], x: Sequence[float]) -> np.ndarray:
 
 class _NodePath:
     """One critical crossover along the plan's dalpha steps: its located
-    nodes (step -> f_cr, u_ref, K_C), and per step j the K_C the
-    accumulation sums (located at a node, interpolated between nodes),
-    that value's error estimate (0 at a node) and shift[j + 1] =
-    shift[j] + dalpha K_C[j], the float sum in step order."""
+    nodes (step -> f_cr, u_ref, K_C; node 0 is the baseline event), and
+    per step j the K_C the accumulation sums (located at a node,
+    interpolated between nodes), that value's error estimate (0 at a
+    node) and shift[j + 1] = shift[j] + dalpha K_C[j], the float sum in
+    step order."""
 
     INTERP_NODES = 5  # nodes of the higher-degree interpolant
     PREDICT_NODES = 3  # nodes of the quadratic drift predictor
@@ -230,24 +233,20 @@ class _NodePath:
         near = self.steps[max(0, p - n):p + n]
         return sorted(near, key=lambda k: (abs(k - x), k))[:n]
 
-    def below(self, k: int) -> int | None:
-        """The nearest node step below k, None when there is none."""
-        p = bisect.bisect_left(self.steps, k)
-        return self.steps[p - 1] if p else None
+    def below(self, k: int) -> int:
+        """The nearest node step below step k > 0 (node 0 is every path's)."""
+        return self.steps[bisect.bisect_left(self.steps, k) - 1]
 
     def next_after(self, k: int) -> int:
         """The nearest node step above k, _MAX_STEPS when there is none."""
         p = bisect.bisect_right(self.steps, k)
         return self.steps[p] if p < len(self.steps) else _MAX_STEPS
 
-    def seed(self, k: int) -> tuple[float, float, np.ndarray] | None:
+    def seed(self, k: int) -> tuple[float, float, np.ndarray]:
         """locate_crossings' seed (f_cr, df, u_ref) for step k: the
         crossing at the nearest node below k, with the drift a quadratic
-        through the PREDICT_NODES nodes nearest k predicts; None for a
-        path with no node yet."""
-        if (below := self.below(k)) is None:
-            return None
-        f_cr, u_ref, _ = self.nodes[below]
+        through the PREDICT_NODES nodes nearest k predicts."""
+        f_cr, u_ref, _ = self.nodes[self.below(k)]
         near = self.nearest(k, self.PREDICT_NODES)
         predicted = float(_lagrange(near, [k])[0] @ [self.nodes[j][0] for j in near])
         return f_cr, predicted - f_cr, u_ref
@@ -294,9 +293,9 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     above the margin epsilon.
 
     traces and report are the baseline analysis of g (as returned by
-    analyze); its critical crossovers are the ones planned for, each
-    follower seeded with the left eigenvector of the decomposition its
-    event carries, and the crossover search stays inside the traces'
+    analyze); its critical crossovers are the ones planned for, node 0
+    (alpha = 0) of each being the decomposition its event carries, never
+    re-located, and the crossover search stays inside the traces'
     frequency range.
 
     The result is the paper's accumulation: alpha_k is k additions of
@@ -334,6 +333,8 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     f_bounds = (float(traces[0].f_hz[0]), float(traces[0].f_hz[-1]))
     criticals = report.critical_events
     paths = [_NodePath() for _ in criticals]
+    for path, ev in zip(paths, criticals):
+        path.add(0, ev.sample, ev.eig_index, node_index)
     finished: list = [None] * len(criticals)  # (alpha_s, iterations, f_cr_final, shift)
     alphas = [0.0]
 
@@ -342,15 +343,11 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
             alphas.append(alphas[-1] + dalpha)
         return alphas[k]
 
-    def seed(i: int, k: int) -> tuple[float, float, np.ndarray]:
-        ev = criticals[i]
-        return paths[i].seed(k) or (ev.f_cr_hz, 0.0, ev.sample.u[ev.eig_index])
-
     def lost(i: int, k: int) -> PlanInfeasibleError:
         ev = criticals[i]
         return PlanInfeasibleError(
             f"trace {ev.trace_id} (crossover starting at {ev.f_cr_hz:.6g} Hz) lost "
-            f"near {seed(i, k)[0]:.6g} Hz at alpha={alpha_at(k):.6g} S: no crossing "
+            f"near {paths[i].seed(k)[0]:.6g} Hz at alpha={alpha_at(k):.6g} S: no crossing "
             f"within {LOCATE_WINDOW_HZ:.6g} Hz")
 
     def locate(entries: list[int], k: int) -> list[int]:
@@ -359,7 +356,7 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
         if not entries:
             return []
         found = locate_crossings(partial(_with_conductance, g, node_index, alpha=alpha_at(k)),
-                                 [seed(i, k) for i in entries], f_bounds)
+                                 [paths[i].seed(k) for i in entries], f_bounds)
         for i, res in zip(entries, found):
             if res is not None:
                 paths[i].add(k, *res, node_index)
@@ -393,8 +390,6 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
         return None
 
     open_ = list(range(len(criticals)))
-    if lost_at_0 := locate(open_, 0):
-        raise lost(lost_at_0[0], 0)
     kc, stride = 0, 1
     while True:
         ends = {i: k for i in open_ if (k := decided(i)) is not None}

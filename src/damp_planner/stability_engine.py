@@ -12,9 +12,9 @@ that run located it with.  locate_crossings re-locates known crossings
 at another point of a path (matrices_at bound there by the caller: a
 conductance for the planner, or an operating point), each from a seed,
 with the same bracket rule and the same refine_crossovers.  A discrete
-Nyquist winding count
-over the conjugate-closed eigenvalue loci is provided as a cross-check
-oracle for tests; it is not part of the shipped verdict.
+Nyquist winding count over the conjugate-closed eigenvalue loci is
+provided as a cross-check oracle for tests; it is not part of the
+shipped verdict.
 """
 
 from __future__ import annotations

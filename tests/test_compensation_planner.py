@@ -593,9 +593,9 @@ def test_lockstep_plan_equals_per_trace_loop_on_random_systems(seed, node):
 
 @pytest.mark.parametrize("seed, node, dalpha, lost", [
     # trace 4's crossover leaves both tries after one step
-    (26, 3, 0.01, r"trace 4 \(crossover starting at 2033\.11 Hz\) lost near 2033\.13 Hz "
+    (26, 3, 0.01, r"trace 4 \(crossover starting at 2033\.11 Hz\) lost near 2033\.11 Hz "
                   r"at alpha=0\.01 S"),
-    (26, 3, 5e-3, r"trace 4 \(crossover starting at 2033\.11 Hz\) lost near 2033\.13 Hz "
+    (26, 3, 5e-3, r"trace 4 \(crossover starting at 2033\.11 Hz\) lost near 2033\.11 Hz "
                   r"at alpha=0\.005 S"),
     # trace 4's crossing folds
     (24, 1, 5e-3, r"trace 4 \(crossover starting at 1020\.15 Hz\) lost near 937\.248 Hz "
@@ -614,6 +614,20 @@ def test_plan_stops_naming_a_lost_crossing(seed, node, dalpha, lost):
         assert time.perf_counter() - start < 1.0
     with pytest.raises(PlanInfeasibleError, match="^lost near "):
         reference_plan(g, node, spec, traces, report, 0.005, dalpha)
+
+
+def test_rank_and_plan_read_one_kc_at_alpha_0(case_graph, fixture_baseline):
+    """Each plan path starts from its baseline event's decomposition, the
+    one compensation_table reads: at dalpha = 0.05 S every fixture entry
+    finishes in one step, and its predicted_re is Re[lambda] plus that
+    step's shift from the table's K_C, to the bit."""
+    _, traces, report = fixture_baseline
+    cplan = plan(case_graph, 4, traces, report, 0.005, 0.05)
+    kc = {c.trace_id: c.value for c in compensation_table(case_graph, report.critical_events)
+          if c.node_index == cplan.node_index}
+    assert [e.iterations for e in cplan.entries] == [1, 1, 1]
+    for ev, e in zip(report.critical_events, cplan.entries):
+        assert e.predicted_re == ev.re_lambda + (0j + 0.05 * kc[ev.trace_id]).real
 
 
 @pytest.mark.parametrize("node", [4, 3])
@@ -702,17 +716,17 @@ def losing_locate_crossings(monkeypatch, lose_at: float) -> list:
 
 def test_a_crossover_lost_at_a_coarse_node_halves_the_stride(case_graph, fixture_baseline,
                                                              monkeypatch):
-    """The first coarse node (step 3, two steps past node 1) loses a
-    crossover: the plan locates the midpoint, step 2, next, locates the
-    lost crossover at step 3 again from there, and plans as without the
-    loss."""
+    """The first coarse node (step 3, two steps past node 1; node 0 is
+    the baseline events') loses a crossover: the plan locates the
+    midpoint, step 2, next, locates the lost crossover at step 3 again
+    from there, and plans as without the loss."""
     _, traces, report = fixture_baseline
     expected = plan(case_graph, 4, traces, report, 0.005, 5e-3)
     d = 5e-3
     alpha_2, alpha_3 = 0.0 + d + d, 0.0 + d + d + d
     alphas = losing_locate_crossings(monkeypatch, alpha_3)
     got = plan(case_graph, 4, traces, report, 0.005, 5e-3)
-    assert alphas[:5] == [0.0, d, alpha_3, alpha_2, alpha_3]
+    assert alphas[:4] == [d, alpha_3, alpha_2, alpha_3]
     assert_plans_agree(got, expected, re_tol=1e-8)
 
 
@@ -822,9 +836,10 @@ def test_predicted_bracket_stays_on_a_close_crossing_pair(monkeypatch):
 
 
 def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline, monkeypatch):
-    """At alpha = 0, matrices near the low-frequency crossover have Im
-    jump over zero, so that follower's predicted bracket fails; with the
-    break lifted it is located in its 50 Hz window, the other followers
+    """At alpha = dalpha, the first step located (step 0 is the baseline
+    events'), matrices near the low-frequency crossover have Im jump
+    over zero, so that crossover's predicted bracket fails; with the
+    break lifted it is located in its 50 Hz window, the other crossovers
     try the same windows as in the unbroken plan, and the plan matches
     it.  A break that outlasts the window stops the plan, naming that
     crossover."""
@@ -838,7 +853,7 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
 
     def jumping_matrices_at(g, node_index, fs, alpha):
         m = matrices_at(g, node_index, fs, alpha)
-        if broken[0] and alpha == 0.0:
+        if broken[0] and alpha == 5e-3:
             # push the followed Im away from zero on both sides of the
             # crossover, so regula falsi never meets the tolerance
             sign = 1.0 if low.direction == "rising" else -1.0
@@ -875,7 +890,7 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
 
     assert len(failures) == 1
     [k] = [k for k, e in enumerate(events) if e is low]
-    # the first locate: the low follower's predicted bracket, then its
+    # the first locate: the low crossover's predicted bracket, then its
     # 50 Hz window; the others as without the break
     assert broken_run[k][:2] == [(low.f_cr_hz, 0), (low.f_cr_hz, 1)]
     assert unbroken[k][0] == (low.f_cr_hz, 0)
@@ -889,7 +904,7 @@ def test_failed_bracket_widens_only_its_own_window(case_graph, fixture_baseline,
     with pytest.raises(PlanInfeasibleError,
                        match=rf"^trace {low.trace_id} \(crossover starting at "
                              rf"{low.f_cr_hz:.6g} Hz\) lost near {low.f_cr_hz:.6g} Hz at "
-                             r"alpha=0 S: no crossing within 50 Hz$"):
+                             r"alpha=0\.005 S: no crossing within 50 Hz$"):
         plan(case_graph, 4, traces, report, 0.005, 5e-3)
     assert len(failures) == 2
     assert tries[k] == [(low.f_cr_hz, 0), (low.f_cr_hz, 1)]
