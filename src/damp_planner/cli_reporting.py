@@ -224,12 +224,12 @@ def _build_shunt(idx: int, obj, base_dir: Path) -> Shunt:
 
 
 def _read_document(path: Path) -> dict:
-    """The parsed JSON document of a network file, which must be an
-    object; raises NetworkFileError naming the file, with the parse
+    """The parsed JSON document of a network file, UTF-8 text that must
+    be an object; raises NetworkFileError naming the file, with the parse
     position for malformed JSON."""
     try:
-        doc = json.loads(path.read_text())
-    except OSError as e:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as e:
         raise NetworkFileError(f"{path}: {e}") from None
     except json.JSONDecodeError as e:
         raise NetworkFileError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None

@@ -205,27 +205,32 @@ def _lagrange(xs: Sequence[float], x: Sequence[float]) -> np.ndarray:
 
 
 class _NodePath:
-    """One critical crossover along the plan's dalpha steps: its located
-    nodes (step -> f_cr, u_ref, K_C; node 0 is the baseline event), and
+    """One planned critical crossover: its event, node index, located
+    nodes (step -> f_cr, u_ref, K_C; node 0 is the event's decomposition),
     per step j the K_C the accumulation sums (located at a node,
     interpolated between nodes), that value's error estimate (0 at a
     node) and shift[j + 1] = shift[j] + dalpha K_C[j], the float sum in
-    step order."""
+    step order, and its PlanEntry once it has finished."""
 
     INTERP_NODES = 5  # nodes of the higher-degree interpolant
     PREDICT_NODES = 3  # nodes of the quadratic drift predictor
 
-    def __init__(self):
+    def __init__(self, event: CrossoverEvent, node_index: int):
+        self.event = event
+        self.node_index = node_index
         self.steps: list[int] = []  # node steps, ascending
         self.nodes: dict[int, tuple[float, np.ndarray, complex]] = {}
         self.kc: list[complex] = []
         self.err: list[float] = []
         self.shift: list[complex] = [0j]
         self.checked = 0  # shift[:checked] is known short of epsilon
+        self.entry: PlanEntry | None = None
+        self.add(0, event.sample, event.eig_index)
 
-    def add(self, k: int, smp: EigenSample, j: int, node_index: int) -> None:
+    def add(self, k: int, smp: EigenSample, j: int) -> None:
         bisect.insort(self.steps, k)
-        self.nodes[k] = (smp.f_hz, smp.u[j], compensation_coefficient(smp, j, node_index).value)
+        self.nodes[k] = (smp.f_hz, smp.u[j],
+                         compensation_coefficient(smp, j, self.node_index).value)
 
     def nearest(self, x: float, n: int) -> list[int]:
         """The n node steps nearest x, nearest first (ties to the lower)."""
@@ -278,10 +283,10 @@ class _NodePath:
             self.shift[t + 1] = self.shift[t] + dalpha * self.kc[t]
         self.checked = min(self.checked, j + 1)
 
-    def first_reach(self, re_lambda: float, epsilon: float) -> int | None:
+    def first_reach(self, epsilon: float) -> int | None:
         """The first step whose Re[lambda] plus shift reaches epsilon."""
         for k in range(self.checked, len(self.shift)):
-            if not re_lambda + self.shift[k].real < epsilon:
+            if not self.event.re_lambda + self.shift[k].real < epsilon:
                 return k
         self.checked = len(self.shift)
         return None
@@ -293,10 +298,10 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     above the margin epsilon.
 
     traces and report are the baseline analysis of g (as returned by
-    analyze); its critical crossovers are the ones planned for, node 0
-    (alpha = 0) of each being the decomposition its event carries, never
-    re-located, and the crossover search stays inside the traces'
-    frequency range.
+    analyze); its critical crossovers are the ones planned for, each one
+    _NodePath record whose node 0 (alpha = 0) is the decomposition its
+    event carries, never re-located, and the crossover search stays
+    inside the traces' frequency range.
 
     The result is the paper's accumulation: alpha_k is k additions of
     dalpha, the shift after k steps is dalpha sum_{j<k} K_C(alpha_j) at
@@ -318,7 +323,8 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     epsilon and the sum at the deciding step or the step before, the
     interpolated step with the largest estimate is located, until the
     decision is clear.  Each finishing step is located exactly, one
-    locate_crossings for the crossovers finishing there.
+    locate_crossings for the crossovers finishing there, where the
+    record's PlanEntry is built; entries come in event order.
 
     A PlanInfeasibleError names the trace and its starting frequency: a
     crossover still short after _MAX_STEPS steps, or one lost (neither
@@ -331,11 +337,7 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     node_index = g.node_index(node_id)
     f_bounds = (float(traces[0].f_hz[0]), float(traces[0].f_hz[-1]))
-    criticals = report.critical_events
-    paths = [_NodePath() for _ in criticals]
-    for path, ev in zip(paths, criticals):
-        path.add(0, ev.sample, ev.eig_index, node_index)
-    finished: list = [None] * len(criticals)  # (alpha_s, iterations, f_cr_final, shift)
+    paths = [_NodePath(ev, node_index) for ev in report.critical_events]
     alphas = [0.0]
 
     def alpha_at(k: int) -> float:
@@ -343,41 +345,41 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
             alphas.append(alphas[-1] + dalpha)
         return alphas[k]
 
-    def lost(i: int, k: int) -> PlanInfeasibleError:
-        ev = criticals[i]
+    def lost(path: _NodePath, k: int) -> PlanInfeasibleError:
+        ev = path.event
         return PlanInfeasibleError(
             f"trace {ev.trace_id} (crossover starting at {ev.f_cr_hz:.6g} Hz) lost "
-            f"near {paths[i].seed(k)[0]:.6g} Hz at alpha={alpha_at(k):.6g} S: no crossing "
+            f"near {path.seed(k)[0]:.6g} Hz at alpha={alpha_at(k):.6g} S: no crossing "
             f"within {LOCATE_WINDOW_HZ:.6g} Hz")
 
-    def locate(entries: list[int], k: int) -> list[int]:
-        """Locate entries' crossovers at step k; returns the ones lost."""
-        entries = [i for i in entries if k not in paths[i].nodes]
-        if not entries:
+    def locate(group: list[_NodePath], k: int) -> list[_NodePath]:
+        """Locate the group's crossovers at step k; returns the ones lost."""
+        group = [path for path in group if k not in path.nodes]
+        if not group:
             return []
         found = locate_crossings(partial(_with_conductance, g, node_index, alpha=alpha_at(k)),
-                                 [paths[i].seed(k) for i in entries], f_bounds)
-        for i, res in zip(entries, found):
+                                 [path.seed(k) for path in group], f_bounds)
+        for path, res in zip(group, found):
             if res is not None:
-                paths[i].add(k, *res, node_index)
-        return [i for i, res in zip(entries, found) if res is None]
+                path.add(k, *res)
+        return [path for path, res in zip(group, found) if res is None]
 
-    def locate_exact(i: int, k: int) -> None:
-        """Locate entry i at step k, halving the way from its node below
-        while the crossover is lost there."""
-        while k not in paths[i].nodes:
-            below = paths[i].below(k)
+    def locate_exact(path: _NodePath, k: int) -> None:
+        """Locate the crossover at step k, halving the way from its node
+        below while it is lost there."""
+        while k not in path.nodes:
+            below = path.below(k)
             target = k
-            while locate([i], target):
+            while locate([path], target):
                 if target - below == 1:
-                    raise lost(i, target)
+                    raise lost(path, target)
                 target = (below + target) // 2
 
-    def decided(i: int) -> int | None:
-        """The step at which entry i finishes, located where the error
-        estimates leave the decision unclear; None while it is short."""
-        path, re_lambda = paths[i], criticals[i].re_lambda
-        while (k := path.first_reach(re_lambda, epsilon)) is not None:
+    def decided(path: _NodePath) -> int | None:
+        """The step at which the crossover finishes, located where the
+        error estimates leave the decision unclear; None while it is short."""
+        re_lambda = path.event.re_lambda
+        while (k := path.first_reach(epsilon)) is not None:
             gap = re_lambda + path.shift[k].real - epsilon
             if k:
                 gap = min(gap, epsilon - re_lambda - path.shift[k - 1].real)
@@ -385,57 +387,47 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
             if error == 0.0 or 2.0 * error < gap:
                 return k
             j = int(np.argmax(path.err[:k]))
-            locate_exact(i, j)
+            locate_exact(path, j)
             path.settle(j, dalpha)
         return None
 
-    open_ = list(range(len(criticals)))
+    open_ = paths
     kc, stride = 0, 1
     while True:
-        ends = {i: k for i in open_ if (k := decided(i)) is not None}
+        ends = {path: k for path in open_ if (k := decided(path)) is not None}
         for k in sorted(set(ends.values())):
-            for i in locate([i for i in ends if ends[i] == k], k):
-                locate_exact(i, k)
-        for i, k in ends.items():
-            finished[i] = (alpha_at(k), k, paths[i].nodes[k][0], paths[i].shift[k])
-        open_ = [i for i in open_ if i not in ends]
+            for path in locate([path for path in ends if ends[path] == k], k):
+                locate_exact(path, k)
+        for path, k in ends.items():
+            ev = path.event
+            path.entry = PlanEntry(ev.trace_id, node_index, ev.f_cr_hz, path.nodes[k][0],
+                                   ev.re_lambda, alpha_at(k), k, ev.re_lambda + path.shift[k].real)
+        open_ = [path for path in open_ if path.entry is None]
         if not open_:
             break
         if kc == _MAX_STEPS:
-            ev, path = criticals[open_[0]], paths[open_[0]]
+            ev, path = open_[0].event, open_[0]
             raise PlanInfeasibleError(
                 f"iteration cap {_MAX_STEPS} reached for trace {ev.trace_id} "
                 f"(crossover starting at {ev.f_cr_hz:.6g} Hz); shortfall "
                 f"{epsilon - ev.re_lambda - path.shift[kc].real:.6g} S remains "
                 f"at alpha={alpha_at(kc):.6g} S")
-        kn = min(kc + stride, *(paths[i].next_after(kc) for i in open_))
-        if missing := locate(open_, kn):
-            if kn - kc == 1:
-                raise lost(missing[0], kn)
+        kn = min(kc + stride, *(path.next_after(kc) for path in open_))
+        missing = locate(open_, kn)
+        if missing and kn - kc == 1:
+            raise lost(missing[0], kn)
+        interpolated = [] if missing else [path.interpolate(kc, kn, dalpha) for path in open_]
+        worst = max((error for *_, error in interpolated), default=math.inf)
+        if worst > _STEP_TOL:  # a crossover lost at kn, or interpolants that disagree
             stride = (kn - kc) // 2
             continue
-        interpolated = [paths[i].interpolate(kc, kn, dalpha) for i in open_]
-        worst = max(error for *_, error in interpolated)
-        if worst > _STEP_TOL:
-            stride = (kn - kc) // 2
-            continue
-        for i, (values, errors, _) in zip(open_, interpolated):
-            paths[i].extend(kc, values, errors, dalpha)
+        for path, (values, errors, _) in zip(open_, interpolated):
+            path.extend(kc, values, errors, dalpha)
         if worst <= _STEP_TOL / 32:  # the estimate grows about as H^5
             stride = min(2 * stride, _MAX_STRIDE)
         kc = kn
 
-    entries = tuple(PlanEntry(
-        trace_id=ev.trace_id,
-        node_index=node_index,
-        f_cr_start_hz=ev.f_cr_hz,
-        f_cr_final_hz=f_cr_final,
-        re_lambda_start=ev.re_lambda,
-        alpha_s=alpha_s,
-        iterations=iterations,
-        predicted_re=ev.re_lambda + d_lam.real,
-    ) for ev, (alpha_s, iterations, f_cr_final, d_lam) in zip(criticals, finished))
-
+    entries = tuple(path.entry for path in paths)
     if entries:
         f_all = [e.f_cr_start_hz for e in entries] + [e.f_cr_final_hz for e in entries]
         band_lo = max(1.0, math.floor(min(f_all) / 100.0) * 100.0)

@@ -285,8 +285,9 @@ class AdmittanceTable:
     @classmethod
     def from_csv(cls, path) -> "AdmittanceTable":
         """Read a table written by to_csv; a malformed file, a non-finite
-        value included, raises ValueError naming the file and line."""
-        with open(path, newline="") as fh:
+        value or a byte that is not UTF-8 (read as U+FFFD) included,
+        raises ValueError naming the file and line."""
+        with open(path, newline="", encoding="utf-8", errors="replace") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != _TABLE_HEADER:

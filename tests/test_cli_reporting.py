@@ -384,6 +384,28 @@ def test_malformed_admittance_table_is_a_network_file_error(
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_file_that_is_not_utf8_text_is_named(tmp_path, fixture_path, capsys):
+    """A network file, or the admittance table it names, with a byte that
+    is not UTF-8: one error line naming the file (the table's line too),
+    not a bare codec message naming neither."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code = main(["criticals", "--network", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
+
+    net = _network_with_table(tmp_path, fixture_path, _table(*_TABLE_ROWS))
+    table = tmp_path / "inv2.csv"
+    table.write_bytes(table.read_bytes().replace(b"152.75", b"152.\xff5"))
+    with pytest.raises(NetworkFileError) as err:
+        load_network(net)
+    assert str(err.value).startswith(f"{net}: shunts[")
+    assert str(err.value).endswith(
+        f": {table}:3: could not convert string to float: '152.\ufffd5'")
+
+
 # --- reports and determinism ---
 
 def test_sweep_outputs_are_byte_identical_across_runs(fixture_path, tmp_path):

@@ -790,6 +790,32 @@ def test_an_unclear_decision_is_located(case_graph, fixture_baseline, monkeypatc
             == [(e.trace_id, e.iterations, e.alpha_s) for e in ref.entries])
 
 
+def test_interpolation_is_the_step_controls_only_approximation(case_graph, fixture_baseline,
+                                                               monkeypatch):
+    """Fixture node 4 at dalpha 1e-3 with no interpolation error allowed:
+    every 2-step interval is rejected, so every step is located, in 47
+    locate_crossings and 96 batches (one locate per dalpha step took 96
+    too), and the plan is the per-trace loop's to within the rounding of
+    the sums."""
+    spec, traces, report = fixture_baseline
+    ref = reference_plan(case_graph, 4, spec, traces, report, 0.005)
+    monkeypatch.setattr(compensation_planner, "_STEP_TOL", 0.0)
+    real_locate = compensation_planner.locate_crossings
+    alphas = []
+
+    def recorded(matrices_at, seeds, f_bounds):
+        alphas.append(locate_alpha(matrices_at))
+        return real_locate(matrices_at, seeds, f_bounds)
+
+    monkeypatch.setattr(compensation_planner, "locate_crossings", recorded)
+    calls = counted_batches(monkeypatch)
+    got = plan(case_graph, 4, traces, report, 0.005)
+    steps = max(e.iterations for e in got.entries)
+    assert sorted(round(alpha / 1e-3) for alpha in alphas) == list(range(1, steps + 1))
+    assert (len(alphas), len(calls)) == (47, 96)
+    assert_plans_agree(got, ref, re_tol=1e-9)
+
+
 def test_predicted_bracket_stays_on_a_close_crossing_pair(monkeypatch):
     """make_random_small_system(24) at node 1, dalpha 5e-3.  The lockstep
     plan stops at alpha = 0.615 S, where trace 4's crossing folds.

@@ -246,6 +246,18 @@ def test_table_csv_names_the_line_of_a_non_finite_value(tmp_path):
     assert str(err.value) == f"{path}:3: re_dd = nan is not finite"
 
 
+def test_table_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "inv.csv"
+    table_from_rows([(10.0, 1 + 0j, 0j, 0j, 1 + 0j),
+                     (1000.0, 1 + 0j, 0j, 0j, 1 + 0j)]).to_csv(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join([*lines[:2], b"152.75,\xff,0,0,0,0,0,1,0\n", lines[2]]))
+    with pytest.raises(ValueError) as err:
+        AdmittanceTable.from_csv(path)
+    # not the bare UnicodeDecodeError, which names neither file nor line
+    assert str(err.value) == f"{path}:3: could not convert string to float: '\ufffd'"
+
+
 # --- active damper ---
 
 def test_feedforward_coefficients_from_design_values():

@@ -985,9 +985,11 @@ def test_refined_crossovers_hold_on_random_systems():
 
 
 def test_refined_crossovers_hold_in_planner(case_graph, monkeypatch):
-    """Every follower refinement of a coarse-step plan at node 4, most of
+    """Every locator refinement of a coarse-step plan at node 4, all of
     them at nonzero conductance."""
     checked = []
+    located = []
+    locate = compensation_planner.locate_crossings
 
     def refine(matrices_at, brackets):
         refined = refine_crossovers(matrices_at, brackets)
@@ -996,11 +998,19 @@ def test_refined_crossovers_hold_in_planner(case_graph, monkeypatch):
             checked.append(bracket)
         return refined
 
+    def counted(matrices_at, seeds, f_bounds):
+        found = locate(matrices_at, seeds, f_bounds)
+        located.extend(found)
+        return found
+
     _, traces, report = analyze(case_graph, FrequencyGrid.regular(10.0, 2500.0, 1.0))
     monkeypatch.setattr(stability_engine, "refine_crossovers", refine)
+    monkeypatch.setattr(compensation_planner, "locate_crossings", counted)
     cplan = compensation_planner.plan(case_graph, 4, traces, report, 0.005, dalpha=0.005)
-    # one refinement per accumulation step (more if a window widens)
-    assert len(checked) >= sum(e.iterations for e in cplan.entries) > 3 * len(cplan.entries)
+    # the plan locates only at its nodes, and each located seed comes from
+    # at least one refined bracket (more if its predicted bracket misses)
+    assert None not in located
+    assert len(checked) >= len(located) > 3 * len(cplan.entries)
 
 
 def test_batched_locator_equals_each_bracket_refined_alone():
