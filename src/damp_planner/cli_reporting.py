@@ -2,9 +2,10 @@
 CSV/JSON report emission.
 
 Network files are JSON documents with top-level keys `nodes`, `branches`,
-`shunts`, `fundamental_hz`, `damper_defaults`.  Branches: {type:
-rl|pi_cable|transformer, from, to, r_ohm, l_h, c_f?}.  Shunts: {type:
-inverter|ad|grid|capacitor, node, params|table_path}.  Every number in a
+`shunts`, `fundamental_hz`, `damper_defaults` and `notes` (not read).
+Branches: {type: rl|pi_cable|transformer, from, to, r_ohm, l_h, label?,
+c_f for a pi_cable}.  Shunts: {type: inverter|ad|grid|capacitor, node,
+label?, params or table_path}.  Any other key is an error.  Every number in a
 file, node ids included, is a finite JSON number, not a boolean or a
 string.  All emitted CSV data uses 9-significant-digit fixed formatting
 so identical inputs produce byte-identical outputs.
@@ -148,6 +149,10 @@ class ReportDocument:
 # ---------------------------------------------------------------------------
 
 _BRANCH_TYPES = ("rl", "pi_cable", "transformer")
+# the keys a network file's top level, a branch and a shunt may hold
+_TOP_KEYS = ("nodes", "branches", "shunts", "fundamental_hz", "damper_defaults", "notes")
+_BRANCH_KEYS = ("type", "from", "to", "r_ohm", "l_h", "label")
+_SHUNT_KEYS = ("type", "node", "label", "params", "table_path")
 _SHUNT_TYPES = {"inverter": InverterParams, "ad": ADParams,
                 "grid": GridImpedanceParams, "capacitor": CapacitorParams}
 
@@ -183,6 +188,13 @@ def _number(value, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _known_keys(obj: dict, allowed: tuple[str, ...]) -> None:
+    """Raise a NetworkFileError naming the first key of obj not in allowed."""
+    for key in obj:
+        if key not in allowed:
+            raise NetworkFileError(f"unknown key {key!r} (allowed: {', '.join(allowed)})")
+
+
 def _field(obj: dict, key: str, integer: bool = False):
     """_number of obj[key], an error naming the field."""
     return _at(key, _number, obj[key], integer=integer)
@@ -198,6 +210,7 @@ def _build_branch(idx: int, obj) -> Branch:
     if btype not in _BRANCH_TYPES:
         raise NetworkFileError(
             f"unknown branch type {btype!r} (expected one of {_BRANCH_TYPES})")
+    _known_keys(obj, _BRANCH_KEYS + (("c_f",) if btype == "pi_cable" else ()))
     if btype == "pi_cable":
         model = PiCableParams(*(_field(obj, key) for key in ("r_ohm", "l_h", "c_f")))
     else:
@@ -211,6 +224,9 @@ def _build_shunt(idx: int, obj, base_dir: Path) -> Shunt:
     if stype not in _SHUNT_TYPES:
         raise NetworkFileError(
             f"unknown shunt type {stype!r} (expected one of {tuple(_SHUNT_TYPES)})")
+    _known_keys(obj, _SHUNT_KEYS)
+    if "params" in obj and "table_path" in obj:
+        raise NetworkFileError("takes one of params and table_path, not both")
     node = _field(obj, "node", integer=True)
     if "table_path" in obj:
         if stype != "inverter":
@@ -244,9 +260,11 @@ def load_network(path) -> NetworkGraph:
     when absent; every value is a finite number, k_v is 0 (uncalibrated)
     unless it sets it, and it takes no mode, as a run's ad_mode picks the
     variant.  Raises NetworkFileError naming the file and the parse
-    position, the malformed element or all validation diagnostics."""
+    position, the malformed element (a key it does not take included) or
+    all validation diagnostics."""
     path = Path(path)
     doc = _read_document(path)
+    _at(f"{path}: top level", _known_keys, doc, _TOP_KEYS)
     nodes, branches, shunts = (_at(f"{path}: {key}", _expect, list, doc.get(key, []))
                                for key in ("nodes", "branches", "shunts"))
     hz = _at(f"{path}: fundamental_hz", _number, doc.get("fundamental_hz", 50.0))

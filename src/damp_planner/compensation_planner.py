@@ -322,8 +322,8 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     the summed error estimates are not clearly below the gap between
     epsilon and the sum at the deciding step or the step before, the
     interpolated step with the largest estimate is located, until the
-    decision is clear.  Each finishing step is located exactly, one
-    locate_crossings for the crossovers finishing there, where the
+    decision is clear.  Each crossover's finishing step is located on
+    its own (locate_exact, nothing when it is a node already), where the
     record's PlanEntry is built; entries come in event order.
 
     A PlanInfeasibleError names the trace and its starting frequency: a
@@ -365,8 +365,8 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
         return [path for path, res in zip(group, found) if res is None]
 
     def locate_exact(path: _NodePath, k: int) -> None:
-        """Locate the crossover at step k, halving the way from its node
-        below while it is lost there."""
+        """Locate the crossover at step k, unless it is a node already,
+        halving the way from its node below while it is lost there."""
         while k not in path.nodes:
             below = path.below(k)
             target = k
@@ -394,14 +394,13 @@ def plan(g: NetworkGraph, node_id: int, traces: Sequence[EigenTrace],
     open_ = paths
     kc, stride = 0, 1
     while True:
-        ends = {path: k for path in open_ if (k := decided(path)) is not None}
-        for k in sorted(set(ends.values())):
-            for path in locate([path for path in ends if ends[path] == k], k):
+        for path in open_:
+            if (k := decided(path)) is not None:
                 locate_exact(path, k)
-        for path, k in ends.items():
-            ev = path.event
-            path.entry = PlanEntry(ev.trace_id, node_index, ev.f_cr_hz, path.nodes[k][0],
-                                   ev.re_lambda, alpha_at(k), k, ev.re_lambda + path.shift[k].real)
+                ev = path.event
+                path.entry = PlanEntry(ev.trace_id, node_index, ev.f_cr_hz, path.nodes[k][0],
+                                       ev.re_lambda, alpha_at(k), k,
+                                       ev.re_lambda + path.shift[k].real)
         open_ = [path for path in open_ if path.entry is None]
         if not open_:
             break

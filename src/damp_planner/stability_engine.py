@@ -308,9 +308,9 @@ def _fast_match(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chain(q: np.ndarray, start_row: np.ndarray) -> np.ndarray:
-    """Index rows after a run of clean steps: q[j] maps the eigenvalue
-    indices of step j's sample to the next one's, start_row is the row
-    before the run.  Composes the prefixes in place by pointer doubling
+    """Index rows after the steps of q: q[j] maps the eigenvalue indices
+    of step j's sample to the next one's, start_row is the row before
+    step 0.  Composes the prefixes in place by pointer doubling
     (q[j] becomes q[j] o q[j - 1] o ... o q[0] in log2(len(q)) gathers;
     Hillis & Steele, CACM 29(12), 1986) and returns (len(q), m) rows."""
     d = 1
@@ -367,21 +367,17 @@ class _Tracker:
         """Track the steps t -> t + 1 for t in [start, start + len(u)), u
         holding the left vectors of the samples t, w the right vectors of
         the samples t + 1 and lam the eigenvalues of samples start to
-        start + len(u)."""
+        start + len(u).  Each step's index map depends on that step alone
+        (see track); one _chain composes them all from idx[start]."""
         n = len(u)
         if n == 0:
             return
         idx = self.idx
         score = np.abs(u @ w)
-        best, fast = _fast_match(score)
-        k = 0  # step of the next run
-        for s in [*np.flatnonzero(~fast).tolist(), n]:
-            if s > k:  # clean steps k .. s - 1
-                idx[start + k + 1:start + s + 1] = _chain(best[k:s], idx[start + k])
-            if s < n:
-                t = start + s
-                idx[t + 1] = _greedy_match(score[s, idx[t]], lam[s, idx[t]], lam[s + 1])
-            k = s + 1
+        maps, clean = _fast_match(score)
+        for s in np.flatnonzero(~clean).tolist():
+            maps[s] = _greedy_match(score[s], lam[s], lam[s + 1])
+        idx[start + 1:start + n + 1] = _chain(maps, idx[start])
         self.overlaps[start:start + n] = score[np.arange(n)[:, None], idx[start:start + n],
                                                idx[start + 1:start + n + 1]]
 
@@ -411,13 +407,14 @@ def track(spec: Spectrum) -> list[EigenTrace]:
     samples, as analyze tracks a sweep's chunks (_Tracker): the overlap
     scores of a chunk's steps, the step from the previous chunk's last
     sample included, are batched products of slices of spec.u and spec.w,
-    at most _TRACK_OVERLAPS scores.  A step is clean where its row argmax
-    is a permutation with a strict maximum in every row, which is the
-    greedy result; the other steps split the chunk into runs of clean
-    steps.  Each run is chained from the index row before it by pointer
-    doubling (_chain), with no Python iteration per step, and each other
-    step goes through _greedy_match.  The chunk's overlaps are one gather
-    from its scores.
+    at most _TRACK_OVERLAPS scores.  Each step's index map, from the
+    eigenvalue indices of its sample to the next one's, depends on that
+    step alone: the row argmax where it is a permutation with a strict
+    maximum in every row (the greedy result), else _greedy_match on the
+    step's scores in eigenvalue order, which gives a tie in both score
+    and distance to the lower eigenvalue index of the earlier sample.
+    One pointer-doubling _chain composes the chunk's maps from the index
+    row before them, and the overlaps are one gather from the scores.
 
     Each trace is one column of the resulting index map (its eig_index)
     with its eigenvalues and overlaps; the eigenvectors stay in spec.

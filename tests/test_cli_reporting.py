@@ -307,8 +307,19 @@ def test_pi_cable_without_r_and_l_is_a_load_error(fixture_path, tmp_path):
      "branches[0]: missing field 'l_h'"),
     ('{"nodes": [1], "branches": [{"type": "rl", "from": 1, "to": 1, "r_ohm": 0.1, '
      '"l_h": 1e-3}]}', "rl[0] is a self-loop at node 1"),
+    # keys that used to be ignored: the misspelled fundamental loaded as
+    # 50 Hz, the rl branch without its c_f and the inverter from its table
+    ('{"nodes": [1], "fundamental_Hz": 60, "shunts": [{"type": "capacitor", "node": 1, '
+     '"params": {"c_f": 1e-6}}]}',
+     "top level: unknown key 'fundamental_Hz' (allowed: nodes, branches, shunts, "
+     "fundamental_hz, damper_defaults, notes)"),
+    ('{"nodes": [1, 2], "branches": [{"type": "rl", "from": 1, "to": 2, "r_ohm": 0.1, '
+     '"l_h": 1e-3, "c_f": 1e-6}]}',
+     "branches[0]: unknown key 'c_f' (allowed: type, from, to, r_ohm, l_h, label)"),
+    ('{"nodes": [1], "shunts": [{"type": "inverter", "node": 1, "params": {}, '
+     '"table_path": "y.csv"}]}', "shunts[0]: takes one of params and table_path, not both"),
 ], ids=["unknown-shunt-type", "table-path-on-a-grid-shunt", "missing-branch-field",
-        "self-loop"])
+        "self-loop", "misspelled-fundamental", "c_f-on-an-rl-branch", "params-and-table"])
 def test_loader_error_names_file_element_and_cause(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)

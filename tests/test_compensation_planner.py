@@ -742,6 +742,38 @@ def test_a_crossover_lost_one_step_from_its_node_stops_the_plan(case_graph, fixt
         plan(case_graph, 4, traces, report, 0.005, 5e-3)
 
 
+def test_a_crossover_lost_where_it_finishes_is_tried_there_once(case_graph, fixture_baseline,
+                                                                monkeypatch):
+    """Fixture node 4 at dalpha 1e-3: trace 5 finishes at step 34, an
+    interpolated step whose seed comes from node 31.  Lost there, it is
+    not located at step 34 from node 31 again: the plan halves to step
+    32, locates step 34 from there, and plans as without the loss."""
+    _, traces, report = fixture_baseline
+    expected = plan(case_graph, 4, traces, report, 0.005)
+    [e5] = [e for e in expected.entries if e.trace_id == 5]
+    assert e5.iterations == 34
+    sources = []  # the node below step 34 of every seed for it
+    seed = compensation_planner._NodePath.seed
+
+    def recorded(self, k):
+        if k == 34:
+            sources.append(self.below(k))
+        return seed(self, k)
+
+    real = compensation_planner.locate_crossings
+
+    def losing(matrices_at, seeds, f_bounds):
+        if locate_alpha(matrices_at) == e5.alpha_s and sources[-1] == 31:
+            return [None] * len(seeds)
+        return real(matrices_at, seeds, f_bounds)
+
+    monkeypatch.setattr(compensation_planner._NodePath, "seed", recorded)
+    monkeypatch.setattr(compensation_planner, "locate_crossings", losing)
+    got = plan(case_graph, 4, traces, report, 0.005)
+    assert sources == [31, 32]
+    assert_plans_agree(got, expected, re_tol=1e-8)
+
+
 @pytest.mark.parametrize("seed, f_start, shortfall", [(5, "960.997", 0.0329995),
                                                       (7, "770.014", 0.0513804)])
 def test_an_infeasible_plan_reaches_the_cap_in_coarse_steps(seed, f_start, shortfall,

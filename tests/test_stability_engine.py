@@ -693,7 +693,8 @@ def test_track_fixture_no_discontinuities(case_graph):
 def reference_track(spec, overlap_threshold=0.5):
     """Per trace (lam, u, w, overlaps, discontinuities) from the plain
     step-by-step loop over per-frequency samples that calls _greedy_match
-    at every step."""
+    at every step, on the step's scores in eigenvalue order, and carries
+    each trace along the step's map."""
     samples = [spec[t] for t in range(len(spec))]
     m, nf = len(samples[0].lam), len(samples)
     idx = np.empty((nf, m), dtype=int)
@@ -701,9 +702,10 @@ def reference_track(spec, overlap_threshold=0.5):
     overlaps = np.ones((nf - 1, m))
     for t in range(nf - 1):
         cur, nxt = samples[t], samples[t + 1]
-        score = np.abs(cur.u[idx[t]] @ nxt.w)
-        idx[t + 1] = _greedy_match(score, cur.lam[idx[t]], nxt.lam)
-        overlaps[t] = score[np.arange(m), idx[t + 1]]
+        score = np.abs(cur.u @ nxt.w)
+        perm = _greedy_match(score, cur.lam, nxt.lam)
+        idx[t + 1] = perm[idx[t]]
+        overlaps[t] = score[idx[t], idx[t + 1]]
     out = []
     for k in range(m):
         ov = overlaps[:, k]
@@ -785,6 +787,19 @@ def test_track_falls_back_to_greedy_match(monkeypatch, score, lam_next, expected
     assert tuple(tr.lam[1].real for tr in traces) == expected_next
 
 
+def test_track_gives_a_full_tie_to_the_lower_eigenvalue_index():
+    """Eigenvalues 0 (1.0) and 1 (3.0) both score 0.7 on column 0 (2.0),
+    at distance 1.0 each: the step's map gives column 0 to eigenvalue 0,
+    the lower index, though eigenvalue 1 is trace 1 and eigenvalue 0 is
+    trace 3 (the trace order is eigenvalues 1, 2, 0)."""
+    samples = _two_step_samples([[0.7, 0.0, 0.1], [0.7, 0.2, 0.0], [0.1, 0.0, 0.9]],
+                                (2.0, 3.5, 2.2), lam_prev=(1.0, 3.0, 2.0))
+    traces = track(samples)
+    assert [tr.lam[0].real for tr in traces] == [3.0, 2.0, 1.0]
+    assert (traces[0].lam[1].real, traces[2].lam[1].real) == (3.5, 2.0)
+    assert_track_equals_reference(samples, traces)
+
+
 def _scored_spectrum(rng, m, steps, non_strict=()):
     """Spectrum of `steps` tracking steps whose scores |u_t . w_t+1| are
     set directly, built from its arrays like _two_step_samples: u_t = I
@@ -828,7 +843,7 @@ def _splice_case(m):
     (40, 3 * _track_block(40) + 5, range(3 * _track_block(40) + 5)),
 ], ids=["splice-m4", "splice-m40", "two-samples-clean", "two-samples-non-strict",
         "all-non-strict"])
-def test_track_splices_greedy_steps_into_chained_runs(monkeypatch, m, steps, non_strict):
+def test_track_greedy_matches_the_non_strict_steps(monkeypatch, m, steps, non_strict):
     calls = []
 
     def counted(*args):
@@ -848,7 +863,7 @@ def test_track_splices_greedy_steps_into_chained_runs(monkeypatch, m, steps, non
     (40, 3 * _track_block(40) + 5, range(3 * _track_block(40) + 5)),
 ], ids=["splice-m4", "splice-m40", "two-samples-non-strict", "all-non-strict"])
 def test_tracker_chunks_split_at_non_strict_steps(monkeypatch, m, steps, non_strict):
-    """The spectra of test_track_splices_greedy_steps_into_chained_runs fed
+    """The spectra of test_track_greedy_matches_the_non_strict_steps fed
     to the tracker in chunks that start at the samples after the
     non-strict steps: each such step is a chunk's first, from the
     previous chunk's carried last sample, and still goes through
