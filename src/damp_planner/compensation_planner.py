@@ -75,10 +75,10 @@ class CompensationCoefficient:
 
 
 def _warn_if_degenerate(sample: EigenSample) -> None:
-    lam = np.sort_complex(sample.lam)
     scale = float(np.max(np.abs(sample.lam))) or 1.0
-    gaps = np.abs(np.diff(lam))
-    if len(gaps) and float(np.min(gaps)) < 1e-8 * scale:
+    gaps = np.abs(sample.lam[:, None] - sample.lam)  # every pair: a sort can split a near pair
+    np.fill_diagonal(gaps, np.inf)
+    if float(np.min(gaps)) < 1e-8 * scale:
         warnings.warn(
             f"eigenvalue gap below 1e-8 of scale at f={sample.f_hz} Hz; "
             "sensitivities are unreliable", DegenerateEigenvalueWarning, stacklevel=3)

@@ -315,7 +315,7 @@ class AdmittanceTable:
             writer.writerow(_TABLE_HEADER)
             for f, y in zip(self._f, self._y):
                 parts = [x for v in y.ravel() for x in (v.real, v.imag)]
-                writer.writerow([format(x, ".9g") for x in (f, *parts)])
+                writer.writerow([repr(float(x)) for x in (f, *parts)])  # reads back exactly
 
     def query(self, f_hz) -> np.ndarray:
         f = np.asarray(f_hz, dtype=float)

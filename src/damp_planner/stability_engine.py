@@ -176,23 +176,24 @@ def eig_lr(m: np.ndarray, f_hz: float = float("nan")) -> EigenSample:
     return eig_lr_batch(np.asarray(m)[None], [f_hz])[0]
 
 
-def _stream(g: NetworkGraph, grid: FrequencyGrid, take: Callable[[Spectrum], None]) -> None:
-    """take(chunk) for the Spectrum of each chunk of the grid, in grid
-    order: the one sweep path, which sweep copies into one Spectrum and
-    analyze tracks as it goes.
+def _stream(g: NetworkGraph, grid: FrequencyGrid, take: Callable[[int, Spectrum], None]) -> None:
+    """take(start, chunk) for each chunk of the grid, in grid order, chunk
+    the Spectrum of grid.hz[start:start + len(chunk)]: the one sweep path,
+    which sweep copies into one Spectrum and analyze tracks as it goes.
 
     A chunk holds _TRACK_OVERLAPS matrix entries, max(1, _TRACK_OVERLAPS
     // m**2) frequencies, and at most ceil(nf / workers), so every pool
     thread gets one.  Each chunk is one pool task: assemble_grid on its
-    frequencies, then _decompose, whose matrices are let go before inv.
-    The calling thread takes the chunks in grid order, warns each one's
-    DefectiveMatrixWarnings and raises the error of the first failing
-    one.  At most workers + 1 chunks are in flight: the one awaited and
-    workers chunks after it, so the pool stays busy while take runs.  Before
-    this returns or raises, the chunks not started are cancelled and the
-    running ones waited for, so no task outlives the call.  Every member
-    is decomposed on its own: the bits depend on neither the chunking nor
-    the thread count.
+    frequencies, then _decompose, whose matrices are let go before inv;
+    it returns its start with its Spectrum, so a chunk's place is set
+    here alone.  The calling thread takes the chunks in grid order, warns
+    each one's DefectiveMatrixWarnings and raises the error of the first
+    failing one.  At most workers + 1 chunks are in flight: the one
+    awaited and workers chunks after it, so the pool stays busy while
+    take runs.  Before this returns or raises, the chunks not started are
+    cancelled and the running ones waited for, so no task outlives the
+    call.  Every member is decomposed on its own: the bits depend on
+    neither the chunking nor the thread count.
 
     The grid's two ends are assembled first, on the calling thread, so an
     assembly error that depends on the grid's extent (a sampled control's
@@ -212,17 +213,17 @@ def _stream(g: NetworkGraph, grid: FrequencyGrid, take: Callable[[Spectrum], Non
     nf, m = len(hz), 2 * g.n
     size = min(max(1, _TRACK_OVERLAPS // (m * m)), -(-nf // workers))
 
-    def chunk(k):
-        fs = hz[k:k + size]
-        return _decompose(assemble_grid(g, fs), fs)
+    def chunk(start):
+        fs = hz[start:start + size]
+        return start, *_decompose(assemble_grid(g, fs), fs)
 
     starts = iter(range(0, nf, size))
     ahead = deque(pool.submit(chunk, k) for k in islice(starts, workers + 1))
     try:
         while ahead:
-            spec, defective = ahead.popleft().result()
+            start, spec, defective = ahead.popleft().result()
             _warn_defective(defective)
-            take(spec)
+            take(start, spec)
             del spec
             ahead.extend(pool.submit(chunk, k) for k in islice(starts, 1))
     finally:
@@ -232,19 +233,16 @@ def _stream(g: NetworkGraph, grid: FrequencyGrid, take: Callable[[Spectrum], Non
 
 
 def sweep(g: NetworkGraph, grid: FrequencyGrid) -> Spectrum:
-    """The Spectrum of the grid, in grid order: the chunks of _stream,
-    assembled and decomposed on a thread per available CPU with all the
-    checks of eig_lr_batch, copied into one stack each of lam, w and u."""
+    """The Spectrum of the grid: each chunk of _stream, assembled and
+    decomposed on a thread per available CPU with all the checks of
+    eig_lr_batch, copied into rows [start, start + len(chunk)) of lam, w, u."""
     nf, m = len(grid), 2 * g.n
     spec = Spectrum(np.asarray(grid.hz, dtype=float), np.empty((nf, m), dtype=complex),
                     np.empty((nf, m, m), dtype=complex), np.empty((nf, m, m), dtype=complex))
-    taken = 0
 
-    def put(chunk):
-        nonlocal taken
-        rows = slice(taken, taken + len(chunk))
+    def put(start, chunk):
+        rows = slice(start, start + len(chunk))
         spec.lam[rows], spec.w[rows], spec.u[rows] = chunk.lam, chunk.w, chunk.u
-        taken = rows.stop
 
     _stream(g, grid, put)
     return spec
@@ -322,14 +320,14 @@ def _chain(q: np.ndarray, start_row: np.ndarray) -> np.ndarray:
 
 class _Tracker:
     """The traces of a sweep of the frequencies f_hz and m eigenvalues,
-    tracked one chunk of consecutive samples at a time, in order (see
-    track).  A chunk's first step starts from the previous chunk's last
-    sample, whose eigenvalues, left vectors and index row are carried.
-    Keeps the index map, the overlaps and the eigenvalues in trace order
-    and, when rows is a dict (analyze's), the left eigenvectors assess
-    reads: rows[t, j] = u[t, j] at every sample t that starts a
-    _crossing_brackets bracket of a trace, j the trace's eigenvalue index
-    there.  track, whose Spectrum holds every u, keeps none."""
+    tracked one Spectrum chunk at a time, in grid order, at the start index
+    it comes with (see track).  A chunk's first step starts from the
+    previous chunk's last sample, whose eigenvalues, left vectors and
+    index row are carried.  Keeps the index map, the overlaps and the
+    eigenvalues in trace order and, when rows is a dict (analyze's), the
+    left eigenvectors assess reads: rows[t, j] = u[t, j] at every sample
+    t that starts a _crossing_brackets bracket of a trace, j the trace's
+    eigenvalue index there.  track, whose Spectrum holds every u, keeps none."""
 
     def __init__(self, f_hz: np.ndarray, m: int, rows: dict | None = None):
         nf = len(f_hz)
@@ -338,14 +336,12 @@ class _Tracker:
         self.lam = np.empty((nf, m), dtype=complex)  # [sample, trace] -> eigenvalue
         self.overlaps = np.ones((max(nf - 1, 0), m))
         self.rows = rows
-        self.taken = 0  # samples tracked so far
-        self.last = None  # (eigenvalues, left vectors) of the last of them
+        self.last = None  # (eigenvalues, left vectors) of the last sample tracked
 
-    def add(self, lam: np.ndarray, w: np.ndarray, u: np.ndarray) -> None:
-        """Track the next chunk, its eigenvalues lam (k, m) and right and
-        left vectors w, u (k, m, m)."""
-        a = self.taken
-        b = a + len(lam)
+    def add(self, a: int, chunk: Spectrum) -> None:
+        """Track chunk, the samples from a on, next after those tracked."""
+        lam, w, u = chunk.lam, chunk.w, chunk.u
+        b = a + len(chunk)
         if a == 0:
             self.idx[0] = np.argsort(-np.abs(lam[0]), kind="stable")
         else:
@@ -361,7 +357,6 @@ class _Tracker:
                 t, j = lo + s, int(self.idx[lo + s, k])
                 self.rows[t, j] = (u[t - a] if t >= a else self.last[1])[j].copy()
         self.last = (lam[-1].copy(), u[-1].copy())
-        self.taken = b
 
     def _steps(self, start: int, u: np.ndarray, w: np.ndarray, lam: np.ndarray) -> None:
         """Track the steps t -> t + 1 for t in [start, start + len(u)), u
@@ -404,10 +399,11 @@ def track(spec: Spectrum) -> list[EigenTrace]:
     value-proximity matching would swap them.
 
     The spectrum is tracked in chunks of max(1, _TRACK_OVERLAPS // m**2)
-    samples, as analyze tracks a sweep's chunks (_Tracker): the overlap
-    scores of a chunk's steps, the step from the previous chunk's last
-    sample included, are batched products of slices of spec.u and spec.w,
-    at most _TRACK_OVERLAPS scores.  Each step's index map, from the
+    samples, handed to _Tracker as Spectrum views of spec with their
+    start index, as analyze tracks a sweep's chunks: the overlap scores
+    of a chunk's steps, the step from the previous chunk's last sample
+    included, are batched products of slices of spec.u and spec.w, at
+    most _TRACK_OVERLAPS scores.  Each step's index map, from the
     eigenvalue indices of its sample to the next one's, depends on that
     step alone: the row argmax where it is a permutation with a strict
     maximum in every row (the greedy result), else _greedy_match on the
@@ -423,7 +419,8 @@ def track(spec: Spectrum) -> list[EigenTrace]:
     tracker = _Tracker(spec.f_hz, m)
     size = max(1, _TRACK_OVERLAPS // (m * m))
     for a in range(0, nf, size):
-        tracker.add(spec.lam[a:a + size], spec.w[a:a + size], spec.u[a:a + size])
+        block = slice(a, a + size)
+        tracker.add(a, Spectrum(spec.f_hz[block], spec.lam[block], spec.w[block], spec.u[block]))
     return tracker.traces()
 
 
@@ -689,12 +686,12 @@ def analyze(g: NetworkGraph, grid: FrequencyGrid):
     """Sweep, track and assess in one call, holding no sweep's Spectrum.
 
     The grid goes through the sweep's chunk stream (_stream): each chunk
-    is assembled and decomposed on a pool thread, then tracked on the
-    calling thread as it arrives, in grid order, from the last sample of
-    the one before (_Tracker); the chunk is let go once tracked.  What is
-    kept is each trace's eigenvalues, eig_index and overlaps, and the left
-    eigenvector rows that assess reads, rows[t, j] at the samples t where
-    a crossing bracket starts.  Returns (rows, traces, report).  The
+    is assembled and decomposed on a pool thread, then handed with its
+    start index to _Tracker.add on the calling thread, in grid order, and
+    tracked from the last sample of the one before; the chunk is let go
+    once tracked.  What is kept is each trace's eigenvalues, eig_index and
+    overlaps, and the left eigenvector rows that assess reads, rows[t, j]
+    at the samples t where a crossing bracket starts.  Returns (rows, traces, report).  The
     crossovers of all traces are then refined together by batched
     Illinois regula falsi (refine_crossovers) against matrices
     re-assembled with matrices_at(fs) = assemble_grid(g, fs), one assembly
@@ -705,7 +702,7 @@ def analyze(g: NetworkGraph, grid: FrequencyGrid):
     """
     rows: dict[tuple[int, int], np.ndarray] = {}
     tracker = _Tracker(grid.hz, 2 * g.n, rows)
-    _stream(g, grid, lambda chunk: tracker.add(chunk.lam, chunk.w, chunk.u))
+    _stream(g, grid, tracker.add)
     traces = tracker.traces()
     report = assess(rows, traces, lambda fs: assemble_grid(g, fs))
     return rows, traces, report

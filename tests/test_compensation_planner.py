@@ -199,10 +199,13 @@ def test_compensation_table_decomposes_nothing(case_graph, monkeypatch):
 
 
 def test_compensation_table_warns_on_a_degenerate_crossing():
-    smp = eig_lr(np.diag([1.0, 1.0, 2.0, 3.0]), 42.0)
-    ev = CrossoverEvent(1, 42.0, -0.01, "rising", "critical", smp, 0)
-    with pytest.warns(DegenerateEigenvalueWarning, match="f=42.0"):
-        compensation_table(NetworkGraph((1, 2), (), ()), [ev])
+    # in the second spectrum eigenvalues 0 and 2 are 2e-13 apart, and the
+    # 100j one, whose real part lies between theirs, sorts between them
+    for diag in ([1.0, 1.0, 2.0, 3.0], [1.0, 1.0 + 1e-13 + 100j, 1.0 + 2e-13, 5.0]):
+        smp = eig_lr(np.diag(diag), 42.0)
+        ev = CrossoverEvent(1, 42.0, -0.01, "rising", "critical", smp, 0)
+        with pytest.warns(DegenerateEigenvalueWarning, match="f=42.0"):
+            compensation_table(NetworkGraph((1, 2), (), ()), [ev])
 
 
 # --- ranking ---

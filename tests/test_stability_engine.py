@@ -239,6 +239,21 @@ def test_chunked_nonconvergence_names_the_member_after_every_chunk(eig_failing_o
     assert set(range(18)) <= set(started) <= set(range(20))
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stream_hands_each_chunk_on_with_its_start(monkeypatch, pool_of, threads):
+    # 1 000 points in chunks of 7: 143 chunks, the last one of 6 points
+    chunks_of(monkeypatch, 2, 7)
+    pool_of(threads)
+    grid = FrequencyGrid.regular(10.0, 1009.0, 1.0)
+    taken = []
+    stability_engine._stream(single_rc_graph(), grid,
+                             lambda start, chunk: taken.append((start, chunk)))
+    assert [start for start, _ in taken] == list(range(0, 1000, 7))
+    assert len(taken[-1][1]) == 6
+    for start, chunk in taken:
+        assert np.array_equal(chunk.f_hz, grid.hz[start:start + len(chunk)])
+
+
 def test_first_failing_chunk_in_grid_order_raises(monkeypatch, pool_of):
     # chunk 1 of 3 holds a non-finite entry at 25 Hz and is slow; chunk 2,
     # non-finite at 35 Hz, fails first, but the grid's first one is named
@@ -879,7 +894,7 @@ def test_tracker_chunks_split_at_non_strict_steps(monkeypatch, m, steps, non_str
     tracker = stability_engine._Tracker(spec.f_hz, m)
     cuts = [0, *sorted({t + 1 for t in non_strict}), steps + 1]
     for a, b in zip(cuts[:-1], cuts[1:]):
-        tracker.add(spec.lam[a:b], spec.w[a:b], spec.u[a:b])
+        tracker.add(a, Spectrum(spec.f_hz[a:b], spec.lam[a:b], spec.w[a:b], spec.u[a:b]))
     assert_track_equals_reference(spec, tracker.traces())
     assert len(calls) == len(non_strict)
 
